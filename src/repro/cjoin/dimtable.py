@@ -12,10 +12,29 @@ The paper's defining property (used by the Filtering Invariant):
     ``probe(tau)[i] = 1``  iff  ``Q_i`` references ``D_j`` and the
     joining tuple satisfies ``c_ij``, **or** ``Q_i`` does not
     reference ``D_j`` at all.
+
+**Who touches a table, and the invalidate-after-mutate rule.**  The
+Pipeline Manager mutates tables from whichever thread admits or cleans
+up (serialized by the manager lock); the Filter probes them from the
+scan's thread, through :meth:`DimensionHashTable.columnar_view`'s
+cached snapshot on the batch kernels' path.  Every mutator therefore
+(1) holds the table's rebuild lock while it changes ``_entries`` and
+(2) drops the cached snapshot *after* the change, still under that
+lock.  A rebuild takes the same lock, so it iterates a table no mutator
+is inside and can never cache a half-registered state; the per-batch
+hit path takes no lock and keeps using the last complete snapshot,
+which is correct because the bits a mutation in progress adds or clears
+belong to queries no fact tuple carries yet (admission) or any more
+(cleanup).
+
+Cleanup is a *group* operation (:meth:`unregister_queries`): the ids
+that finished together — in a closed loop, a whole scan cycle's worth —
+are cleared with one combined mask in one pass over the entries.
 """
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Iterable
 
 from repro import bitvec
@@ -46,8 +65,11 @@ class DimensionHashTable:
         self._key_index = schema.column_index(schema.primary_key)
         self._entries: dict[object, _DimEntry] = {}
         #: lazily rebuilt (key -> bits, key -> row) snapshot for the
-        #: batch kernels; invalidated whenever stored bits change
+        #: batch kernels; dropped after every change to stored bits
         self._columnar_cache: tuple[dict, dict] | None = None
+        #: held by every mutator and by the snapshot rebuild (module
+        #: docstring); never taken on the per-batch hit path
+        self._rebuild_lock = threading.Lock()
         #: the paper's b_Dj: bit i set iff Q_i does NOT reference this dim
         self.complement_bitmap: int = 0
 
@@ -88,12 +110,26 @@ class DimensionHashTable:
         """
         cache = self._columnar_cache
         if cache is None:
-            entries = self._entries
-            cache = self._columnar_cache = (
-                {key: entry.bits for key, entry in entries.items()},
-                {key: entry.row for key, entry in entries.items()},
-            )
+            with self._rebuild_lock:
+                cache = self._columnar_cache
+                if cache is None:
+                    entries = self._entries
+                    cache = self._columnar_cache = (
+                        {key: entry.bits for key, entry in entries.items()},
+                        {key: entry.row for key, entry in entries.items()},
+                    )
         return cache
+
+    def __getstate__(self) -> dict:
+        """Pickle without the lock and the snapshot (both are rebuilt)."""
+        state = self.__dict__.copy()
+        del state["_rebuild_lock"]
+        state["_columnar_cache"] = None
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._rebuild_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Registration bookkeeping (Algorithms 1 and 2)
@@ -106,10 +142,11 @@ class DimensionHashTable:
         dimension tuples.
         """
         bit = bitvec.bit_for_query(query_id)
-        self.complement_bitmap |= bit
-        self._columnar_cache = None
-        for entry in self._entries.values():
-            entry.bits |= bit
+        with self._rebuild_lock:
+            self.complement_bitmap |= bit
+            for entry in self._entries.values():
+                entry.bits |= bit
+            self._columnar_cache = None
 
     def mark_query_referencing(self, query_id: int) -> None:
         """Record that an admitted query references this dimension.
@@ -128,23 +165,27 @@ class DimensionHashTable:
         registered.
         """
         count = 0
-        self._columnar_cache = None
         bit = bitvec.bit_for_query(query_id)
         key_index = self._key_index
         entries = self._entries
         entries_get = entries.get
-        complement = self.complement_bitmap
-        for row in rows:
-            key = row[key_index]
-            entry = entries_get(key)
-            if entry is None:
-                entry = entries[key] = _DimEntry(row, complement)
-            entry.bits |= bit
-            count += 1
+        with self._rebuild_lock:
+            complement = self.complement_bitmap
+            for row in rows:
+                key = row[key_index]
+                entry = entries_get(key)
+                if entry is None:
+                    entry = entries[key] = _DimEntry(row, complement)
+                entry.bits |= bit
+                count += 1
+            self._columnar_cache = None
         return count
 
-    def unregister_query(self, query_id: int) -> None:
-        """Remove all traces of a finished query (Algorithm 2).
+    def unregister_queries(self, query_ids: Iterable[int]) -> None:
+        """Remove all traces of a group of finished queries (Algorithm 2).
+
+        One combined mask, one pass over the entries, however many
+        queries finished together.
 
         The paper's Algorithm 2 sets ``b_Dj[n] = 1`` and clears entry
         bits only for referenced dimensions, leaving the neutral
@@ -156,16 +197,22 @@ class DimensionHashTable:
         a clean slate on reuse.  Entries whose bit-vector drops to
         zero are garbage-collected (section 3.3.2).
         """
-        mask = ~bitvec.bit_for_query(query_id)
-        self.complement_bitmap &= mask
-        self._columnar_cache = None
-        dead_keys = []
-        for key, entry in self._entries.items():
-            entry.bits = bits = entry.bits & mask
-            if not bits:
-                dead_keys.append(key)
-        for key in dead_keys:
-            del self._entries[key]
+        mask = ~bitvec.or_reduce(map(bitvec.bit_for_query, query_ids))
+        entries = self._entries
+        with self._rebuild_lock:
+            self.complement_bitmap &= mask
+            dead_keys = []
+            for key, entry in entries.items():
+                entry.bits = bits = entry.bits & mask
+                if not bits:
+                    dead_keys.append(key)
+            for key in dead_keys:
+                del entries[key]
+            self._columnar_cache = None
+
+    def unregister_query(self, query_id: int) -> None:
+        """The one-element form of :meth:`unregister_queries`."""
+        self.unregister_queries((query_id,))
 
     # ------------------------------------------------------------------
     # Introspection

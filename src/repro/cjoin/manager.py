@@ -3,21 +3,28 @@
 Runs alongside the pipeline and owns its lifecycle:
 
 * **admission** (Algorithm 1): allocate a query id, update every
-  dimension hash table's complement bitmap, run the dimension filter
-  queries ``sigma_cnj(D_j)`` against the store, install new Filters,
-  and activate the query in the Preprocessor with a start control
-  tuple;
-* **finalization cleanup** (Algorithm 2): after the Distributor
-  retires a query, clear its bits everywhere, garbage-collect dead
-  dimension tuples, and remove empty Filters;
+  dimension hash table's complement bitmap, answer the dimension filter
+  queries ``sigma_cnj(D_j)`` — from a materialized view, else the
+  dimension's ordered column index (O(log N + k), built on first use),
+  else a buffered scan — install new Filters, and activate the query
+  in the Preprocessor with a start control tuple;
+* **finalization cleanup** (Algorithm 2): the Distributor queues the
+  ids it retires; :meth:`PipelineManager.process_finished` cleans the
+  queued ids *as one group* — one combined bit mask and one pass per
+  hash table, one ``still_referenced`` computation, at most one stall
+  to remove Filters no active query references — so the cost is per
+  scan cycle, not per query;
 * **run-time optimization** (section 3.4): periodically ask the
   ordering policy for a better Filter permutation and install it.
 
-Concurrency notes (for the threaded executor): admissions are
-serialized by the manager lock; pipeline mutations happen under a
-Preprocessor stall.  Permuting the filter chain never requires
-draining in-flight tuples because each tuple snapshots the chain and
-AND-filtering is order-insensitive; new-filter insertion is safe
+Concurrency notes: admissions and cleanups are serialized by the
+manager lock and may run on any thread beside the scan's; pipeline
+mutations happen under a Preprocessor stall, and hash-table mutations
+follow the invalidate-after-mutate rule of :mod:`repro.cjoin.dimtable`
+so the Filters' cached snapshots are never half-registered.
+Permuting the filter chain never requires draining in-flight tuples
+because each tuple snapshots the chain and AND-filtering is
+order-insensitive; new-filter insertion is safe
 because the new table's complement bitmap is initialized from the
 union of preprocessor-active and distributor-open queries (read while
 stalled), which covers every bit any in-flight tuple can carry.
@@ -262,18 +269,22 @@ class PipelineManager:
     def _run_dimension_query(self, name: str, query: StarQuery) -> list[tuple]:
         """Evaluate ``sigma_cnj(D_j)`` against the store.
 
-        The paper issues this to PostgreSQL; here it is a buffered scan
-        of the dimension table (charged to the shared buffer pool),
-        short-circuited through an equality index when one covers the
-        predicate (section 5: dimension indexes are used transparently
-        by query registration).  Wait-free with respect to the pipeline.
+        The paper issues this to PostgreSQL and lets it use dimension
+        indexes transparently (section 5).  Here a matching
+        materialized view answers first; then the dimension's ordered
+        column index (:meth:`~repro.storage.table.Table.select`: TRUE,
+        ``=``, ``IN``, ``BETWEEN`` and the inequalities on one column,
+        built on first use, O(log N + k)); anything else — composites,
+        columns that cannot be ordered — is a buffered scan charged to
+        the shared buffer pool.  All three return the same rows in heap
+        order.  Wait-free with respect to the pipeline.
         """
         dimension = self.catalog.table(name)
         predicate = query.predicate_on(name)
         view = self.catalog.find_dimension_view(name, predicate)
         if view is not None:
             return view.rows()
-        indexed = self._index_lookup(dimension, predicate)
+        indexed = dimension.select(predicate)
         if indexed is not None:
             return indexed
         matcher = predicate.bind(dimension.schema)
@@ -282,27 +293,6 @@ class PipelineManager:
             for row in TableScan(dimension, self.buffer_pool)
             if matcher(row)
         ]
-
-    @staticmethod
-    def _index_lookup(dimension, predicate) -> list[tuple] | None:
-        """Serve an equality/IN predicate from a secondary index.
-
-        Returns None when the predicate shape or available indexes do
-        not allow it (the scan path then applies).
-        """
-        from repro.query.predicate import Comparison, InList
-
-        if isinstance(predicate, Comparison) and predicate.op == "=":
-            column, values = predicate.column, [predicate.value]
-        elif isinstance(predicate, InList):
-            column, values = predicate.column, sorted(
-                predicate.values, key=repr
-            )
-        else:
-            return None
-        if not dimension.has_index(column):
-            return None
-        return dimension.index_lookup(column, values)
 
     # ------------------------------------------------------------------
     # Cancellation (DESIGN.md section 10)
@@ -366,35 +356,55 @@ class PipelineManager:
         self._finished_queue.append(query_id)
 
     def process_finished(self) -> int:
-        """Run Algorithm 2 for every queued finished query.
+        """Run Algorithm 2 once for every queued finished query.
 
-        Returns the number of queries cleaned up.
+        The queue is drained into one group and the group is cleaned
+        up together: one pass per hash table, one ``still_referenced``
+        computation and at most one Preprocessor stall per call,
+        however many queries the Distributor retired since the last
+        one.  Returns the number of queries cleaned up.
+
+        Raises:
+            AdmissionError: if the queue held an id that is not
+                registered — after the rest of the group was cleaned
+                up, so one bad id never strands the others'.
         """
-        cleaned = 0
+        if not self._finished_queue:
+            return 0
         with self._lock:
+            finished = []
             while self._finished_queue:
-                query_id = self._finished_queue.popleft()
-                self._cleanup_locked(query_id)
-                cleaned += 1
-        return cleaned
+                finished.append(self._finished_queue.popleft())
+            registrations = []
+            unknown = []
+            for query_id in finished:
+                registration = self._registrations.pop(query_id, None)
+                if registration is None:
+                    unknown.append(query_id)
+                else:
+                    registrations.append(registration)
+            if registrations:
+                self._cleanup_locked(registrations)
+        if unknown:
+            raise AdmissionError(f"unknown finished queries {unknown}")
+        return len(registrations)
 
-    def _cleanup_locked(self, query_id: int) -> None:
-        registration = self._registrations.pop(query_id, None)
-        if registration is None:
-            raise AdmissionError(f"unknown finished query {query_id}")
-        self._record_latency(registration)
-        self._referenced_by.pop(query_id, None)
+    def _cleanup_locked(self, registrations: list[RegisteredQuery]) -> None:
+        query_ids = [registration.query_id for registration in registrations]
+        for registration in registrations:
+            self._record_latency(registration)
+            self._referenced_by.pop(registration.query_id, None)
         for table in self._tables.values():
-            table.unregister_query(query_id)
+            table.unregister_queries(query_ids)
         # A Filter is removable only when NO active query references its
         # dimension.  The paper's emptiness test alone is unsafe: a hash
         # table can be empty because an *active* query's predicate
         # selected zero dimension rows — then the filter (probe miss ->
         # b_Dj, whose bit is 0 for that query) is exactly what drops
         # every fact tuple for it.
-        still_referenced: set[str] = set()
-        for referenced in self._referenced_by.values():
-            still_referenced |= referenced
+        still_referenced: set[str] = set().union(
+            *self._referenced_by.values()
+        )
         removable = [
             name for name in self._tables if name not in still_referenced
         ]
@@ -409,7 +419,9 @@ class PipelineManager:
                     self.ordering_policy.forget(name)
             finally:
                 preprocessor.resume()
-        self.allocator.release(query_id)
+        # ids go back last: a recycled id must find its bits cleared
+        for query_id in query_ids:
+            self.allocator.release(query_id)
 
     def _record_latency(self, registration: RegisteredQuery) -> None:
         """Append the query's latency breakdown to the pipeline stats.

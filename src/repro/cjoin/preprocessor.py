@@ -287,8 +287,12 @@ class Preprocessor:
                     unconditional = self._unconditional_mask
                     conditional = self._conditional
                 # a run must stop before the next registered start
-                # position so every wrap-around is observed on arrival
-                limit = budget - produced_rows
+                # position so every wrap-around is observed on arrival.
+                # It is never empty, even when the ends above used up
+                # the budget: a query that starts at this position has
+                # just been told its first row is on the way (the tuple
+                # path has consumed that row by now, too)
+                limit = max(budget - produced_rows, 1)
                 for start_position in self._starts:
                     if position < start_position < position + limit:
                         limit = start_position - position

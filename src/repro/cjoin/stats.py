@@ -10,13 +10,21 @@ Three consumers:
 * the always-on service layer (DESIGN.md section 9), which reports
   per-query latency/predictability telemetry: admission wait, scan
   cycles to completion, and end-to-end response time, summarized as
-  p50/p95/p99 percentiles.
+  p50/p95/p99 percentiles over the :data:`LATENCY_WINDOW` most recent
+  queries beside an exact running count — so a ``stats()`` call costs
+  the same after a million queries as after a thousand.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
+
+#: Per-query latency records kept (and summarized) at any moment.  An
+#: always-on service completes queries without end; the records are a
+#: ring like autotune's decision audit, and only ``count`` is cumulative.
+LATENCY_WINDOW = 1024
 
 
 def percentile(values: list[float], fraction: float) -> float:
@@ -122,8 +130,12 @@ class PipelineStats:
     queries_cancelled: int = 0
     reoptimizations: int = 0
     filter_orders: list[tuple[str, ...]] = field(default_factory=list)
-    #: one QueryLatencyRecord per finalized query, in completion order
-    latency_records: list[QueryLatencyRecord] = field(default_factory=list)
+    #: finalized queries recorded since construction (exact, cumulative)
+    latencies_recorded: int = 0
+    #: the LATENCY_WINDOW most recent QueryLatencyRecords, oldest first
+    latency_records: deque[QueryLatencyRecord] = field(
+        default_factory=lambda: deque(maxlen=LATENCY_WINDOW)
+    )
 
     def record_order(self, order: tuple[str, ...]) -> None:
         """Log a (re)ordering of the filter sequence."""
@@ -133,21 +145,36 @@ class PipelineStats:
     def record_latency(self, record: QueryLatencyRecord) -> None:
         """Log one finalized query's latency breakdown."""
         self.latency_records.append(record)
+        self.latencies_recorded += 1
+
+    def recent_latency_records(
+        self, limit: int = LATENCY_WINDOW
+    ) -> list[QueryLatencyRecord]:
+        """The ``limit`` most recent records, oldest first.
+
+        A C-level copy, so it is a consistent snapshot even while the
+        scan's thread appends.
+        """
+        return list(self.latency_records)[-limit:]
 
     def latency_summary(self) -> dict[str, float]:
-        """p50/p95/p99 over the recorded per-query latencies.
+        """p50/p95/p99 over the most recent per-query latencies.
 
-        Returns a dict with ``count``, end-to-end percentiles
-        (``p50``/``p95``/``p99``), admission-wait percentiles
-        (``wait_p50``/``wait_p95``/``wait_p99``), and the mean scan
-        cycles to completion (``mean_scan_cycles``); zeros when no
-        query has finished yet.
+        Returns a dict with ``count`` (every query recorded since
+        construction), end-to-end percentiles (``p50``/``p95``/``p99``),
+        admission-wait percentiles (``wait_p50``/``wait_p95``/
+        ``wait_p99``), and the mean scan cycles to completion
+        (``mean_scan_cycles``) — the percentiles and the mean over the
+        :data:`LATENCY_WINDOW` most recent queries; zeros when no query
+        has finished yet.
         """
-        latencies = [r.latency_seconds for r in self.latency_records]
-        waits = [r.wait_seconds for r in self.latency_records]
-        cycles = [r.scan_cycles for r in self.latency_records]
+        count = self.latencies_recorded
+        records = self.recent_latency_records()
+        latencies = [r.latency_seconds for r in records]
+        waits = [r.wait_seconds for r in records]
+        cycles = [r.scan_cycles for r in records]
         return {
-            "count": float(len(latencies)),
+            "count": float(count),
             "p50": percentile(latencies, 0.50),
             "p95": percentile(latencies, 0.95),
             "p99": percentile(latencies, 0.99),

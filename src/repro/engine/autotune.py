@@ -240,10 +240,9 @@ class AutoTuner:
             return self.probe()
         warehouse = self.warehouse
         service = warehouse.service.snapshot()
-        # latency_records is append-only; a tail slice under the GIL is
-        # a consistent-enough window for a controller
-        records = warehouse.cjoin.stats.latency_records
-        tail = records[-self.policy.latency_window:]
+        tail = warehouse.cjoin.stats.recent_latency_records(
+            self.policy.latency_window
+        )
         from repro.engine.submission import ROUTE_PROCESS
 
         return TuningSample(

@@ -185,8 +185,8 @@ class WarehouseService:
 
     @property
     def latency_records(self):
-        """Per-query latency records, in completion order."""
-        return list(self.operator.stats.latency_records)
+        """The most recent per-query latency records, oldest first."""
+        return self.operator.stats.recent_latency_records()
 
     # ------------------------------------------------------------------
     # Submission (any thread, any time)

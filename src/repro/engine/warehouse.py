@@ -737,8 +737,12 @@ class Warehouse:
 
     @property
     def latency_records(self):
-        """Per-query latency records (service, process, and baseline)."""
-        return list(self.cjoin.stats.latency_records)
+        """The most recent per-query latency records, oldest first
+
+        (service, process, and baseline routes; at most
+        ``repro.cjoin.stats.LATENCY_WINDOW`` of them).
+        """
+        return self.cjoin.stats.recent_latency_records()
 
     # ------------------------------------------------------------------
     # Updates (snapshot isolation, section 3.5)

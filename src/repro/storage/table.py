@@ -1,13 +1,102 @@
-"""Tables: a schema bound to a heap file of rows."""
+"""Tables: a schema bound to a heap file of rows.
+
+Besides the heap and the primary-key map a table can carry **ordered
+column indexes** (paper section 5: dimension indexes are common and
+query registration uses them transparently).  There is one index
+structure: per column, the non-NULL values in sorted order beside the
+heap positions of their rows.  Bisection answers ``=``, ``IN``,
+``BETWEEN`` and the four inequalities in O(log N + k), and the
+positions are put back into heap order before rows are returned, so an
+index-served selection yields exactly the rows, in exactly the order,
+that a scan filtered by the predicate would.  NULLs are left out of the
+index because a comparison against NULL is false
+(:mod:`repro.query.predicate`).
+
+An index is built on first use (:meth:`Table.select`) or on request
+(:meth:`Table.create_index`) from a heap-ordered row list all of a
+table's indexes share.  ``insert`` and ``upsert`` *invalidate*: they
+drop the row list and mark every index stale, and the next lookup
+rebuilds what it needs.  Dimension tables change rarely and are small,
+so a rebuild (one sort) is cheaper to keep correct than in-place
+maintenance; fact tables carry no index and pay two attribute tests per
+insert.  A column whose values cannot be put in one order (mixed
+incomparable types, NaN) has no usable index: lookups on it answer
+"cannot serve" and the caller scans.
+"""
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
+from operator import ne
 
 from repro.catalog.schema import TableSchema
 from repro.errors import StorageError
+from repro.query.predicate import (
+    Between,
+    Comparison,
+    InList,
+    Predicate,
+    TruePredicate,
+    implied_interval,
+)
 from repro.storage.heap import HeapFile
 from repro.storage.page import DEFAULT_ROWS_PER_PAGE
+
+
+class _OrderedIndex:
+    """One column's non-NULL values, sorted, beside their heap positions.
+
+    ``values[i]`` belongs to the row at heap position ``positions[i]``;
+    the sort is stable, so equal values keep ascending positions.
+    ``values is None`` marks a column that cannot be ordered.
+    """
+
+    __slots__ = ("values", "positions")
+
+    def __init__(self, column: list) -> None:
+        positions = [
+            position
+            for position, value in enumerate(column)
+            if value is not None
+        ]
+        self.values = self.positions = None
+        try:
+            positions.sort(key=column.__getitem__)
+        except TypeError:  # mixed incomparable types
+            return
+        values = [column[position] for position in positions]
+        if any(map(ne, values, values)):  # NaN: sort() did not order it
+            return
+        self.values = values
+        self.positions = positions
+
+    def span(self, low, high, low_inclusive=True, high_inclusive=True):
+        """Heap positions of the values in the interval (sorted-value order).
+
+        A ``None`` bound is unbounded.  Returns None when the column
+        cannot be ordered or a bound cannot be compared with it (another
+        type, NaN).
+        """
+        values = self.values
+        if values is None or low != low or high != high:  # NaN bound
+            return None
+        try:
+            if low is None:
+                start = 0
+            elif low_inclusive:
+                start = bisect_left(values, low)
+            else:
+                start = bisect_right(values, low)
+            if high is None:
+                stop = len(values)
+            elif high_inclusive:
+                stop = bisect_right(values, high)
+            else:
+                stop = bisect_left(values, high)
+        except TypeError:
+            return None
+        return self.positions[start:stop]  # empty when the range is inverted
 
 
 class Table:
@@ -30,8 +119,11 @@ class Table:
         self._pk_index: dict[object, tuple[int, int]] | None = (
             {} if schema.primary_key is not None else None
         )
-        #: column name -> value -> row addresses (secondary indexes)
-        self._secondary: dict[str, dict[object, list[tuple[int, int]]]] = {}
+        #: every row in heap order, shared by the ordered indexes
+        #: (None = not built, or dropped by an insert/upsert)
+        self._rows: list[tuple] | None = None
+        #: column name -> ordered index (None = declared but stale)
+        self._indexes: dict[str, _OrderedIndex | None] = {}
 
     @classmethod
     def from_rows(
@@ -58,10 +150,10 @@ class Table:
         The fast path for rehosting a slice of an existing table (fact
         shards in the process-parallel backend, DESIGN.md section 8):
         pages are built by slicing, skipping per-row validation, and no
-        primary/secondary indexes are maintained — the result serves
-        scan-driven paths only.  The schema is stored without its
-        primary key so index lookups fail loudly (None) instead of
-        silently missing rows.
+        primary-key index is maintained.  The schema is stored without
+        its primary key so key lookups fail loudly (None) instead of
+        silently missing rows; ordered column indexes build from the
+        heap as on any table.
         """
         from repro.storage.page import Page
 
@@ -93,9 +185,7 @@ class Table:
             self._pk_index[key] = address
         else:
             address = self.heap.append_row(row)
-        for column_name, index in self._secondary.items():
-            value = row[self.schema.column_index(column_name)]
-            index.setdefault(value, []).append(address)
+        self._invalidate_indexes()
         return address
 
     def upsert(self, row: tuple) -> tuple[int, int]:
@@ -105,8 +195,8 @@ class Table:
         row count, page layout, and scan order are all unchanged —
         which is what lets the streaming-ingest path upsert dimensions
         under the continuous scan without disturbing its stable-order
-        guarantee (DESIGN.md section 15).  Secondary indexes are kept
-        consistent with the new column values.
+        guarantee (DESIGN.md section 15).  Column indexes are
+        invalidated and rebuild on their next use.
 
         Raises:
             SchemaError: if the row does not match the schema.
@@ -124,19 +214,8 @@ class Table:
         address = self._pk_index.get(key)
         if address is None:
             return self.insert(row)
-        old_row = self.heap.read_row(*address)
         self.heap.write_row(*address, row)
-        for column_name, index in self._secondary.items():
-            position = self.schema.column_index(column_name)
-            old_value, new_value = old_row[position], row[position]
-            if old_value == new_value:
-                continue
-            addresses = index.get(old_value, [])
-            if address in addresses:
-                addresses.remove(address)
-                if not addresses:
-                    del index[old_value]
-            index.setdefault(new_value, []).append(address)
+        self._invalidate_indexes()
         return address
 
     def lookup_pk(self, key: object) -> tuple | None:
@@ -156,47 +235,106 @@ class Table:
         return self.heap.read_row(*address)
 
     # ------------------------------------------------------------------
-    # Secondary indexes (paper section 5: dimension indexes are common
-    # and CJOIN's admission path uses them transparently)
+    # Ordered column indexes (module docstring; paper section 5)
     # ------------------------------------------------------------------
     def create_index(self, column_name: str) -> None:
-        """Build an equality index on ``column_name`` (idempotent)."""
-        self.schema.column_index(column_name)  # raises on unknown column
-        if column_name in self._secondary:
-            return
-        index: dict[object, list[tuple[int, int]]] = {}
-        rows_per_page = self.heap.rows_per_page
-        position = 0
-        value_index = self.schema.column_index(column_name)
-        for row in self.heap.iter_rows():
-            address = divmod(position, rows_per_page)
-            index.setdefault(row[value_index], []).append(address)
-            position += 1
-        self._secondary[column_name] = index
+        """Build the ordered index on ``column_name`` (idempotent)."""
+        self._ordered_index(column_name)
 
     def has_index(self, column_name: str) -> bool:
-        """True iff an equality index exists on ``column_name``."""
-        return column_name in self._secondary
+        """True iff an index on ``column_name`` was created or used."""
+        return column_name in self._indexes
 
     def index_lookup(self, column_name: str, values) -> list[tuple]:
-        """Rows whose indexed column equals any of ``values``.
+        """Rows whose indexed column equals any of ``values``, heap order.
 
         An in-memory index access: no buffer-pool I/O is charged,
         matching the treatment of the primary-key index.
 
         Raises:
-            StorageError: if the column has no index.
+            StorageError: if the column has no index, or its values (or
+                a probe value) cannot be ordered.
         """
-        index = self._secondary.get(column_name)
-        if index is None:
+        if column_name not in self._indexes:
             raise StorageError(
                 f"table {self.schema.name!r} has no index on {column_name!r}"
             )
-        rows = []
-        for value in values:
-            for address in index.get(value, ()):
-                rows.append(self.heap.read_row(*address))
+        rows = self._rows_equal_to(column_name, values)
+        if rows is None:
+            raise StorageError(
+                f"column {self.schema.name}.{column_name} cannot be "
+                f"ordered against {sorted(values, key=repr)!r}"
+            )
         return rows
+
+    def select(self, predicate: Predicate) -> list[tuple] | None:
+        """Rows satisfying ``predicate`` in heap order, without a scan.
+
+        Serves ``TruePredicate`` from the shared row list and a
+        single-column ``=``, ``<``, ``<=``, ``>``, ``>=``, ``BETWEEN``
+        or ``IN`` from that column's ordered index, building it on
+        first use.  Returns None — the caller scans — for every other
+        shape (composites, ``!=``, NULL operands) and when the column
+        or an operand cannot be ordered.  No buffer-pool I/O is charged.
+        """
+        if isinstance(predicate, TruePredicate):
+            return list(self._heap_rows())
+        if isinstance(predicate, InList):
+            return self._rows_equal_to(predicate.column, predicate.values)
+        if isinstance(predicate, Comparison):
+            if predicate.op == "!=" or predicate.value is None:
+                return None
+        elif isinstance(predicate, Between):
+            if predicate.low is None or predicate.high is None:
+                return None
+        else:
+            return None
+        column_name = predicate.column
+        positions = self._ordered_index(column_name).span(
+            *implied_interval(predicate, column_name)
+        )
+        if positions is None:
+            return None
+        return self._rows_at(positions)
+
+    def _rows_equal_to(self, column_name: str, values) -> list[tuple] | None:
+        """Rows whose column equals any of ``values``; None = cannot serve."""
+        index = self._ordered_index(column_name)
+        # equal probes (1, 1.0, True) hit one span: the set keeps each
+        # row once
+        positions: set[int] = set()
+        for value in values:
+            if value is None:
+                return None  # IN (..., NULL) matches NULL rows: scan
+            span = index.span(value, value)
+            if span is None:
+                return None
+            positions.update(span)
+        return self._rows_at(positions)
+
+    def _rows_at(self, positions) -> list[tuple]:
+        """The rows at ``positions``, put back into heap order."""
+        return list(map(self._heap_rows().__getitem__, sorted(positions)))
+
+    def _heap_rows(self) -> list[tuple]:
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = list(self.heap.iter_rows())
+        return rows
+
+    def _ordered_index(self, column_name: str) -> _OrderedIndex:
+        index = self._indexes.get(column_name)
+        if index is None:
+            position = self.schema.column_index(column_name)  # raises
+            index = self._indexes[column_name] = _OrderedIndex(
+                [row[position] for row in self._heap_rows()]
+            )
+        return index
+
+    def _invalidate_indexes(self) -> None:
+        if self._rows is not None or self._indexes:
+            self._rows = None
+            self._indexes = dict.fromkeys(self._indexes)
 
     @property
     def row_count(self) -> int:

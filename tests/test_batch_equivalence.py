@@ -249,3 +249,48 @@ def test_batched_probe_accounting(ssb_small, ssb_workload):
     assert stats.tuples_scanned > 0
     dimensions = len(star.dimensions)
     assert stats.probes_per_tuple <= dimensions
+
+
+def test_admission_where_ends_exhaust_the_batch_budget():
+    """A query admitted at the scan position where others wrap around.
+
+    The wrap-around handling marks the position's row as the newcomer's
+    first; when the QueryEnds it emits use up the batch budget the row
+    must still go out in that batch, or the next arrival at the
+    position ends the newcomer with no rows (the tuple path consumes
+    the row before it looks at the wrap-arounds).
+    """
+    from repro.query.predicate import Comparison
+    from repro.query.reference import evaluate_star_query
+
+    query = StarQuery.build(
+        "sales",
+        dimension_predicates={
+            "product": Comparison("p_category", "=", "food")
+        },
+        aggregates=[AggregateSpec("count")],
+    )
+    for execution in ("tuple", "batched"):
+        catalog, star = make_tiny_star()
+        operator = CJoinOperator(
+            catalog,
+            star,
+            executor_config=ExecutorConfig(execution=execution, batch_size=3),
+        )
+        executor = operator.executor
+        handles = [operator.submit(query)]
+        for _ in range(2):
+            executor.step()
+        handles += [operator.submit(query), operator.submit(query)]
+        for _ in range(5):
+            executor.step()
+        # one cycle later the scan is parked where the last two started
+        start = handles[1].registration.start_position
+        assert operator.scan.next_position == start == 5
+        assert [handle.done for handle in handles] == [True, False, False]
+        # start control + two ends = the whole budget of the next batch
+        handles.append(operator.submit(query))
+        operator.run_until_drained()
+        expected = evaluate_star_query(query, catalog)
+        for handle in handles:
+            assert handle.results() == expected, execution

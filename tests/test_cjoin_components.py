@@ -334,3 +334,22 @@ class TestStats:
         stats.record_order(("a",))
         stats.record_order(("b",))
         assert stats.filter_orders == [("a",), ("b",)]
+
+    def test_latency_summary_is_a_recent_window_with_an_exact_count(self):
+        from repro.cjoin.stats import LATENCY_WINDOW, QueryLatencyRecord
+
+        stats = PipelineStats()
+        total = LATENCY_WINDOW + 500
+        for index in range(total):
+            # the first 500 (which fall out of the window) are slow
+            latency = 9.0 if index < 500 else 1.0
+            stats.record_latency(
+                QueryLatencyRecord(1, None, 0.5, 1.0, latency, 0, 0)
+            )
+        assert len(stats.latency_records) == LATENCY_WINDOW
+        summary = stats.latency_summary()
+        assert summary["count"] == float(total)  # cumulative, exact
+        assert summary["p50"] == summary["p99"] == 1.0  # recent only
+        assert summary["wait_p95"] == 0.5
+        assert len(stats.recent_latency_records(64)) == 64
+        assert len(stats.recent_latency_records()) == LATENCY_WINDOW

@@ -1,5 +1,8 @@
 """Unit tests for the shared dimension hash tables (paper section 3.2.1)."""
 
+import pickle
+import threading
+
 from repro import bitvec
 from repro.catalog.schema import Column, DataType, TableSchema
 from repro.cjoin.dimtable import DimensionHashTable
@@ -109,3 +112,74 @@ class TestUnregister:
         table.mark_query_not_referencing(3)
         table.unregister_query(3)
         assert table.complement_bitmap == 0
+
+    def test_group_form_clears_every_id_in_one_call(self):
+        table = make_table()
+        table.mark_query_referencing(1)
+        table.register_selected_rows(1, [(1, "a")])
+        table.mark_query_referencing(2)
+        table.register_selected_rows(2, [(1, "a"), (2, "b")])
+        table.mark_query_not_referencing(3)
+        table.mark_query_referencing(4)
+        table.register_selected_rows(4, [(2, "b"), (5, "e")])
+        table.unregister_queries([2, 3, 1])
+        assert table.complement_bitmap == 0
+        assert {
+            key: table.bits_for_key(key) for key in table.entries_view()
+        } == {2: bitvec.bit_for_query(4), 5: bitvec.bit_for_query(4)}
+        table.unregister_queries([])  # an empty group changes nothing
+        assert table.tuple_count == 2
+
+
+class TestSnapshotRebuildExcludesMutators:
+    """Invalidate after mutate, rebuild under the mutators' lock."""
+
+    def test_rebuild_waits_for_a_registration_in_progress(self):
+        table = make_table()
+        table.mark_query_referencing(1)
+        views = []
+        reader = threading.Thread(
+            target=lambda: views.append(table.columnar_view())
+        )
+
+        def rows():
+            yield (1, "a")
+            # half-registered, no snapshot cached: a probe thread asks
+            # for one now
+            reader.start()
+            reader.join(timeout=0.2)
+            assert reader.is_alive(), "rebuild ran inside the mutation"
+            yield (2, "b")
+
+        assert table.register_selected_rows(1, rows()) == 2
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        bits_by_key, rows_by_key = views[0]
+        assert set(bits_by_key) == set(rows_by_key) == {1, 2}
+        assert table.columnar_view() is views[0]
+
+    def test_hit_path_serves_the_last_complete_snapshot(self):
+        table = make_table()
+        table.mark_query_referencing(1)
+        table.register_selected_rows(1, [(1, "a")])
+        before = table.columnar_view()
+        seen = []
+
+        def rows():
+            yield (2, "b")
+            seen.append(table.columnar_view())  # no lock on this path
+
+        table.mark_query_referencing(2)
+        table.register_selected_rows(2, rows())
+        assert seen == [before]  # pre-mutation, complete
+        assert set(table.columnar_view()[0]) == {1, 2}
+
+    def test_pickle_round_trip_rebuilds_lock_and_snapshot(self):
+        table = make_table()
+        table.mark_query_referencing(1)
+        table.register_selected_rows(1, [(1, "a")])
+        table.columnar_view()
+        clone = pickle.loads(pickle.dumps(table))
+        assert clone.columnar_view() == table.columnar_view()
+        clone.unregister_query(1)  # the clone has a working lock
+        assert clone.is_empty and not table.is_empty
