@@ -33,20 +33,27 @@ class CJoinPipeline:
     # ------------------------------------------------------------------
     # Filter chain maintenance (manager-only, pipeline stalled)
     # ------------------------------------------------------------------
+    # The stall stops the Preprocessor, not a batch already walking the
+    # chain on the driver thread while another thread admits or cleans
+    # up.  Every change therefore installs a new list: the batch in
+    # flight finishes on the chain it started with (it carries no bit
+    # of a query admitted since, and a Filter removed since passes
+    # every bit it can still carry), where popping in place would make
+    # its iteration skip the next Filter.
     def add_filter(self, new_filter: Filter) -> None:
         """Append a Filter (Algorithm 1 line 18)."""
         if any(f.name == new_filter.name for f in self.filters):
             raise PipelineError(f"filter {new_filter.name!r} already present")
-        self.filters.append(new_filter)
+        self.filters = [*self.filters, new_filter]
         self.stats.record_order(self.filter_order())
 
     def remove_filter(self, name: str) -> Filter:
         """Remove the Filter for dimension ``name`` (Algorithm 2 line 12)."""
-        for index, existing in enumerate(self.filters):
+        for existing in self.filters:
             if existing.name == name:
-                removed = self.filters.pop(index)
+                self.filters = [f for f in self.filters if f is not existing]
                 self.stats.record_order(self.filter_order())
-                return removed
+                return existing
         raise PipelineError(f"no filter for dimension {name!r}")
 
     def reorder(self, new_order: list[Filter]) -> None:

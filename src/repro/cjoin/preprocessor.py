@@ -13,9 +13,22 @@ Feeds the pipeline from the continuous scan:
 * assigns every emitted item a monotonically increasing sequence
   number (the total order the Distributor enforces).
 
+The batched path evaluates the virtual predicate once per scan run
+per distinct snapshot id, not per row per query (DESIGN.md section 3).
+A run lies inside one heap page, whose ``xmin``/``xmax`` bounds settle
+it in O(1): a snapshot newer than every insert and older than every
+delete on the page sees the whole run — the steady state, which then
+costs what a warehouse without MVCC pays — and one older than every
+insert sees none of it.  Only a run that a commit boundary or a delete
+cuts through gets a per-row mask, one per snapshot id, shared by every
+query stamped with it.  The tuple path keeps the per-row, per-query
+check (``_initial_bits``) and is the oracle the batched path is tested
+against.
+
 Thread-safety: the manager stalls the Preprocessor around pipeline
 mutations by holding its lock (see :meth:`stall` / :meth:`resume`);
-item production holds the same lock.
+item production holds the same lock.  A fact-table writer must stall it
+too: the batched path reads version columns for rows the scan returns.
 """
 
 from __future__ import annotations
@@ -72,7 +85,13 @@ class Preprocessor:
         self._active: dict[int, _ActiveQuery] = {}
         #: queries with no fact predicate / snapshot: their bits OR-ed
         self._unconditional_mask = 0
+        #: the rest, as the tuple path reads them (per row, per query)
         self._conditional: list[_ActiveQuery] = []
+        #: the same queries as the batched path reads them: those with
+        #: no snapshot as ``(bit, fact matcher, None)`` per-row checks,
+        #: the others grouped by the snapshot id they were stamped with
+        self._row_checks: list[tuple] = []
+        self._snapshot_groups: dict[int, list[_ActiveQuery]] = {}
         #: scan position -> registrations that started there
         self._starts: dict[int, list[RegisteredQuery]] = {}
         self._pending_control: deque[ControlTuple] = deque()
@@ -123,6 +142,12 @@ class Preprocessor:
             self._unconditional_mask |= active.bit
         else:
             self._conditional.append(active)
+            if snapshot is None:
+                self._row_checks.append((active.bit, fact_matcher, None))
+            else:
+                self._snapshot_groups.setdefault(
+                    snapshot.snapshot_id, []
+                ).append(active)
         registration.start_position = self.scan.next_position
         self._starts.setdefault(registration.start_position, []).append(
             registration
@@ -252,7 +277,9 @@ class Preprocessor:
             # hoisted bit sources; refreshed whenever a wraparound can
             # mutate the active set (the only mutator under this lock)
             unconditional = self._unconditional_mask
-            conditional = self._conditional
+            row_checks = self._row_checks
+            # empty unless the fact table is versioned
+            snapshot_groups = self._snapshot_groups
             versioned = self.versioned_fact
 
             def flush() -> None:
@@ -285,7 +312,7 @@ class Preprocessor:
                     if not self._active:
                         break
                     unconditional = self._unconditional_mask
-                    conditional = self._conditional
+                    row_checks = self._row_checks
                 # a run must stop before the next registered start
                 # position so every wrap-around is observed on arrival.
                 # It is never empty, even when the ends above used up
@@ -301,12 +328,40 @@ class Preprocessor:
                     break
                 run_start, run_rows = produced
                 stats.tuples_scanned += len(run_rows)
-                if not conditional:
-                    # every active query is unconditional: the whole
+                run_bits = unconditional
+                checks = row_checks
+                if snapshot_groups:
+                    # the section-3.5 virtual predicate, per run and
+                    # per distinct snapshot id: the page's bounds decide
+                    # all-visible and none-visible runs outright
+                    oldest, newest, first_delete = versioned.page_bounds(run_start)
+                    snapshot_checks = []
+                    for snapshot_id, group in snapshot_groups.items():
+                        if newest <= snapshot_id < first_delete:
+                            visible = None
+                            stats.visibility_runs_uniform += 1
+                        elif snapshot_id < oldest:
+                            stats.visibility_runs_uniform += 1
+                            continue
+                        else:
+                            visible = versioned.visibility_mask(
+                                snapshot_id, run_start, run_start + len(run_rows)
+                            )
+                            stats.visibility_runs_masked += 1
+                        for active in group:
+                            if visible is None and active.fact_matcher is None:
+                                run_bits |= active.bit
+                            else:
+                                snapshot_checks.append(
+                                    (active.bit, active.fact_matcher, visible)
+                                )
+                    if snapshot_checks:
+                        checks = row_checks + snapshot_checks
+                if not checks:
+                    # no active query needs a per-row look: the whole
                     # run shares one initial bit-vector, so the columns
                     # extend in bulk with no per-row work
-                    bits = unconditional
-                    if bits == 0:
+                    if run_bits == 0:
                         stats.tuples_preprocessor_dropped += len(run_rows)
                         continue
                     run_length = len(run_rows)
@@ -319,30 +374,26 @@ class Preprocessor:
                         range(run_start, run_start + run_length)
                     )
                     rows.extend(run_rows)
-                    bitvectors.extend([bits] * run_length)
+                    bitvectors.extend([run_bits] * run_length)
                     produced_rows += run_length
                     continue
                 for offset, row in enumerate(run_rows):
-                    row_position = run_start + offset
-                    # inline _initial_bits (the per-row hot path)
-                    bits = unconditional
-                    for active in conditional:
-                        if active.snapshot is not None and not active.snapshot.can_see(
-                            versioned.version_at(row_position)
-                        ):
+                    # inline _initial_bits (the per-row hot path), with
+                    # visibility read from the run's mask
+                    bits = run_bits
+                    for bit, fact_matcher, visible in checks:
+                        if visible is not None and not visible[offset]:
                             continue
-                        if active.fact_matcher is not None and not active.fact_matcher(
-                            row
-                        ):
+                        if fact_matcher is not None and not fact_matcher(row):
                             continue
-                        bits |= active.bit
+                        bits |= bit
                     if bits == 0:
                         stats.tuples_preprocessor_dropped += 1
                         continue
                     produced_rows += 1
                     self._sequence += 1
                     sequences.append(self._sequence)
-                    positions.append(row_position)
+                    positions.append(run_start + offset)
                     rows.append(row)
                     bitvectors.append(bits)
             flush()
@@ -375,10 +426,27 @@ class Preprocessor:
         active = self._active.pop(query_id, None)
         if active is None:
             raise PipelineError(f"query {query_id} is not active")
-        self._unconditional_mask &= ~active.bit
+        if active.snapshot is None and active.fact_matcher is None:
+            self._unconditional_mask &= ~active.bit
+            return
         self._conditional = [
             entry for entry in self._conditional if entry is not active
         ]
+        if active.snapshot is None:
+            self._row_checks = [
+                check for check in self._row_checks if check[0] != active.bit
+            ]
+            return
+        snapshot_id = active.snapshot.snapshot_id
+        group = [
+            entry
+            for entry in self._snapshot_groups[snapshot_id]
+            if entry is not active
+        ]
+        if group:
+            self._snapshot_groups[snapshot_id] = group
+        else:
+            del self._snapshot_groups[snapshot_id]
 
     def _initial_bits(self, position: int, row: tuple) -> int:
         bits = self._unconditional_mask

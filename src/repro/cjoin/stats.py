@@ -129,6 +129,13 @@ class PipelineStats:
     #: queries deregistered early by cancel() (DESIGN.md section 10)
     queries_cancelled: int = 0
     reoptimizations: int = 0
+    #: batched-path snapshot visibility (DESIGN.md section 3), counted
+    #: per scan run per distinct active snapshot id: runs the page's
+    #: xmin/xmax bounds settled (all or none of the run visible)
+    visibility_runs_uniform: int = 0
+    #: runs that needed a per-row mask (a commit boundary or a delete
+    #: inside), same unit
+    visibility_runs_masked: int = 0
     filter_orders: list[tuple[str, ...]] = field(default_factory=list)
     #: finalized queries recorded since construction (exact, cumulative)
     latencies_recorded: int = 0

@@ -22,6 +22,7 @@ import dataclasses
 import threading
 import time
 from collections import deque
+from contextlib import contextmanager
 
 from repro.baseline.engine import EngineProfile, QueryAtATimeEngine
 from repro.catalog.catalog import Catalog
@@ -521,6 +522,8 @@ class Warehouse:
                 "queries_completed": pipeline.queries_completed,
                 "queries_cancelled": pipeline.queries_cancelled,
                 "reoptimizations": pipeline.reoptimizations,
+                "visibility_runs_uniform": pipeline.visibility_runs_uniform,
+                "visibility_runs_masked": pipeline.visibility_runs_masked,
             },
             "service": self.service.snapshot(),
             "ingest": {
@@ -761,10 +764,30 @@ class Warehouse:
             raise QueryError(
                 "warehouse was created with enable_updates=False"
             )
-        snapshot = self.transactions.commit(
-            self.versioned_fact, inserts=inserts, deletes=deletes
-        )
+        with self._exclusive_write():
+            snapshot = self.transactions.commit(
+                self.versioned_fact, inserts=inserts, deletes=deletes
+            )
         return snapshot.snapshot_id
+
+    @contextmanager
+    def _exclusive_write(self):
+        """Hold the write barrier with the Preprocessor stalled.
+
+        What every catalog writer beside the live scan runs under
+        (:meth:`apply_update`, :meth:`apply_pending_ingest`): the
+        Pipeline Manager's barrier makes the write set atomic against
+        admissions and their dimension reads, and the stall keeps the
+        scan from observing a fact row without its version stamp.
+        Thread-safe; blocks until the batch in progress ends.
+        """
+        preprocessor = self.cjoin.preprocessor
+        with self.cjoin.manager.write_barrier():
+            preprocessor.stall()
+            try:
+                yield
+            finally:
+                preprocessor.resume()
 
     @property
     def current_snapshot_id(self) -> int:
@@ -838,10 +861,9 @@ class Warehouse:
 
         The scan-boundary hook (installed as the service's
         ``cycle_hook``, also run by :meth:`run` and writer flushes).
-        The apply holds the Pipeline Manager's write barrier — so it is
-        atomic against admissions and their dimension reads — and
-        stalls the Preprocessor around the mutations, so the scan never
-        observes a half-written row/version pair.  Under MVCC
+        The apply runs under :meth:`_exclusive_write` — atomic against
+        admissions, and the scan never observes a half-written
+        row/version pair.  Under MVCC
         (``enable_updates=True``) fact appends commit through the
         transaction manager and stay invisible to already-stamped
         queries; without MVCC there is no visibility predicate to hide
@@ -851,49 +873,40 @@ class Warehouse:
         buffer = self.ingest_buffer
         if buffer.pending_batches == 0:
             return 0
-        manager = self.cjoin.manager
-        preprocessor = self.cjoin.preprocessor
         applied_rows = 0
-        with self._ingest_apply_lock, manager.write_barrier():
+        with self._ingest_apply_lock, self._exclusive_write():
             if (
                 self.versioned_fact is None
-                and manager.active_query_count > 0
+                and self.cjoin.manager.active_query_count > 0
             ):
                 return 0
-            taken = buffer.take_all()
-            if not taken:
-                return 0
-            preprocessor.stall()
             durability = self.durability
-            try:
-                for batch, ticket in taken:
-                    started = time.perf_counter()
-                    try:
-                        snapshot_id = self._apply_ingest_batch(batch)
-                        generation = buffer.next_generation()
-                        if durability is not None:
-                            # WAL-append + fsync BEFORE the ack resolves:
-                            # once the producer sees applied, the batch
-                            # survives any crash (DESIGN.md section 16);
-                            # a failed append fails the ticket instead
-                            # of acking a write the disk never saw
-                            durability.log_batch(
-                                batch,
-                                generation=generation,
-                                snapshot_id=snapshot_id,
-                            )
-                    except BaseException as error:
-                        buffer.record_failure(ticket, error)
-                        continue
-                    buffer.record_apply(
-                        ticket,
-                        snapshot_id,
-                        time.perf_counter() - started,
-                        generation=generation,
-                    )
-                    applied_rows += ticket.rows
-            finally:
-                preprocessor.resume()
+            for batch, ticket in buffer.take_all():
+                started = time.perf_counter()
+                try:
+                    snapshot_id = self._apply_ingest_batch(batch)
+                    generation = buffer.next_generation()
+                    if durability is not None:
+                        # WAL-append + fsync BEFORE the ack resolves:
+                        # once the producer sees applied, the batch
+                        # survives any crash (DESIGN.md section 16);
+                        # a failed append fails the ticket instead
+                        # of acking a write the disk never saw
+                        durability.log_batch(
+                            batch,
+                            generation=generation,
+                            snapshot_id=snapshot_id,
+                        )
+                except BaseException as error:
+                    buffer.record_failure(ticket, error)
+                    continue
+                buffer.record_apply(
+                    ticket,
+                    snapshot_id,
+                    time.perf_counter() - started,
+                    generation=generation,
+                )
+                applied_rows += ticket.rows
         return applied_rows
 
     def _apply_ingest_batch(self, batch: IngestBatch) -> int:

@@ -54,7 +54,7 @@ def evaluate_star_query(
     if versioned_fact is not None:
         snapshot_id = query.snapshot_id
         if snapshot_id is None:
-            snapshot_id = len(versioned_fact.versions)  # effectively "latest"
+            snapshot_id = versioned_fact.last_commit_id  # "latest"
         snapshot = Snapshot(snapshot_id)
 
     groups: dict[tuple, list] = {}
