@@ -31,6 +31,7 @@ from repro.query.aggregates import AggregateSpec
 from repro.query.predicate import Between
 from repro.query.reference import evaluate_star_query
 from repro.query.star import ColumnRef, StarQuery
+from repro.tuning import TuningConfig
 
 SCALE_FACTOR = 0.005
 DEFAULT_QUERIES = 16
@@ -89,7 +90,7 @@ def measure_cancellation(
         scale_factor=scale_factor,
         seed=31,
         execution="batched",
-        max_in_flight=count,
+        tuning=TuningConfig(max_in_flight=count),
     )
     service = warehouse.start_service()
     slot_free_seconds: list[float] = []

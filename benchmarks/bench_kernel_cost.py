@@ -1,13 +1,8 @@
-"""Per-tuple cost of the batch kernels + shard-transport data path.
+"""Shard-transport data path: warm shared memory vs pickling.
 
-Not a paper artifact — the acceptance gate for the PR-8 raw-speed
-pass (DESIGN.md section 14), tracking two ratios:
+Not a paper artifact — the gate for the shared-memory shard transport
+(DESIGN.md section 14), tracking one ratio:
 
-* ``kernel_per_tuple_cost`` — drain seconds per scanned tuple with
-  the batch kernels OFF (the PR-1 per-row loops) over the same cost
-  with the default kernel (``kernel='auto'``).  Above 1.0 the kernels
-  make every scanned tuple cheaper; the gate requires >= 1.1 on the
-  headline workload shape (32 concurrent queries, selectivity 1%).
 * ``shm_vs_pickle_transport`` — per-drain data-path seconds of the
   'pickle' process transport (serialize every shard's rows, push them
   through a pipe, deserialize) over the 'shm' transport with a warm
@@ -17,10 +12,10 @@ pass (DESIGN.md section 14), tracking two ratios:
   pipe traffic from megabytes of rows to a fixed few hundred bytes
   of layout descriptor, which this bench also reports.
 
-Both ratios feed scripts/check_bench_regression.py via
-BENCH_baseline.json.  ``--smoke`` runs milli-scale correctness-only
-passes (kernel/legacy result equality, transport row equality) for
-the CI smoke gate, where shared-runner timing is not trustworthy.
+The ratio feeds scripts/check_bench_regression.py via
+BENCH_baseline.json.  ``--smoke`` runs a milli-scale correctness-only
+pass (transport row equality) for the CI smoke gate, where
+shared-runner timing is not trustworthy.
 
 Usage::
 
@@ -33,87 +28,16 @@ import argparse
 import pickle
 import time
 
-from repro.cjoin import CJoinOperator
-from repro.cjoin.executor import ExecutorConfig
-from repro.cjoin.kernels import resolve
 from repro.ssb.generator import load_ssb
-from repro.ssb.queries import ssb_workload_generator
-from repro.storage.buffer import BufferPool
 from repro.storage.partition import contiguous_spans
-from repro.storage.shm import publish_fact_rows
+from repro.storage.shm import attach_fact_slice, publish_fact_rows
 
-#: the paper's default operating point (bench_batch_vs_tuple's shape)
-CONCURRENT_QUERIES = 32
-SELECTIVITY = 0.01
-SCALE_FACTOR = 0.005
-BATCH_SIZE = 512
 TIMING_ROUNDS = 3
 
 #: transport bench shape: the scale-up gate's instance, sharded the
 #: way a 4-worker drain shards it
 TRANSPORT_SCALE_FACTOR = 0.02
 TRANSPORT_WORKERS = 4
-
-
-def _workload(catalog, count=CONCURRENT_QUERIES, selectivity=SELECTIVITY):
-    generator = ssb_workload_generator(seed=4, catalog=catalog)
-    return generator.generate(count, selectivity=selectivity)
-
-
-def _drain_seconds(catalog, star, queries, kernel, batch_size=BATCH_SIZE):
-    operator = CJoinOperator(
-        catalog,
-        star,
-        buffer_pool=BufferPool(512),
-        executor_config=ExecutorConfig(
-            execution="batched", batch_size=batch_size, kernel=kernel
-        ),
-    )
-    handles = [operator.submit(query) for query in queries]
-    started = time.perf_counter()
-    operator.run_until_drained()
-    elapsed = time.perf_counter() - started
-    return elapsed, [handle.results() for handle in handles], operator.stats
-
-
-def measure_kernel_cost(
-    rounds: int = TIMING_ROUNDS,
-    scale_factor: float = SCALE_FACTOR,
-    queries: int = CONCURRENT_QUERIES,
-    selectivity: float = SELECTIVITY,
-) -> dict:
-    """Best-of-``rounds`` kernel='off' vs kernel='auto' drain comparison.
-
-    Returns per-tuple nanosecond costs for both modes, the cost ratio
-    (off over auto; higher = kernels cheaper), the resolved kernel
-    name, and an ``identical`` result-equality flag.  Shared by the
-    gate test below and scripts/check_bench_regression.py.
-    """
-    catalog, star = load_ssb(scale_factor=scale_factor, seed=23)
-    workload = _workload(catalog, queries, selectivity)
-    off_best = kernel_best = float("inf")
-    off_results = kernel_results = None
-    stats = None
-    for _ in range(rounds):
-        elapsed, off_results, stats = _drain_seconds(
-            catalog, star, workload, "off"
-        )
-        off_best = min(off_best, elapsed)
-        elapsed, kernel_results, stats = _drain_seconds(
-            catalog, star, workload, "auto"
-        )
-        kernel_best = min(kernel_best, elapsed)
-    tuples = stats.tuples_scanned
-    return {
-        "kernel": resolve("auto").name,
-        "off_seconds": off_best,
-        "kernel_seconds": kernel_best,
-        "off_ns_per_tuple": off_best / tuples * 1e9,
-        "kernel_ns_per_tuple": kernel_best / tuples * 1e9,
-        "cost_ratio": off_best / kernel_best,
-        "tuples_scanned": tuples,
-        "identical": kernel_results == off_results,
-    }
 
 
 def measure_shard_transport(
@@ -133,8 +57,6 @@ def measure_shard_transport(
     Returns the ``speedup`` ratio (pickle over shm; higher = shm
     faster) plus per-drain pipe-byte counts for both transports.
     """
-    from repro.storage.shm import attach_fact_slice
-
     catalog, star = load_ssb(scale_factor=scale_factor, seed=31)
     rows = catalog.table(star.fact.name).all_rows()
     spans = contiguous_spans(len(rows), workers)
@@ -183,24 +105,6 @@ def measure_shard_transport(
     }
 
 
-def test_kernels_beat_legacy_batch_loops():
-    """kernel='auto' drains cheaper per tuple than the PR-1 loops."""
-    measured = measure_kernel_cost()
-    print(
-        f"\n{CONCURRENT_QUERIES} queries, s={SELECTIVITY:.0%}, "
-        f"sf={SCALE_FACTOR}: off {measured['off_ns_per_tuple']:.0f} "
-        f"ns/tuple, {measured['kernel']} kernel "
-        f"{measured['kernel_ns_per_tuple']:.0f} ns/tuple -> "
-        f"{measured['cost_ratio']:.2f}x cheaper "
-        f"({measured['tuples_scanned']} tuples scanned)"
-    )
-    assert measured["identical"]
-    assert measured["cost_ratio"] >= 1.1, (
-        f"{measured['kernel']} kernel only {measured['cost_ratio']:.2f}x "
-        f"cheaper per tuple than the legacy batch loops"
-    )
-
-
 def test_shm_transport_beats_pickle():
     """Warm shm hands workers their shards faster than pickling."""
     measured = measure_shard_transport()
@@ -228,32 +132,17 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.smoke:
         # milli-scale, correctness-only: shared-runner timing is noise
-        kernel = measure_kernel_cost(
-            rounds=1, scale_factor=0.001, queries=8, selectivity=0.1
-        )
         transport = measure_shard_transport(
             rounds=1, scale_factor=0.002, workers=2
         )
-        print(
-            f"kernel smoke: {kernel['kernel']} kernel vs legacy loops -> "
-            f"{'ok' if kernel['identical'] else 'MISMATCH'}"
-        )
+        ok = transport["identical"]
         print(
             f"transport smoke: shm vs pickle shard rows "
             f"({transport['rows']} rows, {transport['workers']} workers) "
-            f"-> {'ok' if transport['identical'] else 'MISMATCH'}"
+            f"-> {'ok' if ok else 'MISMATCH'}"
         )
-        ok = kernel["identical"] and transport["identical"]
-        print("kernel-cost smoke ok" if ok else "kernel-cost smoke FAILED")
         return 0 if ok else 1
-    kernel = measure_kernel_cost()
     transport = measure_shard_transport()
-    print(
-        f"kernel cost: off {kernel['off_ns_per_tuple']:.0f} ns/tuple vs "
-        f"{kernel['kernel']} {kernel['kernel_ns_per_tuple']:.0f} ns/tuple "
-        f"-> {kernel['cost_ratio']:.2f}x (identical="
-        f"{kernel['identical']})"
-    )
     print(
         f"shard transport: pickle {transport['pickle_seconds'] * 1e3:.1f} "
         f"ms vs warm shm {transport['shm_seconds'] * 1e3:.1f} ms -> "
@@ -261,8 +150,7 @@ def main(argv: list[str] | None = None) -> int:
         f"{transport['pickle_pipe_bytes']} -> {transport['shm_pipe_bytes']} "
         f"(identical={transport['identical']})"
     )
-    ok = kernel["identical"] and transport["identical"]
-    return 0 if ok else 1
+    return 0 if transport["identical"] else 1
 
 
 if __name__ == "__main__":

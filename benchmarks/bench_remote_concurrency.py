@@ -49,6 +49,7 @@ from repro.query.reference import evaluate_star_query
 from repro.query.star import ColumnRef, StarQuery
 from repro.server import AsyncWarehouseServer, WarehouseServer
 from repro.sql.render import render_star_query
+from repro.tuning import TuningConfig
 
 SCALE_FACTOR = 0.002
 DEFAULT_CLIENTS = 8
@@ -330,7 +331,7 @@ def measure_async_sessions(
         seed=31,
         execution="batched",
         max_concurrent=max(sessions, 256),
-        admission_queue_depth=max(2 * sessions, 1024),
+        tuning=TuningConfig(admission_queue_depth=max(2 * sessions, 1024)),
     )
     star = warehouse.star
     sqls = [render_star_query(query, star) for query in queries]

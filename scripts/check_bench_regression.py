@@ -30,13 +30,10 @@ meaningful across machines of different speeds):
   through the bounded ingest buffer, applied at scan boundaries
   (benchmarks/bench_ingest_flatness.py; 1.0 = streaming writes are
   free, the streaming-ingest predictability claim);
-* ``kernel_per_tuple_cost`` — drain cost per scanned tuple with the
-  batch kernels off over the same cost with the default kernel
-  (benchmarks/bench_kernel_cost.py; above 1.0 the kernels make every
-  scanned tuple cheaper);
 * ``shm_vs_pickle_transport`` — per-drain shard-handoff seconds of
   the pickle process transport over the warm shared-memory transport
-  (same bench; above 1.0 shm hands workers their shards faster);
+  (benchmarks/bench_kernel_cost.py; above 1.0 shm hands workers their
+  shards faster);
 * ``restart_recovery`` — seconds to regenerate and load the SSB
   dataset from scratch over seconds for ``Warehouse.open`` on a
   durable data directory after a crash (decode columns + replay the
@@ -61,11 +58,11 @@ the change that moved the numbers.  ``--update`` only overwrites
 metrics that are measurable on the current host, so a 2-core laptop
 refreshing the batch ratio will not clobber the parallel one.  To
 refresh a subset without re-measuring (or touching) the rest —
-e.g. after a change that only moves the kernel ratio, or to protect
-floor-seeded metrics — name the metrics to run::
+e.g. after a change that only moves the transport ratio, or to
+protect floor-seeded metrics — name the metrics to run::
 
     python scripts/check_bench_regression.py --update \\
-        --only kernel_per_tuple_cost --only shm_vs_pickle_transport
+        --only batch_vs_tuple_speedup --only shm_vs_pickle_transport
 """
 
 from __future__ import annotations
@@ -98,7 +95,6 @@ TRACKED_METRICS = (
     "async_session_flatness",
     "burst_recovery_ratio",
     "ingest_flatness",
-    "kernel_per_tuple_cost",
     "shm_vs_pickle_transport",
     "restart_recovery",
 )
@@ -198,15 +194,6 @@ def measure_metrics(
                 "ingest producer applied no rows; the race never happened"
             )
         metrics["ingest_flatness"] = round(ingest["flatness"], 3)
-    if "kernel_per_tuple_cost" in wanted:
-        from benchmarks.bench_kernel_cost import measure_kernel_cost
-
-        kernel = measure_kernel_cost()
-        if not kernel["identical"]:
-            raise AssertionError(
-                "batch kernels produced different results than the loops"
-            )
-        metrics["kernel_per_tuple_cost"] = round(kernel["cost_ratio"], 3)
     if "shm_vs_pickle_transport" in wanted:
         from benchmarks.bench_kernel_cost import measure_shard_transport
 

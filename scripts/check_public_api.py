@@ -56,42 +56,19 @@ def _describe(obj) -> dict:
 
 
 def current_surface() -> dict:
-    """Describe every ``__all__`` export of the contracted modules.
-
-    A module may also declare ``__deprecated__``, a mapping of
-    shimmed-out export names (served through a PEP 562 ``__getattr__``
-    with a :class:`DeprecationWarning`) to their replacement.  Those
-    names appear in the surface with ``kind: "deprecated"`` so the
-    comparison can tell a symbol that *moved behind a shim* from one
-    that silently vanished.
-    """
+    """Describe every ``__all__`` export of the contracted modules."""
     surface: dict[str, dict] = {}
     for module_name in MODULES:
         module = importlib.import_module(module_name)
-        exports = {}
-        for export in sorted(module.__all__):
-            exports[export] = _describe(getattr(module, export))
-        for export, replacement in sorted(
-            getattr(module, "__deprecated__", {}).items()
-        ):
-            if export not in exports:
-                exports[export] = {
-                    "kind": "deprecated",
-                    "replacement": replacement,
-                }
-        surface[module_name] = exports
+        surface[module_name] = {
+            export: _describe(getattr(module, export))
+            for export in sorted(module.__all__)
+        }
     return surface
 
 
-def compare(
-    snapshot: dict, observed: dict, notes: list[str] | None = None
-) -> list[str]:
-    """Human-readable differences (empty = surfaces match).
-
-    A symbol that left ``__all__`` but is still served by a
-    ``__deprecated__`` shim is not a breakage: it lands in ``notes``
-    (when the caller passes a list) instead of the returned problems.
-    """
+def compare(snapshot: dict, observed: dict) -> list[str]:
+    """Human-readable differences (empty = surfaces match)."""
     problems: list[str] = []
     for module_name in sorted(set(snapshot) | set(observed)):
         old = snapshot.get(module_name)
@@ -108,16 +85,6 @@ def compare(
             problems.append(f"{module_name}.{name}: added to __all__")
         for name in sorted(set(old) & set(new)):
             before, after = old[name], new[name]
-            if (
-                after.get("kind") == "deprecated"
-                and before.get("kind") != "deprecated"
-            ):
-                if notes is not None:
-                    notes.append(
-                        f"{module_name}.{name}: deprecated (use "
-                        f"{after.get('replacement', 'its replacement')})"
-                    )
-                continue
             if before.get("kind") != after.get("kind"):
                 problems.append(
                     f"{module_name}.{name}: kind changed "
@@ -149,10 +116,7 @@ def compare(
     return problems
 
 
-def check(
-    snapshot_path: Path = SNAPSHOT_PATH,
-    notes: list[str] | None = None,
-) -> list[str]:
+def check(snapshot_path: Path = SNAPSHOT_PATH) -> list[str]:
     """Compare the live surface against the committed snapshot."""
     if not snapshot_path.is_file():
         return [
@@ -160,7 +124,7 @@ def check(
             f"'python scripts/check_public_api.py --update' and commit it"
         ]
     snapshot = json.loads(snapshot_path.read_text(encoding="utf-8"))
-    return compare(snapshot, current_surface(), notes)
+    return compare(snapshot, current_surface())
 
 
 def update(snapshot_path: Path = SNAPSHOT_PATH) -> None:
@@ -183,10 +147,7 @@ def main(argv: list[str] | None = None) -> int:
         update()
         print(f"snapshot written to {SNAPSHOT_PATH}")
         return 0
-    notes: list[str] = []
-    problems = check(notes=notes)
-    for note in notes:
-        print(f"note: {note}")
+    problems = check()
     if problems:
         print(f"{len(problems)} public API difference(s) vs snapshot:")
         for problem in problems:

@@ -18,12 +18,12 @@ without charts *plus* a real-pipeline sanity pass — a milli-scale SSB
 workload executed through both the tuple-at-a-time and the batched
 CJOIN paths, asserting identical results — in a couple of seconds.
 
-``--profile`` is the hot-path measurement hook: it drains the kernel
-bench's workload shape (32 concurrent queries, 1% selectivity) under
+``--profile`` is the hot-path measurement hook: it drains the
+headline workload shape (32 concurrent queries, 1% selectivity) under
 cProfile — profiling only ``run_until_drained``, so admission and
 data generation stay out of the numbers — and prints drain time
 grouped by pipeline stage plus the top functions by cumulative time.
-Start here before touching the hot path (DESIGN.md section 14).
+Start here before touching the hot path (DESIGN.md section 5).
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ def run_smoke_pipeline() -> bool:
 PROFILE_STAGES = (
     ("preprocessor", "Preprocessor (scan + batch build)"),
     ("filter", "Filter chain (probe + bit AND)"),
-    ("kernels", "Batch kernels"),
+    ("kernels", "Whole-batch passes (probe + AND + compact)"),
     ("distributor", "Distributor (route + decode)"),
     ("aggregation", "Output operators (aggregate rows)"),
     ("batch", "FactBatch bookkeeping"),
@@ -84,12 +84,11 @@ PROFILE_STAGES = (
 
 
 def run_profile(top: int = 20) -> int:
-    """Profile one batched drain of the kernel bench's workload shape.
+    """Profile one batched drain of the headline workload shape.
 
     Only ``run_until_drained`` runs under the profiler — submissions
     (dimension scans, query registration) happen first, unprofiled, so
-    the report shows exactly the steady-state scan cost that
-    benchmarks/bench_kernel_cost.py measures.
+    the report shows exactly the steady-state scan cost.
     """
     import cProfile
     import pstats

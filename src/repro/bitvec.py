@@ -132,12 +132,12 @@ def bulk_and(left, right) -> list[int]:
 def bulk_and_lookup(vectors, keys, masks_of) -> list[int]:
     """AND each bit-vector with the mask its row's key maps to.
 
-    The batch-kernel filtering primitive (DESIGN.md section 14):
+    The batched Filter's AND primitive (DESIGN.md section 5):
     ``vectors[i] & masks_of[keys[i]]`` for every position, produced by
     two C-level ``map`` passes — the dict lookup and the AND — with no
-    Python-level loop body.  ``masks_of`` must cover every key (the
-    kernels build it from the deduplicated probe results, so it does
-    by construction).
+    Python-level loop body.  ``masks_of`` must cover every key
+    (:mod:`repro.cjoin.kernels` builds it from the deduplicated probe
+    results, so it does by construction).
 
     Raises:
         ValueError: on a length mismatch (a silent zip would mask a

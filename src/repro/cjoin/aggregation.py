@@ -149,7 +149,7 @@ class OutputOperator:
 
         Returns None when a dimension this operator reads has no
         batch-level lookup attached (callers fall back to the
-        materializing path — only reachable off the kernel route).
+        materializing path).
         """
         state = batch.dim_lookup_state(self._dim_names)
         if state is None:
@@ -172,26 +172,18 @@ class OutputOperator:
         """Fold one routed fact tuple into the operator state."""
         raise NotImplementedError
 
-    def consume_batch(self, fact_tuples: list[FactTuple]) -> None:
-        """Fold a batch of routed tuples (DESIGN.md section 5).
-
-        The default just loops :meth:`consume`; subclasses override to
-        hoist extractor lookups out of the per-tuple loop.
-        """
-        for fact_tuple in fact_tuples:
-            self.consume(fact_tuple)
-
     def consume_rows(self, batch, row_indices: list[int]) -> None:
         """Fold batch rows columnar, without materializing tuples.
 
-        The kernel-path routing entry point (DESIGN.md section 14):
+        The batched path's routing entry point (DESIGN.md section 5):
         ``row_indices`` are the batch rows routed to this query, in
         scan order.  The default materializes and defers to
-        :meth:`consume_batch` so tuple-shaped subclasses stay correct;
-        the built-in operators override with getters compiled straight
+        :meth:`consume` so tuple-shaped subclasses stay correct; the
+        built-in operators override with getters compiled straight
         against the batch's columns.
         """
-        self.consume_batch([batch.materialize(r) for r in row_indices])
+        for row_index in row_indices:
+            self.consume(batch.materialize(row_index))
 
     def partial_state(self):
         """Export the un-finalized state for cross-process merging.
@@ -252,26 +244,6 @@ class AggregationOperator(OutputOperator):
             self._aggregate_inputs, accumulators
         ):
             accumulator.add(extract_input(fact_tuple))
-
-    def consume_batch(self, fact_tuples: list[FactTuple]) -> None:
-        key_extractors = self._key_extractors
-        select_extractors = self._select_extractors
-        aggregate_inputs = self._aggregate_inputs
-        groups = self._groups
-        groups_get = groups.get
-        specs = self.query.aggregates
-        for fact_tuple in fact_tuples:
-            key = tuple(extract(fact_tuple) for extract in key_extractors)
-            state = groups_get(key)
-            if state is None:
-                state = groups[key] = [
-                    tuple(extract(fact_tuple) for extract in select_extractors),
-                    [make_accumulator(spec) for spec in specs],
-                ]
-            for extract_input, accumulator in zip(
-                aggregate_inputs, state[1]
-            ):
-                accumulator.add(extract_input(fact_tuple))
 
     def consume_rows(self, batch, row_indices: list[int]) -> None:
         getters = self._compiled_row_getters(batch)
@@ -374,19 +346,6 @@ class SortAggregationOperator(OutputOperator):
         )
         self._buffer.append((key, select_values, inputs))
 
-    def consume_batch(self, fact_tuples: list[FactTuple]) -> None:
-        key_extractors = self._key_extractors
-        select_extractors = self._select_extractors
-        aggregate_inputs = self._aggregate_inputs
-        self._buffer.extend(
-            (
-                tuple(extract(fact_tuple) for extract in key_extractors),
-                tuple(extract(fact_tuple) for extract in select_extractors),
-                tuple(extract(fact_tuple) for extract in aggregate_inputs),
-            )
-            for fact_tuple in fact_tuples
-        )
-
     def consume_rows(self, batch, row_indices: list[int]) -> None:
         getters = self._compiled_row_getters(batch)
         if getters is None:
@@ -463,13 +422,6 @@ class ListingOperator(OutputOperator):
     def consume(self, fact_tuple: FactTuple) -> None:
         self._rows.append(
             tuple(extract(fact_tuple) for extract in self._select_extractors)
-        )
-
-    def consume_batch(self, fact_tuples: list[FactTuple]) -> None:
-        select_extractors = self._select_extractors
-        self._rows.extend(
-            tuple(extract(fact_tuple) for extract in select_extractors)
-            for fact_tuple in fact_tuples
         )
 
     def consume_rows(self, batch, row_indices: list[int]) -> None:

@@ -20,31 +20,23 @@ A batch is parallel arrays plus two liveness views of the same state:
 i64 columns (8 bytes/row instead of a PyObject* plus an int object),
 sharing small-int objects on element access and supporting the
 buffer protocol, so the shared-memory shard transport
-(:mod:`repro.storage.shm`) and the numpy kernels
-(:mod:`repro.cjoin.kernels`) can view them zero-copy.  ``rows`` and
+(:mod:`repro.storage.shm`) can view them zero-copy.  ``rows`` and
 ``bitvectors`` stay plain lists — rows are heterogeneous tuples, and
 bit-vectors are arbitrary-precision ints (queries beyond bit 63 must
 not overflow silently).
 
-Dimension attachments come in two granularities (section 3.2.2):
-
-* per-row dicts (``ensure_dim_rows``) — the reference loops attach
-  the joining dimension row to each surviving fact row individually;
-* per-batch lookups (``attach_dim_lookup``) — the batch kernels
-  attach one O(1) ``(foreign-key column index, key -> dimension
-  row)`` pair per dimension per batch, and the output operators
-  re-derive the join on demand through getters compiled against
-  :meth:`dim_lookup_state`.  One constant-time attachment per batch
-  replaces one dict insert per surviving row.
-
-Both are lazy: a batch whose rows never join a stored dimension row
-allocates neither.  :meth:`materialize` merges the two views back
-into the per-tuple shape at the batch/tuple seams.
+Dimension attachments (section 3.2.2) are per batch
+(``attach_dim_lookup``): each Filter attaches one O(1)
+``(foreign-key column index, key -> dimension row)`` pair per
+dimension per batch, and the output operators re-derive the join on
+demand through getters compiled against :meth:`dim_lookup_state` —
+one constant-time attachment per batch instead of one dict insert per
+surviving row.  :meth:`materialize` turns the lookups back into the
+per-tuple ``dim_rows`` shape at the batch/tuple seams.
 
 Batches never cross a control tuple: the Preprocessor flushes the
-current batch before emitting QueryStart/QueryEnd, so re-serializing by
-envelope id in the threaded executor preserves the section 3.3.3
-control-tuple ordering exactly as in the tuple path.
+current batch before emitting QueryStart/QueryEnd, which preserves the
+section 3.3.3 control-tuple ordering exactly as in the tuple path.
 """
 
 from __future__ import annotations
@@ -66,7 +58,6 @@ class FactBatch:
         "bitvectors",
         "live",
         "alive",
-        "_dim_rows",
         "_dim_lookups",
         "_key_columns",
     )
@@ -88,11 +79,7 @@ class FactBatch:
         self.positions = positions
         self.rows = rows
         self.bitvectors = bitvectors
-        #: per-row dimension attachments (section 3.2.2 pointer rows);
-        #: the whole list is None until the first attach (most batches
-        #: in selective workloads never allocate it)
-        self._dim_rows: list[dict[str, tuple] | None] | None = None
-        #: per-batch dimension attachments from the batch kernels:
+        #: per-batch dimension attachments (section 3.2.2 pointer rows):
         #: dimension name -> (fk column index, key -> dimension row)
         self._dim_lookups: dict[str, tuple] = {}
         #: still-alive row indices in scan order (the hot-loop view)
@@ -111,18 +98,6 @@ class FactBatch:
     def live_count(self) -> int:
         """Number of rows still in flight."""
         return len(self.live)
-
-    @property
-    def dim_rows(self) -> list[dict[str, tuple] | None] | None:
-        """The per-row attachment list, or None while nothing attached."""
-        return self._dim_rows
-
-    def ensure_dim_rows(self) -> list[dict[str, tuple] | None]:
-        """The per-row attachment list, allocated on first use."""
-        dim_rows = self._dim_rows
-        if dim_rows is None:
-            dim_rows = self._dim_rows = [None] * len(self.rows)
-        return dim_rows
 
     def key_column(self, column_index: int) -> list:
         """The batch's values for fact column ``column_index``.
@@ -197,8 +172,8 @@ class FactBatch:
 
         Used at the batch/tuple seams: routing survivors into
         operators that only understand tuples and feeding the
-        optimizer's tuple-shaped profiler.  Merges both attachment
-        granularities into the tuple's per-row ``dim_rows`` dict.
+        optimizer's tuple-shaped profiler.  The batch-level lookups
+        become the tuple's per-row ``dim_rows`` dict.
         """
         fact_tuple = FactTuple(
             self.sequences[row_index],
@@ -206,18 +181,14 @@ class FactBatch:
             self.rows[row_index],
             self.bitvectors[row_index],
         )
-        dim_rows = (
-            self._dim_rows[row_index] if self._dim_rows is not None else None
-        )
         if self._dim_lookups:
-            merged = dict(dim_rows) if dim_rows else {}
+            dim_rows = {}
             row = self.rows[row_index]
             for name, (fk_index, rows_of) in self._dim_lookups.items():
                 dim_row = rows_of.get(row[fk_index])
                 if dim_row is not None:
-                    merged[name] = dim_row
-            dim_rows = merged or None
-        fact_tuple.dim_rows = dim_rows
+                    dim_rows[name] = dim_row
+            fact_tuple.dim_rows = dim_rows or None
         return fact_tuple
 
     def __repr__(self) -> str:

@@ -17,7 +17,7 @@ The paper's defining property (used by the Filtering Invariant):
 Pipeline Manager mutates tables from whichever thread admits or cleans
 up (serialized by the manager lock); the Filter probes them from the
 scan's thread, through :meth:`DimensionHashTable.columnar_view`'s
-cached snapshot on the batch kernels' path.  Every mutator therefore
+cached snapshot on the batched path.  Every mutator therefore
 (1) holds the table's rebuild lock while it changes ``_entries`` and
 (2) drops the cached snapshot *after* the change, still under that
 lock.  A rebuild takes the same lock, so it iterates a table no mutator
@@ -65,7 +65,7 @@ class DimensionHashTable:
         self._key_index = schema.column_index(schema.primary_key)
         self._entries: dict[object, _DimEntry] = {}
         #: lazily rebuilt (key -> bits, key -> row) snapshot for the
-        #: batch kernels; dropped after every change to stored bits
+        #: batched path; dropped after every change to stored bits
         self._columnar_cache: tuple[dict, dict] | None = None
         #: held by every mutator and by the snapshot rebuild (module
         #: docstring); never taken on the per-batch hit path
@@ -88,22 +88,20 @@ class DimensionHashTable:
         return entry.bits, entry.row
 
     def entries_view(self) -> dict:
-        """The live key -> entry mapping, for the batched probe loop.
+        """The live key -> entry mapping, for introspection.
 
-        The batch fast path (DESIGN.md section 5) probes one key per
-        loop iteration; going through :meth:`probe` would add a method
-        call and a result-tuple allocation per row.  Callers treat the
-        view as read-only; entries expose ``.bits`` and ``.row``.
+        Callers treat the view as read-only; entries expose ``.bits``
+        and ``.row``.
         """
         return self._entries
 
     def columnar_view(self) -> tuple[dict, dict]:
-        """``(key -> bits, key -> row)`` snapshot dicts for the kernels.
+        """``(key -> bits, key -> row)`` snapshot dicts for the batched path.
 
-        Plain dicts let the batch kernels drive the whole probe/AND
-        pass through C-level ``map`` calls (``dict.get`` with the
-        complement bitmap as the miss default) with no per-row entry
-        attribute access.  The snapshot is rebuilt lazily after a
+        Plain dicts let :func:`repro.cjoin.kernels.filter_batch` drive
+        the whole probe/AND pass through C-level ``map`` calls
+        (``dict.get`` with the complement bitmap as the miss default)
+        with no per-row entry attribute access.  The snapshot is rebuilt lazily after a
         registration change and shared by every batch in between —
         registration is per *query*, so the rebuild amortizes over the
         hundreds of batches scanned while the query mix is stable.

@@ -16,6 +16,7 @@ from repro import bitvec
 from repro.catalog.schema import StarSchema
 from repro.cjoin.aggregation import OutputOperator, make_output_operator
 from repro.cjoin.batch import FactBatch
+from repro.cjoin.kernels import group_rows_by_bits
 from repro.cjoin.registry import RegisteredQuery
 from repro.cjoin.stats import PipelineStats
 from repro.cjoin.tuples import FactTuple, QueryEnd, QueryStart
@@ -45,7 +46,6 @@ class Distributor:
         on_query_finished: Callable[[int], None] | None = None,
         aggregation_mode: str = "hash",
         stream_interval: int = DEFAULT_STREAM_INTERVAL,
-        kernel=None,
     ) -> None:
         self.star = star
         self.stats = stats
@@ -54,9 +54,6 @@ class Distributor:
         #: routed tuples between handle partial-snapshot refreshes for
         #: handles that asked to stream (DESIGN.md section 10)
         self.stream_interval = max(stream_interval, 1)
-        #: batch kernel from :func:`repro.cjoin.kernels.resolve`, or
-        #: None for the materializing reference path (kernel='off')
-        self.kernel = kernel
         self._operators: dict[int, OutputOperator] = {}
         self._registrations: dict[int, RegisteredQuery] = {}
         #: bit-vector -> decoded query-id tuple; the same surviving
@@ -107,38 +104,18 @@ class Distributor:
         query-id enumeration of :meth:`_route` is amortized: decode
         each distinct bit-vector once — cached across batches, since
         the same surviving bit-vectors recur for the life of a query
-        set — and hand every operator its rows in one call.  With a
-        batch kernel installed the call is the columnar
-        :meth:`~OutputOperator.consume_rows` (row indices against the
-        batch's columns, no :class:`FactTuple` allocated); the
-        reference path (kernel='off') materializes and feeds
-        :meth:`~OutputOperator.consume_batch`.
+        set — and hand every operator its rows in one columnar
+        :meth:`~OutputOperator.consume_rows` call (row indices against
+        the batch's columns, no :class:`FactTuple` allocated).
         """
         live = batch.live
         if not live:
             return
         self.stats.tuples_distributed += len(live)
-        kernel = self.kernel
-        bitvectors = batch.bitvectors
-        if kernel is not None:
-            groups = kernel.group_rows_by_bits(bitvectors, live)
-        else:
-            groups = {}
-            for row_index in live:
-                bits = bitvectors[row_index]
-                group = groups.get(bits)
-                if group is None:
-                    groups[bits] = [row_index]
-                else:
-                    group.append(row_index)
         operators = self._operators
         registrations = self._registrations
+        groups = group_rows_by_bits(batch.bitvectors, live)
         for bits, row_indices in groups.items():
-            fact_tuples = (
-                None
-                if kernel is not None
-                else [batch.materialize(r) for r in row_indices]
-            )
             routed = len(row_indices)
             for query_id in self._decode_query_ids(bits):
                 operator = operators.get(query_id)
@@ -146,10 +123,7 @@ class Distributor:
                     raise PipelineError(
                         f"fact tuple routed to unregistered query {query_id}"
                     )
-                if fact_tuples is None:
-                    operator.consume_rows(batch, row_indices)
-                else:
-                    operator.consume_batch(fact_tuples)
+                operator.consume_rows(batch, row_indices)
                 registration = registrations[query_id]
                 registration.tuples_streamed += routed
                 if registration.handle._stream_partials:

@@ -1,28 +1,11 @@
-"""Execution strategies for the CJOIN pipeline (paper section 4).
+"""Execution of the CJOIN pipeline (paper section 4).
 
-Two drivers over the same operator code:
+One driver, :class:`SynchronousExecutor`: single-threaded and
+deterministic, it answers queries both for ``run_until_drained()`` and,
+on the service's driver thread, for the always-on continuous scan.
 
-* :class:`SynchronousExecutor` — single-threaded, deterministic; the
-  default for correctness work and for the library's real query
-  answering path.
-* :class:`ThreadedExecutor` — maps components onto threads the way the
-  paper maps them onto cores: the Preprocessor and Distributor each
-  own a thread; Filters are boxed into *Stages*, each Stage served by
-  one or more worker threads.  Configurations:
-
-  - ``horizontal``: one Stage holding the whole filter chain, all
-    worker threads assigned to it (the paper's winning layout);
-  - ``vertical``: one Stage per Filter;
-  - ``hybrid``: explicit boxing of filters into stages.
-
-  Items travel in *batches* (section 4's batched queue transfers).
-  Batches carry monotone ids; the Distributor side re-serializes by
-  batch id, which preserves the ordering of control tuples relative to
-  data tuples (the section 3.3.3 correctness property) even with many
-  workers per stage.
-
-Orthogonal to the thread mapping, both drivers support two *execution
-granularities* selected by ``ExecutorConfig.execution``:
+It supports two *execution granularities* selected by
+``ExecutorConfig.execution``:
 
 * ``'tuple'`` (default) — the reference tuple-at-a-time path: every
   fact tuple travels as a :class:`FactTuple` and every Filter is
@@ -36,44 +19,34 @@ granularities* selected by ``ExecutorConfig.execution``:
   identical results (enforced by tests/test_batch_equivalence.py);
   the batched path is what makes the hot loop fast in pure Python.
 
-Note on fidelity: under CPython's GIL, stage threads do not speed up
-this pure-Python pipeline — the threaded executor demonstrates the
-*architecture* (and is tested for correctness); the performance
-consequences of thread mappings are reproduced by the calibrated model
-in :mod:`repro.sim` (see DESIGN.md section 4).  For real multi-core
-speedups this repository defers to the process-parallel sharded
-backend (:mod:`repro.cjoin.parallel`, DESIGN.md section 8), selected
-via ``ExecutorConfig(backend='process', workers=N)``: data parallelism
-across fact shards sidesteps the GIL where thread-per-stage cannot.
+Note on fidelity: the paper maps the Preprocessor, Filter Stages and
+Distributor onto cores (horizontal / vertical / hybrid layouts).  Under
+CPython's GIL stage threads cannot speed up a pure-Python pipeline, so
+those mappings are *modelled* — the calibrated model in
+:mod:`repro.sim` reproduces their performance consequences (Figure 4,
+DESIGN.md section 4) — and real cores are used by the process-parallel
+sharded backend (:mod:`repro.cjoin.parallel`, DESIGN.md section 8),
+selected via ``ExecutorConfig(backend='process', workers=N)``: data
+parallelism across fact shards sidesteps the GIL where
+thread-per-stage cannot.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import heapq
-import queue
 import threading
 from dataclasses import InitVar, dataclass
 
 from repro.cjoin.batch import FactBatch
 from repro.cjoin.manager import PipelineManager
 from repro.cjoin.pipeline import CJoinPipeline
-from repro.cjoin.tuples import ControlTuple, FactTuple
+from repro.cjoin.tuples import FactTuple
 from repro.errors import ConfigError, PipelineError
-
-# The range-bound constants and validators live in repro.tuning now
-# (DESIGN.md section 13) so every layer can import them without
-# cycles; re-exported here because this module was their home.
-from repro.tuning import (  # noqa: F401  (compatibility re-exports)
+from repro.tuning import (
     DEFAULT_BATCH_SIZE,
     DEFAULT_IDLE_SLEEP,
-    DEFAULT_KERNEL,
-    KERNEL_MODES,
-    MAX_ADMISSION_QUEUE_DEPTH,
     MAX_BATCH_SIZE,
-    MAX_CONCURRENT_QUERIES,
     MAX_IDLE_SLEEP,
-    MAX_STAGE_THREADS,
     MAX_WORKERS,
     TuningConfig,
     _require_float,
@@ -86,54 +59,36 @@ class ExecutorConfig:
     """Tuning for pipeline execution.
 
     Attributes:
-        mode: 'synchronous', 'horizontal', 'vertical', or 'hybrid'.
         execution: 'tuple' (reference path) or 'batched' (vectorized
-            fast path over FactBatch columns); orthogonal to ``mode``.
+            fast path over FactBatch columns).
         backend: 'serial' (in-process, the default) or 'process' — the
             sharded multi-process drain (DESIGN.md section 8).  The
-            process backend requires ``execution='batched'`` and
-            ``mode='synchronous'``.
+            process backend requires ``execution='batched'``.
         workers: fact-table shards / worker processes for the process
             backend; must be 1 for the serial backend.
-        stage_threads: worker threads for the single horizontal stage,
-            or per-stage thread counts for vertical/hybrid.
-        stage_boxes: for 'hybrid', filter-count per stage (e.g.
-            ``(2, 2)`` boxes a 4-filter chain into two stages).
         batch_size: items per preprocessor batch.
         reoptimize_interval: scanned tuples between reoptimization
             attempts (0 disables on-line reordering).
         profile_sample_rate: profile every k-th tuple for the ordering
             policy (0 disables profiling).
-        kernel: batch-kernel mode for the vectorized hot path —
-            'auto', 'python', 'numpy', or 'off' (DESIGN.md section
-            14).  Only meaningful with ``execution='batched'``; the
-            tuple path always runs the reference loops.
         tuning: init-only; a :class:`~repro.tuning.TuningConfig` whose
-            ``workers``, ``batch_size``, and ``kernel`` override the
-            keywords above — the bridge from the unified runtime-
-            tuning surface (DESIGN.md section 13) into this low-level
-            config.
+            ``workers`` and ``batch_size`` override the keywords above
+            — the bridge from the unified runtime-tuning surface
+            (DESIGN.md section 13) into this low-level config.
     """
 
-    mode: str = "synchronous"
     execution: str = "tuple"
     backend: str = "serial"
     workers: int = 1
-    stage_threads: tuple[int, ...] = (1,)
-    stage_boxes: tuple[int, ...] = ()
     batch_size: int = DEFAULT_BATCH_SIZE
     reoptimize_interval: int = 4096
     profile_sample_rate: int = 64
-    kernel: str = DEFAULT_KERNEL
     tuning: InitVar[TuningConfig | None] = None
 
     def __post_init__(self, tuning: TuningConfig | None = None) -> None:
         if tuning is not None:
             object.__setattr__(self, "workers", tuning.workers)
             object.__setattr__(self, "batch_size", tuning.batch_size)
-            object.__setattr__(self, "kernel", tuning.kernel)
-        if self.mode not in ("synchronous", "horizontal", "vertical", "hybrid"):
-            raise ConfigError(f"unknown executor mode {self.mode!r}")
         if self.execution not in ("tuple", "batched"):
             raise ConfigError(
                 f"unknown execution granularity {self.execution!r}; "
@@ -146,11 +101,6 @@ class ExecutorConfig:
             )
         _require_int("workers", self.workers, 1, MAX_WORKERS)
         _require_int("batch_size", self.batch_size, 1, MAX_BATCH_SIZE)
-        if self.kernel not in KERNEL_MODES:
-            raise ConfigError(
-                f"kernel must be one of {KERNEL_MODES}, "
-                f"got {self.kernel!r}"
-            )
         if self.backend == "process":
             if self.execution != "batched":
                 raise ConfigError(
@@ -158,37 +108,10 @@ class ExecutorConfig:
                     "(shard workers run the vectorized drain); pass "
                     "execution='batched'"
                 )
-            if self.mode != "synchronous":
-                raise ConfigError(
-                    f"backend='process' requires mode='synchronous', "
-                    f"got mode={self.mode!r}; process-level parallelism "
-                    f"replaces stage threading"
-                )
         elif self.workers != 1:
             raise ConfigError(
                 f"workers={self.workers} requires backend='process'; "
                 f"the serial backend always uses exactly 1 worker"
-            )
-        if not self.stage_threads:
-            raise ConfigError(
-                "stage_threads must name at least one stage; use (1,) "
-                "for a single single-threaded stage"
-            )
-        for position, threads in enumerate(self.stage_threads):
-            _require_int(
-                f"stage_threads[{position}]", threads, 1, MAX_STAGE_THREADS
-            )
-        for position, box in enumerate(self.stage_boxes):
-            _require_int(f"stage_boxes[{position}]", box, 1, MAX_WORKERS)
-        if self.stage_boxes and self.mode != "hybrid":
-            raise ConfigError(
-                f"stage_boxes is only meaningful with mode='hybrid', "
-                f"got mode={self.mode!r}"
-            )
-        if self.mode == "hybrid" and not self.stage_boxes:
-            raise ConfigError(
-                "mode='hybrid' requires stage_boxes, e.g. (2, 2) to box "
-                "a 4-filter chain into two stages"
             )
 
 
@@ -206,7 +129,7 @@ def _resolve_idle_sleep(idle_sleep):
 
 
 class _ProfilingDriver:
-    """Shared profiling/reoptimization cadence for both executors."""
+    """The executor's profiling/reoptimization cadence."""
 
     def __init__(self, pipeline: CJoinPipeline, manager: PipelineManager,
                  config: ExecutorConfig) -> None:
@@ -307,7 +230,7 @@ class SynchronousExecutor:
         the (immutable) config between batches is safe from any thread
         — the in-flight batch finishes under the old size and the next
         one picks up the new.  Only ``batch_size`` applies here; the
-        executor's thread/worker layout is construction-time state.
+        worker layout is construction-time state.
         """
         self.config = dataclasses.replace(
             self.config, batch_size=tuning.batch_size
@@ -395,272 +318,3 @@ class SynchronousExecutor:
     def stop(self) -> None:
         """Signal :meth:`run_forever` to return (thread-safe, idempotent)."""
         self._stop.set()
-
-
-class _Batch:
-    """A batch envelope with a monotone id for re-serialization."""
-
-    __slots__ = ("batch_id", "items")
-
-    def __init__(self, batch_id: int, items: list) -> None:
-        self.batch_id = batch_id
-        self.items = items
-
-    def __lt__(self, other: "_Batch") -> bool:
-        return self.batch_id < other.batch_id
-
-
-_POISON = _Batch(-1, [])
-
-
-class ThreadedExecutor:
-    """Multi-threaded pipeline driver with Stage-based filter mapping."""
-
-    def __init__(
-        self,
-        pipeline: CJoinPipeline,
-        manager: PipelineManager,
-        config: ExecutorConfig | None = None,
-    ) -> None:
-        self.pipeline = pipeline
-        self.manager = manager
-        self.config = config if config is not None else ExecutorConfig(
-            mode="horizontal", stage_threads=(2,)
-        )
-        if self.config.mode == "synchronous":
-            raise PipelineError(
-                "ThreadedExecutor requires a threaded mode; use "
-                "SynchronousExecutor for mode='synchronous'"
-            )
-        self._profiler = _ProfilingDriver(pipeline, manager, self.config)
-        self._threads: list[threading.Thread] = []
-        self._queues: list[queue.Queue] = []
-        self._stage_slices: list[slice] = []
-        self._stop = threading.Event()
-        self._started = False
-
-    def reconfigure(self, tuning: TuningConfig) -> None:
-        """Apply runtime-tunable knobs at the next batch boundary.
-
-        The preprocessor loop reads ``self.config.batch_size`` once per
-        iteration, so swapping the immutable config is safe while the
-        stage threads run; the thread layout itself stays fixed.
-        """
-        self.config = dataclasses.replace(
-            self.config, batch_size=tuning.batch_size
-        )
-
-    # ------------------------------------------------------------------
-    # Stage layout
-    # ------------------------------------------------------------------
-    def _plan_stages(self) -> list[slice]:
-        """Box the filter chain into stages per the configured mode.
-
-        Stages hold *index ranges* resolved against the live filter
-        list at processing time, so run-time reordering (a pure
-        permutation) stays safe.  Vertical/hybrid layouts size their
-        stage count from the star's dimension count — the maximum the
-        filter chain can grow to — so the executor can start before
-        any query is admitted; a stage whose slice is currently empty
-        simply passes tuples through.
-        """
-        if self.config.mode == "horizontal":
-            return [slice(0, None)]
-        capacity = len(self.pipeline.distributor.star.dimensions)
-        if self.config.mode == "vertical":
-            return [slice(i, i + 1) for i in range(capacity)]
-        boxes = self.config.stage_boxes
-        if sum(boxes) != capacity:
-            raise PipelineError(
-                f"hybrid stage_boxes {boxes} do not cover the star's "
-                f"{capacity} dimensions"
-            )
-        slices = []
-        start = 0
-        for box in boxes:
-            slices.append(slice(start, start + box))
-            start += box
-        return slices
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def start(self) -> None:
-        """Spin up preprocessor, stage, and distributor threads."""
-        if self._started:
-            raise PipelineError("executor already started")
-        self._started = True
-        self._stop.clear()
-        self._stage_slices = self._plan_stages()
-        stage_count = len(self._stage_slices)
-        threads_per_stage = self._threads_per_stage(stage_count)
-        # queue[0] feeds stage 0; queue[i+1] is stage i's output;
-        # the last queue feeds the distributor thread.
-        self._queues = [queue.Queue(maxsize=64) for _ in range(stage_count + 1)]
-        self._threads = [
-            threading.Thread(
-                target=self._preprocessor_loop, name="cjoin-preprocessor",
-                daemon=True,
-            )
-        ]
-        for stage_index in range(stage_count):
-            for worker in range(threads_per_stage[stage_index]):
-                self._threads.append(
-                    threading.Thread(
-                        target=self._stage_loop,
-                        args=(stage_index,),
-                        name=f"cjoin-stage{stage_index}-w{worker}",
-                        daemon=True,
-                    )
-                )
-        self._threads.append(
-            threading.Thread(
-                target=self._distributor_loop, name="cjoin-distributor",
-                daemon=True,
-            )
-        )
-        self._worker_counts = threads_per_stage
-        for thread in self._threads:
-            thread.start()
-
-    def _threads_per_stage(self, stage_count: int) -> list[int]:
-        configured = list(self.config.stage_threads)
-        if len(configured) == 1 and stage_count > 1:
-            configured = configured * stage_count
-        if len(configured) != stage_count:
-            raise PipelineError(
-                f"stage_threads {tuple(configured)} does not match "
-                f"{stage_count} stages"
-            )
-        return configured
-
-    def stop(self) -> None:
-        """Stop all threads (idempotent)."""
-        if not self._started:
-            return
-        self._stop.set()
-        for thread in self._threads:
-            thread.join(timeout=10)
-        self._started = False
-
-    def run_forever(
-        self,
-        idle_sleep: float = DEFAULT_IDLE_SLEEP,
-        on_cycle=None,
-        stop_event: threading.Event | None = None,
-    ) -> None:
-        """Continuous service mode, uniform with the synchronous driver.
-
-        The stage threads already cycle the scan on their own, so this
-        body only starts them (when not yet started) and pumps
-        ``on_cycle`` every ``idle_sleep`` seconds until the stop flag is
-        set.  With an external ``stop_event`` the caller still owns the
-        thread teardown: call :meth:`stop` after this returns to join
-        the stage threads.  As in the synchronous driver, ``idle_sleep``
-        may be a zero-argument callable for live retuning.
-        """
-        idle = _resolve_idle_sleep(idle_sleep)
-        if not self._started:
-            self.start()
-        stop = stop_event if stop_event is not None else self._stop
-        while not stop.is_set():
-            if on_cycle is not None:
-                on_cycle()
-            stop.wait(idle())
-
-    def wait_for(self, handles, timeout: float = 60.0) -> None:
-        """Block until every handle completes.
-
-        Raises:
-            PipelineError: on timeout.
-        """
-        for handle in handles:
-            if not handle.wait(timeout):
-                raise PipelineError("timed out waiting for query completion")
-
-    # ------------------------------------------------------------------
-    # Thread bodies
-    # ------------------------------------------------------------------
-    def _preprocessor_loop(self) -> None:
-        batch_id = 0
-        batched = self.config.execution == "batched"
-        preprocessor = self.pipeline.preprocessor
-        while not self._stop.is_set():
-            if batched:
-                items = preprocessor.next_batched_items(self.config.batch_size)
-            else:
-                items = preprocessor.next_items(self.config.batch_size)
-            if not items:
-                self.manager.process_finished()
-                self._stop.wait(0.001)
-                continue
-            for item in items:
-                self._profiler.observe(item)
-            self._put(self._queues[0], _Batch(batch_id, items))
-            batch_id += 1
-        self._queues[0].put(_POISON)
-
-    def _stage_loop(self, stage_index: int) -> None:
-        in_queue = self._queues[stage_index]
-        out_queue = self._queues[stage_index + 1]
-        stage_slice = self._stage_slices[stage_index]
-        while True:
-            batch = in_queue.get()
-            if batch is _POISON:
-                # let sibling workers and the next stage terminate too
-                in_queue.put(_POISON)
-                out_queue.put(_POISON)
-                return
-            survivors = []
-            for item in batch.items:
-                if isinstance(item, ControlTuple):
-                    survivors.append(item)
-                    continue
-                stage_filters = tuple(self.pipeline.filters)[stage_slice]
-                if isinstance(item, FactBatch):
-                    for stage_filter in stage_filters:
-                        stage_filter.process_batch(item)
-                        if not item.live:
-                            break
-                    if item.live:
-                        survivors.append(item)
-                    continue
-                if self._run_stage_filters(stage_filters, item):
-                    survivors.append(item)
-            self._put(out_queue, _Batch(batch.batch_id, survivors))
-
-    @staticmethod
-    def _run_stage_filters(stage_filters, fact_tuple: FactTuple) -> bool:
-        for stage_filter in stage_filters:
-            if not stage_filter.process(fact_tuple):
-                return False
-        return True
-
-    def _distributor_loop(self) -> None:
-        expected = 0
-        pending: list[_Batch] = []
-        in_queue = self._queues[-1]
-        poisons = 0
-        while True:
-            batch = in_queue.get()
-            if batch is _POISON:
-                poisons += 1
-                # one poison per worker of the final stage can arrive
-                if poisons >= self._worker_counts[-1]:
-                    return
-                continue
-            heapq.heappush(pending, batch)
-            while pending and pending[0].batch_id == expected:
-                ready = heapq.heappop(pending)
-                for item in ready.items:
-                    self.pipeline.distributor.process(item)
-                expected += 1
-
-    def _put(self, target_queue: queue.Queue, batch: _Batch) -> None:
-        while not self._stop.is_set():
-            try:
-                target_queue.put(batch, timeout=0.05)
-                return
-            except queue.Full:
-                continue
-        # shutting down: drop the batch

@@ -16,28 +16,22 @@ Implements both optimizations from section 3.2.2:
 Two entry points over the same logic: :meth:`Filter.process` handles
 one tuple (the reference path), :meth:`Filter.process_batch` handles a
 whole :class:`~repro.cjoin.batch.FactBatch` in one call — probe skip is
-tested once against the batch's bit-vector union, the probe loop runs
-against the hash table's entry view directly (no per-row method call
-or result allocation), and liveness is folded into the batch's alive
-mask (DESIGN.md section 5).
-
-When a batch kernel is installed (``kernel=`` knob, DESIGN.md section
-14), :meth:`Filter.process_batch` delegates the probe/AND/compact
-passes to :meth:`~repro.cjoin.kernels.PythonKernel.filter_batch`:
-each *distinct* key probed once per batch, the bit-vector column
-ANDed in bulk, survivors compacted without per-row appends, and the
-joining dimension rows attached once per batch
+tested once against the batch's bit-vector union, then
+:func:`repro.cjoin.kernels.filter_batch` runs the probe/AND/compact
+passes over whole columns: each *distinct* key probed once per batch
+against a small dimension, the bit-vector column ANDed in bulk,
+survivors compacted without per-row appends, and the joining dimension
+rows attached once per batch
 (:meth:`~repro.cjoin.batch.FactBatch.attach_dim_lookup`) instead of
-once per surviving row.  ``kernel='off'`` keeps the per-row loop
-below — the reference the per-tuple-cost microbench measures against.
+once per surviving row (DESIGN.md section 5).
 """
 
 from __future__ import annotations
 
-from repro import bitvec
 from repro.catalog.schema import StarSchema
 from repro.cjoin.batch import FactBatch
 from repro.cjoin.dimtable import DimensionHashTable
+from repro.cjoin.kernels import filter_batch
 from repro.cjoin.stats import FilterStats
 from repro.cjoin.tuples import FactTuple
 
@@ -51,7 +45,6 @@ class Filter:
         star: StarSchema,
         pipeline_stats=None,
         probe_skip: bool = True,
-        kernel=None,
     ) -> None:
         self.hash_table = hash_table
         self.name = hash_table.name
@@ -60,9 +53,6 @@ class Filter:
         self.pipeline_stats = pipeline_stats
         #: section 3.2.2 optimization toggle (off only for ablation)
         self.probe_skip = probe_skip
-        #: batch kernel from :func:`repro.cjoin.kernels.resolve`, or
-        #: None to keep the per-row reference loop (kernel='off')
-        self.kernel = kernel
 
     def process(self, fact_tuple: FactTuple) -> bool:
         """Filter one tuple in place; return True iff it survives.
@@ -101,120 +91,36 @@ class Filter:
 
         Semantically identical to calling :meth:`process` on each live
         row in order; the batch form amortizes the per-tuple costs:
-
-        * one probe-skip test on the batch's bit-vector union instead
-          of one per tuple;
-        * the key column extracted once per batch and probed against
-          the hash table's entry view directly, with no per-row method
-          call or (bits, row) tuple allocation;
-        * liveness folded into the batch alive mask with one bulk AND.
+        one probe-skip test on the batch's bit-vector union instead of
+        one per tuple, then one :func:`~repro.cjoin.kernels.filter_batch`
+        call for the probe, the AND and the drop test.
         """
         live = batch.live
         if not live:
             return
+        count = len(live)
         stats = self.stats
         pipeline_stats = self.pipeline_stats
-        stats.tuples_in += len(live)
+        stats.tuples_in += count
         table = self.hash_table
-        not_complement = ~table.complement_bitmap
         probe_skip = self.probe_skip
-        bitvectors = batch.bitvectors
-        if probe_skip and batch.union_bits() & not_complement == 0:
+        if probe_skip and batch.union_bits() & ~table.complement_bitmap == 0:
             # every live row is relevant only to queries that do not
             # reference this dimension: probing could only AND-in ones
-            stats.probe_skips += len(live)
+            stats.probe_skips += count
             if pipeline_stats is not None:
-                pipeline_stats.probe_skips_total += len(live)
+                pipeline_stats.probe_skips_total += count
             return
-        if self.kernel is not None:
-            count = len(live)
-            probes, skips, distinct = self.kernel.filter_batch(
-                batch, self.fk_index, table, probe_skip, self.name
-            )
-            stats.probes += probes
-            stats.probe_skips += skips
-            stats.distinct_probes += distinct
-            stats.tuples_dropped += count - len(batch.live)
-            if pipeline_stats is not None:
-                pipeline_stats.probes_total += probes
-                pipeline_stats.probe_skips_total += skips
-            return
-        keys = batch.key_column(self.fk_index)
-        dim_rows = batch.dim_rows
-        entries_get = table.entries_view().get
-        complement = table.complement_bitmap
-        survivors: list[int] = []
-        keep = survivors.append
-        name = self.name
-        dropped: list[int] = []
-        skips = 0
-        # when b_Dj == 0 every active query references this dimension,
-        # so the per-row skip test can never fire: drop it from the loop
-        probe_skip = probe_skip and complement != 0
-        # The loop below receives (row_index, bits, probed) triples.
-        # When check_skip is False, ``probed`` is already the hash-table
-        # entry (or None), produced by a C-level map() pass over the key
-        # column; dropping the per-row skip test is safe because for a
-        # skippable row the AND is a no-op anyway — every query that
-        # does not reference this dimension has its bit set in b_Dj
-        # *and* in every stored entry, by the table invariants.  When
-        # check_skip is True, ``probed`` is the key and the loop decides
-        # per row whether to probe at all (the section 3.2.2 skip).
-        if len(live) == len(bitvectors):
-            # fully-live batch: drive the loop from the columns themselves
-            check_skip = False
-            row_triples = zip(
-                range(len(bitvectors)), bitvectors, map(entries_get, keys)
-            )
-        else:
-            # gather the live rows' columns with C-speed comprehensions
-            # so the Python-level loop below touches only live rows
-            check_skip = probe_skip
-            live_keys = [keys[row_index] for row_index in live]
-            row_triples = zip(
-                live,
-                [bitvectors[row_index] for row_index in live],
-                live_keys if check_skip else map(entries_get, live_keys),
-            )
-        for row_index, bits, probed in row_triples:
-            if check_skip:
-                if bits & not_complement == 0:
-                    skips += 1
-                    keep(row_index)
-                    continue
-                entry = entries_get(probed)
-            else:
-                entry = probed
-            if entry is None:
-                bits &= complement
-                dim_row = None
-            else:
-                bits &= entry.bits
-                dim_row = entry.row
-            bitvectors[row_index] = bits
-            if bits == 0:
-                dropped.append(row_index)
-                continue
-            if dim_row is not None:
-                if dim_rows is None:
-                    # allocated on the batch's first pointer attach
-                    # only — selective batches never pay for the list
-                    dim_rows = batch.ensure_dim_rows()
-                attachments = dim_rows[row_index]
-                if attachments is None:
-                    dim_rows[row_index] = {name: dim_row}
-                else:
-                    attachments[name] = dim_row
-            keep(row_index)
-        probes = len(live) - skips
+        probes, skips, distinct = filter_batch(
+            batch, self.fk_index, table, probe_skip, self.name
+        )
         stats.probes += probes
         stats.probe_skips += skips
-        stats.tuples_dropped += len(dropped)
+        stats.distinct_probes += distinct
+        stats.tuples_dropped += count - len(batch.live)
         if pipeline_stats is not None:
             pipeline_stats.probes_total += probes
             pipeline_stats.probe_skips_total += skips
-        if dropped:
-            batch.drop_rows(bitvec.pack_positions(dropped), survivors)
 
     def would_drop(self, fact_tuple: FactTuple) -> bool:
         """Side-effect-free drop test used for optimizer profiling.

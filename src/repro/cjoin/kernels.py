@@ -1,9 +1,9 @@
-"""Whole-batch kernels for the vectorized hot path (DESIGN.md section 14).
+"""Whole-batch passes of the vectorized hot path (DESIGN.md section 5).
 
-The PR-1 batched pipeline amortized per-tuple *dispatch* — one Python
-call per Filter per batch — but its probe/AND/route loops still ran
-one bytecode iteration per fact row.  This module re-expresses those
-loops as batch kernels over whole columns:
+Batching amortizes per-tuple *dispatch* — one Python call per Filter
+per batch; this module makes the probe/AND/route work inside that call
+C-level passes over whole columns instead of one bytecode iteration
+per fact row:
 
 * **adaptive probe** — against a dimension smaller than a quarter of
   the batch's live rows, each *distinct* foreign-key value hits the
@@ -18,88 +18,48 @@ loops as batch kernels over whole columns:
 * **bulk AND** — the surviving bit-vector column is produced by one
   element-wise AND pass instead of per-row read/AND/store bytecode;
 * **survivor compaction** — the live list shrinks via comprehension
-  (or ``numpy.nonzero``) instead of per-row ``list.append`` calls,
-  with a C-level ``0 not in column`` fast path for the common
-  nothing-dropped batch;
+  instead of per-row ``list.append`` calls, with a C-level
+  ``0 not in column`` fast path for the common nothing-dropped batch;
 * **group-by-bit-vector routing** — the Distributor groups surviving
   rows by identical ``b_tau`` so each output operator receives
   columnar row slices (see ``OutputOperator.consume_rows``) instead of
   a materialized :class:`~repro.cjoin.tuples.FactTuple` per row.
 
-Two interchangeable implementations sit behind one feature probe:
-
-* :class:`PythonKernel` — always available; pure ``array``/``map``/
-  comprehension passes, no third-party dependency;
-* :class:`NumpyKernel` — the optional opt-in accelerator
-  (``kernel='numpy'``), usable when numpy is importable and the
-  batch's bit-vectors fit in 64 bits (up to 64 concurrent queries —
-  the paper's whole operating range).  Batches that exceed 64 query
-  bits, or carry non-integer join keys, fall back to the pure-Python
-  passes *per call*, so correctness never depends on the accelerator.
-
-Selection is driven by the ``kernel`` knob on
-:class:`~repro.cjoin.executor.ExecutorConfig` /
-:class:`~repro.tuning.TuningConfig` (modes in
-:data:`repro.tuning.KERNEL_MODES`): ``'auto'`` picks the pure-Python
-kernels — measured fastest on this workload shape, since the hot
-passes are already C-level ``map`` traffic and numpy's per-batch
-array construction costs more than its vector AND saves at batch
-granularity (see EXPERIMENTS.md section 11) — ``'python'`` forces
-them explicitly, ``'numpy'`` opts into the accelerator, and ``'off'``
-keeps the PR-1 per-row loops (the reference the per-tuple-cost
-microbench measures against).  Setting the ``REPRO_NO_NUMPY``
-environment variable hides numpy from the probe — the no-numpy CI
-leg and the forced-fallback test fixture both use it.
-
-Semantics are identical across all modes for every workload; the
-equivalence suite (tests/test_kernel_equivalence.py) enforces this
-property-style, and stats stay comparable because kernels keep the
-*logical* per-row probe/skip counts of the reference loops while also
-reporting the deduplicated hash-table traffic
+These passes are the one way a batch is executed — pure Python by
+measurement (EXPERIMENTS.md section 11).  The tuple-at-a-time path
+(:meth:`repro.cjoin.filter.Filter.process`) remains the reference
+every equivalence suite compares against; stats stay comparable
+because the passes keep the *logical* per-row probe/skip counts of the
+tuple path while also reporting the deduplicated hash-table traffic
 (``FilterStats.distinct_probes``).
 """
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from itertools import compress, repeat
 from operator import and_ as _and, itemgetter, not_ as _not
 
 from repro import bitvec
-from repro.errors import ConfigError
-from repro.tuning import KERNEL_MODES
 
 #: Run a C-level iterator to exhaustion without building a list —
 #: drives ``map(list.__setitem__, ...)`` scatter passes.
 _drain = deque(maxlen=0).extend
 
+#: Dedup pays only when distinct keys are well under the live row
+#: count (it trades the per-row probe map for a dict build plus a
+#: second per-row lookup pass); the dimension hash table's
+#: cardinality is the free proxy for that: dedup when
+#: ``tuple_count * DEDUP_FANOUT <= live rows``.
+DEDUP_FANOUT = 4
 
-def _probe_numpy():
-    """Import numpy unless the environment hides it.
-
-    ``REPRO_NO_NUMPY`` (any non-empty value) force-disables the
-    accelerator even when numpy is installed — the switch behind the
-    no-numpy CI leg and the fallback test fixture.
-    """
-    if os.environ.get("REPRO_NO_NUMPY"):
-        return None
-    try:
-        import numpy
-    except ImportError:
-        return None
-    return numpy
-
-
-_numpy = _probe_numpy()
-
-#: True when the optional numpy accelerator is importable and enabled.
-HAS_NUMPY = _numpy is not None
-
-#: Bit-vectors at or under this width ride the uint64 numpy fast path.
-NUMPY_MAX_QUERY_BITS = 64
-
-_MASK64 = (1 << 64) - 1
+#: Partial batches that are still mostly live run the probe/AND
+#: over the *full* columns (dead rows carry bit-vector 0, and
+#: ``0 & x == 0`` keeps them dead), trading a few dead-row lookups
+#: for slice-level reads and write-backs with no gather/scatter;
+#: sparse batches gather the live rows instead.  The dense pass
+#: wins while ``live * DENSE_CUTOFF >= total``.
+DENSE_CUTOFF = 2
 
 
 def group_rows_by_bits(bitvectors, live) -> dict[int, list[int]]:
@@ -107,8 +67,8 @@ def group_rows_by_bits(bitvectors, live) -> dict[int, list[int]]:
 
     Returns ``{b_tau: [row_index, ...]}`` in first-occurrence order
     with rows in scan order inside each group — the exact routing
-    order of the per-row reference path, so operator consumption order
-    (and therefore result rows) cannot drift.
+    order of the tuple path, so operator consumption order (and
+    therefore result rows) cannot drift.
     """
     groups: dict[int, list[int]] = {}
     for row_index in live:
@@ -121,282 +81,131 @@ def group_rows_by_bits(bitvectors, live) -> dict[int, list[int]]:
     return groups
 
 
-class PythonKernel:
-    """Pure-Python batch kernels: C-level map/comprehension passes."""
+def filter_batch(
+    batch,
+    fk_index: int,
+    table,
+    probe_skip: bool,
+    name: str,
+) -> tuple[int, int, int]:
+    """Probe/AND/compact one batch against one dimension table.
 
-    name = "python"
+    Mutates ``batch`` exactly like calling the tuple path's
+    :meth:`~repro.cjoin.filter.Filter.process` on every live row
+    (bit-vector column updated, dropped rows cleared from the alive
+    mask, joining dimension rows attached) and returns
+    ``(probes, skips, distinct_probes)`` with *logical* counting:
+    every live row is either a probe or a section 3.2.2 skip, while
+    ``distinct_probes`` reports the hash-table lookups actually paid.
 
-    # ------------------------------------------------------------------
-    # Filter kernel
-    # ------------------------------------------------------------------
-    #: Dedup pays only when distinct keys are well under the live row
-    #: count (it trades the per-row probe map for a dict build plus a
-    #: second per-row lookup pass); the dimension hash table's
-    #: cardinality is the free proxy for that: dedup when
-    #: ``tuple_count * DEDUP_FANOUT <= live rows``.
-    DEDUP_FANOUT = 4
-
-    #: Partial batches that are still mostly live run the probe/AND
-    #: over the *full* columns (dead rows carry bit-vector 0, and
-    #: ``0 & x == 0`` keeps them dead), trading a few dead-row lookups
-    #: for slice-level reads and write-backs with no gather/scatter;
-    #: sparse batches gather the live rows instead.  The dense pass
-    #: wins while ``live * DENSE_CUTOFF >= total``.
-    DENSE_CUTOFF = 2
-
-    def filter_batch(
-        self,
-        batch,
-        fk_index: int,
-        table,
-        probe_skip: bool,
-        name: str,
-    ) -> tuple[int, int, int]:
-        """Probe/AND/compact one batch against one dimension table.
-
-        Mutates ``batch`` exactly like the reference per-row loop
-        (bit-vector column updated, dropped rows cleared from the
-        alive mask, joining dimension rows attached) and returns
-        ``(probes, skips, distinct_probes)`` with the reference loop's
-        *logical* counting: every live row is either a probe or a
-        section 3.2.2 skip, while ``distinct_probes`` reports the
-        hash-table lookups this kernel actually paid.
-
-        Every pass is C-level: column layout by liveness (dense
-        slice-in/slice-out vs gathered, see :data:`DENSE_CUTOFF`),
-        probe strategy by dimension cardinality (direct mapped lookups
-        vs distinct-key dedup, see :data:`DEDUP_FANOUT`), and
-        compaction from whichever side of the survivor/dropped split
-        is smaller.
-        """
-        live = batch.live
-        bitvectors = batch.bitvectors
-        complement = table.complement_bitmap
-        count = len(live)
-        total = len(bitvectors)
-        fully_live = count == total
-        dense = fully_live or count * self.DENSE_CUTOFF >= total
-        if dense:
-            # cached whole-column extraction (doubles as the fact value
-            # column for the Distributor's columnar consumers)
-            keys = batch.key_column(fk_index)
-            in_bits = bitvectors
-        else:
-            # gather only the live rows — full-column passes would
-            # cost O(batch) on a batch with a handful of survivors
-            keys = list(
-                map(itemgetter(fk_index), map(batch.rows.__getitem__, live))
-            )
-            in_bits = list(map(bitvectors.__getitem__, live))
-        # per-row skips are only observable when some active query does
-        # not reference this dimension; the reference loop counts them
-        # only on partially-live batches (fully-live batches drive the
-        # loop straight from the columns), and ANDing a skippable row is
-        # a no-op by the table invariants, so counting is all that's
-        # left — three C-level passes (AND, zero-test, popcount-style
-        # sum) over the live bit-vectors
-        skips = 0
-        if probe_skip and complement != 0 and not fully_live:
-            not_and = (~complement).__and__
-            live_bits = (
-                map(bitvectors.__getitem__, live) if dense else in_bits
-            )
-            skips = sum(map(_not, map(not_and, live_bits)))
-        bits_by_key, rows_by_key = table.columnar_view()
-        if rows_by_key:
-            batch.attach_dim_lookup(name, fk_index, rows_by_key)
-        new_bits, distinct = self._and_pass(
-            in_bits, keys, bits_by_key, complement,
-            table.tuple_count * self.DEDUP_FANOUT <= count,
+    Every pass is C-level: column layout by liveness (dense
+    slice-in/slice-out vs gathered, see :data:`DENSE_CUTOFF`), probe
+    strategy by dimension cardinality (direct mapped lookups vs
+    distinct-key dedup, see :data:`DEDUP_FANOUT`), and compaction
+    from whichever side of the survivor/dropped split is smaller.
+    """
+    live = batch.live
+    bitvectors = batch.bitvectors
+    complement = table.complement_bitmap
+    count = len(live)
+    total = len(bitvectors)
+    fully_live = count == total
+    dense = fully_live or count * DENSE_CUTOFF >= total
+    if dense:
+        # cached whole-column extraction (doubles as the fact value
+        # column for the Distributor's columnar consumers)
+        keys = batch.key_column(fk_index)
+        in_bits = bitvectors
+    else:
+        # gather only the live rows — full-column passes would
+        # cost O(batch) on a batch with a handful of survivors
+        keys = list(
+            map(itemgetter(fk_index), map(batch.rows.__getitem__, live))
         )
-        self._install(batch, live, new_bits, dense, fully_live)
-        return count - skips, skips, distinct
+        in_bits = list(map(bitvectors.__getitem__, live))
+    # per-row skips are only observable when some active query does
+    # not reference this dimension; by convention they are counted on
+    # partially-live batches only (the layered benchmark pins the
+    # exact probe/skip counts), and ANDing a skippable row is a no-op
+    # by the table invariants, so counting is all that's left — three
+    # C-level passes (AND, zero-test, popcount-style sum) over the
+    # live bit-vectors
+    skips = 0
+    if probe_skip and complement != 0 and not fully_live:
+        not_and = (~complement).__and__
+        live_bits = (
+            map(bitvectors.__getitem__, live) if dense else in_bits
+        )
+        skips = sum(map(_not, map(not_and, live_bits)))
+    bits_by_key, rows_by_key = table.columnar_view()
+    if rows_by_key:
+        batch.attach_dim_lookup(name, fk_index, rows_by_key)
+    new_bits, distinct = _and_pass(
+        in_bits, keys, bits_by_key, complement,
+        table.tuple_count * DEDUP_FANOUT <= count,
+    )
+    _install(batch, live, new_bits, dense, fully_live)
+    return count - skips, skips, distinct
 
-    def _and_pass(self, in_bits, keys, bits_by_key, complement, dedup):
-        """Produce the post-probe AND column; return (column, probes).
 
-        * **direct** (``dedup`` False): mapped ``dict.get`` lookups
-          with the complement bitmap as the miss default, then one
-          element-wise AND — two C-level passes, no per-row bytecode;
-        * **dedup** (``dedup`` True — the dimension is much smaller
-          than the batch): ``dict.fromkeys`` deduplicates the key
-          column at C speed, each *distinct* key is probed once (the
-          per-batch analogue of the paper's one-probe-serves-all-
-          queries sharing, applied across rows), and the column is
-          rebuilt through the probe map.
-        """
-        if dedup:
-            bits_get = bits_by_key.get
-            bits_of = {
-                key: bits_get(key, complement)
-                for key in dict.fromkeys(keys)
-            }
-            return bitvec.bulk_and_lookup(in_bits, keys, bits_of), len(
-                bits_of
-            )
-        return list(map(
-            _and,
-            in_bits,
-            map(bits_by_key.get, keys, repeat(complement)),
-        )), len(keys)
+def _and_pass(in_bits, keys, bits_by_key, complement, dedup):
+    """Produce the post-probe AND column; return (column, probes).
 
-    @staticmethod
-    def _install(batch, live, new_bits, dense, fully_live) -> None:
-        """Write the AND column back and compact the live list.
+    * **direct** (``dedup`` False): mapped ``dict.get`` lookups with
+      the complement bitmap as the miss default, then one
+      element-wise AND — two C-level passes, no per-row bytecode;
+    * **dedup** (``dedup`` True — the dimension is much smaller than
+      the batch): ``dict.fromkeys`` deduplicates the key column at C
+      speed, each *distinct* key is probed once (the per-batch
+      analogue of the paper's one-probe-serves-all-queries sharing,
+      applied across rows), and the column is rebuilt through the
+      probe map.
+    """
+    if dedup:
+        bits_get = bits_by_key.get
+        bits_of = {
+            key: bits_get(key, complement)
+            for key in dict.fromkeys(keys)
+        }
+        return bitvec.bulk_and_lookup(in_bits, keys, bits_of), len(
+            bits_of
+        )
+    return list(map(
+        _and,
+        in_bits,
+        map(bits_by_key.get, keys, repeat(complement)),
+    )), len(keys)
 
-        Write-back is a slice assignment on the dense path and a
-        C-level ``map(list.__setitem__, ...)`` scatter on the gathered
-        path.  Compaction rebuilds the alive mask from whichever side
-        of the survivor/dropped split is smaller.
-        """
-        bitvectors = batch.bitvectors
-        if dense:
-            bitvectors[:] = new_bits
-            if fully_live:
-                if 0 not in new_bits:  # C scan; common nothing-dropped
-                    return
-                flags = new_bits
-            else:
-                # dead rows are 0 in the full column, so the zero scan
-                # must look only at the live rows
-                flags = list(map(new_bits.__getitem__, live))
-                if 0 not in flags:
-                    return
-        else:
-            _drain(map(bitvectors.__setitem__, live, new_bits))
-            if 0 not in new_bits:
+
+def _install(batch, live, new_bits, dense, fully_live) -> None:
+    """Write the AND column back and compact the live list.
+
+    Write-back is a slice assignment on the dense path and a C-level
+    ``map(list.__setitem__, ...)`` scatter on the gathered path.
+    Compaction rebuilds the alive mask from whichever side of the
+    survivor/dropped split is smaller.
+    """
+    bitvectors = batch.bitvectors
+    if dense:
+        bitvectors[:] = new_bits
+        if fully_live:
+            if 0 not in new_bits:  # C scan; common nothing-dropped
                 return
             flags = new_bits
-        survivors = list(compress(live, flags))
-        if 2 * len(survivors) <= len(live):
-            batch.replace_live(survivors)
         else:
-            dropped = list(compress(live, map(_not, flags)))
-            batch.drop_rows(bitvec.pack_positions(dropped), survivors)
-
-    # ------------------------------------------------------------------
-    # Routing kernel
-    # ------------------------------------------------------------------
-    group_rows_by_bits = staticmethod(group_rows_by_bits)
-
-    def __repr__(self) -> str:
-        return f"<{type(self).__name__}>"
-
-
-class NumpyKernel(PythonKernel):
-    """Numpy-accelerated kernels over uint64 bit-vector columns.
-
-    Only the dedup AND pass (a distinct-key lookup table applied with
-    one vectorized AND) and routing group discovery move to numpy.
-    The direct probe strategy is inherited unchanged (it is already
-    all C-level dict traffic numpy cannot help with), and any batch
-    whose bit-vectors exceed 64 bits or whose keys are not machine
-    integers transparently uses the inherited pure-Python pass for
-    that call.
-    """
-
-    name = "numpy"
-
-    def __init__(self) -> None:
-        if _numpy is None:  # pragma: no cover - guarded by resolve()
-            raise ConfigError("numpy kernel requested but numpy is disabled")
-        self._np = _numpy
-
-    def _and_pass(self, in_bits, keys, bits_by_key, complement, dedup):
-        if not dedup:
-            # the direct pass is already pure C dict traffic that
-            # numpy cannot improve on
-            return super()._and_pass(
-                in_bits, keys, bits_by_key, complement, dedup
-            )
-        np = self._np
-        count = len(in_bits)
-        try:
-            bits_arr = np.fromiter(in_bits, dtype=np.uint64, count=count)
-            keys_arr = np.fromiter(keys, dtype=np.int64, count=count)
-        except (TypeError, ValueError, OverflowError):
-            # wide bit-vectors (> 64 queries) or non-integer join keys:
-            # the pure-Python pass handles this batch
-            return super()._and_pass(
-                in_bits, keys, bits_by_key, complement, dedup
-            )
-        distinct, inverse = np.unique(keys_arr, return_inverse=True)
-        bits_get = bits_by_key.get
-        # masking high bits is safe: they can only be set for queries
-        # admitted after this batch entered the pipeline, whose row
-        # bits are still 0, so the AND zeroes them either way
-        masked_complement = complement & _MASK64
-        lut = np.fromiter(
-            (
-                bits_get(key, masked_complement) & _MASK64
-                for key in distinct.tolist()
-            ),
-            dtype=np.uint64,
-            count=len(distinct),
-        )
-        return (bits_arr & lut[inverse]).tolist(), len(distinct)
-
-    def group_rows_by_bits(self, bitvectors, live):
-        np = self._np
-        count = len(live)
-        if count <= 1:
-            return group_rows_by_bits(bitvectors, live)
-        try:
-            bits_arr = np.fromiter(
-                (bitvectors[r] for r in live), dtype=np.uint64, count=count
-            )
-        except (TypeError, ValueError, OverflowError):
-            return group_rows_by_bits(bitvectors, live)
-        distinct, inverse, counts = np.unique(
-            bits_arr, return_inverse=True, return_counts=True
-        )
-        if len(distinct) == count:
-            # all-distinct: grouping buys nothing, skip the sort
-            return {bitvectors[r]: [r] for r in live}
-        live_arr = np.fromiter(live, dtype=np.int64, count=count)
-        order = np.argsort(inverse, kind="stable")
-        boundaries = np.cumsum(counts)[:-1]
-        chunks = np.split(live_arr[order], boundaries)
-        # re-establish first-occurrence group order (np.unique sorts by
-        # value) so routing order matches the reference loop exactly
-        grouped = sorted(
-            (rows[0], bits, rows.tolist())
-            for bits, rows in zip(distinct.tolist(), chunks)
-        )
-        return {bits: rows for _, bits, rows in grouped}
-
-
-_PYTHON_KERNEL = PythonKernel()
-_NUMPY_KERNEL = NumpyKernel() if HAS_NUMPY else None
-
-
-def resolve(mode: str) -> PythonKernel | None:
-    """Map a ``kernel=`` mode string to a kernel instance (or None).
-
-    ``'off'`` returns None — callers keep the reference per-row loops.
-    ``'auto'`` picks the pure-Python kernels: they measure fastest on
-    the headline workload shape (benchmarks/bench_kernel_cost.py),
-    because the per-batch cost of building numpy arrays exceeds what
-    the vectorized AND saves at batch granularity.  The numpy kernels
-    stay available as an explicit opt-in for experimentation.
-
-    Raises:
-        ConfigError: on an unknown mode, or ``'numpy'`` when numpy is
-            unavailable (or hidden by ``REPRO_NO_NUMPY``).
-    """
-    if mode not in KERNEL_MODES:
-        raise ConfigError(
-            f"unknown kernel mode {mode!r}; expected one of {KERNEL_MODES}"
-        )
-    if mode == "off":
-        return None
-    if mode == "python":
-        return _PYTHON_KERNEL
-    if mode == "numpy":
-        if _NUMPY_KERNEL is None:
-            raise ConfigError(
-                "kernel='numpy' requires numpy; install it or use "
-                "kernel='auto'/'python' (the pure-Python kernels)"
-            )
-        return _NUMPY_KERNEL
-    return _PYTHON_KERNEL
+            # dead rows are 0 in the full column, so the zero scan
+            # must look only at the live rows
+            flags = list(map(new_bits.__getitem__, live))
+            if 0 not in flags:
+                return
+    else:
+        _drain(map(bitvectors.__setitem__, live, new_bits))
+        if 0 not in new_bits:
+            return
+        flags = new_bits
+    survivors = list(compress(live, flags))
+    if 2 * len(survivors) <= len(live):
+        batch.replace_live(survivors)
+    else:
+        dropped = list(compress(live, map(_not, flags)))
+        batch.drop_rows(bitvec.pack_positions(dropped), survivors)

@@ -89,7 +89,6 @@ class PipelineManager:
         max_concurrent: int = 256,
         ordering_policy: OrderingPolicy | None = None,
         probe_skip: bool = True,
-        kernel=None,
     ) -> None:
         self.catalog = catalog
         self.star = star
@@ -97,9 +96,6 @@ class PipelineManager:
         self.buffer_pool = buffer_pool
         self.stats = stats
         self.probe_skip = probe_skip
-        #: batch kernel handed to every Filter this manager installs
-        #: (:mod:`repro.cjoin.kernels`; None keeps the per-row loops)
-        self.kernel = kernel
         self.allocator = QueryIdAllocator(max_concurrent)
         self.ordering_policy = (
             ordering_policy if ordering_policy is not None else AGreedyPolicy()
@@ -196,7 +192,6 @@ class PipelineManager:
                         self.star,
                         self.stats,
                         probe_skip=self.probe_skip,
-                        kernel=self.kernel,
                     )
                 )
         for name in [*referenced_list, *sorted(pipeline_dims - referenced)]:

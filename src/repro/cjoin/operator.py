@@ -5,35 +5,24 @@ an executor into one object with the paper's usage model: submit star
 queries at any time; each completes after one wrap of the continuous
 scan.
 
-Synchronous usage (deterministic; the default):
+Usage (deterministic, on the calling thread):
 
     operator = CJoinOperator(catalog, star)
     handles = [operator.submit(q) for q in queries]
     operator.run_until_drained()
     rows = handles[0].results()
 
-Threaded usage (architecture demonstration, section 4):
-
-    operator = CJoinOperator(catalog, star,
-                             executor_config=ExecutorConfig(
-                                 mode="horizontal", stage_threads=(4,)))
-    operator.start()
-    handle = operator.submit(query)
-    handle.wait()
-    operator.stop()
+For the always-on mode — a background driver cycling the scan while
+queries attach mid-cycle — wrap the operator in
+:class:`~repro.engine.service.WarehouseService` (DESIGN.md section 9).
 """
 
 from __future__ import annotations
 
 from repro.catalog.catalog import Catalog
 from repro.catalog.schema import StarSchema
-from repro.cjoin import kernels
 from repro.cjoin.distributor import Distributor
-from repro.cjoin.executor import (
-    ExecutorConfig,
-    SynchronousExecutor,
-    ThreadedExecutor,
-)
+from repro.cjoin.executor import ExecutorConfig, SynchronousExecutor
 from repro.cjoin.manager import PipelineManager
 from repro.cjoin.optimizer import OrderingPolicy
 from repro.cjoin.pipeline import CJoinPipeline
@@ -79,18 +68,8 @@ class CJoinOperator:
             self.scan, self.star, self.stats, versioned_fact
         )
         config = executor_config if executor_config is not None else ExecutorConfig()
-        #: resolved batch kernel (DESIGN.md section 14); None on the
-        #: tuple path and under kernel='off'
-        self.kernel = (
-            kernels.resolve(config.kernel)
-            if config.execution == "batched"
-            else None
-        )
         self.distributor = Distributor(
-            self.star,
-            self.stats,
-            aggregation_mode=aggregation_mode,
-            kernel=self.kernel,
+            self.star, self.stats, aggregation_mode=aggregation_mode
         )
         self.pipeline = CJoinPipeline(
             self.preprocessor, self.distributor, self.stats
@@ -104,14 +83,10 @@ class CJoinOperator:
             max_concurrent=max_concurrent,
             ordering_policy=ordering_policy,
             probe_skip=probe_skip,
-            kernel=self.kernel,
         )
         self.distributor.on_query_finished = self.manager.on_query_finished
         self._rate_anchor: tuple[float, int] | None = None
-        if config.mode == "synchronous":
-            self.executor = SynchronousExecutor(self.pipeline, self.manager, config)
-        else:
-            self.executor = ThreadedExecutor(self.pipeline, self.manager, config)
+        self.executor = SynchronousExecutor(self.pipeline, self.manager, config)
 
     @staticmethod
     def _single_star(catalog: Catalog) -> StarSchema:
@@ -137,15 +112,7 @@ class CJoinOperator:
         return self.manager.admit(query, handle)
 
     def run_until_drained(self, max_batches: int | None = None) -> None:
-        """Drive the pipeline until all submitted queries complete.
-
-        Only valid with the synchronous executor.
-        """
-        if not isinstance(self.executor, SynchronousExecutor):
-            raise PipelineError(
-                "run_until_drained() requires the synchronous executor; "
-                "threaded operators complete queries in the background"
-            )
+        """Drive the pipeline until all submitted queries complete."""
         self.executor.run_until_drained(max_batches)
 
     def execute(self, query: StarQuery) -> list[tuple]:
@@ -154,17 +121,8 @@ class CJoinOperator:
         self.run_until_drained()
         return handle.results()
 
-    # ------------------------------------------------------------------
-    # Threaded lifecycle
-    # ------------------------------------------------------------------
-    def start(self) -> None:
-        """Start background threads (threaded executor only)."""
-        if not isinstance(self.executor, ThreadedExecutor):
-            raise PipelineError("start() requires a threaded executor config")
-        self.executor.start()
-
     def stop(self) -> None:
-        """Stop background execution (threads or a continuous driver)."""
+        """Signal a running ``executor.run_forever()`` to return."""
         self.executor.stop()
 
     # ------------------------------------------------------------------

@@ -67,7 +67,7 @@ from dataclasses import dataclass
 from repro.catalog.catalog import Catalog
 from repro.catalog.schema import StarSchema
 from repro.cjoin.aggregation import make_output_operator
-from repro.cjoin.executor import DEFAULT_BATCH_SIZE, ExecutorConfig
+from repro.cjoin.executor import ExecutorConfig
 from repro.errors import ConfigError
 from repro.query.star import StarQuery
 from repro.storage.partition import contiguous_spans
@@ -77,7 +77,7 @@ from repro.storage.shm import (
     publish_fact_rows,
 )
 from repro.storage.table import Table
-from repro.tuning import DEFAULT_KERNEL
+from repro.tuning import DEFAULT_BATCH_SIZE
 
 #: Default cap on queries drained concurrently inside one shard
 #: pipeline (the worker-side ``maxConc``); larger query sets are
@@ -97,7 +97,6 @@ class ShardTask:
     batch_size: int
     aggregation_mode: str
     max_concurrent: int
-    kernel: str = DEFAULT_KERNEL
 
 
 @dataclass(frozen=True)
@@ -120,7 +119,6 @@ class ShmShardTask:
     batch_size: int
     aggregation_mode: str
     max_concurrent: int
-    kernel: str = DEFAULT_KERNEL
 
 
 def default_transport() -> str:
@@ -166,7 +164,6 @@ def _drain_shard(
     batch_size: int,
     aggregation_mode: str,
     max_concurrent: int,
-    kernel: str = DEFAULT_KERNEL,
 ) -> list:
     """Run the batched pipeline over one shard; return partial states.
 
@@ -185,7 +182,7 @@ def _drain_shard(
             star,
             max_concurrent=max_concurrent,
             executor_config=ExecutorConfig(
-                execution="batched", batch_size=batch_size, kernel=kernel
+                execution="batched", batch_size=batch_size
             ),
             aggregation_mode=aggregation_mode,
         )
@@ -213,7 +210,6 @@ def _run_shard_task(task: ShardTask) -> list:
         task.batch_size,
         task.aggregation_mode,
         task.max_concurrent,
-        task.kernel,
     )
 
 
@@ -238,7 +234,6 @@ def _run_shm_task(task: ShmShardTask) -> list:
         task.batch_size,
         task.aggregation_mode,
         task.max_concurrent,
-        task.kernel,
     )
 
 
@@ -257,12 +252,11 @@ def _run_shard_span(span: tuple[int, int]) -> list:
     if _FORK_STATE is None:  # pragma: no cover - coordinator bug guard
         raise ConfigError("fork worker started without coordinator state")
     (star, fact_rows, dimension_tables, queries, batch_size,
-     aggregation_mode, max_concurrent, kernel) = _FORK_STATE
+     aggregation_mode, max_concurrent) = _FORK_STATE
     start, end = span
     catalog = _shard_catalog(star, fact_rows[start:end], dimension_tables)
     return _drain_shard(
-        catalog, star, queries, batch_size, aggregation_mode,
-        max_concurrent, kernel,
+        catalog, star, queries, batch_size, aggregation_mode, max_concurrent
     )
 
 
@@ -300,7 +294,6 @@ def execute_process_parallel(
     aggregation_mode: str = "hash",
     max_concurrent: int = DEFAULT_MAX_CONCURRENT,
     transport: str | None = None,
-    kernel: str = DEFAULT_KERNEL,
 ) -> list[list[tuple]]:
     """Drain ``queries`` over ``workers`` fact shards; merge results.
 
@@ -315,13 +308,9 @@ def execute_process_parallel(
             pick the platform default.  Pool or serialization failures
             under any process transport fall back to 'inprocess'
             transparently — same protocol, same results.
-        kernel: batch-kernel mode for the shard pipelines (DESIGN.md
-            section 14), resolved inside each worker process so
-            'auto' adapts to what the worker can import.
 
     Raises:
-        ConfigError: on an invalid worker count, unknown transport, or
-            unknown kernel mode.
+        ConfigError: on an invalid worker count or unknown transport.
     """
     queries = tuple(queries)
     if transport is None:
@@ -331,13 +320,12 @@ def execute_process_parallel(
             f"unknown transport {transport!r}; expected 'fork', 'shm', "
             f"'pickle', or 'inprocess'"
         )
-    # validates workers/batch_size/kernel ranges with actionable messages
+    # validates workers/batch_size ranges with actionable messages
     ExecutorConfig(
         execution="batched",
         backend="process",
         workers=workers,
         batch_size=batch_size,
-        kernel=kernel,
     )
     for query in queries:
         query.validate(star)
@@ -352,30 +340,30 @@ def execute_process_parallel(
     if workers == 1 or transport == "inprocess":
         shard_states = _run_inprocess(
             star, fact_rows, dimension_tables, queries, spans,
-            batch_size, aggregation_mode, max_concurrent, kernel,
+            batch_size, aggregation_mode, max_concurrent,
         )
     elif transport == "fork":
         shard_states = _run_fork_pool(
             star, fact_rows, dimension_tables, queries, spans,
-            batch_size, aggregation_mode, max_concurrent, kernel,
+            batch_size, aggregation_mode, max_concurrent,
         )
     elif transport == "shm":
         shard_states = _run_shm_pool(
             star, fact_rows, dimension_tables, queries, spans,
-            batch_size, aggregation_mode, max_concurrent, kernel,
+            batch_size, aggregation_mode, max_concurrent,
             fact_table=fact_table,
         )
     else:
         shard_states = _run_pickle_pool(
             star, fact_rows, dimension_tables, queries, spans,
-            batch_size, aggregation_mode, max_concurrent, kernel,
+            batch_size, aggregation_mode, max_concurrent,
         )
     return merge_shard_states(star, queries, shard_states, aggregation_mode)
 
 
 def _run_inprocess(
     star, fact_rows, dimension_tables, queries, spans,
-    batch_size, aggregation_mode, max_concurrent, kernel=DEFAULT_KERNEL,
+    batch_size, aggregation_mode, max_concurrent,
 ) -> list[list]:
     """The shard/merge protocol on the calling thread (no processes)."""
     shard_states = []
@@ -384,7 +372,7 @@ def _run_inprocess(
         shard_states.append(
             _drain_shard(
                 shard, star, queries, batch_size, aggregation_mode,
-                max_concurrent, kernel,
+                max_concurrent,
             )
         )
     return shard_states
@@ -392,7 +380,7 @@ def _run_inprocess(
 
 def _run_fork_pool(
     star, fact_rows, dimension_tables, queries, spans,
-    batch_size, aggregation_mode, max_concurrent, kernel=DEFAULT_KERNEL,
+    batch_size, aggregation_mode, max_concurrent,
 ) -> list[list]:
     """Fan out over a fork pool; fall back in-process on failure.
 
@@ -406,7 +394,7 @@ def _run_fork_pool(
     with _FORK_LOCK:
         _FORK_STATE = (
             star, fact_rows, dimension_tables, queries, batch_size,
-            aggregation_mode, max_concurrent, kernel,
+            aggregation_mode, max_concurrent,
         )
         try:
             with context.Pool(processes=len(spans)) as pool:
@@ -414,7 +402,7 @@ def _run_fork_pool(
         except Exception:
             return _run_inprocess(
                 star, fact_rows, dimension_tables, queries, spans,
-                batch_size, aggregation_mode, max_concurrent, kernel,
+                batch_size, aggregation_mode, max_concurrent,
             )
         finally:
             _FORK_STATE = None
@@ -436,7 +424,7 @@ def _spawn_is_safe() -> bool:
 
 def _run_pickle_pool(
     star, fact_rows, dimension_tables, queries, spans,
-    batch_size, aggregation_mode, max_concurrent, kernel=DEFAULT_KERNEL,
+    batch_size, aggregation_mode, max_concurrent,
 ) -> list[list]:
     """Fan out over a spawn pool with explicit picklable shard tasks.
 
@@ -447,7 +435,7 @@ def _run_pickle_pool(
     if not _spawn_is_safe():
         return _run_inprocess(
             star, fact_rows, dimension_tables, queries, spans,
-            batch_size, aggregation_mode, max_concurrent, kernel,
+            batch_size, aggregation_mode, max_concurrent,
         )
     dimension_rows = tuple(
         (name, tuple(table.all_rows()))
@@ -463,7 +451,6 @@ def _run_pickle_pool(
             batch_size=batch_size,
             aggregation_mode=aggregation_mode,
             max_concurrent=max_concurrent,
-            kernel=kernel,
         )
         for index, (start, end) in enumerate(spans)
     ]
@@ -477,7 +464,7 @@ def _run_pickle_pool(
     except Exception:
         return _run_inprocess(
             star, fact_rows, dimension_tables, queries, spans,
-            batch_size, aggregation_mode, max_concurrent, kernel,
+            batch_size, aggregation_mode, max_concurrent,
         )
 
 
@@ -533,7 +520,7 @@ def _published_layout(fact_table, fact_rows, column_count: int) -> ShmLayout:
 
 def _run_shm_pool(
     star, fact_rows, dimension_tables, queries, spans,
-    batch_size, aggregation_mode, max_concurrent, kernel=DEFAULT_KERNEL,
+    batch_size, aggregation_mode, max_concurrent,
     fact_table=None,
 ) -> list[list]:
     """Fan out over a spawn pool with the fact table in shared memory.
@@ -548,7 +535,7 @@ def _run_shm_pool(
     if not _spawn_is_safe():
         return _run_inprocess(
             star, fact_rows, dimension_tables, queries, spans,
-            batch_size, aggregation_mode, max_concurrent, kernel,
+            batch_size, aggregation_mode, max_concurrent,
         )
     dimension_rows = tuple(
         (name, tuple(table.all_rows()))
@@ -577,7 +564,6 @@ def _run_shm_pool(
                 batch_size=batch_size,
                 aggregation_mode=aggregation_mode,
                 max_concurrent=max_concurrent,
-                kernel=kernel,
             )
             for index, (start, end) in enumerate(spans)
         ]
@@ -587,7 +573,7 @@ def _run_shm_pool(
     except Exception:
         return _run_inprocess(
             star, fact_rows, dimension_tables, queries, spans,
-            batch_size, aggregation_mode, max_concurrent, kernel,
+            batch_size, aggregation_mode, max_concurrent,
         )
     finally:
         if segment is not None:

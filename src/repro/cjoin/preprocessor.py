@@ -267,9 +267,9 @@ class Preprocessor:
             budget = max_rows - len(items)
             stats = self.stats
             scan = self.scan
-            # machine i64 columns (DESIGN.md section 14): 8 bytes per
+            # machine i64 columns (DESIGN.md section 5): 8 bytes per
             # row, bulk range-extends, and buffer-protocol views for
-            # the kernels and the shared-memory transport
+            # the shared-memory transport
             sequences = array("q")
             positions = array("q")
             rows: list[tuple] = []

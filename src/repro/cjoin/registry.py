@@ -149,7 +149,7 @@ class QueryHandle:
         return self._done.is_set()
 
     def wait(self, timeout: float | None = None) -> bool:
-        """Block until done (threaded executors); returns done-ness."""
+        """Block until done (e.g. by the service driver); returns done-ness."""
         return self._done.wait(timeout)
 
     def on_complete(self, callback) -> None:

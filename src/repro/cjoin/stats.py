@@ -86,9 +86,10 @@ class FilterStats:
     tuples_dropped: int = 0
     probes: int = 0
     probe_skips: int = 0
-    #: hash-table lookups the batch kernels actually paid (one per
-    #: *distinct* key per batch); ``probes`` stays the logical per-row
-    #: count so drop rates and probes_per_tuple are kernel-independent
+    #: hash-table lookups the batched path actually paid (one per
+    #: *distinct* key per batch under dedup); ``probes`` stays the
+    #: logical per-row count so drop rates and probes_per_tuple compare
+    #: with the tuple path
     distinct_probes: int = 0
 
     @property

@@ -30,10 +30,10 @@ thread admits it as completions free slots.  Either way the caller
 immediately holds a :class:`~repro.cjoin.registry.QueryHandle` whose
 ``results(timeout=...)`` blocks until the continuous scan wraps.
 
-Shutdown protocol: ``stop()`` sets the service's stop event, joins the
-driver thread, and (for threaded executors) joins the stage threads.
-Admitted-but-unfinished queries stay registered and resume on the next
-``start()`` or ``drain()`` — stopping never corrupts pipeline state.
+Shutdown protocol: ``stop()`` sets the service's stop event and joins
+the driver thread.  Admitted-but-unfinished queries stay registered
+and resume on the next ``start()`` or ``drain()`` — stopping never
+corrupts pipeline state.
 """
 
 from __future__ import annotations
@@ -41,16 +41,11 @@ from __future__ import annotations
 import threading
 from collections import deque
 
-from repro.cjoin.executor import SynchronousExecutor
 from repro.cjoin.operator import CJoinOperator
 from repro.cjoin.registry import QueryHandle
 from repro.errors import AdmissionError, PipelineError
 from repro.query.star import StarQuery
-from repro.tuning import (  # noqa: F401  (compatibility re-export)
-    DEFAULT_ADMISSION_QUEUE_DEPTH,
-    TuningConfig,
-    resolve_tuning,
-)
+from repro.tuning import TuningConfig
 
 
 class WarehouseService:
@@ -67,27 +62,16 @@ class WarehouseService:
             submissions waiting for a slot; a full queue rejects with
             :class:`~repro.errors.AdmissionError` back-pressure).
             Runtime-mutable through :meth:`reconfigure`.
-
-    The pre-redesign keywords (``max_in_flight``, ``idle_sleep``,
-    ``admission_queue_depth``) are still accepted as deprecation shims
-    that emit :class:`DeprecationWarning` and map onto ``tuning``.
     """
 
     def __init__(
         self,
         operator: CJoinOperator,
         tuning: TuningConfig | None = None,
-        **deprecated,
     ) -> None:
-        tuning = resolve_tuning(
-            tuning,
-            deprecated,
-            allowed=("max_in_flight", "idle_sleep", "admission_queue_depth"),
-            where="WarehouseService",
-        )
         self.operator = operator
         self._cond = threading.Condition()
-        self._apply_tuning(tuning)
+        self._apply_tuning(tuning if tuning is not None else TuningConfig())
         self._queue: deque[tuple[StarQuery, QueryHandle]] = deque()
         self._in_flight = 0
         #: True while the driver admits a submission it popped from the
@@ -376,9 +360,8 @@ class WarehouseService:
     def stop(self, timeout: float = 10.0) -> None:
         """Shut the driver down cleanly (idempotent).
 
-        Joins the driver thread and, for threaded executors, the stage
-        threads.  In-flight queries stay registered; they resume on the
-        next ``start()`` or ``drain()``.
+        Joins the driver thread.  In-flight queries stay registered;
+        they resume on the next ``start()`` or ``drain()``.
 
         Raises:
             PipelineError: if the driver does not stop within
@@ -395,7 +378,6 @@ class WarehouseService:
                     f"service driver did not stop within {timeout} seconds"
                 )
         self._thread = None
-        self.operator.stop()  # joins stage threads for threaded executors
         self._raise_driver_error()
 
     def _raise_driver_error(self) -> None:
@@ -417,8 +399,8 @@ class WarehouseService:
         behaviour ``Warehouse.run()`` is specified to keep.
 
         Raises:
-            PipelineError: on ``timeout`` (running driver only), driver
-                crash, or a non-synchronous executor with no driver.
+            PipelineError: on ``timeout`` (running driver only) or
+                driver crash.
         """
         if self.running:
             with self._cond:
@@ -436,15 +418,9 @@ class WarehouseService:
                 )
             return
         self._raise_driver_error()
-        executor = self.operator.executor
-        if not isinstance(executor, SynchronousExecutor):
-            raise PipelineError(
-                "drain() without a running driver requires the "
-                "synchronous executor; call start() for threaded modes"
-            )
         while True:
             self._on_cycle()
-            executor.run_until_drained()
+            self.operator.run_until_drained()
             self.operator.manager.process_finished()
             with self._cond:
                 if not self._queue and self._in_flight == 0:
@@ -459,16 +435,13 @@ class WarehouseService:
 
         Raises:
             PipelineError: when the background driver is running (the
-                driver owns the pipeline then) or the executor is not
-                synchronous.
+                driver owns the pipeline then).
         """
         if self.running:
             raise PipelineError(
                 "pump() conflicts with the running driver; call stop() first"
             )
         executor = self.operator.executor
-        if not isinstance(executor, SynchronousExecutor):
-            raise PipelineError("pump() requires the synchronous executor")
         handled = 0
         for _ in range(batches):
             self._on_cycle()

@@ -27,17 +27,12 @@ from contextlib import contextmanager
 from repro.baseline.engine import EngineProfile, QueryAtATimeEngine
 from repro.catalog.catalog import Catalog
 from repro.catalog.schema import StarSchema
-from repro.cjoin.executor import (
-    MAX_CONCURRENT_QUERIES,
-    ExecutorConfig,
-    _require_int,
-)
+from repro.cjoin.executor import ExecutorConfig
 from repro.cjoin.operator import CJoinOperator
 from repro.cjoin.registry import QueryHandle
 from repro.cjoin.stats import QueryLatencyRecord
 from repro.engine.router import QueryRouter, RoutingDecision
 from repro.engine.service import WarehouseService
-from repro.tuning import TuningConfig, resolve_tuning
 from repro.engine.submission import (
     ROUTE_BASELINE,
     ROUTE_PROCESS,
@@ -57,6 +52,7 @@ from repro.query.star import StarQuery
 from repro.storage.buffer import BufferPool
 from repro.storage.iostats import IOStats
 from repro.storage.mvcc import TransactionManager, VersionedTable
+from repro.tuning import MAX_CONCURRENT_QUERIES, TuningConfig, _require_int
 
 #: Default buffer pool size for a warehouse instance.
 DEFAULT_POOL_PAGES = 2048
@@ -76,21 +72,19 @@ class Warehouse:
         buffer_pool_pages: int = DEFAULT_POOL_PAGES,
         max_concurrent: int = 256,
         enable_updates: bool = False,
-        execution: str | None = None,
+        execution: str = "batched",
         backend: str = "serial",
         tuning: TuningConfig | None = None,
         ingest_buffer_rows: int = DEFAULT_BUFFER_ROWS,
         data_dir: str | None = None,
-        **deprecated,
     ) -> None:
         """Args:
-            execution: CJOIN execution granularity — 'tuple' for the
-                reference tuple-at-a-time path, 'batched' for the
-                vectorized fast path (DESIGN.md section 5).  Results
-                are identical; 'batched' trades per-tuple dispatch for
-                per-batch columnar loops.  Defaults to 'tuple' for the
-                serial backend and 'batched' for the process backend
-                (which requires it).
+            execution: CJOIN execution granularity — 'batched' (the
+                default) for the vectorized path (DESIGN.md section
+                5), 'tuple' for the reference tuple-at-a-time path.
+                Results are identical; 'batched' trades per-tuple
+                dispatch for per-batch columnar passes, and the
+                process backend requires it.
             backend: 'serial' for the always-on in-process operator, or
                 'process' to drain CJOIN queries over fact shards in
                 worker processes (DESIGN.md section 8).  The process
@@ -116,29 +110,12 @@ class Warehouse:
                 :meth:`close` checkpoints a final snapshot.  Use
                 :meth:`open` to cold-start from the directory without
                 regenerating anything.
-
-        The pre-redesign keywords (``workers``, ``max_in_flight``,
-        ``idle_sleep``, ``admission_queue_depth``, ``batch_size``) are
-        still accepted as deprecation shims that emit
-        :class:`DeprecationWarning` and map onto ``tuning``.
         """
-        tuning = resolve_tuning(
-            tuning,
-            deprecated,
-            allowed=(
-                "workers",
-                "max_in_flight",
-                "idle_sleep",
-                "admission_queue_depth",
-                "batch_size",
-            ),
-            where="Warehouse",
-        )
+        if tuning is None:
+            tuning = TuningConfig()
         _require_int(
             "max_concurrent", max_concurrent, 1, MAX_CONCURRENT_QUERIES
         )
-        if execution is None:
-            execution = "batched" if backend == "process" else "tuple"
         self.executor_config = ExecutorConfig(
             execution=execution, backend=backend, tuning=tuning
         )
@@ -620,7 +597,6 @@ class Warehouse:
             workers=self.executor_config.workers,
             batch_size=self.executor_config.batch_size,
             max_concurrent=self.max_concurrent,
-            kernel=self.executor_config.kernel,
         )
 
     def _drain_offline(self, route: str, executor) -> None:

@@ -43,32 +43,3 @@ __all__ = [
     "WarehouseServer",
     "serve_async",
 ]
-
-#: Exports removed from ``__all__`` but still importable through
-#: :func:`__getattr__`, mapped to their replacement.  The API checker
-#: (scripts/check_public_api.py) reports these as "deprecated" notes
-#: instead of "removed" failures.
-__deprecated__ = {
-    "DEFAULT_MAX_IN_FLIGHT_PER_CONNECTION": (
-        "repro.tuning.DEFAULT_MAX_IN_FLIGHT_PER_CONNECTION"
-    ),
-}
-
-
-def __getattr__(name: str):
-    """Serve deprecated exports with a warning (PEP 562)."""
-    if name in __deprecated__:
-        import warnings
-
-        warnings.warn(
-            f"repro.server.{name} is deprecated; use "
-            f"{__deprecated__[name]} instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro import tuning
-
-        return getattr(tuning, name)
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )

@@ -43,12 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument(
-        "--execution",
-        choices=("tuple", "batched"),
-        default="batched",
-        help="CJOIN execution granularity (default batched)",
-    )
-    parser.add_argument(
         "--max-in-flight",
         type=int,
         default=None,
@@ -86,9 +80,7 @@ def main(argv: list[str] | None = None) -> int:
         tuning = tuning.replace(max_in_flight=args.max_in_flight)
     if args.data_dir is not None and has_snapshot(args.data_dir):
         print(f"cold-starting from {args.data_dir} (zero regeneration)...")
-        warehouse = Warehouse.open(
-            args.data_dir, execution=args.execution, tuning=tuning
-        )
+        warehouse = Warehouse.open(args.data_dir, tuning=tuning)
         replay = warehouse.last_replay
         print(
             f"loaded snapshot generation {replay.snapshot_generation}, "
@@ -98,12 +90,11 @@ def main(argv: list[str] | None = None) -> int:
     else:
         print(
             f"loading SSB at scale factor {args.scale_factor} "
-            f"(seed {args.seed}, execution={args.execution})..."
+            f"(seed {args.seed})..."
         )
         warehouse = Warehouse.from_ssb(
             scale_factor=args.scale_factor,
             seed=args.seed,
-            execution=args.execution,
             tuning=tuning,
             data_dir=args.data_dir,
         )

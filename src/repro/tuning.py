@@ -13,16 +13,14 @@ resize a live warehouse between scan cycles.
 
 This module sits below every engine layer (it depends only on
 :mod:`repro.errors`), so the executor, the service, the warehouse,
-and the server can all import it without cycles.  The range-bound
+and the server can all import it without cycles; the range-bound
 constants and the ``_require_int`` / ``_require_float`` validators
-moved here from :mod:`repro.cjoin.executor`, which re-exports them
-for compatibility.
+live here for the same reason.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
@@ -33,9 +31,6 @@ DEFAULT_BATCH_SIZE = 256
 #: Upper bound on process-parallel workers: beyond this, shard setup
 #: cost dwarfs any conceivable speedup on real hardware.
 MAX_WORKERS = 128
-
-#: Upper bound on per-stage worker threads (same rationale).
-MAX_STAGE_THREADS = 64
 
 #: Upper bound on batch_size: one batch should never be asked to hold
 #: more rows than a large fact table, which only wastes memory.
@@ -62,19 +57,6 @@ DEFAULT_ADMISSION_QUEUE_DEPTH = 1024
 #: Default per-connection bound on concurrently submitted statements
 #: (the server-side fairness layer, docs/ARCHITECTURE.md section 4).
 DEFAULT_MAX_IN_FLIGHT_PER_CONNECTION = 16
-
-#: Batch-kernel selection modes (DESIGN.md section 14): 'auto' picks
-#: the pure-Python kernels (measured fastest — the hot passes are
-#: already C-level map traffic, and numpy's per-batch array builds
-#: cost more than its vector AND saves); 'python' / 'numpy' force one
-#: implementation ('numpy' is the opt-in accelerator and requires an
-#: importable numpy); 'off' keeps the per-row reference loops (the
-#: comparison base for benchmarks/bench_kernel_cost.py).
-KERNEL_MODES = ("auto", "python", "numpy", "off")
-
-#: Default kernel mode: the batch kernels, always correct everywhere.
-DEFAULT_KERNEL = "auto"
-
 
 def _require_int(name: str, value, low: int, high: int) -> None:
     """Range-check an integer config field with an actionable message."""
@@ -122,8 +104,6 @@ class TuningConfig:
         workers: fact-table shards / worker processes for the process
             backend; must stay 1 for the serial backend.
         batch_size: items per preprocessor batch (both backends).
-        kernel: batch-kernel mode for the vectorized hot path, one of
-            :data:`KERNEL_MODES` (DESIGN.md section 14).
     """
 
     max_in_flight: int | None = None
@@ -131,7 +111,6 @@ class TuningConfig:
     idle_sleep: float = DEFAULT_IDLE_SLEEP
     workers: int = 1
     batch_size: int = DEFAULT_BATCH_SIZE
-    kernel: str = DEFAULT_KERNEL
 
     def __post_init__(self) -> None:
         if self.max_in_flight is not None:
@@ -147,10 +126,6 @@ class TuningConfig:
         _require_float("idle_sleep", self.idle_sleep, 0.0, MAX_IDLE_SLEEP)
         _require_int("workers", self.workers, 1, MAX_WORKERS)
         _require_int("batch_size", self.batch_size, 1, MAX_BATCH_SIZE)
-        if self.kernel not in KERNEL_MODES:
-            raise ConfigError(
-                f"kernel must be one of {KERNEL_MODES}, got {self.kernel!r}"
-            )
 
     def replace(self, **changes) -> "TuningConfig":
         """A new config with ``changes`` applied (and re-validated)."""
@@ -159,63 +134,3 @@ class TuningConfig:
     def as_dict(self) -> dict:
         """A JSON-able snapshot (the ``tuning`` key of stats frames)."""
         return dataclasses.asdict(self)
-
-
-#: Legacy constructor keywords each shimmed call site may still pass,
-#: mapped to their TuningConfig field (here: names are identical).
-_LEGACY_FIELDS = (
-    "max_in_flight",
-    "admission_queue_depth",
-    "idle_sleep",
-    "workers",
-    "batch_size",
-)
-
-
-def resolve_tuning(
-    tuning: TuningConfig | None,
-    deprecated: dict,
-    *,
-    allowed: tuple[str, ...],
-    where: str,
-) -> TuningConfig:
-    """Fold legacy keyword arguments into one :class:`TuningConfig`.
-
-    The deprecation-shim helper behind ``Warehouse(...)`` and
-    ``WarehouseService(...)``: ``deprecated`` is the ``**kwargs``
-    catch-all of a shimmed constructor.  Legacy keywords named in
-    ``allowed`` emit a :class:`DeprecationWarning` and map onto the
-    matching ``TuningConfig`` field; anything else raises ``TypeError``
-    exactly like a genuinely unknown keyword.  Because ``deprecated``
-    only holds keywords the caller actually spelled out, every entry —
-    including an explicit ``None`` — is validated as a real value by
-    :class:`TuningConfig` (so ``idle_sleep=None`` still raises
-    ``ConfigError`` while ``max_in_flight=None`` stays legal, exactly
-    as the pre-shim constructors behaved).
-
-    Raises:
-        TypeError: on a keyword outside ``allowed``.
-        ConfigError: when both ``tuning=`` and a legacy keyword are
-            given — the caller must pick one spelling.
-    """
-    unknown = [name for name in deprecated if name not in allowed]
-    if unknown:
-        raise TypeError(
-            f"{where}() got an unexpected keyword argument "
-            f"{unknown[0]!r}"
-        )
-    legacy = dict(deprecated)
-    if not legacy:
-        return tuning if tuning is not None else TuningConfig()
-    if tuning is not None:
-        raise ConfigError(
-            f"{where}() got both tuning= and the legacy keyword(s) "
-            f"{sorted(legacy)}; pass every knob through tuning="
-        )
-    warnings.warn(
-        f"{where}({', '.join(sorted(legacy))}=...) is deprecated; pass "
-        f"tuning=TuningConfig(...) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return TuningConfig(**legacy)

@@ -88,53 +88,22 @@ class TestTuningConfig:
 
 
 # ----------------------------------------------------------------------
-# Deprecation shims on the constructors
+# One spelling: knobs ride tuning=, never loose constructor keywords
 # ----------------------------------------------------------------------
-class TestDeprecationShims:
-    def test_warehouse_legacy_kwarg_warns_and_maps(self, tiny_star):
-        catalog, star = tiny_star
-        with pytest.warns(DeprecationWarning, match="max_in_flight"):
-            warehouse = Warehouse(catalog, star, max_in_flight=2)
-        try:
-            assert warehouse.tuning.max_in_flight == 2
-        finally:
-            warehouse.close()
-
-    def test_both_spellings_rejected(self, tiny_star):
-        catalog, star = tiny_star
-        with pytest.raises(ConfigError, match="both tuning="):
-            Warehouse(
-                catalog, star,
-                tuning=TuningConfig(max_in_flight=2),
-                max_in_flight=4,
-            )
-
-    def test_unknown_kwarg_is_a_type_error(self, tiny_star):
-        catalog, star = tiny_star
-        with pytest.raises(TypeError, match="unexpected keyword"):
-            Warehouse(catalog, star, max_inflight=2)
-
-    def test_explicit_none_legacy_value_validates_like_before(self, tiny_star):
-        """An explicitly passed None is a real value, shim or not:
-        ``max_in_flight=None`` stays legal (the field accepts None),
-        ``idle_sleep=None`` still raises exactly as pre-shim."""
-        catalog, star = tiny_star
-        with pytest.warns(DeprecationWarning, match="max_in_flight"):
-            warehouse = Warehouse(catalog, star, max_in_flight=None)
-        assert warehouse.tuning.max_in_flight is None
-        warehouse.close()
-        with pytest.raises(ConfigError, match="idle_sleep must be"):
-            Warehouse(catalog, star, idle_sleep=None)
-
-    def test_service_legacy_kwarg_warns(self, tiny_star):
+class TestSingleSpelling:
+    @pytest.mark.parametrize(
+        "keyword", ["max_in_flight", "idle_sleep", "workers", "max_inflight"]
+    )
+    def test_loose_knob_keyword_is_a_type_error(self, tiny_star, keyword):
         from repro.engine import WarehouseService
 
         catalog, star = tiny_star
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            Warehouse(catalog, star, **{keyword: 2})
         warehouse = Warehouse(catalog, star)
         try:
-            with pytest.warns(DeprecationWarning, match="idle_sleep"):
-                service = WarehouseService(warehouse.cjoin, idle_sleep=0.5)
-            assert service.idle_sleep == 0.5
+            with pytest.raises(TypeError, match="unexpected keyword"):
+                WarehouseService(warehouse.cjoin, **{keyword: 2})
         finally:
             warehouse.close()
 

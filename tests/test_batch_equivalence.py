@@ -1,12 +1,15 @@
 """Batched fast path vs tuple-at-a-time: result equivalence.
 
 The batched executor (DESIGN.md section 5) is a pure performance
-transformation — for every workload, admission interleaving, update
-schedule, and executor layout it must produce byte-identical results to
-the reference tuple-at-a-time path.  These property tests drive both
-paths over randomized SSB workloads, mid-scan admissions (the
-control-tuple ordering hazard), and mid-scan updates under snapshot
-isolation, asserting equality each time.
+transformation — for every workload, batch size, admission
+interleaving, and update schedule it must produce byte-identical
+results to the reference tuple-at-a-time path, and both must match the
+independent evaluator in ``query/reference.py``.  These property tests
+drive both paths over randomized SSB workloads, mid-scan admissions
+(the control-tuple ordering hazard), mid-scan updates under snapshot
+isolation, and the degenerate inputs of the whole-batch passes
+(batches that drop in full, an empty fact table, bit-vectors wider
+than a machine word), asserting equality each time.
 """
 
 from __future__ import annotations
@@ -16,12 +19,16 @@ import dataclasses
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from repro.catalog.catalog import Catalog
 from repro.cjoin import CJoinOperator
 from repro.cjoin.executor import ExecutorConfig
 from repro.query.aggregates import AggregateSpec
+from repro.query.predicate import Comparison
+from repro.query.reference import evaluate_star_query
 from repro.query.star import StarQuery
 from repro.ssb.queries import ssb_workload_generator
 from repro.storage.mvcc import TransactionManager, VersionedTable
+from repro.storage.table import Table
 from tests.conftest import make_tiny_star
 
 
@@ -32,6 +39,14 @@ def _run_all(catalog, star, queries, config, **operator_kwargs):
     handles = [operator.submit(query) for query in queries]
     operator.run_until_drained()
     return [handle.results() for handle in handles]
+
+
+def _assert_paths_match_reference(catalog, star, queries, batch_size):
+    """batched == tuple == query/reference.py, query by query."""
+    expected = [evaluate_star_query(query, catalog) for query in queries]
+    for execution in ("tuple", "batched"):
+        config = ExecutorConfig(execution=execution, batch_size=batch_size)
+        assert _run_all(catalog, star, queries, config) == expected, execution
 
 
 @settings(max_examples=20, deadline=None)
@@ -49,16 +64,57 @@ def test_random_workloads_equivalent(
     queries = ssb_workload_generator(seed=seed, catalog=catalog).generate(
         count, selectivity=selectivity
     )
-    tuple_results = _run_all(
-        catalog, star, queries, ExecutorConfig(batch_size=batch_size)
+    _assert_paths_match_reference(catalog, star, queries, batch_size)
+
+
+def test_more_queries_than_a_machine_word_equivalent(ssb_small):
+    """Past 64 concurrent queries bit-vectors are multi-limb ints; the
+    column passes must carry them exactly like the tuple path."""
+    catalog, star = ssb_small
+    queries = ssb_workload_generator(seed=5, catalog=catalog).generate(
+        70, selectivity=0.1
     )
-    batched_results = _run_all(
-        catalog,
-        star,
-        queries,
-        ExecutorConfig(execution="batched", batch_size=batch_size),
+    _assert_paths_match_reference(catalog, star, queries, batch_size=64)
+
+
+def _lyon_and_atlantis():
+    return [
+        StarQuery.build(
+            "sales",
+            dimension_predicates={"store": Comparison("s_city", "=", city)},
+            aggregates=[AggregateSpec("count")],
+        )
+        for city in ("lyon", "atlantis")
+    ]
+
+
+def test_all_rows_dropped_at_one_filter():
+    """A predicate matching nothing drops every batch in full.
+
+    Exercises the all-dropped compaction (``replace_live`` with an
+    empty survivor list) and the Distributor's empty-batch early-out;
+    the query must still complete with zero rows.
+    """
+    catalog, star = make_tiny_star()
+    queries = _lyon_and_atlantis()
+    _assert_paths_match_reference(catalog, star, queries, batch_size=4)
+    assert evaluate_star_query(queries[0], catalog) == [(5,)]
+    assert evaluate_star_query(queries[1], catalog) == []
+
+
+def test_empty_fact_table_drains_clean():
+    """Zero fact batches: submission still completes on both paths."""
+    catalog, star = make_tiny_star()
+    empty_catalog = Catalog()
+    for name in ("store", "product"):
+        empty_catalog.register_table(catalog.table(name))
+    empty_catalog.register_table(
+        Table.from_rows(star.fact, [], rows_per_page=4)
     )
-    assert tuple_results == batched_results
+    empty_catalog.register_star(star)
+    _assert_paths_match_reference(
+        empty_catalog, star, _lyon_and_atlantis(), batch_size=4
+    )
 
 
 @settings(max_examples=15, deadline=None)
@@ -97,7 +153,8 @@ def test_mid_scan_admission_equivalent(
         operator.run_until_drained()
         return [handle.results() for handle in handles]
 
-    assert staged_run("tuple") == staged_run("batched")
+    expected = [evaluate_star_query(query, catalog) for query in queries]
+    assert staged_run("tuple") == staged_run("batched") == expected
 
 
 @settings(max_examples=15, deadline=None)
@@ -159,30 +216,8 @@ def test_updates_mid_scan_equivalent(
     assert staged_run("tuple") == staged_run("batched")
 
 
-def test_threaded_batched_equivalent(ssb_small, ssb_workload):
-    """Threaded stages consume batches; results match the sync path."""
-    catalog, star = ssb_small
-    sync_results = _run_all(
-        catalog, star, ssb_workload, ExecutorConfig()
-    )
-    operator = CJoinOperator(
-        catalog,
-        star,
-        executor_config=ExecutorConfig(
-            mode="horizontal", stage_threads=(2,), execution="batched"
-        ),
-    )
-    operator.start()
-    try:
-        handles = [operator.submit(query) for query in ssb_workload]
-        operator.executor.wait_for(handles)
-    finally:
-        operator.stop()
-    assert [handle.results() for handle in handles] == sync_results
-
-
 def test_sort_aggregation_batched_equivalent(ssb_small, ssb_workload):
-    """The sort-based operator's consume_batch matches hash results."""
+    """The sort-based operator's consume_rows matches hash results."""
     catalog, star = ssb_small
     hash_results = _run_all(
         catalog, star, ssb_workload, ExecutorConfig(execution="batched")
@@ -260,9 +295,6 @@ def test_admission_where_ends_exhaust_the_batch_budget():
     position ends the newcomer with no rows (the tuple path consumes
     the row before it looks at the wrap-arounds).
     """
-    from repro.query.predicate import Comparison
-    from repro.query.reference import evaluate_star_query
-
     query = StarQuery.build(
         "sales",
         dimension_predicates={

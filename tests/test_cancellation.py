@@ -22,6 +22,7 @@ from repro.query.aggregates import AggregateSpec
 from repro.query.predicate import Comparison
 from repro.query.reference import evaluate_star_query
 from repro.query.star import StarQuery
+from repro.tuning import TuningConfig
 from tests.conftest import make_tiny_star
 
 CITIES = ("lyon", "paris", "nice")
@@ -46,7 +47,9 @@ def small_batch_service(
     operator = CJoinOperator(
         catalog, star, executor_config=ExecutorConfig(batch_size=4)
     )
-    return WarehouseService(operator, max_in_flight=max_in_flight or 256)
+    return WarehouseService(
+        operator, tuning=TuningConfig(max_in_flight=max_in_flight or 256)
+    )
 
 
 class TestMidScanCancel:
@@ -167,7 +170,9 @@ class TestQueuedCancel:
 
     def test_cancel_queued_process_submission(self, tiny_star):
         catalog, star = tiny_star
-        warehouse = Warehouse(catalog, star, backend="process", workers=2)
+        warehouse = Warehouse(
+            catalog, star, backend="process", tuning=TuningConfig(workers=2)
+        )
         keep = warehouse.submit(city_query("lyon"))
         drop = warehouse.submit(city_query("paris"))
         assert warehouse.pending_submissions(ROUTE_PROCESS) == 2

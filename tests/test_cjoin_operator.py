@@ -9,7 +9,7 @@ import pytest
 from repro.cjoin import CJoinOperator
 from repro.cjoin.optimizer import DropRatePolicy, FixedOrderPolicy
 from repro.cjoin.executor import ExecutorConfig
-from repro.errors import AdmissionError, PipelineError
+from repro.errors import AdmissionError
 from repro.query.aggregates import AggregateSpec
 from repro.query.predicate import Comparison
 from repro.query.reference import evaluate_star_query
@@ -315,21 +315,3 @@ class TestAgainstSSB(object):
             assert handle.results() == evaluate_star_query(query, catalog), (
                 query.label
             )
-
-
-class TestThreadedGuards:
-    def test_run_until_drained_requires_sync_executor(self, tiny_star):
-        catalog, star = tiny_star
-        operator = CJoinOperator(
-            catalog,
-            star,
-            executor_config=ExecutorConfig(mode="horizontal", stage_threads=(2,)),
-        )
-        with pytest.raises(PipelineError):
-            operator.run_until_drained()
-
-    def test_start_requires_threaded_executor(self, tiny_star):
-        catalog, star = tiny_star
-        operator = CJoinOperator(catalog, star)
-        with pytest.raises(PipelineError):
-            operator.start()

@@ -34,6 +34,7 @@ from repro.query.predicate import Comparison
 from repro.query.reference import evaluate_star_query
 from repro.query.star import StarQuery
 from repro.sql.render import render_star_query
+from repro.tuning import TuningConfig
 
 CITY_COUNT_SQL = (
     "SELECT COUNT(*) FROM sales, store "
@@ -365,7 +366,9 @@ class TestStreamingEquivalence:
         drain.run()
         expected = [handle.results() for handle in drained]
         with repro.connect(
-            Warehouse(catalog, star, backend="process", workers=2)
+            Warehouse(
+                catalog, star, backend="process", tuning=TuningConfig(workers=2)
+            )
         ) as conn:
             cursors = [conn.execute(sql) for sql in sqls]
             streamed = [list(cursor) for cursor in cursors]
@@ -421,7 +424,9 @@ class TestRouteTelemetry:
 
     def test_process_route_records_latency(self, tiny_star):
         catalog, star = tiny_star
-        warehouse = Warehouse(catalog, star, backend="process", workers=2)
+        warehouse = Warehouse(
+            catalog, star, backend="process", tuning=TuningConfig(workers=2)
+        )
         handles = [
             warehouse.submit(city_query(city)) for city in ("lyon", "paris")
         ]

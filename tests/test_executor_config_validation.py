@@ -1,9 +1,7 @@
 """ExecutorConfig and service-knob range validation (ConfigError).
 
-Prior to the process backend, only ``mode``/``execution`` names were
-validated; worker counts, batch sizes and stage layouts silently
-accepted nonsense (zero workers, bool batch sizes, hybrid layouts with
-no boxes).  The service layer (DESIGN.md section 9) added
+Worker counts and batch sizes must not silently accept nonsense (zero
+workers, bool batch sizes).  The service layer (DESIGN.md section 9) added
 ``max_concurrent`` / ``max_in_flight`` / ``idle_sleep`` /
 ``admission_queue_depth`` to the same regime.  Every rejection must
 carry an actionable message naming the field and the accepted range.
@@ -11,22 +9,18 @@ carry an actionable message naming the field and the accepted range.
 
 import pytest
 
-from repro.cjoin.executor import (
+from repro.cjoin.executor import ExecutorConfig
+from repro.errors import ConfigError, PipelineError
+from repro.tuning import (
     MAX_BATCH_SIZE,
     MAX_CONCURRENT_QUERIES,
     MAX_IDLE_SLEEP,
-    MAX_STAGE_THREADS,
     MAX_WORKERS,
-    ExecutorConfig,
+    TuningConfig,
 )
-from repro.errors import ConfigError, PipelineError
 
 
 class TestNameValidation:
-    def test_unknown_mode(self):
-        with pytest.raises(ConfigError, match="unknown executor mode"):
-            ExecutorConfig(mode="diagonal")
-
     def test_unknown_execution(self):
         with pytest.raises(ConfigError, match="'tuple' or 'batched'"):
             ExecutorConfig(execution="vectorised")
@@ -84,45 +78,11 @@ class TestProcessBackendConstraints:
         with pytest.raises(ConfigError, match="requires execution='batched'"):
             ExecutorConfig(backend="process", workers=2)
 
-    def test_process_requires_synchronous_mode(self):
-        with pytest.raises(ConfigError, match="requires mode='synchronous'"):
-            ExecutorConfig(
-                mode="horizontal",
-                execution="batched",
-                backend="process",
-                workers=2,
-            )
-
     def test_valid_process_config(self):
         config = ExecutorConfig(
             execution="batched", backend="process", workers=8
         )
         assert (config.backend, config.workers) == ("process", 8)
-
-
-class TestStageLayouts:
-    def test_empty_stage_threads(self):
-        with pytest.raises(ConfigError, match="at least one stage"):
-            ExecutorConfig(mode="horizontal", stage_threads=())
-
-    @pytest.mark.parametrize("threads", [0, -2, MAX_STAGE_THREADS + 1])
-    def test_out_of_range_stage_threads(self, threads):
-        with pytest.raises(ConfigError, match=r"stage_threads\[1\]"):
-            ExecutorConfig(mode="horizontal", stage_threads=(1, threads))
-
-    def test_zero_stage_box(self):
-        with pytest.raises(ConfigError, match=r"stage_boxes\[0\]"):
-            ExecutorConfig(
-                mode="hybrid", stage_threads=(1,), stage_boxes=(0, 4)
-            )
-
-    def test_boxes_without_hybrid_mode(self):
-        with pytest.raises(ConfigError, match="mode='hybrid'"):
-            ExecutorConfig(mode="horizontal", stage_boxes=(2, 2))
-
-    def test_hybrid_without_boxes(self):
-        with pytest.raises(ConfigError, match="requires stage_boxes"):
-            ExecutorConfig(mode="hybrid", stage_threads=(1,))
 
 
 class TestWarehouseWiring:
@@ -135,7 +95,7 @@ class TestWarehouseWiring:
                 catalog,
                 star,
                 backend="process",
-                workers=2,
+                tuning=TuningConfig(workers=2),
                 enable_updates=True,
             )
 
@@ -144,13 +104,17 @@ class TestWarehouseWiring:
 
         catalog, star = tiny_star
         with pytest.raises(ConfigError, match="workers must be in"):
-            Warehouse(catalog, star, backend="process", workers=0)
+            Warehouse(
+                catalog, star, backend="process", tuning=TuningConfig(workers=0)
+            )
 
     def test_warehouse_defaults_execution_for_process_backend(self, tiny_star):
         from repro.engine.warehouse import Warehouse
 
         catalog, star = tiny_star
-        warehouse = Warehouse(catalog, star, backend="process", workers=2)
+        warehouse = Warehouse(
+            catalog, star, backend="process", tuning=TuningConfig(workers=2)
+        )
         assert warehouse.executor_config.execution == "batched"
 
 
@@ -183,13 +147,17 @@ class TestServiceKnobs:
 
         catalog, star = tiny_star
         with pytest.raises(ConfigError, match="max_in_flight must be"):
-            Warehouse(catalog, star, max_in_flight=max_in_flight)
+            Warehouse(
+                catalog, star, tuning=TuningConfig(max_in_flight=max_in_flight)
+            )
 
     def test_max_in_flight_clamped_to_max_concurrent(self, tiny_star):
         from repro.engine.warehouse import Warehouse
 
         catalog, star = tiny_star
-        warehouse = Warehouse(catalog, star, max_concurrent=4, max_in_flight=64)
+        warehouse = Warehouse(
+            catalog, star, max_concurrent=4, tuning=TuningConfig(max_in_flight=64)
+        )
         assert warehouse.service.max_in_flight == 4
 
     @pytest.mark.parametrize(
@@ -200,13 +168,14 @@ class TestServiceKnobs:
 
         catalog, star = tiny_star
         with pytest.raises(ConfigError, match="idle_sleep must be"):
-            Warehouse(catalog, star, idle_sleep=idle_sleep)
+            Warehouse(catalog, star, tuning=TuningConfig(idle_sleep=idle_sleep))
 
     def test_idle_sleep_accepts_ints(self, tiny_star):
         from repro.engine.warehouse import Warehouse
 
         catalog, star = tiny_star
-        assert Warehouse(catalog, star, idle_sleep=1).service.idle_sleep == 1
+        warehouse = Warehouse(catalog, star, tuning=TuningConfig(idle_sleep=1))
+        assert warehouse.service.idle_sleep == 1
 
     @pytest.mark.parametrize("depth", [0, -2, 0.5, "many", False])
     def test_bad_admission_queue_depth(self, tiny_star, depth):
@@ -214,7 +183,9 @@ class TestServiceKnobs:
 
         catalog, star = tiny_star
         with pytest.raises(ConfigError, match="admission_queue_depth must be"):
-            Warehouse(catalog, star, admission_queue_depth=depth)
+            Warehouse(
+                catalog, star, tuning=TuningConfig(admission_queue_depth=depth)
+            )
 
     def test_run_forever_validates_idle_sleep(self, tiny_star):
         from repro.cjoin import CJoinOperator

@@ -9,31 +9,6 @@ from repro.query.star import StarQuery
 from tests.test_cjoin_partitioned import partitioned_setup, count_query
 
 
-def test_partitioned_operator_with_threaded_executor():
-    """Partition pruning + the threaded horizontal executor."""
-    catalog, star, partitioned = partitioned_setup()
-    operator = PartitionedCJoinOperator(
-        catalog,
-        star,
-        partitioned,
-        executor_config=ExecutorConfig(
-            mode="horizontal", stage_threads=(2,), batch_size=16
-        ),
-    )
-    queries = [
-        count_query(Between("f_qty", 1, 2)),
-        count_query(),
-    ]
-    operator.start()
-    try:
-        handles = [operator.submit(query) for query in queries]
-        operator.executor.wait_for(handles, timeout=60)
-    finally:
-        operator.stop()
-    for query, handle in zip(queries, handles):
-        assert handle.results() == evaluate_star_query(query, catalog)
-
-
 def test_partitioned_operator_with_sort_aggregation():
     catalog, star, partitioned = partitioned_setup()
     operator = PartitionedCJoinOperator(

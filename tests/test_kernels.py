@@ -1,34 +1,30 @@
-"""Unit tests for the batch kernels and the shm shard transport.
+"""Unit tests for the whole-batch passes and the shm shard transport.
 
-Covers the PR-8 raw-speed layer piece by piece (DESIGN.md section
-14): kernel resolution and the ``REPRO_NO_NUMPY`` probe, the bulk
-bit-vector primitives, the filter kernel against the reference
-per-row loop on hand-checkable data, the numpy kernel's per-call
-fallbacks, the dimension table's columnar snapshot cache, the batch's
-per-batch join attachments, and the shared-memory column codecs.  The
-whole-pipeline equivalence properties live in
-tests/test_kernel_equivalence.py.
+Covers the batched path piece by piece (DESIGN.md section 5): the
+bulk bit-vector primitives, routing group discovery, ``filter_batch``
+in every layout (dense / gathered) and probe strategy (dedup /
+direct) against the tuple path's ``Filter.process`` on hand-checkable
+data, the dimension table's columnar snapshot cache, the batch's
+per-batch join attachments, and the shared-memory column codecs
+(DESIGN.md section 14).  The whole-pipeline equivalence properties
+live in tests/test_batch_equivalence.py.
 """
 
 from __future__ import annotations
 
-import importlib
 import pickle
 
 import pytest
 
 from repro import bitvec
-from repro.cjoin import kernels
 from repro.cjoin.batch import FactBatch
 from repro.cjoin.dimtable import DimensionHashTable
 from repro.cjoin.filter import Filter
 from repro.cjoin.kernels import (
-    HAS_NUMPY,
-    PythonKernel,
+    DEDUP_FANOUT,
+    DENSE_CUTOFF,
     group_rows_by_bits,
-    resolve,
 )
-from repro.errors import ConfigError
 from repro.storage.shm import (
     attach_fact_slice,
     decode_rows,
@@ -36,52 +32,6 @@ from repro.storage.shm import (
     published_fact_table,
 )
 from tests.conftest import make_tiny_star
-
-needs_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="numpy unavailable")
-
-
-# ----------------------------------------------------------------------
-# Kernel resolution
-# ----------------------------------------------------------------------
-class TestResolve:
-    def test_off_returns_none(self):
-        assert resolve("off") is None
-
-    def test_python_is_the_pure_kernel(self):
-        # resolve through the module: another test file's forced-reload
-        # fixture rebinds the kernel classes, so the module attribute is
-        # the truth and the import-time name may be a stale twin
-        kernel = resolve("python")
-        assert type(kernel) is kernels.PythonKernel
-        assert kernel.name == "python"
-
-    def test_auto_prefers_the_python_kernel(self):
-        # 'auto' is the measured-fastest portable choice, not "numpy
-        # when importable" — the accelerator is an explicit opt-in
-        assert resolve("auto") is resolve("python")
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ConfigError, match="unknown kernel mode"):
-            resolve("simd")
-
-    @needs_numpy
-    def test_numpy_mode_resolves_when_available(self):
-        kernel = resolve("numpy")
-        assert type(kernel) is kernels.NumpyKernel
-        assert kernel.name == "numpy"
-
-    def test_no_numpy_env_hides_the_accelerator(self, monkeypatch):
-        """REPRO_NO_NUMPY forces the probe down the pure-Python path."""
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-        importlib.reload(kernels)
-        try:
-            assert not kernels.HAS_NUMPY
-            assert type(kernels.resolve("auto")) is kernels.PythonKernel
-            with pytest.raises(ConfigError, match="requires numpy"):
-                kernels.resolve("numpy")
-        finally:
-            monkeypatch.delenv("REPRO_NO_NUMPY")
-            importlib.reload(kernels)
 
 
 # ----------------------------------------------------------------------
@@ -123,99 +73,133 @@ class TestGroupRowsByBits:
         groups = group_rows_by_bits(self.BITVECTORS, [1, 3, 5])
         assert groups == {0b10: [1], 0b11: [3], 0b01: [5]}
 
-    @needs_numpy
-    def test_numpy_grouping_matches_reference(self):
-        kernel = resolve("numpy")
-        for live in ([0, 1, 2, 3, 4, 5], [1, 3, 5], [2], []):
-            assert kernel.group_rows_by_bits(
-                self.BITVECTORS, live
-            ) == group_rows_by_bits(self.BITVECTORS, live)
-
-    @needs_numpy
-    def test_numpy_grouping_falls_back_on_wide_bits(self):
-        bitvectors = [1 << 80, 0b1, 1 << 80]
-        live = [0, 1, 2]
-        assert resolve("numpy").group_rows_by_bits(
-            bitvectors, live
-        ) == group_rows_by_bits(bitvectors, live)
-
 
 # ----------------------------------------------------------------------
-# Filter kernel vs the reference per-row loop
+# filter_batch vs the tuple path's Filter.process
 # ----------------------------------------------------------------------
-def _store_table() -> DimensionHashTable:
-    """store dim with Q1 selecting lyon+paris, Q2 not referencing."""
-    _, star = make_tiny_star()
+def _store_table(cities=("lyon", "paris")) -> DimensionHashTable:
+    """store dim with Q1 selecting ``cities``, Q2 not referencing."""
+    catalog, star = make_tiny_star()
     table = DimensionHashTable(star.dimension("store"))
     table.mark_query_referencing(1)
-    table.register_selected_rows(1, [(1, "lyon", 100), (2, "paris", 250)])
+    table.register_selected_rows(
+        1, [row for row in catalog.table("store").all_rows() if row[1] in cities]
+    )
     table.mark_query_not_referencing(2)
     return table
 
 
-def _sales_batch() -> FactBatch:
+def _sales_batch(total: int = 12, live=None) -> FactBatch:
+    """``total`` rows cycling through the tiny star's 12 sales, bits
+    cycling through both-queries / Q2-only (skippable at store) /
+    Q1-only; rows outside ``live`` are dead (bit-vector 0, as every
+    drop path leaves them)."""
     catalog, _ = make_tiny_star()
-    rows = catalog.table("sales").all_rows()
-    return FactBatch(
-        list(range(len(rows))),
-        list(range(len(rows))),
-        rows,
-        [0b11] * len(rows),
+    sales = catalog.table("sales").all_rows()
+    rows = [sales[index % len(sales)] for index in range(total)]
+    live = list(range(total)) if live is None else live
+    alive = set(live)
+    pattern = (0b11, 0b10, 0b01)  # query id n rides bit n - 1
+    bitvectors = [
+        pattern[index % 3] if index in alive else 0 for index in range(total)
+    ]
+    batch = FactBatch(
+        list(range(total)), list(range(total)), rows, bitvectors
     )
+    batch.replace_live(live)
+    return batch
 
 
-def _apply_reference(batch: FactBatch, table: DimensionHashTable) -> Filter:
+def _tuple_path(batch: FactBatch, table: DimensionHashTable):
+    """Run the reference ``Filter.process`` over every live row."""
     _, star = make_tiny_star()
-    reference = Filter(table, star, kernel=None)
-    reference.process_batch(batch)
-    return reference
+    reference = Filter(table, star)
+    outcome = {}
+    for row_index in batch.live:
+        fact_tuple = batch.materialize(row_index)
+        survived = reference.process(fact_tuple)
+        outcome[row_index] = (survived, fact_tuple.bitvector, fact_tuple.dim_rows)
+    return reference, outcome
 
 
-@pytest.mark.parametrize("mode", ["python", "numpy"])
-def test_filter_kernel_matches_reference_loop(mode):
-    if mode == "numpy" and not HAS_NUMPY:
-        pytest.skip("numpy unavailable")
-    table = _store_table()
+@pytest.mark.parametrize(
+    "total, live_stride, cities, dense, dedup",
+    [
+        pytest.param(48, 1, ("lyon", "paris"), True, True, id="fully-live-dedup"),
+        pytest.param(6, 1, ("lyon", "paris"), True, False, id="fully-live-direct"),
+        pytest.param(48, 2, ("lyon", "paris"), True, True, id="dense-partial-dedup"),
+        pytest.param(12, 2, ("lyon", "paris"), True, False, id="dense-partial-direct"),
+        pytest.param(48, 5, ("lyon", "paris"), False, True, id="gathered-dedup"),
+        pytest.param(12, 5, ("lyon", "paris"), False, False, id="gathered-direct"),
+        pytest.param(
+            48, 1, ("lyon", "paris", "nice"), True, True, id="nothing-dropped"
+        ),
+        pytest.param(12, 1, ("atlantis",), True, True, id="empty-table-all-drop"),
+    ],
+)
+def test_filter_batch_matches_tuple_filter(
+    total, live_stride, cities, dense, dedup
+):
+    """Every layout x strategy leaves the batch exactly as the tuple
+    path leaves the same rows: bits, survivors, attachments, counts."""
     _, star = make_tiny_star()
-    expected = _sales_batch()
-    reference = _apply_reference(expected, table)
-    batch = _sales_batch()
-    filtered = Filter(table, star, kernel=resolve(mode))
+    table = _store_table(cities)
+    live = list(range(0, total, live_stride))
+    batch = _sales_batch(total, live)
+    # the case exercises the branch its row claims
+    assert (len(live) * DENSE_CUTOFF >= len(batch)) is dense
+    assert (table.tuple_count * DEDUP_FANOUT <= len(live)) is dedup
+    reference, outcome = _tuple_path(_sales_batch(total, live), table)
+    filtered = Filter(table, star)
     filtered.process_batch(batch)
-    assert batch.bitvectors == expected.bitvectors
-    assert batch.live == expected.live
-    assert batch.alive == expected.alive
-    assert filtered.stats.probes == reference.stats.probes
-    assert filtered.stats.probe_skips == reference.stats.probe_skips
-    def snapshot(filtered_batch):
-        return [
-            (t.sequence, t.position, t.row, t.bitvector, t.dim_rows)
-            for t in map(filtered_batch.materialize, filtered_batch.live)
-        ]
+    assert batch.live == [r for r in live if outcome[r][0]]
+    assert batch.alive == bitvec.pack_positions(batch.live)
+    for row_index in live:
+        assert batch.bitvectors[row_index] == outcome[row_index][1]
+    for row_index in batch.live:
+        # a row the tuple path skipped carries no pointer there; the
+        # batch-level lookup may still resolve one, which no routed
+        # query reads (only non-referencing queries want the row)
+        if batch.bitvectors[row_index] & 0b01:
+            assert (
+                batch.materialize(row_index).dim_rows
+                == outcome[row_index][2]
+            )
+    stats, expected = filtered.stats, reference.stats
+    assert stats.tuples_in == expected.tuples_in == len(live)
+    assert stats.tuples_dropped == expected.tuples_dropped
+    # every live row is either a probe or a section 3.2.2 skip on both
+    # paths; only partially-live batches count per-row skips
+    assert stats.probes + stats.probe_skips == len(live)
+    if live_stride > 1:
+        assert stats.probe_skips == expected.probe_skips
+    # hash-table traffic actually paid: the dense layout runs over the
+    # full column, dedup pays once per distinct key
+    keys = [batch.rows[r][0] for r in (range(len(batch)) if dense else live)]
+    assert stats.distinct_probes == (len(set(keys)) if dedup else len(keys))
 
-    assert snapshot(batch) == snapshot(expected)
+
+def test_filter_batch_union_skip_counts_every_row():
+    """A batch relevant only to non-referencing queries is not probed."""
+    _, star = make_tiny_star()
+    table = _store_table()
+    batch = _sales_batch()
+    batch.bitvectors[:] = [0b10] * len(batch)
+    filtered = Filter(table, star)
+    filtered.process_batch(batch)
+    assert batch.live == list(range(12))
+    assert (filtered.stats.probes, filtered.stats.probe_skips) == (0, 12)
 
 
 def test_filter_kernel_alive_mask_tracks_live_list():
     """Both compaction sides keep alive == pack(live) (mostly-dropped
     batches go through replace_live, mostly-kept through drop_rows)."""
     _, star = make_tiny_star()
-    # keep-most: only store 3's sales drop
-    keep_table = DimensionHashTable(star.dimension("store"))
-    keep_table.mark_query_referencing(1)
-    keep_table.register_selected_rows(
-        1, [(1, "lyon", 100), (2, "paris", 250)]
-    )
-    # drop-most: only store 3's sales survive
-    drop_table = DimensionHashTable(star.dimension("store"))
-    drop_table.mark_query_referencing(1)
-    drop_table.register_selected_rows(1, [(3, "nice", 50)])
-    for table in (keep_table, drop_table):
+    for cities in (("lyon", "paris"), ("nice",)):
         batch = _sales_batch()
-        for row_index in range(len(batch)):
-            batch.bitvectors[row_index] = 0b1
-        batch.replace_live(batch.live)  # normalize through the API
-        Filter(table, star, kernel=resolve("python")).process_batch(batch)
+        batch.bitvectors[:] = [0b01] * len(batch)
+        Filter(_store_table(cities), star).process_batch(batch)
+        assert 0 < len(batch.live) < len(batch)
         assert batch.alive == bitvec.pack_positions(batch.live)
         assert all(batch.bitvectors[r] for r in batch.live)
 
@@ -225,24 +209,11 @@ def test_filter_kernel_distinct_probes_counted():
     table = _store_table()
     _, star = make_tiny_star()
     batch = _sales_batch()
-    filtered = Filter(table, star, kernel=resolve("python"))
+    filtered = Filter(table, star)
     filtered.process_batch(batch)
     # 12 logical probes but only 3 distinct store keys in the batch
     assert filtered.stats.probes == 12
     assert 0 < filtered.stats.distinct_probes <= 3
-
-
-@needs_numpy
-def test_numpy_and_pass_falls_back_on_wide_bitvectors():
-    """Bit-vectors beyond 64 bits use the pure pass, same results."""
-    wide = 1 << 70
-    in_bits = [wide | 0b1, 0b1, wide]
-    keys = ["a", "b", "a"]
-    bits_by_key = {"a": wide | 0b1, "b": 0b0}
-    python_out = PythonKernel()._and_pass(in_bits, keys, bits_by_key, 0, True)
-    numpy_out = resolve("numpy")._and_pass(in_bits, keys, bits_by_key, 0, True)
-    assert numpy_out == python_out
-    assert numpy_out[0] == [wide | 0b1, 0, wide]
 
 
 # ----------------------------------------------------------------------

@@ -168,6 +168,7 @@ def test_midscan_service_admission_matches_reference(case):
     never affects answers)."""
     from repro.cjoin.executor import ExecutorConfig
     from repro.engine.service import WarehouseService
+    from repro.tuning import TuningConfig
 
     star, dim_rows, fact_rows, submissions = case
     catalog = Catalog()
@@ -177,7 +178,7 @@ def test_midscan_service_admission_matches_reference(case):
     operator = CJoinOperator(
         catalog, star, executor_config=ExecutorConfig(batch_size=3)
     )
-    service = WarehouseService(operator, max_in_flight=2)
+    service = WarehouseService(operator, tuning=TuningConfig(max_in_flight=2))
     handles = []
     for query, offset in submissions:
         service.pump(batches=offset)

@@ -31,6 +31,7 @@ from repro.client.remote import parse_url
 from repro.engine import Warehouse
 from repro.server import AsyncWarehouseServer, WarehouseServer
 from repro.sql.render import render_star_query
+from repro.tuning import TuningConfig
 
 COUNT_SQL = "SELECT COUNT(*) FROM sales, store WHERE f_store = s_id"
 
@@ -160,7 +161,9 @@ class TestPerConnectionAdmission:
         drives the drain, so queue states are fully deterministic."""
         catalog, star = tiny_star
         with server_class(
-            Warehouse(catalog, star, backend="process", workers=2),
+            Warehouse(
+                catalog, star, backend="process", tuning=TuningConfig(workers=2)
+            ),
             owns_warehouse=True,
             max_in_flight_per_connection=1,
         ) as server:

@@ -129,52 +129,6 @@ def test_public_api_checker_flags_drift():
     )
 
 
-def test_public_api_checker_notes_deprecated_not_missing():
-    """A symbol that moved behind a ``__deprecated__`` shim is reported
-    as a note, never as a removed-symbol failure."""
-    checker = _load_script("check_public_api")
-    observed = checker.current_surface()
-    # the live surface carries the shimmed repro.server constant
-    entry = observed["repro.server"]["DEFAULT_MAX_IN_FLIGHT_PER_CONNECTION"]
-    assert entry["kind"] == "deprecated"
-    assert "repro.tuning" in entry["replacement"]
-    # against a snapshot that still records it as a plain constant,
-    # the drift is a note, not a problem
-    snapshot = checker.current_surface()
-    snapshot["repro.server"]["DEFAULT_MAX_IN_FLIGHT_PER_CONNECTION"] = {
-        "kind": "constant",
-        "type": "int",
-    }
-    notes: list[str] = []
-    problems = checker.compare(snapshot, observed, notes)
-    assert problems == []
-    assert len(notes) == 1 and "deprecated" in notes[0]
-    # the two-argument call (no notes sink) stays compatible
-    assert checker.compare(snapshot, observed) == []
-
-
-def test_deprecated_server_constant_still_importable():
-    """The PEP 562 shim serves the moved constant with a warning."""
-    import warnings
-
-    import repro.server
-    from repro.tuning import DEFAULT_MAX_IN_FLIGHT_PER_CONNECTION
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        value = repro.server.DEFAULT_MAX_IN_FLIGHT_PER_CONNECTION
-    assert value == DEFAULT_MAX_IN_FLIGHT_PER_CONNECTION
-    assert any(
-        issubclass(w.category, DeprecationWarning) for w in caught
-    )
-    try:
-        repro.server.definitely_not_an_export
-    except AttributeError as error:
-        assert "definitely_not_an_export" in str(error)
-    else:
-        raise AssertionError("unknown attribute should still raise")
-
-
 def test_public_api_checker_reports_missing_snapshot(tmp_path):
     checker = _load_script("check_public_api")
     problems = checker.check(tmp_path / "nope.json")

@@ -21,6 +21,7 @@ from repro.query.predicate import Between, Comparison
 from repro.query.reference import evaluate_star_query
 from repro.query.star import ColumnRef, StarQuery
 from repro.ssb.generator import load_ssb
+from repro.tuning import TuningConfig
 
 
 def city_query(city: str, label: str | None = None) -> StarQuery:
@@ -78,7 +79,9 @@ class TestServiceLifecycle:
 
     def test_idle_service_burns_no_scan_work(self, tiny_star):
         catalog, star = tiny_star
-        warehouse = Warehouse(catalog, star, idle_sleep=0.0005)
+        warehouse = Warehouse(
+            catalog, star, tuning=TuningConfig(idle_sleep=0.0005)
+        )
         warehouse.start_service()
         try:
             time.sleep(0.05)
@@ -132,7 +135,9 @@ class TestSubmission:
     def test_admission_queue_overflow_rejected(self, tiny_star):
         catalog, star = tiny_star
         warehouse = Warehouse(
-            catalog, star, max_in_flight=1, admission_queue_depth=2
+            catalog,
+            star,
+            tuning=TuningConfig(max_in_flight=1, admission_queue_depth=2),
         )
         for _ in range(3):  # 1 in flight + 2 queued
             warehouse.submit(city_query("lyon"))
@@ -144,7 +149,7 @@ class TestSubmission:
         from repro.errors import SchemaError
 
         catalog, star = tiny_star
-        warehouse = Warehouse(catalog, star, max_in_flight=1)
+        warehouse = Warehouse(catalog, star, tuning=TuningConfig(max_in_flight=1))
         warehouse.submit(city_query("lyon"))  # occupy the slot
         bad = StarQuery.build(
             "sales",
@@ -157,7 +162,7 @@ class TestSubmission:
     def test_queued_submissions_keep_their_handle(self, tiny_star):
         """No placeholder forwarding: the queued handle is THE handle."""
         catalog, star = tiny_star
-        warehouse = Warehouse(catalog, star, max_in_flight=1)
+        warehouse = Warehouse(catalog, star, tuning=TuningConfig(max_in_flight=1))
         first = warehouse.submit(city_query("lyon"))
         queued = warehouse.submit(city_query("paris"))
         assert warehouse.service.queued == 1
@@ -183,7 +188,7 @@ class TestHandleTelemetry:
 
     def test_wait_seconds_before_admission_raises(self, tiny_star):
         catalog, star = tiny_star
-        warehouse = Warehouse(catalog, star, max_in_flight=1)
+        warehouse = Warehouse(catalog, star, tuning=TuningConfig(max_in_flight=1))
         warehouse.submit(city_query("lyon"))
         queued = warehouse.submit(city_query("paris"))
         with pytest.raises(AdmissionError, match="not been admitted"):
@@ -272,9 +277,7 @@ def test_open_loop_soak():
     equal to the reference evaluator, clean shutdown with no leaked
     threads, and a p50/p95/p99 latency report."""
     catalog, star = load_ssb(scale_factor=0.002, seed=31)
-    warehouse = Warehouse(
-        catalog, star, execution="batched", max_in_flight=16
-    )
+    warehouse = Warehouse(catalog, star, tuning=TuningConfig(max_in_flight=16))
     threads_before = set(threading.enumerate())
     service = warehouse.start_service()
 
@@ -380,42 +383,6 @@ class TestRunCompatibility:
                 )
         finally:
             warehouse.stop_service()
-
-    def test_service_constructor_rejects_threaded_drain(self, tiny_star):
-        from repro.cjoin import CJoinOperator, ExecutorConfig
-
-        catalog, star = tiny_star
-        operator = CJoinOperator(
-            catalog,
-            star,
-            executor_config=ExecutorConfig(mode="horizontal", stage_threads=(2,)),
-        )
-        service = WarehouseService(operator)
-        with pytest.raises(PipelineError, match="synchronous executor"):
-            service.drain()
-
-    def test_service_over_threaded_executor(self, tiny_star):
-        """run_forever() is uniform: the stage-threaded driver serves too."""
-        from repro.cjoin import CJoinOperator, ExecutorConfig
-
-        catalog, star = tiny_star
-        operator = CJoinOperator(
-            catalog,
-            star,
-            executor_config=ExecutorConfig(mode="horizontal", stage_threads=(2,)),
-        )
-        before = set(threading.enumerate())
-        service = WarehouseService(operator, idle_sleep=0.0005).start()
-        try:
-            handle = service.submit(city_query("lyon"))
-            assert handle.results(timeout=10.0) == evaluate_star_query(
-                city_query("lyon"), catalog
-            )
-            service.drain(timeout=10.0)
-        finally:
-            service.stop()
-        assert not service.running
-        assert set(threading.enumerate()) == before, "leaked threads"
 
 
 class TestBlueGreenSwap:
