@@ -6,10 +6,9 @@ round trips if many independent clients actually share the continuous
 scan.  This benchmark drives the same query mix two ways over
 identically configured warehouses:
 
-* **remote** — one warehouse server (threaded or asyncio, selected
-  with ``--transport``), N concurrent socket clients (each its own
-  `repro.connect("tcp://...")` session and thread) executing and
-  fetching over the docs/PROTOCOL.md wire protocol;
+* **remote** — one warehouse server, N concurrent socket clients
+  (each its own `repro.connect("tcp://...")` session and thread)
+  executing and fetching over the docs/PROTOCOL.md wire protocol;
 * **in-process** — the same N threads sharing one in-process
   `repro.connect(warehouse)` session over a live service.
 
@@ -18,11 +17,10 @@ every client completes, and no threads leak after `server.stop()`.
 The wire-overhead ratio (remote wall / in-process wall) is reported
 for eyeballing, never asserted — EXPERIMENTS.md section 1's policy.
 
-``--transport async`` additionally runs the ISSUE 6 open-loop
-session-scaling pass (EXPERIMENTS.md section 9): one process drives
-1000+ concurrent remote sessions — protocol-v2 statements multiplexed
-over a small async connection pool against the asyncio server — at a
-fixed arrival rate, at a low rung and a high rung, and reports the
+Then the ISSUE 6 open-loop session-scaling pass (EXPERIMENTS.md
+section 9): one process drives 1000+ concurrent remote sessions —
+statements multiplexed over a small async connection pool against the
+same server class — at a fixed arrival rate, at a low rung and a high rung, and reports the
 connections-vs-p95 flatness ratio ``p95(low) / p95(high)`` (1.0 =
 session count does not move tail latency; gated via
 BENCH_baseline.json ``async_session_flatness``).
@@ -31,7 +29,7 @@ Knobs::
 
     PYTHONPATH=src python benchmarks/bench_remote_concurrency.py \
         [--clients N] [--queries-per-client M] [--smoke] \
-        [--transport threaded|async] [--sessions N] [--sessions-low N]
+        [--sessions N] [--sessions-low N]
 """
 
 from __future__ import annotations
@@ -47,7 +45,7 @@ from repro.query.aggregates import AggregateSpec
 from repro.query.predicate import Between
 from repro.query.reference import evaluate_star_query
 from repro.query.star import ColumnRef, StarQuery
-from repro.server import AsyncWarehouseServer, WarehouseServer
+from repro.server import WarehouseServer
 from repro.sql.render import render_star_query
 from repro.tuning import TuningConfig
 
@@ -55,8 +53,6 @@ SCALE_FACTOR = 0.002
 DEFAULT_CLIENTS = 8
 DEFAULT_QUERIES_PER_CLIENT = 4
 RESULT_TIMEOUT = 120.0
-
-SERVER_CLASSES = {"threaded": WarehouseServer, "async": AsyncWarehouseServer}
 
 #: open-loop session-scaling rungs (EXPERIMENTS.md section 9)
 DEFAULT_SESSIONS = 1024
@@ -136,7 +132,6 @@ def measure_remote_concurrency(
     clients: int = DEFAULT_CLIENTS,
     queries_per_client: int = DEFAULT_QUERIES_PER_CLIENT,
     scale_factor: float = SCALE_FACTOR,
-    server_class: type = WarehouseServer,
 ) -> dict:
     """One measured pass of both transports; returns rows and gates."""
     queries = workload(clients * queries_per_client)
@@ -165,7 +160,7 @@ def measure_remote_concurrency(
     threads_before = set(threading.enumerate())
 
     # -- remote: one server, N socket clients -------------------------
-    server = server_class(build(), owns_warehouse=True)
+    server = WarehouseServer(build(), owns_warehouse=True)
     server.start()
     try:
         remote_rows, remote_latencies, remote_wall = _run_clients(
@@ -210,10 +205,6 @@ def measure_remote_concurrency(
         return pct(values, fraction)
 
     return {
-        "transport": [
-            name for name, cls in SERVER_CLASSES.items()
-            if cls is server_class
-        ][0],
         "clients": clients,
         "queries": len(queries),
         "remote_ok": matches(remote_rows),
@@ -340,7 +331,7 @@ def measure_async_sessions(
     ]
 
     threads_before = set(threading.enumerate())
-    server = AsyncWarehouseServer(
+    server = WarehouseServer(
         warehouse,
         owns_warehouse=True,
         max_in_flight_per_connection=max(sessions, 16),
@@ -425,8 +416,7 @@ def _session_gates_pass(measured: dict) -> bool:
 
 def _report(measured: dict) -> str:
     return (
-        f"remote concurrency ({measured['transport']}): "
-        f"{measured['clients']} clients x "
+        f"remote concurrency: {measured['clients']} clients x "
         f"{measured['queries'] // measured['clients']} queries; "
         f"remote wall {measured['remote_wall']:.2f}s "
         f"(p95 {measured['remote_p95'] * 1e3:.1f} ms) vs in-process "
@@ -467,43 +457,31 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=DEFAULT_QUERIES_PER_CLIENT,
     )
-    parser.add_argument(
-        "--transport",
-        choices=sorted(SERVER_CLASSES),
-        default="threaded",
-    )
     parser.add_argument("--sessions", type=int, default=DEFAULT_SESSIONS)
     parser.add_argument(
         "--sessions-low", type=int, default=DEFAULT_SESSIONS_LOW
     )
     parser.add_argument("--smoke", action="store_true")
     args = parser.parse_args(argv)
-    server_class = SERVER_CLASSES[args.transport]
     if args.smoke:
         measured = measure_remote_concurrency(
-            clients=4,
-            queries_per_client=2,
-            scale_factor=0.001,
-            server_class=server_class,
+            clients=4, queries_per_client=2, scale_factor=0.001
         )
     else:
         measured = measure_remote_concurrency(
             clients=args.clients,
             queries_per_client=args.queries_per_client,
-            server_class=server_class,
         )
     print(_report(measured))
-    ok = _gates_pass(measured)
-    if args.transport == "async":
-        # the session-scaling pass (EXPERIMENTS.md section 9); smoke
-        # keeps CI fast with scaled-down rungs over the same code path
-        sessions = 128 if args.smoke else args.sessions
-        sessions_low = 32 if args.smoke else args.sessions_low
-        scaled = measure_async_sessions(
-            sessions=sessions, sessions_low=sessions_low
-        )
-        print(_session_report(scaled))
-        ok = ok and _session_gates_pass(scaled)
+    # the session-scaling pass (EXPERIMENTS.md section 9); smoke keeps
+    # CI fast with scaled-down rungs over the same code path
+    sessions = 128 if args.smoke else args.sessions
+    sessions_low = 32 if args.smoke else args.sessions_low
+    scaled = measure_async_sessions(
+        sessions=sessions, sessions_low=sessions_low
+    )
+    print(_session_report(scaled))
+    ok = _gates_pass(measured) and _session_gates_pass(scaled)
     print("remote concurrency bench ok" if ok else
           "remote concurrency bench FAILED")
     return 0 if ok else 1

@@ -15,7 +15,7 @@ meaningful across machines of different speeds):
   paper's predictability claim);
 * ``async_session_flatness`` — probe-statement p95 with 64 concurrent
   remote sessions held open over probe p95 with 1024 held, multiplexed
-  over 4 sockets against the asyncio server
+  over 4 sockets against one server
   (benchmarks/bench_remote_concurrency.py; 1.0 = session count does
   not move tail latency, the serving-layer predictability claim);
 * ``burst_recovery_ratio`` — p95 under an 8x Poisson burst with a

@@ -180,12 +180,14 @@ class Distributor:
         self._since_snapshot.pop(query_id, None)
         if operator is None or registration is None:
             raise PipelineError(f"end-of-query for unknown query {query_id}")
+        # counted before the handle completes: completion wakes the
+        # client, whose next stats() must already include this query
+        self.stats.queries_completed += 1
         if registration.handle.cancelled:
             # a cancelled query's QueryEnd arrived through the normal
             # stream; its accumulated state is discarded and the handle
             # completes empty (results() raises CancelledError)
             registration.handle.complete([])
-            self.stats.queries_completed += 1
             if self.on_query_finished is not None:
                 self.on_query_finished(query_id)
             return
@@ -200,7 +202,6 @@ class Distributor:
             registration.handle.complete([])
         else:
             registration.handle.complete(operator.results())
-        self.stats.queries_completed += 1
         if self.on_query_finished is not None:
             self.on_query_finished(query_id)
 

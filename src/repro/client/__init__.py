@@ -9,7 +9,9 @@ driver's lifecycle; ``Connection.cursor()`` hands out
 ``rows_so_far()`` (incremental partials) and ``cancel()`` (mid-scan
 deregistration).  ``connect("tcp://host:port")`` returns the same
 surface backed by the docs/PROTOCOL.md socket transport
-(:class:`RemoteConnection` / :class:`RemoteCursor`).
+(:class:`RemoteConnection` / :class:`RemoteCursor`), and
+``connect_async(...)`` its asyncio form; both run the socket-free
+statement core of :mod:`repro.client.wire`.
 
 Module globals follow PEP 249: ``apilevel``, ``threadsafety`` (2 —
 threads may share the module and connections), and ``paramstyle``

@@ -1,12 +1,11 @@
 """The asyncio client: ``await repro.connect_async("tcp://host:port")``.
 
-Protocol v2's client half (docs/PROTOCOL.md section 8): an
-:class:`AsyncRemoteConnection` keeps MANY requests in flight on one
-socket — every outgoing frame carries a fresh request id, a single
-reader task demultiplexes replies back to per-request futures, and a
-write lock keeps frame boundaries intact.  A thousand concurrent
-cursors therefore need neither a thousand sockets nor a thousand
-threads: :func:`connect_async` opens a small
+An :class:`AsyncRemoteConnection` keeps MANY requests in flight on one
+socket (docs/PROTOCOL.md section 8) — every outgoing frame carries a
+fresh request id, a single reader task demultiplexes replies back to
+per-request futures, and a write lock keeps frame boundaries intact.
+A thousand concurrent cursors therefore need neither a thousand
+sockets nor a thousand threads: :func:`connect_async` opens a small
 :class:`AsyncConnectionPool` and deals cursors across it round-robin,
 which is how the open-loop benchmark drives 1k+ concurrent remote
 sessions from one process (EXPERIMENTS.md section 9).
@@ -14,28 +13,27 @@ sessions from one process (EXPERIMENTS.md section 9).
 The cursor surface mirrors the PEP-249 shape of
 :class:`~repro.client.cursor.Cursor` with ``await`` in front of the
 blocking calls (``execute``, the fetch family, ``cancel``,
-``rows_so_far``) and ``async for`` in place of iteration; description
-tuples, paging semantics, and the error mapping are byte-identical to
-the sync client because both ends share :mod:`repro.server.protocol`.
+``rows_so_far``) and ``async for`` in place of iteration.  What is
+sent and what each reply means lives in :mod:`repro.client.wire`,
+shared with the blocking client, so description tuples, paging
+semantics, and the error mapping cannot differ between the two; this
+module is the multiplexing transport under it and the driver that
+awaits one request per payload a wire operation yields.
 """
 
 from __future__ import annotations
 
 import asyncio
 
+from repro.client import wire
 from repro.client.exceptions import (
-    DatabaseError,
     Error,
     InterfaceError,
     OperationalError,
-    ProgrammingError,
 )
-from repro.client.remote import _ERROR_CLASSES, _jsonable_params, parse_url
+from repro.client.remote import DEFAULT_CONNECT_TIMEOUT, parse_url
 from repro.server import protocol
 from repro.server.protocol import ProtocolError
-
-#: Default seconds for the TCP connect and the HELLO reply.
-DEFAULT_CONNECT_TIMEOUT = 10.0
 
 #: Default sockets per pool; cursors multiplex, so a handful of
 #: sockets carries hundreds of concurrent sessions.
@@ -43,7 +41,7 @@ DEFAULT_POOL_SIZE = 4
 
 
 class AsyncRemoteConnection:
-    """One multiplexed v2 session over a warehouse server.
+    """One multiplexed session over a warehouse server.
 
     Construct via :meth:`open` (or, pooled, via
     :func:`connect_async`).  All methods must be called from the event
@@ -86,8 +84,7 @@ class AsyncRemoteConnection:
 
         Raises:
             OperationalError: when the server is unreachable or
-                negotiates a version below 2 — multiplexing is the
-                point of this client; v1 servers take the sync client.
+                negotiates a version this client does not speak.
         """
         try:
             reader, writer = await asyncio.wait_for(
@@ -102,14 +99,7 @@ class AsyncRemoteConnection:
             # HELLO precedes negotiation, so it carries no request id
             # and its reply is read inline, before the read loop owns
             # the stream
-            writer.write(
-                protocol.encode_frame(
-                    {
-                        "type": protocol.HELLO,
-                        "version": protocol.PROTOCOL_VERSION,
-                    }
-                )
-            )
+            writer.write(protocol.encode_frame(wire.hello_request()))
             await writer.drain()
             reply = await asyncio.wait_for(
                 protocol.read_frame_async(reader), connect_timeout
@@ -122,20 +112,12 @@ class AsyncRemoteConnection:
         try:
             if reply is None:
                 raise OperationalError("server closed the connection")
-            if reply.get("type") == protocol.ERROR:
-                raise _mapped_error(reply)
-            version = reply.get("version")
-            if not isinstance(version, int) or version < 2:
-                raise OperationalError(
-                    f"server negotiated protocol version {version!r}; "
-                    f"the async client requires version 2 (use "
-                    f"repro.connect() for v1 servers)"
-                )
+            conn.protocol_version, conn.server_info = wire.accept_hello(
+                reply
+            )
         except Error:
             await conn._abandon()
             raise
-        conn.protocol_version = version
-        conn.server_info = reply.get("server", "")
         conn._read_task = asyncio.get_running_loop().create_task(
             conn._read_loop()
         )
@@ -203,14 +185,11 @@ class AsyncRemoteConnection:
                 await self._writer.drain()
         except (ConnectionError, OSError) as error:
             self._futures.pop(request_id, None)
-            self._fail_pending(
-                OperationalError(
-                    f"connection to the server failed: {error}"
-                )
-            )
-            raise OperationalError(
+            failure = OperationalError(
                 f"connection to the server failed: {error}"
-            ) from error
+            )
+            self._fail_pending(failure)
+            raise failure from error
         try:
             reply = await asyncio.wait_for(future, self._reply_timeout)
         except (asyncio.TimeoutError, TimeoutError) as error:
@@ -218,9 +197,22 @@ class AsyncRemoteConnection:
             raise OperationalError(
                 "timed out waiting for the server's reply"
             ) from error
-        if reply.get("type") == protocol.ERROR:
-            raise _mapped_error(reply)
-        return reply
+        return wire.check_reply(reply)
+
+    async def _run(self, steps):
+        """Drive one :mod:`repro.client.wire` operation to its result:
+        each request it yields is one awaited :meth:`_request`."""
+        try:
+            payload = next(steps)
+            while True:
+                try:
+                    reply = await self._request(payload)
+                except Error as error:
+                    payload = steps.throw(error)
+                else:
+                    payload = steps.send(reply)
+        except StopIteration as done:
+            return done.value
 
     # -- lifecycle -----------------------------------------------------
     @property
@@ -240,7 +232,7 @@ class AsyncRemoteConnection:
         try:
             if self._broken is None:
                 await asyncio.wait_for(
-                    self._request({"type": protocol.CLOSE}), 5.0
+                    self._run(wire.close_session()), 5.0
                 )
         except (Error, asyncio.TimeoutError, TimeoutError):
             pass  # the socket teardown is what matters
@@ -278,14 +270,10 @@ class AsyncRemoteConnection:
 
     # -- telemetry (docs/PROTOCOL.md section 9) ------------------------
     async def stats(self) -> dict:
-        """The server warehouse's telemetry + decision-audit snapshot.
-
-        Same schema as local ``Connection.stats()``; the async client
-        always negotiates protocol v2, so no version gate is needed.
-        """
+        """The server warehouse's telemetry + decision-audit snapshot
+        (same schema as local ``Connection.stats()``)."""
         self._check_open()
-        reply = await self._request({"type": protocol.STATS})
-        return reply.get("stats", {})
+        return await self._run(wire.stats())
 
     # -- streaming ingest (docs/PROTOCOL.md section 10) ----------------
     async def ingest(
@@ -297,35 +285,12 @@ class AsyncRemoteConnection:
         """Ship a write set; the INGEST_OK ack means it is applied.
 
         Same receipt schema (``rows``, ``snapshot_id``,
-        ``generation``) as the sync clients; the async client always
-        negotiates protocol v2, so no version gate is needed.  The
-        ack multiplexes like any other reply, so queries on this
-        connection keep flowing while the batch waits for its scan
-        boundary.
+        ``generation``) as the sync clients.  The ack multiplexes like
+        any other reply, so queries on this connection keep flowing
+        while the batch waits for its scan boundary.
         """
         self._check_open()
-        payload: dict = {"type": protocol.INGEST}
-        if fact_rows is not None:
-            payload["fact_rows"] = [list(row) for row in fact_rows]
-        if dim_upserts is not None:
-            payload["dim_upserts"] = {
-                name: [list(row) for row in rows]
-                for name, rows in dim_upserts.items()
-            }
-        if timeout is not None:
-            payload["timeout"] = timeout
-        reply = await self._request(payload)
-        return {
-            "rows": reply.get("rows"),
-            "snapshot_id": reply.get("snapshot_id"),
-            "generation": reply.get("generation"),
-        }
-
-
-def _mapped_error(reply: dict) -> Error:
-    detail = reply.get("error") or {}
-    exc_class = _ERROR_CLASSES.get(detail.get("class"), DatabaseError)
-    return exc_class(detail.get("message", "server reported an error"))
+        return await self._run(wire.ingest(fact_rows, dim_upserts, timeout))
 
 
 class AsyncCursor:
@@ -340,9 +305,7 @@ class AsyncCursor:
         self.connection = connection
         #: default fetchmany size (PEP 249)
         self.arraysize = 1
-        self._query_ids: list[int] = []
-        self._description = None
-        self._rows: list[tuple] | None = None
+        self._statement = wire.Statement()
         self._index = 0
         self._closed = False
 
@@ -350,105 +313,47 @@ class AsyncCursor:
     async def execute(self, sql: str, params=None) -> "AsyncCursor":
         """Ship one statement; the server parses, binds, and submits."""
         self._check_open()
-        reply = await self.connection._request(
-            {
-                "type": protocol.EXECUTE,
-                "sql": sql,
-                "params": _jsonable_params(params),
-            }
-        )
-        await self._install(reply)
+        await self.connection._run(self._statement.execute(sql, params))
+        self._index = 0
         return self
 
     async def executemany(self, sql: str, seq_of_params) -> "AsyncCursor":
         """One statement, many parameter sets, one frame (atomic)."""
         self._check_open()
-        reply = await self.connection._request(
-            {
-                "type": protocol.EXECUTE,
-                "sql": sql,
-                "param_sets": [
-                    _jsonable_params(params) for params in seq_of_params
-                ],
-            }
+        await self.connection._run(
+            self._statement.executemany(sql, seq_of_params)
         )
-        await self._install(reply)
-        return self
-
-    async def _install(self, reply: dict) -> None:
-        await self._release_queries()
-        query_ids = reply.get("query_ids")
-        if not isinstance(query_ids, list):
-            raise OperationalError(
-                "malformed execute_ok frame: missing query_ids"
-            )
-        self._query_ids = query_ids
-        self._description = protocol.decode_description(
-            reply.get("description")
-        )
-        # zero bindings executed the statement zero times: an empty
-        # result set, not 'never executed' (same as the sync cursor)
-        self._rows = None if query_ids else []
         self._index = 0
-
-    async def _release_queries(self) -> None:
-        """Free the server-side statement state (best effort)."""
-        ids, self._query_ids = self._query_ids, []
-        for query_id in ids:
-            try:
-                await self.connection._request(
-                    {"type": protocol.CLOSE, "query_id": query_id}
-                )
-            except Error:
-                break  # transport gone; server teardown reclaims state
+        return self
 
     async def close(self) -> None:
         """Close the cursor (idempotent); releases server-side state."""
         if not self._closed and not self.connection.closed:
-            await self._release_queries()
+            await self.connection._run(self._statement.release())
         self._closed = True
 
     # -- results -------------------------------------------------------
     @property
     def description(self):
         """PEP 249 description 7-tuples (None before execute)."""
-        return self._description
+        return self._statement.description
 
     @property
     def rowcount(self) -> int:
         """Rows in the materialized result; -1 before materialization."""
-        return -1 if self._rows is None else len(self._rows)
+        return self._statement.rowcount
 
     def _check_open(self) -> None:
         if self._closed:
             raise InterfaceError("cursor is closed")
         self.connection._check_open()
 
-    def _check_executed(self) -> None:
-        if not self._query_ids and self._rows is None:
-            raise ProgrammingError(
-                "no statement executed yet; call execute() first"
-            )
-
     async def _ensure_rows(self) -> list[tuple]:
-        if self._rows is None:
-            self._check_executed()
-            rows: list[tuple] = []
-            for query_id in self._query_ids:
-                more = True
-                while more:
-                    reply = await self.connection._request(
-                        {
-                            "type": protocol.FETCH,
-                            "query_id": query_id,
-                            "max_rows": self.connection.page_rows,
-                            "timeout": self.connection.fetch_timeout,
-                        }
-                    )
-                    rows.extend(protocol.decode_rows(reply.get("rows")))
-                    more = bool(reply.get("more"))
-            self._rows = rows
-        return self._rows
+        return await self.connection._run(
+            self._statement.fetch(
+                self.connection.page_rows, self.connection.fetch_timeout
+            )
+        )
 
     async def fetchone(self) -> tuple | None:
         """The next row, or None when exhausted."""
@@ -490,38 +395,20 @@ class AsyncCursor:
     async def rows_so_far(self) -> list[tuple]:
         """Live partial results via a non-blocking partial-mode FETCH."""
         self._check_open()
-        self._check_executed()
-        rows: list[tuple] = []
-        for query_id in self._query_ids:
-            reply = await self.connection._request(
-                {
-                    "type": protocol.FETCH,
-                    "query_id": query_id,
-                    "mode": "partial",
-                }
-            )
-            rows.extend(protocol.decode_rows(reply.get("rows")))
-        return rows
+        return await self.connection._run(self._statement.partial())
 
     async def cancel(self) -> int:
         """Cancel the statement's queries server-side; returns count."""
         self._check_open()
-        self._check_executed()
-        cancelled = 0
-        for query_id in self._query_ids:
-            reply = await self.connection._request(
-                {"type": protocol.CANCEL, "query_id": query_id}
-            )
-            cancelled += bool(reply.get("cancelled"))
-        return cancelled
+        return await self.connection._run(self._statement.cancel())
 
 
 class AsyncConnectionPool:
     """A handful of multiplexed sockets serving many cursors.
 
     Cursors are dealt round-robin, so concurrent sessions spread
-    evenly; each socket carries many in-flight requests (protocol v2),
-    so pool size trades head-of-line latency against fd count, not
+    evenly; each socket carries many in-flight requests, so pool
+    size trades head-of-line latency against fd count, not
     concurrency.
     """
 
@@ -550,13 +437,16 @@ class AsyncConnectionPool:
     def protocol_version(self) -> int:
         return self._connections[0].protocol_version
 
-    def cursor(self) -> AsyncCursor:
-        """A new cursor on the next pool connection (round-robin)."""
+    def _next_connection(self) -> AsyncRemoteConnection:
         if self._closed:
             raise InterfaceError("connection pool is closed")
         connection = self._connections[self._next % len(self._connections)]
         self._next += 1
-        return connection.cursor()
+        return connection
+
+    def cursor(self) -> AsyncCursor:
+        """A new cursor on the next pool connection (round-robin)."""
+        return self._next_connection().cursor()
 
     async def execute(self, sql: str, params=None) -> AsyncCursor:
         """Convenience: new pooled cursor, execute, return it."""
@@ -588,11 +478,7 @@ class AsyncConnectionPool:
         exactly like cursors; each batch's per-connection admission
         bound applies to the socket that carried it.
         """
-        if self._closed:
-            raise InterfaceError("connection pool is closed")
-        connection = self._connections[self._next % len(self._connections)]
-        self._next += 1
-        return await connection.ingest(
+        return await self._next_connection().ingest(
             fact_rows=fact_rows, dim_upserts=dim_upserts, timeout=timeout
         )
 
@@ -623,8 +509,7 @@ async def connect_async(
     """Open a pooled async client: ``await repro.connect_async(url)``.
 
     Args:
-        url: ``tcp://host:port`` of a protocol-v2 warehouse server
-            (threaded or async).
+        url: ``tcp://host:port`` of a warehouse server.
         pool_size: sockets to open; cursors multiplex across them.
         fetch_timeout: seconds a fetch may block server-side.
         page_rows: rows per FETCH page.
@@ -632,8 +517,8 @@ async def connect_async(
 
     Raises:
         InterfaceError: on a malformed URL or ``pool_size < 1``.
-        OperationalError: when the server is unreachable or speaks
-            only protocol v1.
+        OperationalError: when the server is unreachable or shares
+            no protocol version with this client.
     """
     if pool_size < 1:
         raise InterfaceError(f"pool_size must be >= 1, got {pool_size}")

@@ -11,12 +11,15 @@ happen server-side; the client ships SQL text plus parameter values
 and receives description 7-tuples, streamed row pages, and mapped
 PEP-249 exceptions back.
 
-The fetch family materializes a statement's rows by draining FETCH
-pages (bounded frames, docs/PROTOCOL.md section 6) — semantics
-identical to the in-process cursor, which also materializes on first
-fetch.  ``rows_so_far()`` round-trips a partial-mode FETCH to the
-server handle's Distributor-fed snapshot, and ``cancel()`` round-trips
-to ``QueryHandle.cancel()`` so an abandoned remote query frees its
+What is sent and what each reply means lives in
+:mod:`repro.client.wire`, shared with the asyncio client; this module
+is the blocking transport under it — the socket, the request lock,
+timeouts, and the broken-connection fail-fast — plus the driver that
+turns each request a wire operation yields into one round trip.  The
+fetch family materializes a statement's rows on first fetch, exactly
+like the in-process cursor; ``rows_so_far()`` round-trips to the
+server handle's Distributor-fed snapshot, and ``cancel()`` to
+``QueryHandle.cancel()``, so an abandoned remote query frees its
 in-flight slot within one scan cycle.
 
 A connection serializes its requests on one lock, so threads may
@@ -29,29 +32,16 @@ from __future__ import annotations
 import socket
 import threading
 
+from repro.client import wire
 from repro.client.cursor import Cursor
 from repro.client.exceptions import (
-    DatabaseError,
     Error,
     InterfaceError,
     NotSupportedError,
     OperationalError,
-    ProgrammingError,
 )
 from repro.server import protocol
 from repro.server.protocol import ProtocolError
-
-#: ERROR-frame class names → client exceptions (the client half of the
-#: docs/PROTOCOL.md section 5 mapping table; unknown names degrade to
-#: DatabaseError so the table can grow server-side first).
-_ERROR_CLASSES = {
-    "Error": Error,
-    "InterfaceError": InterfaceError,
-    "DatabaseError": DatabaseError,
-    "ProgrammingError": ProgrammingError,
-    "OperationalError": OperationalError,
-    "NotSupportedError": NotSupportedError,
-}
 
 #: Default seconds to wait for the TCP connect and the HELLO reply.
 DEFAULT_CONNECT_TIMEOUT = 10.0
@@ -102,9 +92,6 @@ class RemoteConnection:
         self._closed = False
         self._lock = threading.Lock()
         self._cursors: "set[RemoteCursor]" = set()
-        #: negotiated wire version; 1 (request-id-free frames) until
-        #: HELLO_OK upgrades it (docs/PROTOCOL.md section 2)
-        self.protocol_version = 1
         self._next_request_id = 0
         #: set on any transport failure: the stream can no longer be
         #: trusted, so later requests fail fast with a typed error
@@ -120,17 +107,11 @@ class RemoteConnection:
             ) from error
         self._reader = self._sock.makefile("rb")
         try:
-            reply = self._request(
-                {"type": protocol.HELLO, "version": protocol.PROTOCOL_VERSION}
+            # HELLO precedes negotiation, so it carries no request id
+            #: the negotiated wire version (docs/PROTOCOL.md section 2)
+            self.protocol_version, self.server_info = wire.accept_hello(
+                self._round_trip(wire.hello_request())
             )
-            version = reply.get("version")
-            if version not in protocol.SUPPORTED_VERSIONS:
-                raise OperationalError(
-                    f"server negotiated unsupported protocol version "
-                    f"{version!r}"
-                )
-            self.protocol_version = version
-            self.server_info = reply.get("server", "")
             # the handshake timeout guarded connect; fetches block for
             # their own (server-enforced) timeout plus a grace margin
             self._sock.settimeout(fetch_timeout + 30.0)
@@ -141,61 +122,71 @@ class RemoteConnection:
     # ------------------------------------------------------------------
     # Transport
     # ------------------------------------------------------------------
-    def _request(self, payload: dict) -> dict:
-        """One round trip: send a frame, read the reply, map errors.
+    def _round_trip(self, payload: dict) -> dict:
+        """Send one frame, read one frame (callers serialize).
 
-        On a v2 session every request carries a fresh request id and
-        the reply must echo it (docs/PROTOCOL.md section 8); this
-        client keeps one request in flight per connection, so a
-        mismatched echo means the stream is corrupt.  Any transport
-        failure — timeout, reset, framing violation, mismatched echo,
-        or the server vanishing mid-stream — marks the connection
-        broken and surfaces as :class:`OperationalError`; subsequent
-        requests then fail fast instead of writing into a dead socket.
+        Any transport failure — timeout, reset, framing violation, or
+        the server vanishing mid-stream — marks the connection broken
+        and surfaces as :class:`OperationalError`; subsequent requests
+        then fail fast instead of writing into a dead socket.
+        """
+        if self._broken:
+            raise OperationalError(
+                "connection to the server is broken (a previous "
+                "request failed mid-stream)"
+            )
+        try:
+            self._sock.sendall(protocol.encode_frame(payload))
+            reply = protocol.read_frame(self._reader)
+        except socket.timeout as error:
+            self._broken = True
+            raise OperationalError(
+                "timed out waiting for the server's reply"
+            ) from error
+        except (OSError, ProtocolError) as error:
+            self._broken = True
+            raise OperationalError(
+                f"connection to the server failed: {error}"
+            ) from error
+        if reply is None:
+            self._broken = True
+            raise OperationalError("server closed the connection")
+        return reply
+
+    def _request(self, payload: dict) -> dict:
+        """One tagged round trip, ERROR frames mapped to exceptions.
+
+        Every request carries a fresh request id and the reply must
+        echo it (docs/PROTOCOL.md section 8); this client keeps one
+        request in flight per connection, so a mismatched echo means
+        the stream is corrupt and the connection is marked broken.
         """
         with self._lock:
-            if self._broken:
-                raise OperationalError(
-                    "connection to the server is broken (a previous "
-                    "request failed mid-stream)"
-                )
-            request_id = None
-            if self.protocol_version >= 2:
-                request_id = self._next_request_id
-                self._next_request_id += 1
-                payload = {**payload, "request_id": request_id}
-            try:
-                self._sock.sendall(protocol.encode_frame(payload))
-                reply = protocol.read_frame(self._reader)
-            except socket.timeout as error:
-                self._broken = True
-                raise OperationalError(
-                    "timed out waiting for the server's reply"
-                ) from error
-            except (OSError, ProtocolError) as error:
-                self._broken = True
-                raise OperationalError(
-                    f"connection to the server failed: {error}"
-                ) from error
-            if reply is None:
-                self._broken = True
-                raise OperationalError("server closed the connection")
-            if (
-                request_id is not None
-                and reply.get("request_id") != request_id
-            ):
+            request_id = self._next_request_id
+            self._next_request_id += 1
+            reply = self._round_trip({**payload, "request_id": request_id})
+            if reply.get("request_id") != request_id:
                 self._broken = True
                 raise OperationalError(
                     f"server reply carried request id "
                     f"{reply.get('request_id')!r}, expected {request_id}"
                 )
-        if reply.get("type") == protocol.ERROR:
-            detail = reply.get("error") or {}
-            exc_class = _ERROR_CLASSES.get(
-                detail.get("class"), DatabaseError
-            )
-            raise exc_class(detail.get("message", "server reported an error"))
-        return reply
+        return wire.check_reply(reply)
+
+    def _run(self, steps):
+        """Drive one :mod:`repro.client.wire` operation to its result:
+        each request it yields is one :meth:`_request` round trip."""
+        try:
+            payload = next(steps)
+            while True:
+                try:
+                    reply = self._request(payload)
+                except Error as error:
+                    payload = steps.throw(error)
+                else:
+                    payload = steps.send(reply)
+        except StopIteration as done:
+            return done.value
 
     def _abandon_socket(self) -> None:
         try:
@@ -228,7 +219,7 @@ class RemoteConnection:
             cursor.close()
         self._closed = True
         try:
-            self._request({"type": protocol.CLOSE})
+            self._run(wire.close_session())
         except Error:
             pass  # already closing; the socket teardown is what matters
         self._abandon_socket()
@@ -268,23 +259,10 @@ class RemoteConnection:
     # Telemetry (docs/PROTOCOL.md section 9)
     # ------------------------------------------------------------------
     def stats(self) -> dict:
-        """The server warehouse's telemetry + decision-audit snapshot.
-
-        Same schema as local ``Connection.stats()``.  Requires a v2
-        session; against a v1-only server this raises client-side
-        instead of burning a round trip on a guaranteed ERROR.
-
-        Raises:
-            NotSupportedError: on a protocol-v1 session.
-        """
+        """The server warehouse's telemetry + decision-audit snapshot
+        (same schema as local ``Connection.stats()``)."""
         self._check_open()
-        if self.protocol_version < 2:
-            raise NotSupportedError(
-                "stats() requires protocol version 2; this session "
-                f"negotiated version {self.protocol_version}"
-            )
-        reply = self._request({"type": protocol.STATS})
-        return reply.get("stats", {})
+        return self._run(wire.stats())
 
     def ingest_generation(self) -> int:
         """The warehouse's applied-ingest generation (stats shortcut).
@@ -293,9 +271,6 @@ class RemoteConnection:
         section 16): a client reconnecting after a restart compares
         this against the ``generation`` of its last ingest receipt to
         confirm its acked writes survived.
-
-        Raises:
-            NotSupportedError: on a protocol-v1 session.
         """
         return int(self.stats()["ingest"]["generation"])
 
@@ -315,37 +290,14 @@ class RemoteConnection:
         primary key).  The INGEST_OK ack means the batch is applied
         and visible to queries admitted from now on — same receipt
         schema (``rows``, ``snapshot_id``, ``generation``) as local
-        ``Connection.ingest()``.  Requires a v2 session; against a
-        v1-only server this raises client-side instead of burning a
-        round trip on a guaranteed ERROR.
+        ``Connection.ingest()``.
 
         Raises:
-            NotSupportedError: on a protocol-v1 session.
             OperationalError: on back-pressure (the per-connection or
                 buffer bound is full) or a missed ``timeout``.
         """
         self._check_open()
-        if self.protocol_version < 2:
-            raise NotSupportedError(
-                "ingest() requires protocol version 2; this session "
-                f"negotiated version {self.protocol_version}"
-            )
-        payload: dict = {"type": protocol.INGEST}
-        if fact_rows is not None:
-            payload["fact_rows"] = [list(row) for row in fact_rows]
-        if dim_upserts is not None:
-            payload["dim_upserts"] = {
-                name: [list(row) for row in rows]
-                for name, rows in dim_upserts.items()
-            }
-        if timeout is not None:
-            payload["timeout"] = timeout
-        reply = self._request(payload)
-        return {
-            "rows": reply.get("rows"),
-            "snapshot_id": reply.get("snapshot_id"),
-            "generation": reply.get("generation"),
-        }
+        return self._run(wire.ingest(fact_rows, dim_upserts, timeout))
 
     # ------------------------------------------------------------------
     # Transactions (PEP 249 surface)
@@ -367,190 +319,65 @@ class RemoteConnection:
         )
 
 
-def _check_bindable(value) -> None:
-    """Reject values the binder could never accept, client-side.
-
-    Mirrors the server-side binder's rule (int/float/str only; None is
-    shipped so the server reports its canonical no-NULL error), so a
-    date or Decimal raises the same ``ProgrammingError`` on both
-    transports instead of an unserializable-frame ``TypeError``.
-    """
-    if value is not None and not isinstance(value, (int, float, str)):
-        raise ProgrammingError(
-            f"cannot bind {type(value).__name__}: parameter values "
-            f"must be int, float, or str"
-        )
-
-
-def _jsonable_params(params):
-    """Coerce one parameter set to its wire shape (list or dict)."""
-    if params is None:
-        return None
-    if isinstance(params, (str, bytes)):
-        return params  # let the server's binder report the type error
-    if hasattr(params, "keys"):
-        mapping = dict(params)
-        for value in mapping.values():
-            _check_bindable(value)
-        return mapping
-    try:
-        values = list(params)
-    except TypeError:
-        return params
-    for value in values:
-        _check_bindable(value)
-    return values
-
-
 class RemoteCursor(Cursor):
     """A :class:`~repro.client.cursor.Cursor` over the wire protocol.
 
-    Inherits the whole fetch/iteration/description surface; only the
-    execution, materialization, streaming, and cancellation paths are
-    rerouted through EXECUTE / FETCH / CANCEL / CLOSE frames.  Each
-    statement maps to server-side query ids that live until the cursor
-    (or its connection) is closed.
+    Inherits the whole fetch/iteration surface; execution,
+    materialization, streaming, and cancellation run the
+    :class:`~repro.client.wire.Statement` exchanges over the
+    connection instead of touching query handles.
     """
 
     def __init__(self, connection: RemoteConnection) -> None:
         super().__init__(connection)
-        self._query_ids: list[int] = []
-
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
-    def _release_queries(self) -> None:
-        """Free the server-side statement state (best effort)."""
-        ids, self._query_ids = self._query_ids, []
-        for query_id in ids:
-            try:
-                self.connection._request(
-                    {"type": protocol.CLOSE, "query_id": query_id}
-                )
-            except Error:
-                break  # transport gone; server teardown reclaims state
+        self._statement = wire.Statement()
 
     def close(self) -> None:
         """Close the cursor (idempotent); releases server-side state."""
         if not self._closed and not self.connection.closed:
-            self._release_queries()
+            self.connection._run(self._statement.release())
         super().close()
 
     def execute(self, sql: str, params=None) -> "RemoteCursor":
-        """Ship one statement; the server parses, binds, and submits.
-
-        A malformed statement or binding raises (mapped from the ERROR
-        frame) with no query left behind server-side.
-        """
+        """Ship one statement; the server parses, binds, and submits."""
         self._check_open()
-        reply = self.connection._request(
-            {
-                "type": protocol.EXECUTE,
-                "sql": sql,
-                "params": _jsonable_params(params),
-            }
-        )
-        self._install(reply)
+        self.connection._run(self._statement.execute(sql, params))
+        self._index = 0
         return self
 
     def executemany(self, sql: str, seq_of_params) -> "RemoteCursor":
-        """Ship one statement with many parameter sets (one frame).
-
-        The server binds every set before submitting anything, so a
-        bad binding is atomic — no orphan queries — exactly like the
-        in-process ``executemany``.
-        """
+        """Ship one statement with many parameter sets (one frame)."""
         self._check_open()
-        reply = self.connection._request(
-            {
-                "type": protocol.EXECUTE,
-                "sql": sql,
-                "param_sets": [
-                    _jsonable_params(params) for params in seq_of_params
-                ],
-            }
+        self.connection._run(
+            self._statement.executemany(sql, seq_of_params)
         )
-        self._install(reply)
+        self._index = 0
         return self
 
-    def _install(self, reply: dict) -> None:
-        self._release_queries()
-        query_ids = reply.get("query_ids")
-        if not isinstance(query_ids, list):
-            raise OperationalError(
-                "malformed execute_ok frame: missing query_ids"
-            )
-        self._query_ids = query_ids
-        self._description = protocol.decode_description(
-            reply.get("description")
-        )
-        # zero bindings executed the statement zero times: an empty
-        # result set, not 'never executed' (same as the local cursor)
-        self._rows = None if query_ids else []
-        self._index = 0
+    @property
+    def description(self) -> tuple | None:
+        """Per-column 7-tuples for the last statement (PEP 249)."""
+        return self._statement.description
 
-    # ------------------------------------------------------------------
-    # Results
-    # ------------------------------------------------------------------
-    def _check_executed(self) -> None:
-        if not self._query_ids and self._rows is None:
-            raise ProgrammingError(
-                "no statement executed yet; call execute() first"
-            )
+    @property
+    def rowcount(self) -> int:
+        """Rows in the result set; -1 until the first fetch."""
+        return self._statement.rowcount
 
     def _ensure_rows(self) -> list[tuple]:
-        if self._rows is None:
-            self._check_executed()
-            rows: list[tuple] = []
-            for query_id in self._query_ids:
-                more = True
-                while more:
-                    reply = self.connection._request(
-                        {
-                            "type": protocol.FETCH,
-                            "query_id": query_id,
-                            "max_rows": self.connection.page_rows,
-                            "timeout": self.connection.fetch_timeout,
-                        }
-                    )
-                    rows.extend(protocol.decode_rows(reply.get("rows")))
-                    more = bool(reply.get("more"))
-            self._rows = rows
-        return self._rows
+        return self.connection._run(
+            self._statement.fetch(
+                self.connection.page_rows, self.connection.fetch_timeout
+            )
+        )
 
-    # ------------------------------------------------------------------
-    # Warehouse-native extensions
-    # ------------------------------------------------------------------
     def rows_so_far(self) -> list[tuple]:
         """Live partial results, via a non-blocking partial-mode FETCH."""
         self._check_open()
-        self._check_executed()
-        rows: list[tuple] = []
-        for query_id in self._query_ids:
-            reply = self.connection._request(
-                {
-                    "type": protocol.FETCH,
-                    "query_id": query_id,
-                    "mode": "partial",
-                }
-            )
-            rows.extend(protocol.decode_rows(reply.get("rows")))
-        return rows
+        return self.connection._run(self._statement.partial())
 
     def cancel(self) -> int:
-        """Cancel the statement's queries server-side.
-
-        Round-trips to ``QueryHandle.cancel()`` on the server: queued
-        statements (per-connection or service FIFO) are dropped in
-        place, registered ones are deregistered mid-scan.  Returns how
-        many queries were cancelled.
-        """
+        """Cancel the statement's queries server-side; returns how
+        many were cancelled."""
         self._check_open()
-        self._check_executed()
-        cancelled = 0
-        for query_id in self._query_ids:
-            reply = self.connection._request(
-                {"type": protocol.CANCEL, "query_id": query_id}
-            )
-            cancelled += bool(reply.get("cancelled"))
-        return cancelled
+        return self.connection._run(self._statement.cancel())

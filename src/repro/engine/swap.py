@@ -1,8 +1,8 @@
 """Blue-green dataset swaps: replace a live warehouse without dropping
 a session (DESIGN.md section 16).
 
-The always-on serving layers (the threaded and async TCP servers, or
-any object holding a ``warehouse`` attribute) resolve ``warehouse`` at
+The always-on serving layers (the TCP server, or any object holding a
+``warehouse`` attribute) resolve ``warehouse`` at
 *call* time, never caching it per session — which makes a zero-downtime
 dataset swap a pointer flip with careful sequencing:
 

@@ -2,17 +2,17 @@
 
 The paper frames CJOIN as the join operator inside an always-on
 warehouse serving hundreds of concurrent clients (paper section 2.1);
-this package is that service boundary.  Two servers share one
-transport-independent session core (:mod:`repro.server.session`):
-:class:`WarehouseServer` is thread-per-connection, and
-:class:`AsyncWarehouseServer` multiplexes many in-flight statements
-per connection on an event loop (protocol v2, DESIGN.md section 12).
-Each owns one warehouse — one continuous scan — and serves many
-concurrent socket connections; :mod:`repro.server.protocol` implements
-the length-prefixed JSON wire protocol both endpoints speak, specified
-normatively in docs/PROTOCOL.md.  The client side lives in
-:mod:`repro.client.remote` (sync) and :mod:`repro.client.aio` (async),
-behind ``repro.connect("tcp://host:port")`` and
+this package is that service boundary.  One server class —
+:class:`WarehouseServer`, also importable as
+:class:`AsyncWarehouseServer` — owns one warehouse (one continuous
+scan) and multiplexes every client connection on an asyncio event
+loop (:mod:`repro.server.tcp`); the protocol state of a connection
+lives in the socket-free :class:`ServerSession`
+(:mod:`repro.server.session`), and :mod:`repro.server.protocol`
+implements the length-prefixed JSON wire protocol both endpoints
+speak, specified normatively in docs/PROTOCOL.md.  The client side
+lives in :mod:`repro.client.remote` (sync) and :mod:`repro.client.aio`
+(async), behind ``repro.connect("tcp://host:port")`` and
 ``repro.connect_async(...)``.
 
 Runnable entry point::
@@ -20,7 +20,6 @@ Runnable entry point::
     PYTHONPATH=src python -m repro.server --scale-factor 0.001
 """
 
-from repro.server.async_tcp import AsyncWarehouseServer, serve_async
 from repro.server.protocol import (
     DEFAULT_PAGE_ROWS,
     MAX_FRAME_BYTES,
@@ -29,7 +28,11 @@ from repro.server.protocol import (
     ProtocolError,
 )
 from repro.server.session import ServerSession
-from repro.server.tcp import DEFAULT_PORT, WarehouseServer
+from repro.server.tcp import (
+    DEFAULT_PORT,
+    AsyncWarehouseServer,
+    WarehouseServer,
+)
 
 __all__ = [
     "AsyncWarehouseServer",
@@ -41,5 +44,4 @@ __all__ = [
     "SUPPORTED_VERSIONS",
     "ServerSession",
     "WarehouseServer",
-    "serve_async",
 ]

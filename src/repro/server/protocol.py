@@ -6,8 +6,8 @@ section 1), the version-negotiation constants (section 2), the frame
 vocabulary (sections 3 and 4), the PEP-249 error-class names of the
 error-mapping table (section 5), and the description / row-page codecs
 (section 6).  Both endpoints share it: :class:`~repro.server.tcp.
-WarehouseServer` encodes responses with it and
-:class:`~repro.client.remote.RemoteConnection` decodes them.
+WarehouseServer` encodes responses with it and the clients
+(:mod:`repro.client.remote`, :mod:`repro.client.aio`) decode them.
 
 A frame is a 4-byte big-endian unsigned length followed by exactly
 that many bytes of UTF-8 JSON encoding one object.  The transport
@@ -25,15 +25,15 @@ import struct
 from repro.catalog.schema import DataType
 from repro.errors import ReproError
 
-#: Highest protocol version this implementation speaks; offered in
-#: HELLO and confirmed in HELLO_OK (docs/PROTOCOL.md section 2).
-#: Version 2 adds request-id multiplexing (docs/PROTOCOL.md section 8).
+#: The protocol version this implementation speaks; offered in HELLO
+#: and confirmed in HELLO_OK (docs/PROTOCOL.md section 2).  Version 2
+#: is request-id multiplexing (docs/PROTOCOL.md section 8).
 PROTOCOL_VERSION = 2
 
 #: Every version this implementation can serve.  Negotiation picks the
-#: highest version both peers speak (docs/PROTOCOL.md section 2); a
-#: peer speaking version N speaks every listed version below N too.
-SUPPORTED_VERSIONS = (1, 2)
+#: highest listed version that is <= the peer's offer (docs/PROTOCOL.md
+#: section 2); an offer below the oldest one is refused.
+SUPPORTED_VERSIONS = (2,)
 
 #: Upper bound on one frame's JSON body, guarding both endpoints
 #: against a corrupt or hostile length prefix (docs/PROTOCOL.md
@@ -60,12 +60,11 @@ EXECUTE = "execute"
 FETCH = "fetch"
 CANCEL = "cancel"
 CLOSE = "close"
-#: STATS requires protocol version 2 (docs/PROTOCOL.md section 9); a
-#: v1 session receives a clean NotSupportedError ERROR frame instead.
+#: The telemetry snapshot request (docs/PROTOCOL.md section 9).
 STATS = "stats"
-#: INGEST requires protocol version 2 too (docs/PROTOCOL.md section
-#: 10): a batched write set (fact appends + dimension upserts) staged
-#: for the next scan-boundary apply; the INGEST_OK ack means applied.
+#: A batched write set (fact appends + dimension upserts) staged for
+#: the next scan-boundary apply; the INGEST_OK ack means applied
+#: (docs/PROTOCOL.md section 10).
 INGEST = "ingest"
 
 #: Server-to-client frame types.
@@ -164,8 +163,8 @@ def frame_length(header: bytes) -> int:
 
 def decode_frame_body(body: bytes) -> dict:
     """Decode and validate one frame body (shared by every reader —
-    the blocking :func:`read_frame` and the async servers' and
-    clients' stream readers decode through this single choke point).
+    the blocking :func:`read_frame` and the async server's and
+    client's stream readers decode through this single choke point).
 
     Raises:
         ProtocolError: on invalid JSON or a body that is not an object
@@ -242,11 +241,10 @@ async def read_frame_async(reader) -> dict | None:
 def negotiate_version(requested) -> int | None:
     """The version a server should speak to a peer offering ``requested``.
 
-    A peer offering version N speaks every supported version up to N,
-    so the negotiated version is the highest supported version that is
-    <= the offer — ``min(requested, PROTOCOL_VERSION)`` over the
-    supported set.  Returns None when there is no common version (an
-    offer below the oldest supported version, or not an int).
+    The negotiated version is the highest supported version that is
+    <= the offer, so a newer peer negotiates down.  Returns None when
+    there is no common version (an offer below the oldest supported
+    version — version 1 included — or not an int).
     """
     if isinstance(requested, bool) or not isinstance(requested, int):
         return None
@@ -257,10 +255,10 @@ def negotiate_version(requested) -> int | None:
 
 
 # ----------------------------------------------------------------------
-# Request-id multiplexing (docs/PROTOCOL.md section 8, protocol v2)
+# Request-id multiplexing (docs/PROTOCOL.md section 8)
 # ----------------------------------------------------------------------
 def request_id_of(frame: dict) -> int:
-    """The frame's ``request_id``, validated (v2 connections only).
+    """The frame's ``request_id``, validated (every post-HELLO frame).
 
     Raises:
         ProtocolError: when the id is missing, not an int, or negative.
@@ -272,16 +270,16 @@ def request_id_of(frame: dict) -> int:
         or request_id < 0
     ):
         raise ProtocolError(
-            f"protocol v2 frames require a non-negative integer "
+            f"post-HELLO frames require a non-negative integer "
             f"'request_id', got {request_id!r}"
         )
     return request_id
 
 
 def split_streams(frames) -> dict[int, list[dict]]:
-    """Demultiplex a v2 frame schedule into per-request streams.
+    """Demultiplex a frame schedule into per-request streams.
 
-    The defining v2 invariant (docs/PROTOCOL.md section 8): however
+    The defining invariant (docs/PROTOCOL.md section 8): however
     replies from different requests interleave on the wire, the
     subsequence tagged with one ``request_id`` — in arrival order — IS
     that request's reply stream.  Both async endpoints route frames

@@ -1,24 +1,20 @@
-"""The transport-independent server session core (DESIGN.md section 12).
+"""The socket-free server session core (DESIGN.md section 11).
 
-Both warehouse servers — the threaded :class:`~repro.server.tcp.
-WarehouseServer` and the asyncio :class:`~repro.server.async_tcp.
-AsyncWarehouseServer` — serve the same protocol over the same
-warehouse; everything about a connection that is *not* socket I/O or
-blocking strategy lives here, once.  A :class:`ServerSession` owns one
-connection's server-side state: the HELLO version negotiation
-(docs/PROTOCOL.md section 2), the statement registry mapping query ids
-to handles, the per-connection admission queue and its pump (the
-fairness layer of docs/ARCHITECTURE.md section 4), EXECUTE
-parse/bind/submit with executemany atomicity, CANCEL/CLOSE semantics,
-partial-mode FETCH, result paging, and the teardown guarantee that a
-vanished client's slots free within one scan cycle.
+Everything about a connection that is *not* socket I/O or waiting
+lives here, so the protocol semantics can be driven — and timed, as
+``benchmarks/layered/seamtrace.py`` does — without a socket.  A
+:class:`ServerSession` owns one connection's server-side state: the
+HELLO version negotiation (docs/PROTOCOL.md section 2), the statement
+registry mapping query ids to handles, the per-connection admission
+queue and its pump (the fairness layer of docs/ARCHITECTURE.md section
+4), EXECUTE parse/bind/submit with executemany atomicity, CANCEL/CLOSE
+semantics, partial-mode FETCH, result paging, and the teardown
+guarantee that a vanished client's slots free within one scan cycle.
 
-What stays transport-specific is exactly the part the two servers
-disagree on: how to *wait*.  The threaded server blocks its handler
-thread on the handle with a poll; the async server parks a task on a
-completion callback.  Neither strategy appears here — every method of
-this class is non-blocking and must be called from a single thread (or
-a single event loop): the connection's.
+What stays in the transport (:mod:`repro.server.tcp`) is how to
+*wait*: it parks a task on a completion callback.  No wait appears
+here — every method of this class is non-blocking and must be called
+from a single thread (or a single event loop): the connection's.
 """
 
 from __future__ import annotations
@@ -37,10 +33,25 @@ from repro.sql.parser import bind_parameters, bind_star_query, parse_select
 MAX_PAGE_ROWS = 65536
 
 #: Default per-connection bound on staged-but-unacked INGEST rows (the
-#: write-side twin of ``max_in_flight_per_connection``); servers may
-#: override it with a ``max_pending_ingest_rows_per_connection``
-#: attribute (docs/PROTOCOL.md section 10).
+#: write-side twin of ``max_in_flight_per_connection``,
+#: docs/PROTOCOL.md section 10).
 DEFAULT_MAX_PENDING_INGEST_ROWS = 65536
+
+
+def timeout_of(frame: dict) -> float | None:
+    """A FETCH or INGEST frame's optional ``timeout``, validated.
+
+    Raises:
+        ProtocolError: when it is neither a number nor null.
+    """
+    timeout = frame.get("timeout")
+    if timeout is not None and (
+        isinstance(timeout, bool) or not isinstance(timeout, (int, float))
+    ):
+        raise ProtocolError(
+            f"{frame['type']} timeout must be a number or null"
+        )
+    return timeout
 
 
 class ServerQuery:
@@ -65,9 +76,10 @@ class ServerSession:
     """One connection's protocol state over a shared warehouse.
 
     Args:
-        server: the owning server; only ``server.warehouse`` and
-            ``server.max_in_flight_per_connection`` are read, so both
-            server classes satisfy the contract.
+        server: the owning server; only ``server.warehouse``,
+            ``server.max_in_flight_per_connection`` and (by INGEST)
+            ``server.max_pending_ingest_rows_per_connection`` are
+            read, so a stub satisfies the contract.
     """
 
     def __init__(self, server) -> None:
@@ -89,21 +101,17 @@ class ServerSession:
         return self.version > 0
 
     # -- HELLO ---------------------------------------------------------
-    def require_hello(self, kind: str) -> None:
-        """Reject any pre-negotiation frame that is not HELLO.
-
-        Raises:
-            ProtocolError: docs/PROTOCOL.md section 2.
-        """
-        if kind != protocol.HELLO:
-            raise ProtocolError(f"expected a hello frame first, got {kind!r}")
-
     def hello(self, frame: dict) -> dict:
         """Negotiate the protocol version; returns the HELLO_OK payload.
 
         Raises:
-            ProtocolError: when no common version exists (fatal).
+            ProtocolError: when the connection's first frame is not
+                HELLO, or no common version exists (both fatal,
+                docs/PROTOCOL.md section 2).
         """
+        kind = frame["type"]
+        if kind != protocol.HELLO:
+            raise ProtocolError(f"expected a hello frame first, got {kind!r}")
         offered = frame.get("version")
         version = protocol.negotiate_version(offered)
         if version is None:
@@ -200,9 +208,9 @@ class ServerSession:
     def pump(self) -> None:
         """Move queued statements into the warehouse as slots free.
 
-        Runs only on this connection's handler thread (or event loop),
-        so it never races itself; cancellation of still-queued entries
-        happens on the same thread (CANCEL frames) or during teardown.
+        Runs only on this connection's event loop, so it never races
+        itself; cancellation of still-queued entries happens on the
+        same loop (CANCEL frames) or during teardown.
         A full service queue puts the statement back for a later pump;
         any other submission failure completes its handle as cancelled
         so a blocked fetch wakes instead of hanging.
@@ -263,13 +271,7 @@ class ServerSession:
                 f"fetch max_rows must be an int in [1, {MAX_PAGE_ROWS}], "
                 f"got {max_rows!r}"
             )
-        timeout = frame.get("timeout")
-        if timeout is not None and (
-            isinstance(timeout, bool)
-            or not isinstance(timeout, (int, float))
-        ):
-            raise ProtocolError("fetch timeout must be a number or null")
-        return query_id, state, max_rows, timeout
+        return query_id, state, max_rows, timeout_of(frame)
 
     def partial_reply(self, frame: dict) -> dict:
         """A non-blocking partial-mode ROWS payload."""
@@ -290,8 +292,8 @@ class ServerSession:
     def page_reply(self, query_id: int, state: ServerQuery, max_rows: int) -> dict:
         """One page of a *completed* query's canonical rows.
 
-        The caller has already waited for completion (each server's
-        own blocking strategy); this materializes and slices.
+        The caller has already waited for completion; this
+        materializes and slices.
         """
         if state.rows is None:
             with translated():
@@ -307,46 +309,26 @@ class ServerSession:
 
     # -- STATS ---------------------------------------------------------
     def stats(self, frame: dict) -> dict:
-        """Answer a STATS frame with the warehouse telemetry snapshot.
-
-        Version-gated (docs/PROTOCOL.md section 9): a v1 peer that
-        sends STATS anyway gets a clean ``NotSupportedError`` ERROR
-        frame — the connection keeps serving.
-        """
-        if self.version < 2:
-            from repro.client.exceptions import NotSupportedError
-
-            raise NotSupportedError(
-                "the stats frame requires protocol version 2; this "
-                f"session negotiated version {self.version}"
-            )
+        """Answer a STATS frame with the warehouse telemetry snapshot
+        (docs/PROTOCOL.md section 9)."""
         with translated():
             snapshot = self.server.warehouse.stats()
         return {"type": protocol.STATS_OK, "stats": snapshot}
 
     # -- INGEST --------------------------------------------------------
     def ingest(self, frame: dict):
-        """Validate and stage one INGEST write set; returns its ticket.
+        """Validate and stage one INGEST write set; returns its ticket
+        (docs/PROTOCOL.md section 10).
 
-        Version-gated like STATS (docs/PROTOCOL.md section 10): a v1
-        peer gets a clean ``NotSupportedError`` ERROR frame and the
-        connection keeps serving.  The transport waits on the returned
-        ticket with its own blocking strategy and acks with INGEST_OK
-        only once the batch *applied* — an acked write is a visible
-        write, and an unacked one is discardable at teardown.
+        The transport waits on the returned ticket and acks with
+        INGEST_OK only once the batch *applied* — an acked write is a
+        visible write, and an unacked one is discardable at teardown.
 
         Write admission is per-connection: staged-but-unresolved rows
         from this session are bounded (the write-side twin of the
         statement fairness bound), so one firehose client cannot fill
         the shared staging buffer for everyone.
         """
-        if self.version < 2:
-            from repro.client.exceptions import NotSupportedError
-
-            raise NotSupportedError(
-                "the ingest frame requires protocol version 2; this "
-                f"session negotiated version {self.version}"
-            )
         fact_rows = frame.get("fact_rows") or []
         dim_upserts = frame.get("dim_upserts") or {}
         if not isinstance(fact_rows, list) or not all(
@@ -366,11 +348,7 @@ class ServerSession:
                 "to lists of row arrays"
             )
         rows = len(fact_rows) + sum(len(v) for v in dim_upserts.values())
-        bound = getattr(
-            self.server,
-            "max_pending_ingest_rows_per_connection",
-            DEFAULT_MAX_PENDING_INGEST_ROWS,
-        )
+        bound = self.server.max_pending_ingest_rows_per_connection
         self.ingest_tickets = [
             ticket for ticket in self.ingest_tickets if not ticket.done
         ]

@@ -1,36 +1,44 @@
-"""The threaded TCP warehouse server (docs/ARCHITECTURE.md section 4).
+"""The warehouse server: every connection multiplexed on one event loop.
 
 :class:`WarehouseServer` puts the always-on warehouse behind a network
-boundary: one process owns one
-:class:`~repro.engine.warehouse.Warehouse` (and therefore one
-continuous scan) and serves many concurrent client connections, each
-speaking the length-prefixed JSON protocol of docs/PROTOCOL.md.  The
-remote peer is :class:`~repro.client.remote.RemoteConnection`, reached
-through ``repro.connect("tcp://host:port")``.
+boundary (DESIGN.md section 11): one process owns one
+:class:`~repro.engine.warehouse.Warehouse` — and therefore one
+continuous scan — and serves many concurrent client connections, each
+speaking the length-prefixed JSON protocol of docs/PROTOCOL.md.  It is
+the only class in this package that owns a listening socket.  The
+peers are :class:`~repro.client.remote.RemoteConnection`
+(``repro.connect("tcp://host:port")``) and
+:class:`~repro.client.aio.AsyncRemoteConnection`
+(``repro.connect_async(...)``).
 
-Threading model: an accept-loop thread plus one handler thread per
-connection.  Handler threads only parse frames, submit queries, and
-block on handles — the actual query work happens on the warehouse
-service's driver thread, so a connection that stalls mid-fetch holds
-nothing but its own socket.
+Concurrency model (docs/ARCHITECTURE.md section 3): an asyncio event
+loop on one background thread, so a thousand concurrent remote
+sessions cost a thousand parked coroutines, not a thousand OS threads.
+Per connection, one reader task dispatches frames, one writer task
+drains the connection's bounded outbox with ``drain()`` so a stalled
+client throttles only its own replies, and each still-running FETCH or
+INGEST parks a small waiter task on the handle's completion callback —
+bridged from the warehouse driver thread with ``call_soon_threadsafe``
+— so waiting consumes no thread anywhere.  Replies interleave across
+request ids (docs/PROTOCOL.md section 8), so many FETCHes proceed
+concurrently per connection.
 
-Per-connection admission (the fairness layer): each connection may
-hold at most ``max_in_flight_per_connection`` queries inside the
-warehouse at once.  Further EXECUTEs wait in a per-connection
-:class:`~repro.engine.submission.SubmissionQueue` — the same FIFO (and
-the same cancellation semantics) the offline routes use — and are
-pumped into :meth:`Warehouse.submit` as earlier queries complete.  One
-client fanning out hundreds of statements therefore cannot occupy
-every in-flight slot of the shared scan; other connections keep
-admitting mid-scan.  A torn-down connection cancels everything it
-still owns, so a vanished client's slots free within one scan cycle.
+Backpressure is layered: each request holds one outbox slot at most
+(the protocol's one-reply-per-request rule bounds every per-request
+outbox at a single frame), the per-connection parked-waiter budget
+pauses the reader when exhausted (TCP flow control does the rest), and
+per-connection admission lives in the session core
+(:class:`~repro.server.session.ServerSession`): a connection holds at
+most ``max_in_flight_per_connection`` queries inside the warehouse,
+further EXECUTEs wait in its own FIFO, and a torn-down connection
+cancels everything it still owns, so a vanished client's slots free
+within one scan cycle.
 """
 
 from __future__ import annotations
 
-import socket
+import asyncio
 import threading
-import time
 
 from repro.client.exceptions import (
     Error,
@@ -47,226 +55,70 @@ from repro.server.session import (
     DEFAULT_MAX_PENDING_INGEST_ROWS,
     CloseConnection,
     ServerSession,
+    timeout_of,
 )
-
-# the per-connection fairness bound lives with every other tuning
-# constant now (repro.tuning); re-exported for existing importers
-from repro.tuning import DEFAULT_MAX_IN_FLIGHT_PER_CONNECTION  # noqa: F401
+from repro.tuning import DEFAULT_MAX_IN_FLIGHT_PER_CONNECTION
 
 #: Default TCP port of ``python -m repro.server``.
 DEFAULT_PORT = 5477
 
-#: Handler threads poll completion/shutdown at this cadence while a
-#: FETCH blocks, so ``stop()`` never waits for a client timeout.
+#: Reply frames a connection's outbox may hold before the enqueuer
+#: (reader or fetch task) waits; with single-frame replies this bounds
+#: reply memory per connection, not throughput.
+OUTBOX_FRAMES = 64
+
+#: Still-running FETCH/INGEST waiters a connection may park at once;
+#: beyond it the reader stops reading frames until a waiter retires,
+#: pushing backpressure onto the client's socket.
+DEFAULT_MAX_PENDING_FETCHES = 1024
+
+#: Waiters poll at this cadence only while offline routes need
+#: driving; with the service driver running they sleep on completion
+#: callbacks instead.
 _FETCH_POLL_SECONDS = 0.02
 
-#: The accept loop wakes at this cadence to notice ``stop()``.
-_ACCEPT_POLL_SECONDS = 0.1
+#: Flush budget for the final reply frames of a closing connection.
+_FLUSH_TIMEOUT_SECONDS = 5.0
 
 
 class _Connection:
-    """One client connection: socket, handler thread, session state.
+    """One client connection's tasks and queues on the loop."""
 
-    Protocol state (HELLO negotiation, the query registry, admission,
-    EXECUTE/CANCEL/CLOSE semantics) lives in the shared
-    :class:`~repro.server.session.ServerSession`; this class adds the
-    threaded transport — a blocking reader, serial dispatch, and the
-    poll-based FETCH wait.  On a v2 connection replies echo the
-    request id of the frame they answer (docs/PROTOCOL.md section 8);
-    dispatch stays serial, which v2 permits: interleaving is a server
-    liberty, not an obligation.
-    """
+    __slots__ = (
+        "session",
+        "reader",
+        "writer",
+        "outbox",
+        "fetch_slots",
+        "fetch_tasks",
+        "serve_task",
+        "writer_task",
+        "torn",
+    )
 
-    def __init__(self, server: "WarehouseServer", sock: socket.socket) -> None:
-        self.server = server
-        self.sock = sock
-        self.thread = threading.Thread(
-            target=self._serve,
-            name=f"warehouse-conn-{sock.fileno()}",
-            daemon=True,
-        )
-        self._reader = sock.makefile("rb")
-        self.session = ServerSession(server)
-
-    # -- lifecycle -----------------------------------------------------
-    def start(self) -> None:
-        self.thread.start()
-
-    def shut_down(self) -> None:
-        """Unblock the handler thread (called from ``server.stop()``)."""
-        try:
-            self.sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-
-    def _serve(self) -> None:
-        try:
-            while True:
-                frame = protocol.read_frame(self._reader)
-                if frame is None:
-                    break
-                request_id = None
-                try:
-                    if self.session.version >= 2:
-                        request_id = protocol.request_id_of(frame)
-                    response = self._dispatch(frame)
-                except CloseConnection:
-                    self._send(
-                        _tag({"type": protocol.CLOSE_OK}, request_id)
-                    )
-                    break
-                except ProtocolError as error:
-                    # a violation inside a well-framed request still
-                    # echoes its request id before the fatal close
-                    self._send_error(InterfaceError(str(error)), request_id)
-                    break
-                except Error as error:
-                    # statement-level failure: report it, keep serving
-                    self._send_error(error, request_id)
-                    continue
-                self.sock.sendall(
-                    protocol.encode_frame(_tag(response, request_id))
-                )
-        except ProtocolError as error:
-            # framing violations are fatal: report best-effort, close
-            self._send_error(InterfaceError(str(error)), None)
-        except OSError:
-            pass  # peer vanished / server shutting down
-        finally:
-            self._teardown()
-
-    def _send(self, payload: dict) -> None:
-        try:
-            self.sock.sendall(protocol.encode_frame(payload))
-        except OSError:
-            pass
-
-    def _send_error(
-        self, error: Exception, request_id: int | None
+    def __init__(
+        self,
+        server: "WarehouseServer",
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
     ) -> None:
-        self._send(
-            _tag(
-                protocol.error_payload(type(error).__name__, str(error)),
-                request_id,
-            )
-        )
-
-    def _teardown(self) -> None:
-        """Session teardown (cancel everything owned), then close."""
-        self.session.teardown()
-        try:
-            self._reader.close()
-        except OSError:
-            pass
-        try:
-            self.sock.close()
-        except OSError:
-            pass
-        self.server._forget(self)
-
-    # -- dispatch ------------------------------------------------------
-    def _dispatch(self, frame: dict) -> dict:
-        kind = frame["type"]
-        session = self.session
-        if not session.greeted:
-            session.require_hello(kind)
-            return session.hello(frame)
-        # every frame is a pump opportunity: a client that only polls
-        # partial-mode FETCH (or cancels) must still see its queued
-        # statements admitted as completions free connection slots
-        session.pump()
-        if kind == protocol.EXECUTE:
-            return session.execute(frame)
-        if kind == protocol.FETCH:
-            return self._handle_fetch(frame)
-        if kind == protocol.CANCEL:
-            return session.cancel(frame)
-        if kind == protocol.CLOSE:
-            return session.close(frame)
-        if kind == protocol.STATS:
-            return session.stats(frame)
-        if kind == protocol.INGEST:
-            return self._handle_ingest(frame)
-        raise ProtocolError(f"unknown frame type {kind!r}")
-
-    def _handle_fetch(self, frame: dict) -> dict:
-        if frame.get("mode") == "partial":
-            return self.session.partial_reply(frame)
-        query_id, state, max_rows, timeout = self.session.validate_fetch(
-            frame
-        )
-        if state.rows is None:
-            self._wait_done(state.handle, timeout)
-        return self.session.page_reply(query_id, state, max_rows)
-
-    def _handle_ingest(self, frame: dict) -> dict:
-        """Stage, wait for the scan-boundary apply, ack (section 10)."""
-        ticket = self.session.ingest(frame)
-        timeout = frame.get("timeout")
-        if timeout is not None and (
-            isinstance(timeout, bool)
-            or not isinstance(timeout, (int, float))
-        ):
-            raise ProtocolError("ingest timeout must be a number or null")
-        self._wait_ingest(ticket, timeout)
-        return self.session.ingest_reply(ticket)
-
-    def _wait_ingest(self, ticket, timeout: float | None) -> None:
-        """Block until the staged batch resolves, driving the apply.
-
-        With the service driver running, its cycle hook lands the
-        batch; without one (process-backend servers, stopped drivers)
-        this handler thread applies at the boundary itself.  Polls so
-        it aborts promptly on server shutdown.
-        """
-        deadline = (
-            None if timeout is None else time.monotonic() + float(timeout)
-        )
-        while not ticket.done:
-            if self.server._closing.is_set():
-                raise OperationalError("server is shutting down")
-            if not self.server.warehouse.service.running:
-                with translated():
-                    self.server.warehouse.apply_pending_ingest()
-            if deadline is not None and time.monotonic() >= deadline:
-                raise OperationalError(
-                    f"ingest batch was not applied within {timeout} seconds"
-                )
-            ticket.wait(_FETCH_POLL_SECONDS)
-
-    def _wait_done(self, handle: QueryHandle, timeout: float | None) -> None:
-        """Block until the handle completes, pumping admissions.
-
-        The wait polls so it can (a) move this connection's queued
-        statements into slots freed by completions — a FETCH on a
-        still-queued statement must make progress — and (b) abort
-        promptly on server shutdown instead of stranding the handler
-        thread until the client timeout.
-        """
-        deadline = (
-            None if timeout is None else time.monotonic() + float(timeout)
-        )
-        while not handle.done:
-            if self.server._closing.is_set():
-                raise OperationalError("server is shutting down")
-            self.session.pump()
-            self.server._drive(handle)
-            if deadline is not None and time.monotonic() >= deadline:
-                raise OperationalError(
-                    f"query did not complete within {timeout} seconds"
-                )
-            handle.wait(_FETCH_POLL_SECONDS)
-
-
-def _tag(payload: dict, request_id: int | None) -> dict:
-    """Echo a v2 request id on a reply (no-op for v1 connections)."""
-    if request_id is not None:
-        payload["request_id"] = request_id
-    return payload
+        self.session = ServerSession(server)
+        self.reader = reader
+        self.writer = writer
+        self.outbox: asyncio.Queue = asyncio.Queue(maxsize=OUTBOX_FRAMES)
+        self.fetch_slots = asyncio.Semaphore(server.max_pending_fetches)
+        self.fetch_tasks: set[asyncio.Task] = set()
+        self.serve_task: asyncio.Task | None = None
+        self.writer_task: asyncio.Task | None = None
+        self.torn = False
 
 
 class WarehouseServer:
-    """A threaded TCP server around one always-on warehouse.
+    """An asyncio TCP server around one always-on warehouse.
+
+    ``start()``/``stop()`` are synchronous: the event loop runs on a
+    background thread, so launchers and tests drive the server from
+    plain code.
 
     Args:
         warehouse: the warehouse to serve.
@@ -279,6 +131,8 @@ class WarehouseServer:
         max_in_flight_per_connection: bound on one connection's
             concurrently submitted queries; the per-connection
             admission queue holds the rest (fairness across clients).
+        max_pending_fetches: still-running FETCH/INGEST waiters per
+            connection before the reader pauses.
         max_pending_ingest_rows_per_connection: bound on one
             connection's staged-but-unacked INGEST rows (the
             write-side fairness twin, docs/PROTOCOL.md section 10);
@@ -300,6 +154,7 @@ class WarehouseServer:
         max_in_flight_per_connection: int = (
             DEFAULT_MAX_IN_FLIGHT_PER_CONNECTION
         ),
+        max_pending_fetches: int = DEFAULT_MAX_PENDING_FETCHES,
         max_pending_ingest_rows_per_connection: int = (
             DEFAULT_MAX_PENDING_INGEST_ROWS
         ),
@@ -309,6 +164,10 @@ class WarehouseServer:
                 f"max_in_flight_per_connection must be >= 1, got "
                 f"{max_in_flight_per_connection}"
             )
+        if max_pending_fetches < 1:
+            raise InterfaceError(
+                f"max_pending_fetches must be >= 1, got {max_pending_fetches}"
+            )
         if max_pending_ingest_rows_per_connection < 1:
             raise InterfaceError(
                 f"max_pending_ingest_rows_per_connection must be >= 1, "
@@ -316,26 +175,33 @@ class WarehouseServer:
             )
         self.warehouse = warehouse
         self.max_in_flight_per_connection = max_in_flight_per_connection
+        self.max_pending_fetches = max_pending_fetches
         self.max_pending_ingest_rows_per_connection = (
             max_pending_ingest_rows_per_connection
         )
         self._requested = (host, port)
         self._owns_warehouse = owns_warehouse
-        self._listener: socket.socket | None = None
-        self._accept_thread: threading.Thread | None = None
+        self._thread: threading.Thread | None = None
+        self._loop: asyncio.AbstractEventLoop | None = None
+        self._closing = threading.Event()
+        self._closing_async: asyncio.Event | None = None
         self._connections: set[_Connection] = set()
         self._conn_lock = threading.Lock()
         #: serializes Warehouse.run() drains for offline-routed handles
         self._run_lock = threading.Lock()
-        self._closing = threading.Event()
+        self._started = threading.Event()
+        self._startup_error: BaseException | None = None
         self._started_service = False
         self._address: tuple[str, int] | None = None
+        #: tasks still pending when the loop shut down — always empty
+        #: after a clean stop; the fault suite asserts on it
+        self.leaked_tasks: list[str] = []
 
     # -- lifecycle -----------------------------------------------------
     @property
     def running(self) -> bool:
-        """True while the accept loop is alive."""
-        thread = self._accept_thread
+        """True while the event-loop thread is alive."""
+        thread = self._thread
         return thread is not None and thread.is_alive()
 
     @property
@@ -355,11 +221,17 @@ class WarehouseServer:
         host, port = self.address
         return f"tcp://{host}:{port}"
 
-    def start(self) -> "WarehouseServer":
-        """Bind, start the accept loop, and start the warehouse service.
+    @property
+    def connection_count(self) -> int:
+        """Currently attached client connections."""
+        with self._conn_lock:
+            return len(self._connections)
 
-        Returns self, so ``server = WarehouseServer(w).start()`` reads
-        naturally.
+    def start(self) -> "WarehouseServer":
+        """Bind, start the loop thread, start the warehouse service.
+
+        Returns self; raises the bind error on this thread when the
+        requested address is unavailable.
 
         Raises:
             InterfaceError: when already running.
@@ -367,8 +239,11 @@ class WarehouseServer:
         if self.running:
             raise InterfaceError("server is already running")
         self._closing.clear()
+        self._started.clear()
+        self._startup_error = None
+        self.leaked_tasks = []
         # serial backends serve live (mid-scan admission); the process
-        # backend admits at drain boundaries, driven from _drive()
+        # backend admits at drain boundaries, driven from waiters
         if (
             self.warehouse.executor_config.backend == "serial"
             and not self.warehouse.service.running
@@ -376,72 +251,43 @@ class WarehouseServer:
             with translated():
                 self.warehouse.start_service()
             self._started_service = True
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        try:
-            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            listener.bind(self._requested)
-            listener.listen(128)
-            # closing a socket does not wake a thread blocked in
-            # accept() on every platform; poll so stop() always joins
-            listener.settimeout(_ACCEPT_POLL_SECONDS)
-        except OSError:
-            listener.close()
+        self._thread = threading.Thread(
+            target=self._thread_main,
+            name="warehouse-async-loop",
+            daemon=True,
+        )
+        self._thread.start()
+        self._started.wait(30.0)
+        if self._startup_error is not None:
+            error, self._startup_error = self._startup_error, None
+            self._thread.join(10.0)
+            self._thread = None
             if self._started_service:
                 self.warehouse.stop_service()
                 self._started_service = False
-            raise
-        self._listener = listener
-        self._address = listener.getsockname()[:2]
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop,
-            args=(listener,),  # stop() nulls self._listener concurrently
-            name="warehouse-accept",
-            daemon=True,
-        )
-        self._accept_thread.start()
+            raise error
         return self
 
-    def _accept_loop(self, listener: socket.socket) -> None:
-        while not self._closing.is_set():
-            try:
-                sock, _ = listener.accept()
-            except socket.timeout:
-                continue  # poll the closing flag
-            except OSError:
-                return  # listener closed by stop()
-            sock.settimeout(None)  # handlers block on frames
-            connection = _Connection(self, sock)
-            with self._conn_lock:
-                if self._closing.is_set():
-                    sock.close()
-                    return
-                self._connections.add(connection)
-            connection.start()
-
     def stop(self, timeout: float = 10.0) -> None:
-        """Shut down cleanly (idempotent): no leaked threads or sockets.
+        """Shut down cleanly (idempotent): no leaked tasks or threads.
 
-        Closes the listener, unblocks and joins every handler thread
-        (their teardown cancels the queries their clients abandoned),
-        stops the service driver this server started, and closes the
-        warehouse when it owns it.
+        Wakes the loop, which closes the listener, cancels every
+        connection's tasks (their teardown cancels the queries their
+        clients abandoned), and drains its executor; then stops the
+        service driver this server started and closes the warehouse
+        when it owns it.
         """
         self._closing.set()
-        listener, self._listener = self._listener, None
-        if listener is not None:
+        loop, closing = self._loop, self._closing_async
+        if loop is not None and closing is not None:
             try:
-                listener.close()
-            except OSError:
-                pass
-        thread, self._accept_thread = self._accept_thread, None
+                loop.call_soon_threadsafe(closing.set)
+            except RuntimeError:
+                pass  # loop already closed
+        thread, self._thread = self._thread, None
         if thread is not None:
             thread.join(timeout)
-        with self._conn_lock:
-            connections = list(self._connections)
-        for connection in connections:
-            connection.shut_down()
-        for connection in connections:
-            connection.thread.join(timeout)
+        self._loop = None
         if self._started_service:
             self.warehouse.stop_service()
             self._started_service = False
@@ -451,13 +297,10 @@ class WarehouseServer:
     def swap_warehouse(self, shadow: Warehouse, **kwargs):
         """Blue-green cutover to ``shadow`` (DESIGN.md section 16).
 
-        Sessions survive: they resolve ``server.warehouse`` per
-        statement, so queries submitted after the flip run on the
-        shadow while handles already streaming complete against the
-        dataset version that admitted them.  Returns the
-        :class:`~repro.engine.swap.SwapReport`; the old warehouse is
-        drained and retired (kwargs forward to
-        :func:`~repro.engine.swap.blue_green_swap`).
+        Safe from any thread: sessions resolve ``server.warehouse``
+        per statement on the loop thread, and the attribute flip is
+        atomic under the old pipeline's write barrier.  Returns the
+        :class:`~repro.engine.swap.SwapReport`.
         """
         from repro.engine.swap import blue_green_swap
 
@@ -469,32 +312,435 @@ class WarehouseServer:
     def __exit__(self, exc_type, exc_value, traceback) -> None:
         self.stop()
 
-    @property
-    def connection_count(self) -> int:
-        """Currently attached client connections."""
-        with self._conn_lock:
-            return len(self._connections)
+    def _thread_main(self) -> None:
+        try:
+            # asyncio.run also joins the default executor's threads on
+            # the way out, so drive() work cannot outlive stop()
+            asyncio.run(self._main())
+        except BaseException as error:  # pragma: no cover - defensive
+            if not self._started.is_set():
+                self._startup_error = error
+                self._started.set()
+        finally:
+            self._started.set()
 
-    def _forget(self, connection: _Connection) -> None:
-        with self._conn_lock:
-            self._connections.discard(connection)
-
-    def _drive(self, handle: QueryHandle) -> None:
-        """Let an offline-routed handle finish (Connection._complete's
-
-        server-side twin): with the background driver running and no
-        offline submissions pending there is nothing to do; otherwise
-        drain the warehouse on this handler thread, serialized so
-        concurrent connections do not double-drive the offline routes.
-        """
-        if handle.done:
+    async def _main(self) -> None:
+        self._loop = asyncio.get_running_loop()
+        self._closing_async = asyncio.Event()
+        if self._closing.is_set():  # stop() raced start()
+            self._closing_async.set()
+        try:
+            server = await asyncio.start_server(
+                self._on_connect, *self._requested, backlog=512
+            )
+        except OSError as error:
+            self._startup_error = error
+            self._started.set()
             return
+        self._address = server.sockets[0].getsockname()[:2]
+        self._started.set()
+        try:
+            await self._closing_async.wait()
+        finally:
+            server.close()
+            await server.wait_closed()
+            with self._conn_lock:
+                serve_tasks = [
+                    conn.serve_task
+                    for conn in self._connections
+                    if conn.serve_task is not None
+                ]
+            for task in serve_tasks:
+                task.cancel()
+            await asyncio.gather(*serve_tasks, return_exceptions=True)
+            # belt and braces: no task may outlive the loop
+            current = asyncio.current_task()
+            leftovers = [
+                task
+                for task in asyncio.all_tasks()
+                if task is not current
+            ]
+            for task in leftovers:
+                task.cancel()
+            await asyncio.gather(*leftovers, return_exceptions=True)
+            self.leaked_tasks = [
+                repr(task)
+                for task in asyncio.all_tasks()
+                if task is not current and not task.done()
+            ]
+
+    # -- connection serving --------------------------------------------
+    async def _on_connect(
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+    ) -> None:
+        conn = _Connection(self, reader, writer)
+        conn.serve_task = asyncio.current_task()
+        with self._conn_lock:
+            if self._closing.is_set():
+                writer.close()
+                return
+            self._connections.add(conn)
+        conn.writer_task = asyncio.get_running_loop().create_task(
+            self._write_loop(conn)
+        )
+        try:
+            await self._serve(conn)
+        except asyncio.CancelledError:
+            # stop() cancels serve tasks as its shutdown signal and the
+            # task ends here anyway; ending it normally keeps the
+            # streams layer from logging the cancellation as an error
+            pass
+        finally:
+            await self._teardown(conn)
+
+    async def _serve(self, conn: _Connection) -> None:
+        try:
+            while True:
+                frame = await protocol.read_frame_async(conn.reader)
+                if frame is None:
+                    break
+                request_id = None
+                try:
+                    if conn.session.greeted:
+                        request_id = protocol.request_id_of(frame)
+                    await self._dispatch(conn, frame, request_id)
+                except CloseConnection:
+                    await conn.outbox.put(
+                        _tag({"type": protocol.CLOSE_OK}, request_id)
+                    )
+                    break
+                except ProtocolError as error:
+                    await self._put_error(
+                        conn, InterfaceError(str(error)), request_id
+                    )
+                    break
+                except Error as error:
+                    # statement-level failure: report it, keep serving
+                    await self._put_error(conn, error, request_id)
+                    continue
+            await self._flush(conn)
+        except ProtocolError as error:
+            # framing violations are fatal: report best-effort, close
+            await self._put_error(conn, InterfaceError(str(error)), None)
+            await self._flush(conn)
+        except (ConnectionError, OSError, asyncio.IncompleteReadError):
+            pass  # peer vanished / server shutting down
+
+    async def _dispatch(
+        self, conn: _Connection, frame: dict, request_id: int | None
+    ) -> None:
+        """Handle one frame: reply now, or park a waiter that will."""
+        kind = frame["type"]
+        session = conn.session
+        if not session.greeted:
+            reply = session.hello(frame)
+        else:
+            # every frame is a pump opportunity: a client that only
+            # polls partial-mode FETCH (or cancels) must still see its
+            # queued statements admitted; completions pump too
+            session.pump()
+            if kind == protocol.EXECUTE:
+                reply = session.execute(frame)
+                self._watch_completions(conn, reply["query_ids"])
+            elif kind == protocol.FETCH:
+                reply = await self._fetch(conn, frame, request_id)
+            elif kind == protocol.CANCEL:
+                reply = session.cancel(frame)
+            elif kind == protocol.CLOSE:
+                reply = session.close(frame)
+            elif kind == protocol.STATS:
+                reply = session.stats(frame)
+            elif kind == protocol.INGEST:
+                reply = await self._ingest(conn, frame, request_id)
+            else:
+                raise ProtocolError(f"unknown frame type {kind!r}")
+        if reply is not None:
+            await conn.outbox.put(_tag(reply, request_id))
+
+    async def _fetch(
+        self, conn: _Connection, frame: dict, request_id: int | None
+    ) -> dict | None:
+        """The ROWS reply, or None with a waiter parked for it."""
+        session = conn.session
+        if frame.get("mode") == "partial":
+            return session.partial_reply(frame)
+        query_id, state, max_rows, timeout = session.validate_fetch(frame)
+        handle = state.handle
+        if state.rows is not None or handle.done:
+            return session.page_reply(query_id, state, max_rows)
+
+        async def drive() -> None:
+            session.pump()
+            if not handle.done and self._needs_driving():
+                await asyncio.get_running_loop().run_in_executor(
+                    None, self._drive_blocking, handle
+                )
+
+        await self._park(
+            conn,
+            request_id,
+            lambda: self._await(
+                handle,
+                handle.on_complete,
+                drive,
+                self._needs_driving,
+                timeout,
+                f"query did not complete within {timeout} seconds",
+            ),
+            lambda: session.page_reply(query_id, state, max_rows),
+        )
+        return None
+
+    async def _ingest(
+        self, conn: _Connection, frame: dict, request_id: int | None
+    ) -> None:
+        """Stage a write set, park a waiter for its apply (section 10).
+
+        The waiter parks exactly like a FETCH's, sharing the same
+        parked-waiter budget, so queries on the connection keep
+        flowing while the batch waits for its scan boundary.
+        """
+        timeout = timeout_of(frame)
+        ticket = conn.session.ingest(frame)
+
+        def driverless() -> bool:
+            return not self.warehouse.service.running
+
+        async def drive() -> None:
+            # with no service driver (process-backend servers, stopped
+            # drivers) nobody reaches a scan boundary: apply from here
+            if driverless():
+                await asyncio.get_running_loop().run_in_executor(
+                    None, self._apply_ingest_blocking
+                )
+
+        await self._park(
+            conn,
+            request_id,
+            lambda: self._await(
+                ticket,
+                ticket.on_done,
+                drive,
+                driverless,
+                timeout,
+                f"ingest batch was not applied within {timeout} seconds",
+            ),
+            lambda: conn.session.ingest_reply(ticket),
+        )
+
+    async def _park(self, conn, request_id, wait, make_reply) -> None:
+        """Answer ``request_id`` from a waiter task, so other requests
+        on this connection keep dispatching; the budget pauses the
+        reader when a client floods waits faster than they resolve."""
+        await conn.fetch_slots.acquire()
+        task = asyncio.get_running_loop().create_task(
+            self._waiter(conn, request_id, wait, make_reply)
+        )
+        conn.fetch_tasks.add(task)
+        task.add_done_callback(conn.fetch_tasks.discard)
+
+    async def _waiter(self, conn, request_id, wait, make_reply) -> None:
+        try:
+            try:
+                await wait()
+                reply = make_reply()
+            except Error as error:
+                reply = _error_reply(error)
+            await conn.outbox.put(_tag(reply, request_id))
+        finally:
+            conn.fetch_slots.release()
+
+    async def _await(
+        self, waitable, subscribe, drive, polling, timeout, expired: str
+    ) -> None:
+        """Park until ``waitable.done`` — no thread consumed.
+
+        ``subscribe`` registers a completion callback (fired on the
+        warehouse driver thread, or whichever thread applies a batch)
+        that sets an asyncio event via ``call_soon_threadsafe``;
+        shutdown wakes every waiter through the server-wide closing
+        event.  Only while ``polling()`` says nobody else will make
+        progress (offline routes, no service driver) does the wait fall
+        back to the poll cadence, with ``drive()`` pushing the blocking
+        work onto the default executor so the loop never blocks.
+        """
+        loop = asyncio.get_running_loop()
+        deadline = (
+            None if timeout is None else loop.time() + float(timeout)
+        )
+        event = asyncio.Event()
+
+        def _notify(_waitable) -> None:
+            try:
+                loop.call_soon_threadsafe(event.set)
+            except RuntimeError:
+                pass  # loop closed first; the waiter was cancelled
+
+        subscribe(_notify)
+        while not waitable.done:
+            if self._closing.is_set():
+                raise OperationalError("server is shutting down")
+            await drive()
+            if waitable.done:
+                return
+            remaining = (
+                None if deadline is None else deadline - loop.time()
+            )
+            if remaining is not None and remaining <= 0:
+                raise OperationalError(expired)
+            wait_slice = remaining
+            if polling():
+                wait_slice = (
+                    _FETCH_POLL_SECONDS
+                    if wait_slice is None
+                    else min(wait_slice, _FETCH_POLL_SECONDS)
+                )
+            await self._sleep_until(event, wait_slice)
+
+    def _apply_ingest_blocking(self) -> None:
+        with self._run_lock:
+            with translated():
+                self.warehouse.apply_pending_ingest()
+
+    async def _sleep_until(
+        self, event: asyncio.Event, timeout: float | None
+    ) -> None:
+        """Wait for completion, shutdown, or the drive cadence."""
+        waiters = [
+            asyncio.ensure_future(event.wait()),
+            asyncio.ensure_future(self._closing_async.wait()),
+        ]
+        try:
+            await asyncio.wait(
+                waiters,
+                timeout=timeout,
+                return_when=asyncio.FIRST_COMPLETED,
+            )
+        finally:
+            for waiter in waiters:
+                waiter.cancel()
+            await asyncio.gather(*waiters, return_exceptions=True)
+
+    def _needs_driving(self) -> bool:
         warehouse = self.warehouse
-        offline_pending = warehouse.pending_submissions(
-            ROUTE_PROCESS
-        ) or warehouse.pending_submissions(ROUTE_BASELINE)
-        if offline_pending or not warehouse.service.running:
-            with self._run_lock:
-                if not handle.done:
-                    with translated():
-                        warehouse.run()
+        return bool(
+            warehouse.pending_submissions(ROUTE_PROCESS)
+            or warehouse.pending_submissions(ROUTE_BASELINE)
+            or not warehouse.service.running
+        )
+
+    def _drive_blocking(self, handle: QueryHandle) -> None:
+        """Push offline-routed handles forward (executor thread)."""
+        with self._run_lock:
+            if not handle.done:
+                with translated():
+                    self.warehouse.run()
+
+    def _watch_completions(
+        self, conn: _Connection, query_ids: list[int]
+    ) -> None:
+        """Pump the connection's admission FIFO on every completion.
+
+        A completion on the driver thread schedules a pump on the
+        loop, so queued statements advance even when no frame is in
+        flight.
+        """
+        for query_id in query_ids:
+            state = conn.session.queries.get(query_id)
+            if state is None:
+                continue
+
+            def _done(_handle: QueryHandle, conn=conn) -> None:
+                try:
+                    self._loop.call_soon_threadsafe(self._pump_now, conn)
+                except (RuntimeError, AttributeError):
+                    pass  # loop closed first; teardown pumps nothing
+
+            state.handle.on_complete(_done)
+
+    def _pump_now(self, conn: _Connection) -> None:
+        if conn.torn or self._closing.is_set():
+            return
+        try:
+            conn.session.pump()
+        except Error:
+            # a dying warehouse fails the submit; the affected handles
+            # surface it to their own fetch waiters
+            pass
+
+    # -- replies and teardown ------------------------------------------
+    async def _put_error(
+        self, conn: _Connection, error: Exception, request_id: int | None
+    ) -> None:
+        await conn.outbox.put(_tag(_error_reply(error), request_id))
+
+    async def _flush(self, conn: _Connection) -> None:
+        """Give queued replies a bounded chance to reach the peer."""
+        try:
+            await asyncio.wait_for(
+                conn.outbox.join(), _FLUSH_TIMEOUT_SECONDS
+            )
+        except (asyncio.TimeoutError, TimeoutError):
+            pass
+
+    async def _write_loop(self, conn: _Connection) -> None:
+        """Drain the outbox; ``drain()`` throttles on a slow peer.
+
+        A write failure marks the stream broken but keeps consuming so
+        enqueuers (and :meth:`_flush`) never wedge on a full queue.
+        """
+        broken = False
+        while True:
+            payload = await conn.outbox.get()
+            try:
+                if not broken:
+                    conn.writer.write(protocol.encode_frame(payload))
+                    await conn.writer.drain()
+            except (ConnectionError, OSError, ProtocolError):
+                broken = True  # reader notices the dead peer
+            finally:
+                conn.outbox.task_done()
+
+    async def _teardown(self, conn: _Connection) -> None:
+        """Cancel the connection's work; frees slots within one cycle."""
+        conn.torn = True
+        with self._conn_lock:
+            self._connections.discard(conn)
+        conn.session.teardown()
+        tasks = list(conn.fetch_tasks)
+        if conn.writer_task is not None:
+            tasks.append(conn.writer_task)
+        for task in tasks:
+            task.cancel()
+        if tasks:
+            # shield: this coroutine may itself be mid-cancellation,
+            # but the children must finish before the loop closes
+            try:
+                await asyncio.shield(
+                    asyncio.gather(*tasks, return_exceptions=True)
+                )
+            except asyncio.CancelledError:
+                pass
+        conn.writer.close()
+        try:
+            await conn.writer.wait_closed()
+        except (ConnectionError, OSError, asyncio.CancelledError):
+            pass
+
+
+def _error_reply(error: Exception) -> dict:
+    return protocol.error_payload(type(error).__name__, str(error))
+
+
+def _tag(payload: dict, request_id: int | None) -> dict:
+    """Echo a request id on its reply (HELLO_OK and replies to frames
+    too broken to carry one go untagged)."""
+    if request_id is not None:
+        payload["request_id"] = request_id
+    return payload
+
+
+#: The second public name of the one server class.
+AsyncWarehouseServer = WarehouseServer

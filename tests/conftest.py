@@ -12,6 +12,7 @@ from repro.catalog.schema import (
     StarSchema,
     TableSchema,
 )
+from repro.server import WarehouseServer
 from repro.ssb.generator import load_ssb
 from repro.ssb.queries import ssb_workload_generator
 from repro.storage.table import Table
@@ -113,6 +114,17 @@ def make_tiny_star() -> tuple[Catalog, StarSchema]:
 def tiny_star() -> tuple[Catalog, StarSchema]:
     """Fresh tiny retail star per test."""
     return make_tiny_star()
+
+
+@pytest.fixture(params=[WarehouseServer], ids=["async"])
+def server_class(request):
+    """The server class of the server-facing suites.
+
+    One class, so one parameter; its id is ``async`` so that the tests
+    that ran against the asyncio core before it became the only core
+    keep the ids they had.
+    """
+    return request.param
 
 
 @pytest.fixture(scope="session")

@@ -6,12 +6,12 @@ writes that land one byte per segment, disconnects mid-frame,
 readers that stall after requesting work, and plain garbage.  Each
 helper drives ONE raw socket through one pathology and returns what
 it observed; ``tests/test_server_faults.py`` runs every scenario
-against both the threaded and the async server and asserts the
-invariant that matters — no leaked handler thread or task, no leaked
-warehouse slot — using the servers' own accounting.
+against a live server and asserts the invariant that matters — no
+leaked thread or task, no leaked warehouse slot — using the server's
+own accounting.
 
-The helpers speak protocol v1 or v2 explicitly (never the negotiated
-default) so each scenario pins down exactly which rules it violates.
+The helpers write their frames by hand (never through a client) so
+each scenario pins down exactly which rules it violates.
 """
 
 from __future__ import annotations
@@ -36,9 +36,9 @@ def open_raw(address: tuple[str, int]) -> socket.socket:
     return sock
 
 
-def handshake(sock: socket.socket, version: int = 2) -> dict:
+def handshake(sock: socket.socket) -> dict:
     """Send HELLO and return the (decoded) HELLO_OK."""
-    sock.sendall(protocol.encode_frame({"type": "hello", "version": version}))
+    sock.sendall(protocol.encode_frame({"type": "hello", "version": 2}))
     reply = protocol.read_frame(sock.makefile("rb"))
     assert reply is not None and reply["type"] == "hello_ok", reply
     return reply
@@ -217,9 +217,9 @@ def oversized_length_prefix(address) -> dict:
 
 
 def missing_request_id(address) -> dict:
-    """A v2 connection omitting the mandatory request id."""
+    """A post-HELLO frame omitting the mandatory request id."""
     with open_raw(address) as sock:
-        handshake(sock, version=2)
+        handshake(sock)
         sock.sendall(
             protocol.encode_frame({"type": "execute", "sql": COUNT_SQL})
         )
@@ -231,10 +231,10 @@ def missing_request_id(address) -> dict:
 
 
 def unknown_version(address) -> dict:
-    """A HELLO below the oldest version the server speaks."""
+    """A HELLO offering version 1, below the oldest the server speaks."""
     with open_raw(address) as sock:
         reader = sock.makefile("rb")
-        sock.sendall(protocol.encode_frame({"type": "hello", "version": 0}))
+        sock.sendall(protocol.encode_frame({"type": "hello", "version": 1}))
         reply = protocol.read_frame(reader)
         assert reply is not None and reply["type"] == "error", reply
         assert protocol.read_frame(reader) is None

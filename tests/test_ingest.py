@@ -1,31 +1,28 @@
-"""Streaming ingest: equivalence, back-pressure, close(), v1 gate.
+"""Streaming ingest: equivalence, back-pressure, close().
 
 The subsystem contract (DESIGN.md section 15, docs/PROTOCOL.md
 section 10): a dataset built by streaming appends and dimension
 upserts through the bounded ingest buffer must answer every query
 exactly like the same dataset bulk-loaded — across the tuple,
-batched, and process execution paths and over both servers — writes
-beyond the buffer get typed back-pressure instead of blocking, a
+batched, and process execution paths and over the wire — writes
+beyond the buffer get typed back-pressure instead of blocking, and a
 clean ``Warehouse.close()`` drains or rejects every staged batch
-deterministically, and a protocol-v1 peer gets a clean
-``NotSupportedError`` instead of a dead connection.
+deterministically.
 """
 
 from __future__ import annotations
 
 import asyncio
-import socket
 
 import pytest
 
 import repro
-from repro.client import NotSupportedError, OperationalError, ProgrammingError
+from repro.client import OperationalError, ProgrammingError
 from repro.engine import Warehouse
 from repro.errors import IngestBackpressureError, IngestError
 from repro.query.aggregates import AggregateSpec
 from repro.query.reference import evaluate_star_query
 from repro.query.star import ColumnRef, StarQuery
-from repro.server import AsyncWarehouseServer, WarehouseServer, protocol
 from tests.conftest import make_tiny_star
 
 COUNT_SQL = "SELECT COUNT(*) FROM sales, store WHERE f_store = s_id"
@@ -43,12 +40,6 @@ STREAMED_SALES = [
     (3, 30, 2, 16),
     (1, 10, 1, 5),
 ]
-
-SERVER_CLASSES = {
-    "threaded": WarehouseServer,
-    "async": AsyncWarehouseServer,
-}
-
 
 def make_partial_star():
     """The conftest tiny star minus the streamed tail, plus one stale
@@ -137,14 +128,13 @@ class TestStreamingEquivalence:
         finally:
             warehouse.close()
 
-    @pytest.mark.parametrize("flavor", sorted(SERVER_CLASSES))
-    def test_streamed_dataset_matches_bulk_over_the_wire(self, flavor):
+    def test_streamed_dataset_matches_bulk_over_the_wire(self, server_class):
         bulk_catalog, bulk_star = make_tiny_star()
         with repro.connect(catalog=bulk_catalog, star=bulk_star) as bulk:
             expected_count = bulk.execute(COUNT_SQL).fetchall()
             expected_cities = sorted(bulk.execute(CITY_SQL).fetchall())
         partial, star = make_partial_star()
-        server = SERVER_CLASSES[flavor](
+        server = server_class(
             Warehouse(partial, star), owns_warehouse=True
         )
         with server:
@@ -162,13 +152,12 @@ class TestStreamingEquivalence:
                     expected_cities
                 )
 
-    @pytest.mark.parametrize("flavor", sorted(SERVER_CLASSES))
-    def test_async_client_streams_the_same_dataset(self, flavor):
+    def test_async_client_streams_the_same_dataset(self, server_class):
         bulk_catalog, bulk_star = make_tiny_star()
         with repro.connect(catalog=bulk_catalog, star=bulk_star) as bulk:
             expected_count = bulk.execute(COUNT_SQL).fetchall()
         partial, star = make_partial_star()
-        server = SERVER_CLASSES[flavor](
+        server = server_class(
             Warehouse(partial, star), owns_warehouse=True
         )
 
@@ -222,10 +211,9 @@ class TestBackpressureAndValidation:
             with pytest.raises(IngestError):
                 warehouse.ingest()  # empty write set
 
-    @pytest.mark.parametrize("flavor", sorted(SERVER_CLASSES))
-    def test_per_connection_bound_is_typed_over_the_wire(self, flavor):
+    def test_per_connection_bound_is_typed_over_the_wire(self, server_class):
         catalog, star = make_tiny_star()
-        server = SERVER_CLASSES[flavor](
+        server = server_class(
             Warehouse(catalog, star),
             owns_warehouse=True,
             max_pending_ingest_rows_per_connection=4,
@@ -239,10 +227,9 @@ class TestBackpressureAndValidation:
                     fact_rows=[(1, 10, 1, 5)]
                 )["rows"] == 1
 
-    @pytest.mark.parametrize("flavor", sorted(SERVER_CLASSES))
-    def test_remote_schema_violation_is_programming_error(self, flavor):
+    def test_remote_schema_violation_is_programming_error(self, server_class):
         catalog, star = make_tiny_star()
-        server = SERVER_CLASSES[flavor](
+        server = server_class(
             Warehouse(catalog, star), owns_warehouse=True
         )
         with server:
@@ -281,62 +268,3 @@ class TestCloseDeterminism:
         warehouse.close()
         with pytest.raises(QueryError):
             warehouse.ingest(fact_rows=[(1, 10, 1, 5)])
-
-
-class TestProtocolV1Gate:
-    @pytest.mark.parametrize("flavor", sorted(SERVER_CLASSES))
-    def test_v1_session_gets_a_clean_error_and_keeps_serving(self, flavor):
-        catalog, star = make_tiny_star()
-        server = SERVER_CLASSES[flavor](
-            Warehouse(catalog, star), owns_warehouse=True
-        )
-        with server:
-            host, port = server.address
-            sock = socket.create_connection((host, port), timeout=10.0)
-            reader = sock.makefile("rb")
-            try:
-                sock.sendall(
-                    protocol.encode_frame(
-                        {"type": protocol.HELLO, "version": 1}
-                    )
-                )
-                assert protocol.read_frame(reader)["version"] == 1
-                sock.sendall(
-                    protocol.encode_frame(
-                        {
-                            "type": protocol.INGEST,
-                            "fact_rows": [[1, 10, 1, 5]],
-                        }
-                    )
-                )
-                reply = protocol.read_frame(reader)
-                assert reply["type"] == protocol.ERROR
-                assert reply["error"]["class"] == "NotSupportedError"
-                assert "version 2" in reply["error"]["message"]
-                # the connection survives: a later EXECUTE still answers
-                sock.sendall(
-                    protocol.encode_frame(
-                        {"type": protocol.EXECUTE, "sql": COUNT_SQL}
-                    )
-                )
-                assert (
-                    protocol.read_frame(reader)["type"]
-                    == protocol.EXECUTE_OK
-                )
-            finally:
-                reader.close()
-                sock.close()
-
-    def test_v1_client_raises_before_the_round_trip(self):
-        catalog, star = make_tiny_star()
-        with WarehouseServer(
-            Warehouse(catalog, star), owns_warehouse=True
-        ) as server:
-            connection = repro.connect(server.url)
-            try:
-                connection.protocol_version = 1
-                with pytest.raises(NotSupportedError, match="version 2"):
-                    connection.ingest(fact_rows=[(1, 10, 1, 5)])
-            finally:
-                connection.protocol_version = 2
-                connection.close()

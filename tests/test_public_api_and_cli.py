@@ -10,6 +10,13 @@ class TestPublicAPI:
         for name in repro.__all__:
             assert getattr(repro, name, None) is not None, name
 
+    def test_one_server_class_under_both_names(self):
+        import repro.server
+
+        assert repro.WarehouseServer is repro.AsyncWarehouseServer
+        assert repro.server.WarehouseServer is repro.WarehouseServer
+        assert repro.server.AsyncWarehouseServer is repro.WarehouseServer
+
     def test_version_is_semver_like(self):
         parts = repro.__version__.split(".")
         assert len(parts) == 3

@@ -1,4 +1,4 @@
-"""The TCP warehouse servers and the socket-backed client (ISSUE 5/6).
+"""The TCP warehouse server and the socket-backed client (ISSUE 5/6).
 
 Covers what `tests/test_client_api.py` (whose shared `connection`
 fixture already runs every cursor-semantics test over all transports)
@@ -7,10 +7,8 @@ deterministic cancel-while-queued path, remote executemany atomicity
 observed server-side, URL validation, and the 8-client soak —
 concurrent execute/stream/cancel against one server with results
 reference-equal to an in-process drain and no leaked threads or
-sockets afterwards.  The `server_class` fixture runs every
-server-facing test against BOTH the threaded `WarehouseServer` and
-the asyncio `AsyncWarehouseServer` (ISSUE 6): the two must be
-observably identical from a v1/v2 sync client.
+sockets afterwards.  `server_class` is the conftest fixture naming the
+one server class.
 """
 
 from __future__ import annotations
@@ -29,23 +27,10 @@ from repro.client import (
 )
 from repro.client.remote import parse_url
 from repro.engine import Warehouse
-from repro.server import AsyncWarehouseServer, WarehouseServer
 from repro.sql.render import render_star_query
 from repro.tuning import TuningConfig
 
 COUNT_SQL = "SELECT COUNT(*) FROM sales, store WHERE f_store = s_id"
-
-SERVER_CLASSES = {
-    "threaded": WarehouseServer,
-    "async": AsyncWarehouseServer,
-}
-
-
-@pytest.fixture(params=sorted(SERVER_CLASSES))
-def server_class(request):
-    """Both server flavors, asserted interchangeable (ISSUE 6)."""
-    return SERVER_CLASSES[request.param]
-
 
 def wait_until(predicate, timeout: float = 10.0) -> bool:
     deadline = time.monotonic() + timeout

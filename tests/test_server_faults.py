@@ -1,13 +1,11 @@
-"""Fault injection against both warehouse servers (ISSUE 6 satellite).
+"""Fault injection against the warehouse server (ISSUE 6 satellite).
 
-Every :mod:`tests.netchaos` scenario runs against the threaded
-:class:`~repro.server.tcp.WarehouseServer` AND the asyncio
-:class:`~repro.server.async_tcp.AsyncWarehouseServer`, and every run
-asserts the same postconditions:
+Every :mod:`tests.netchaos` scenario runs against a live
+:class:`~repro.server.tcp.WarehouseServer`, and every run asserts the
+same postconditions:
 
-- the connection's handler thread / task set is reclaimed (no leaks,
-  checked via ``threading.enumerate`` and the async server's
-  ``leaked_tasks`` ledger);
+- the connection's task set is reclaimed (no leaks, checked via
+  ``threading.enumerate`` and the server's ``leaked_tasks`` ledger);
 - the warehouse slots the faulty client held are freed — each of its
   submissions ends done or cancelled within one scan cycle;
 - the server still serves: a well-behaved client completes a query
@@ -28,15 +26,10 @@ import pytest
 import repro
 from repro.client import OperationalError
 from repro.engine import Warehouse
-from repro.server import AsyncWarehouseServer, WarehouseServer
+from repro.server import WarehouseServer
 
 import netchaos
 from tests.conftest import make_tiny_star
-
-SERVER_CLASSES = {
-    "threaded": WarehouseServer,
-    "async": AsyncWarehouseServer,
-}
 
 
 def wait_until(predicate, timeout: float = 10.0) -> bool:
@@ -48,12 +41,11 @@ def wait_until(predicate, timeout: float = 10.0) -> bool:
     return predicate()
 
 
-@pytest.fixture(params=sorted(SERVER_CLASSES))
-def chaos_server(request, tiny_star):
-    """One server of each flavor, with leak bookkeeping around it."""
+@pytest.fixture
+def chaos_server(server_class, tiny_star):
+    """A live server with leak bookkeeping around it."""
     catalog, star = tiny_star
     before = set(threading.enumerate())
-    server_class = SERVER_CLASSES[request.param]
     server = server_class(
         Warehouse(catalog, star), owns_warehouse=True
     ).start()
@@ -63,8 +55,7 @@ def chaos_server(request, tiny_star):
     assert wait_until(
         lambda: set(threading.enumerate()) - before == set()
     ), f"leaked threads: {set(threading.enumerate()) - before}"
-    if isinstance(server, AsyncWarehouseServer):
-        assert server.leaked_tasks == []
+    assert server.leaked_tasks == []
 
 
 @pytest.mark.parametrize("scenario", sorted(netchaos.SCENARIOS))
@@ -104,10 +95,9 @@ class TestServerDiesMidStream:
     """ISSUE 6 fix: typed OperationalError, promptly, not a raw
     ConnectionResetError or a hang, when the server vanishes."""
 
-    @pytest.mark.parametrize("flavor", sorted(SERVER_CLASSES))
-    def test_fetch_surfaces_operational_error(self, tiny_star, flavor):
+    def test_fetch_surfaces_operational_error(self, tiny_star, server_class):
         catalog, star = tiny_star
-        server = SERVER_CLASSES[flavor](
+        server = server_class(
             Warehouse(catalog, star), owns_warehouse=True
         ).start()
         conn = repro.connect(server.url)
@@ -125,12 +115,11 @@ class TestServerDiesMidStream:
             cursor.rows_so_far()
         conn.close()  # teardown is best-effort, never raises
 
-    @pytest.mark.parametrize("flavor", sorted(SERVER_CLASSES))
     def test_rows_so_far_surfaces_operational_error(
-        self, tiny_star, flavor
+        self, tiny_star, server_class
     ):
         catalog, star = tiny_star
-        server = SERVER_CLASSES[flavor](
+        server = server_class(
             Warehouse(catalog, star), owns_warehouse=True
         ).start()
         conn = repro.connect(server.url)
@@ -143,15 +132,13 @@ class TestServerDiesMidStream:
 
 
 class TestServerRestartMidSession:
-    """ISSUE 10 satellite: kill and restart both server flavors
-    against the same durable ``data_dir``.  Reconnecting clients see
-    every acked pre-restart ingest; clients holding dead sessions fail
-    with the typed mid-stream error; nothing leaks across the
-    restart — threads, tasks, or warehouse slots."""
+    """ISSUE 10 satellite: kill and restart the server against the
+    same durable ``data_dir``.  Reconnecting clients see every acked
+    pre-restart ingest; clients holding dead sessions fail with the
+    typed mid-stream error; nothing leaks across the restart —
+    threads, tasks, or warehouse slots."""
 
-    @pytest.mark.parametrize("flavor", sorted(SERVER_CLASSES))
-    def test_restart_preserves_acked_ingest(self, tmp_path, flavor):
-        server_class = SERVER_CLASSES[flavor]
+    def test_restart_preserves_acked_ingest(self, tmp_path, server_class):
         before = set(threading.enumerate())
         data_dir = str(tmp_path / "wh")
         catalog, star = make_tiny_star()
@@ -212,8 +199,7 @@ class TestServerRestartMidSession:
             lambda: set(threading.enumerate()) - before == set()
         ), f"leaked threads: {set(threading.enumerate()) - before}"
         for generation in (server, new_server):
-            if isinstance(generation, AsyncWarehouseServer):
-                assert generation.leaked_tasks == []
+            assert generation.leaked_tasks == []
 
 
 class TestAsyncClientFaults:
@@ -223,7 +209,7 @@ class TestAsyncClientFaults:
         import asyncio
 
         catalog, star = tiny_star
-        server = AsyncWarehouseServer(
+        server = WarehouseServer(
             Warehouse(catalog, star), owns_warehouse=True
         ).start()
 

@@ -265,7 +265,7 @@ class TestNegotiationProperties:
     def test_negotiation_is_highest_common_for_any_server_set(
         self, client_max, server_versions
     ):
-        """The rule generalizes beyond (1, 2): for any contiguous-or-
+        """The rule generalizes beyond (2,): for any contiguous-or-
         not supported set, the outcome is the highest supported
         version the client also speaks."""
         with pytest.MonkeyPatch.context() as patcher:
@@ -336,17 +336,35 @@ class TestServerViolations:
             assert protocol.read_frame(reader) is None  # closed
 
     def test_version_mismatch_is_fatal(self, server):
-        # an offer below the oldest supported version shares nothing
-        # with the server; offers ABOVE negotiate down instead
+        """An offer below the oldest supported version shares nothing
+        with the server (offers ABOVE negotiate down instead): a typed
+        fatal error naming the supported versions, then a close —
+        and the server keeps serving other connections."""
         with raw_client(server) as sock:
             reader = sock.makefile("rb")
             sock.sendall(
-                protocol.encode_frame({"type": "hello", "version": 0})
+                protocol.encode_frame({"type": "hello", "version": 1})
             )
             reply = protocol.read_frame(reader)
             assert reply["type"] == "error"
-            assert "version" in reply["error"]["message"]
-            assert protocol.read_frame(reader) is None
+            assert reply["error"]["class"] == "InterfaceError"
+            assert "unsupported protocol version 1" in reply["error"]["message"]
+            assert str(list(protocol.SUPPORTED_VERSIONS)) in (
+                reply["error"]["message"]
+            )
+            assert "request_id" not in reply
+            assert protocol.read_frame(reader) is None  # closed
+        with raw_client(server) as sock:
+            reply = roundtrip(
+                sock, {"type": "hello", "version": 3, "request_id": 9}
+            )
+            assert reply["type"] == "hello_ok"
+            assert reply["version"] == 2  # a newer peer negotiates down
+            assert "request_id" not in reply  # HELLO predates tagging
+        with repro.connect(server.url) as conn:
+            assert conn.execute(
+                "SELECT COUNT(*) FROM sales, store WHERE f_store = s_id"
+            ).fetchall() == [(12,)]
 
     def test_unknown_frame_type_is_fatal(self, server):
         with raw_client(server) as sock:
@@ -369,9 +387,9 @@ class TestServerViolations:
             assert protocol.read_frame(reader) is None
 
     def test_missing_request_id_on_v2_is_fatal(self, server):
-        """A v2 connection's post-HELLO frames MUST carry request ids
-        (docs/PROTOCOL.md section 8); omitting one is a framing
-        violation, not a statement error."""
+        """Post-HELLO frames MUST carry request ids (docs/PROTOCOL.md
+        section 8); omitting one is a framing violation, not a
+        statement error."""
         with raw_client(server) as sock:
             reader = sock.makefile("rb")
             sock.sendall(protocol.encode_frame({"type": "hello", "version": 2}))
@@ -385,34 +403,6 @@ class TestServerViolations:
             assert reply["type"] == "error"
             assert "request_id" in reply["error"]["message"]
             assert protocol.read_frame(reader) is None
-
-    def test_v1_client_negotiates_down_and_runs_bare_frames(self, server):
-        """A v1 peer keeps working against a v2 server: HELLO settles
-        on version 1 and post-HELLO frames carry no request ids."""
-        with raw_client(server) as sock:
-            reader = sock.makefile("rb")
-            sock.sendall(protocol.encode_frame({"type": "hello", "version": 1}))
-            reply = protocol.read_frame(reader)
-            assert reply["type"] == "hello_ok"
-            assert reply["version"] == 1
-            sock.sendall(
-                protocol.encode_frame(
-                    {"type": "execute", "sql": "SELECT COUNT(*) FROM sales"}
-                )
-            )
-            reply = protocol.read_frame(reader)
-            assert reply["type"] == "execute_ok"
-            assert "request_id" not in reply
-            (query_id,) = reply["query_ids"]
-            sock.sendall(
-                protocol.encode_frame(
-                    {"type": "fetch", "query_id": query_id, "timeout": 30}
-                )
-            )
-            reply = protocol.read_frame(reader)
-            assert reply["type"] == "rows"
-            assert reply["rows"] == [[12]]
-            assert "request_id" not in reply
 
     def test_garbage_bytes_close_the_connection(self, server):
         with raw_client(server) as sock:
@@ -490,7 +480,7 @@ class TestServerViolations:
         with raw_client(server) as sock:
             reader = sock.makefile("rb")
             sock.sendall(
-                protocol.encode_frame({"type": "hello", "version": 1})
+                protocol.encode_frame({"type": "hello", "version": 2})
             )
             assert protocol.read_frame(reader)["type"] == "hello_ok"
             sock.sendall(
@@ -498,13 +488,19 @@ class TestServerViolations:
                     {
                         "type": "execute",
                         "sql": "SELECT COUNT(*) FROM sales",
+                        "request_id": 0,
                     }
                 )
             )
             (query_id,) = protocol.read_frame(reader)["query_ids"]
             sock.sendall(
                 protocol.encode_frame(
-                    {"type": "fetch", "query_id": query_id, "max_rows": 0}
+                    {
+                        "type": "fetch",
+                        "query_id": query_id,
+                        "max_rows": 0,
+                        "request_id": 1,
+                    }
                 )
             )
             reply = protocol.read_frame(reader)
@@ -523,7 +519,7 @@ class TestServerViolations:
         with raw_client(server) as sock:
             reader = sock.makefile("rb")
             sock.sendall(
-                protocol.encode_frame({"type": "hello", "version": 1})
+                protocol.encode_frame({"type": "hello", "version": 2})
             )
             assert protocol.read_frame(reader)["type"] == "hello_ok"
             sock.sendall(
@@ -534,6 +530,7 @@ class TestServerViolations:
                             "SELECT s_city, COUNT(*) FROM sales, store "
                             "WHERE f_store = s_id GROUP BY s_city"
                         ),
+                        "request_id": 0,
                     }
                 )
             )
@@ -548,6 +545,7 @@ class TestServerViolations:
                             "query_id": query_id,
                             "max_rows": 1,
                             "timeout": 30,
+                            "request_id": 1 + len(pages),
                         }
                     )
                 )

@@ -1,25 +1,20 @@
 """One stats schema over every transport (docs/PROTOCOL.md section 9).
 
 ``Connection.stats()`` (local), ``RemoteConnection.stats()`` (STATS
-frame over either server), ``AsyncRemoteConnection`` /
+frame over the server), ``AsyncRemoteConnection`` /
 ``AsyncConnectionPool.stats()`` (multiplexed STATS) must all return
 the same JSON-able snapshot shape — telemetry plus the adaptive
-controller's decision audit — and a protocol-v1 peer that sends STATS
-anyway must get a clean ``NotSupportedError`` ERROR frame, not a dead
-connection.
+controller's decision audit.
 """
 
 from __future__ import annotations
 
 import asyncio
-import socket
 
 import pytest
 
 import repro
-from repro.client import NotSupportedError
 from repro.engine import Warehouse
-from repro.server import AsyncWarehouseServer, WarehouseServer, protocol
 
 STATS_KEYS = {
     "latency", "pipeline", "service", "tuning", "backend", "autotune",
@@ -28,18 +23,10 @@ STATS_KEYS = {
 
 COUNT_SQL = "SELECT COUNT(*) FROM sales, store WHERE f_store = s_id"
 
-SERVER_CLASSES = {
-    "threaded": WarehouseServer,
-    "async": AsyncWarehouseServer,
-}
-
-
-@pytest.fixture(params=sorted(SERVER_CLASSES))
-def running_server(request, tiny_star):
+@pytest.fixture
+def running_server(server_class, tiny_star):
     catalog, star = tiny_star
-    server = SERVER_CLASSES[request.param](
-        Warehouse(catalog, star), owns_warehouse=True
-    )
+    server = server_class(Warehouse(catalog, star), owns_warehouse=True)
     server.start()
     try:
         yield server
@@ -114,49 +101,6 @@ class TestRemoteStats:
             stats = connection.stats()
         assert_stats_shape(stats)
         assert stats["pipeline"]["queries_completed"] >= 1
-
-    def test_v1_session_gets_a_clean_error_and_keeps_serving(
-        self, running_server
-    ):
-        host, port = running_server.address
-        sock = socket.create_connection((host, port), timeout=10.0)
-        reader = sock.makefile("rb")
-        try:
-            sock.sendall(
-                protocol.encode_frame(
-                    {"type": protocol.HELLO, "version": 1}
-                )
-            )
-            hello = protocol.read_frame(reader)
-            assert hello["type"] == protocol.HELLO_OK
-            assert hello["version"] == 1
-            sock.sendall(protocol.encode_frame({"type": protocol.STATS}))
-            reply = protocol.read_frame(reader)
-            assert reply["type"] == protocol.ERROR
-            assert reply["error"]["class"] == "NotSupportedError"
-            assert "version 2" in reply["error"]["message"]
-            # the connection survives: a later EXECUTE still answers
-            sock.sendall(
-                protocol.encode_frame(
-                    {"type": protocol.EXECUTE, "sql": COUNT_SQL}
-                )
-            )
-            assert protocol.read_frame(reader)["type"] == protocol.EXECUTE_OK
-        finally:
-            reader.close()
-            sock.close()
-
-    def test_v1_client_raises_before_the_round_trip(self, running_server):
-        connection = repro.connect(running_server.url)
-        try:
-            # simulate a v1 negotiation: the gate fires client-side,
-            # before any frame hits the wire
-            connection.protocol_version = 1
-            with pytest.raises(NotSupportedError, match="version 2"):
-                connection.stats()
-        finally:
-            connection.protocol_version = 2
-            connection.close()
 
 
 class TestAsyncStats:
