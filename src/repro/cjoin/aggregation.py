@@ -49,9 +49,10 @@ def _make_row_getter_factory(
     14).  Getters read the fact *row tuple* directly — fact attributes
     via a C-level ``itemgetter``, dimension attributes through the
     batch-level ``(fk index, key -> row)`` join lookup — so they
-    depend only on the dimension lookup snapshots, not on the batch:
-    one compile serves every batch until a registration change swaps
-    the snapshots (see ``OutputOperator._compiled_row_getters``).
+    depend only on the dimension tables' ``key -> row`` dicts, not on
+    the batch: those dicts are the tables themselves, so one compile
+    serves every batch the operator ever sees
+    (see ``OutputOperator._compiled_row_getters``).
     Dimension tables read this way are appended to ``dim_names``.
     """
     if ref.table == query.fact_table:
@@ -137,11 +138,10 @@ class OutputOperator:
 
     #: single-slot (dim lookup state, compiled getters) memo.  Row
     #: getters read the fact row tuple, so they depend only on the
-    #: dimension lookup snapshots attached to batches — and those are
-    #: identity-stable between registration changes (the dimension
-    #: table caches them), so the state comparison is a handful of
-    #: pointer checks and recompiles happen per query-set epoch, not
-    #: per batch
+    #: ``key -> row`` dicts attached to batches — and each of those is
+    #: one object for the life of its dimension table, mutated in
+    #: place by registration changes, so the state comparison is a
+    #: handful of pointer checks and an operator compiles once
     _getter_cache: tuple = (None, None)
 
     def _compiled_row_getters(self, batch):

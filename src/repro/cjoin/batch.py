@@ -133,8 +133,9 @@ class FactBatch:
         None when any named dimension has no batch-level attachment
         (the caller must fall back to :meth:`materialize`).  The
         returned tuple is the output operators' getter-cache key: its
-        elements wrap identity-stable snapshot dicts, so comparing
-        states costs a few pointer checks per routed batch.
+        elements wrap the dimension tables' own ``key -> row`` dicts,
+        each one object for the life of its table, so comparing states
+        costs a few pointer checks per routed batch.
         """
         state = tuple(map(self._dim_lookups.get, names))
         return None if None in state else state

@@ -13,43 +13,35 @@ The paper's defining property (used by the Filtering Invariant):
     joining tuple satisfies ``c_ij``, **or** ``Q_i`` does not
     reference ``D_j`` at all.
 
-**Who touches a table, and the invalidate-after-mutate rule.**  The
-Pipeline Manager mutates tables from whichever thread admits or cleans
-up (serialized by the manager lock); the Filter probes them from the
-scan's thread, through :meth:`DimensionHashTable.columnar_view`'s
-cached snapshot on the batched path.  Every mutator therefore
-(1) holds the table's rebuild lock while it changes ``_entries`` and
-(2) drops the cached snapshot *after* the change, still under that
-lock.  A rebuild takes the same lock, so it iterates a table no mutator
-is inside and can never cache a half-registered state; the per-batch
-hit path takes no lock and keeps using the last complete snapshot,
-which is correct because the bits a mutation in progress adds or clears
-belong to queries no fact tuple carries yet (admission) or any more
-(cleanup).
+**Who touches a table.**  The table is two dicts, ``key -> bits`` and
+``key -> row``, and that pair *is* :meth:`DimensionHashTable.columnar_view`
+— the same two objects for the life of the table.  The Pipeline Manager
+mutates them in place from whichever thread admits or cleans up
+(serialized by the manager lock and the table's mutator lock); the
+Filter reads them from the scan's thread with single ``dict.get`` calls
+and no lock.  That is correct because the bits a mutation adds or
+clears belong to queries no in-flight fact tuple carries yet
+(admission) or any more (cleanup), a row is stored before its bits and
+dropped after them (a key with bits always has its row), and an entry
+is deleted only when no active query selects it — a probe that misses
+it then reads the same bits from ``b_Dj``.
 
 Cleanup is a *group* operation (:meth:`unregister_queries`): the ids
-that finished together — in a closed loop, a whole scan cycle's worth —
-are cleared with one combined mask in one pass over the entries.
+that finished together are cleared with one combined mask, from the
+entries their registrations touched.
 """
 
 from __future__ import annotations
 
 import threading
 from collections.abc import Iterable
+from itertools import chain
+from operator import itemgetter
+from types import SimpleNamespace
 
 from repro import bitvec
 from repro.catalog.schema import TableSchema
 from repro.errors import PipelineError
-
-
-class _DimEntry:
-    """One stored dimension tuple and its query bit-vector."""
-
-    __slots__ = ("row", "bits")
-
-    def __init__(self, row: tuple, bits: int) -> None:
-        self.row = row
-        self.bits = bits
 
 
 class DimensionHashTable:
@@ -63,13 +55,14 @@ class DimensionHashTable:
         self.schema = schema
         self.name = schema.name
         self._key_index = schema.column_index(schema.primary_key)
-        self._entries: dict[object, _DimEntry] = {}
-        #: lazily rebuilt (key -> bits, key -> row) snapshot for the
-        #: batched path; dropped after every change to stored bits
-        self._columnar_cache: tuple[dict, dict] | None = None
-        #: held by every mutator and by the snapshot rebuild (module
-        #: docstring); never taken on the per-batch hit path
-        self._rebuild_lock = threading.Lock()
+        #: the one stored representation: (key -> b_delta, key -> row)
+        self._view: tuple[dict, dict] = ({}, {})
+        #: query id -> the keys its registration touched
+        self._selected_keys: dict[int, list] = {}
+        #: bits of finished non-referencing queries still set on entries
+        self._stale_bits: int = 0
+        #: held by every mutator (module docstring); readers take none
+        self._mutator_lock = threading.Lock()
         #: the paper's b_Dj: bit i set iff Q_i does NOT reference this dim
         self.complement_bitmap: int = 0
 
@@ -82,57 +75,53 @@ class DimensionHashTable:
         Implements section 3.2.2: a found entry contributes
         ``b_delta``; a miss contributes ``b_Dj``.
         """
-        entry = self._entries.get(key)
-        if entry is None:
+        bits = self._view[0].get(key)
+        if bits is None:
             return self.complement_bitmap, None
-        return entry.bits, entry.row
+        return bits, self._view[1].get(key)
 
     def entries_view(self) -> dict:
-        """The live key -> entry mapping, for introspection.
+        """A key -> entry copy of the stored tuples, for introspection.
 
-        Callers treat the view as read-only; entries expose ``.bits``
-        and ``.row``.
+        Entries expose ``.bits`` and ``.row``; stale bits are masked
+        out, and a tuple holding nothing else is as good as deleted.
         """
-        return self._entries
+        bits_by_key, rows_by_key = self._view
+        live = ~self._stale_bits
+        return {
+            key: SimpleNamespace(bits=bits & live, row=rows_by_key[key])
+            for key, bits in bits_by_key.items()
+            if bits & live
+        }
 
     def columnar_view(self) -> tuple[dict, dict]:
-        """``(key -> bits, key -> row)`` snapshot dicts for the batched path.
+        """The live ``(key -> bits, key -> row)`` dicts, for the batched path.
 
         Plain dicts let :func:`repro.cjoin.kernels.filter_batch` drive
         the whole probe/AND pass through C-level ``map`` calls
         (``dict.get`` with the complement bitmap as the miss default)
-        with no per-row entry attribute access.  The snapshot is rebuilt lazily after a
-        registration change and shared by every batch in between —
-        registration is per *query*, so the rebuild amortizes over the
-        hundreds of batches scanned while the query mix is stable.
+        with no per-row entry attribute access.  The same two objects
+        for the life of the table: read-only to callers, and never
+        iterated beside a mutator (module docstring).
         """
-        cache = self._columnar_cache
-        if cache is None:
-            with self._rebuild_lock:
-                cache = self._columnar_cache
-                if cache is None:
-                    entries = self._entries
-                    cache = self._columnar_cache = (
-                        {key: entry.bits for key, entry in entries.items()},
-                        {key: entry.row for key, entry in entries.items()},
-                    )
-        return cache
+        return self._view
 
     def __getstate__(self) -> dict:
-        """Pickle without the lock and the snapshot (both are rebuilt)."""
+        """Pickle without the lock (rebuilt on load)."""
         state = self.__dict__.copy()
-        del state["_rebuild_lock"]
-        state["_columnar_cache"] = None
+        del state["_mutator_lock"]
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        self._rebuild_lock = threading.Lock()
+        self._mutator_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Registration bookkeeping (Algorithms 1 and 2)
     # ------------------------------------------------------------------
-    def mark_query_not_referencing(self, query_id: int) -> None:
+    # Every mutator returns the number of entries it wrote (what
+    # ``PipelineStats.dim_entries_touched`` sums).
+    def mark_query_not_referencing(self, query_id: int) -> int:
         """Record that an admitted query does not reference this dimension.
 
         (Algorithm 1 line 10: ``b_Dj[n] = 1``.)  Every stored tuple
@@ -140,19 +129,21 @@ class DimensionHashTable:
         dimension tuples.
         """
         bit = bitvec.bit_for_query(query_id)
-        with self._rebuild_lock:
+        with self._mutator_lock:
             self.complement_bitmap |= bit
-            for entry in self._entries.values():
-                entry.bits |= bit
-            self._columnar_cache = None
+            return self._sweep(0, bit)
 
-    def mark_query_referencing(self, query_id: int) -> None:
+    def mark_query_referencing(self, query_id: int) -> int:
         """Record that an admitted query references this dimension.
 
         (Algorithm 1 line 8: ``b_Dj[n] = 0``.)  Selected tuples gain
-        bit n individually via :meth:`register_selected_rows`.
+        bit n individually via :meth:`register_selected_rows`; bit n
+        left stale by the id's previous holder is swept first.
         """
-        self.complement_bitmap = bitvec.clear_bit(self.complement_bitmap, query_id)
+        bit = bitvec.bit_for_query(query_id)
+        with self._mutator_lock:
+            self.complement_bitmap &= ~bit
+            return self._sweep(0, 0) if self._stale_bits & bit else 0
 
     def register_selected_rows(self, query_id: int, rows: Iterable[tuple]) -> int:
         """Insert/update the rows selected by query ``query_id``.
@@ -162,55 +153,95 @@ class DimensionHashTable:
         n, exactly as the paper specifies.  Returns the number of rows
         registered.
         """
-        count = 0
         bit = bitvec.bit_for_query(query_id)
-        key_index = self._key_index
-        entries = self._entries
-        entries_get = entries.get
-        with self._rebuild_lock:
+        rows = list(rows)
+        keys = list(map(itemgetter(self._key_index), rows))
+        bits_by_key, rows_by_key = self._view
+        bits_get = bits_by_key.get
+        with self._mutator_lock:
+            self._selected_keys.setdefault(query_id, []).extend(keys)
             complement = self.complement_bitmap
-            for row in rows:
-                key = row[key_index]
-                entry = entries_get(key)
-                if entry is None:
-                    entry = entries[key] = _DimEntry(row, complement)
-                entry.bits |= bit
-                count += 1
-            self._columnar_cache = None
-        return count
+            stale = self._stale_bits
+            live = ~stale
+            for key, row in zip(keys, rows):
+                bits = bits_get(key)
+                # absent, or as good as: only stale bits left
+                if bits is None or (stale and not bits & live):
+                    rows_by_key[key] = row
+                    bits = complement
+                bits_by_key[key] = bits | bit
+        return len(keys)
 
-    def unregister_queries(self, query_ids: Iterable[int]) -> None:
+    def unregister_queries(self, query_ids: Iterable[int]) -> int:
         """Remove all traces of a group of finished queries (Algorithm 2).
 
-        One combined mask, one pass over the entries, however many
-        queries finished together.
+        One combined mask however many queries finished together,
+        applied to the keys the group's registrations touched — or to
+        the whole table in one pass when that is no more work.
 
         The paper's Algorithm 2 sets ``b_Dj[n] = 1`` and clears entry
         bits only for referenced dimensions, leaving the neutral
         all-ones state for id ``n``.  That makes id *reuse* subtle:
         entries inserted while the id is parked would inherit a stale
-        1-bit.  We instead maintain the invariant that **unallocated
-        ids carry bit 0 everywhere** (complement bitmap and every
-        entry); Algorithm 1 then re-establishes the correct bits from
-        a clean slate on reuse.  Entries whose bit-vector drops to
-        zero are garbage-collected (section 3.3.2).
+        1-bit.  We instead maintain the invariant that **an id carries
+        bit 0 everywhere when it is registered again**: complement and
+        selected-entry bits go now; a non-referencing query's bits, set
+        on every entry, turn *stale* and go with the next whole-table
+        pass, at the latest :meth:`mark_query_referencing`'s for a stale
+        id.  Entries whose bit-vector drops to zero are
+        garbage-collected (section 3.3.2).
         """
-        mask = ~bitvec.or_reduce(map(bitvec.bit_for_query, query_ids))
-        entries = self._entries
-        with self._rebuild_lock:
-            self.complement_bitmap &= mask
-            dead_keys = []
-            for key, entry in entries.items():
-                entry.bits = bits = entry.bits & mask
-                if not bits:
-                    dead_keys.append(key)
-            for key in dead_keys:
-                del entries[key]
-            self._columnar_cache = None
+        mask = 0
+        key_lists = []
+        for query_id in query_ids:
+            mask |= bitvec.bit_for_query(query_id)
+            key_lists.append(self._selected_keys.pop(query_id, ()))
+        touched = sum(map(len, key_lists))
+        bits_by_key, rows_by_key = self._view
+        with self._mutator_lock:
+            self._stale_bits |= self.complement_bitmap & mask
+            self.complement_bitmap &= ~mask
+            if touched >= len(bits_by_key):
+                return self._sweep(mask, 0)
+            keep = ~(mask | self._stale_bits)
+            for key in chain.from_iterable(key_lists):
+                bits = bits_by_key.get(key, 0) & keep
+                if bits:
+                    bits_by_key[key] = bits
+                elif key in bits_by_key:  # else it died with a groupmate
+                    del bits_by_key[key]
+                    del rows_by_key[key]
+        return touched
 
-    def unregister_query(self, query_id: int) -> None:
+    def unregister_query(self, query_id: int) -> int:
         """The one-element form of :meth:`unregister_queries`."""
-        self.unregister_queries((query_id,))
+        return self.unregister_queries((query_id,))
+
+    def _sweep(self, clear: int, add: int) -> int:
+        """One pass over every entry, under the mutator lock.
+
+        Clears ``clear`` and every stale bit, deletes the entries left
+        with none, and sets ``add`` on the rest.
+        """
+        bits_by_key, rows_by_key = self._view
+        keep = ~(clear | self._stale_bits)
+        self._stale_bits = 0
+        touched = len(bits_by_key)
+        if keep == -1:  # nothing to clear: half the work per entry
+            for key, bits in bits_by_key.items():
+                bits_by_key[key] = bits | add
+            return touched
+        dead_keys = []
+        for key, bits in bits_by_key.items():
+            bits &= keep
+            if bits:
+                bits_by_key[key] = bits | add
+            else:
+                dead_keys.append(key)
+        for key in dead_keys:
+            del bits_by_key[key]
+            del rows_by_key[key]
+        return touched
 
     # ------------------------------------------------------------------
     # Introspection
@@ -218,17 +249,18 @@ class DimensionHashTable:
     @property
     def tuple_count(self) -> int:
         """Number of stored dimension tuples."""
-        return len(self._entries)
+        return len(self._view[0])
 
     @property
     def is_empty(self) -> bool:
         """True when no tuples remain (filter can be removed)."""
-        return not self._entries
+        return not self._view[0]
 
     def bits_for_key(self, key: object) -> int:
-        """The stored bit-vector for ``key`` (b_Dj if absent) — test hook."""
-        entry = self._entries.get(key)
-        return self.complement_bitmap if entry is None else entry.bits
+        """What a probe of ``key`` contributes (b_Dj if absent), stale
+        bits masked out — test hook."""
+        bits = self._view[0].get(key, self.complement_bitmap)
+        return bits & ~self._stale_bits
 
     def __repr__(self) -> str:
         return (

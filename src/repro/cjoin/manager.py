@@ -10,18 +10,19 @@ Runs alongside the pipeline and owns its lifecycle:
   in the Preprocessor with a start control tuple;
 * **finalization cleanup** (Algorithm 2): the Distributor queues the
   ids it retires; :meth:`PipelineManager.process_finished` cleans the
-  queued ids *as one group* — one combined bit mask and one pass per
-  hash table, one ``still_referenced`` computation, at most one stall
-  to remove Filters no active query references — so the cost is per
-  scan cycle, not per query;
+  queued ids *as one group* — one combined bit mask per hash table,
+  applied to the entries the group's queries selected, and at most one
+  stall to remove Filters no active query references (a per-dimension
+  reference count) — so a burst costs one event, and a lone query
+  costs what it selected, whatever else is registered;
 * **run-time optimization** (section 3.4): periodically ask the
   ordering policy for a better Filter permutation and install it.
 
 Concurrency notes: admissions and cleanups are serialized by the
 manager lock and may run on any thread beside the scan's; pipeline
-mutations happen under a Preprocessor stall, and hash-table mutations
-follow the invalidate-after-mutate rule of :mod:`repro.cjoin.dimtable`
-so the Filters' cached snapshots are never half-registered.
+mutations happen under a Preprocessor stall, and hash tables are
+mutated in place beside the Filters reading them, which is safe by the
+argument in :mod:`repro.cjoin.dimtable`.
 Permuting the filter chain never requires draining in-flight tuples
 because each tuple snapshots the chain and AND-filtering is
 order-insensitive; new-filter insertion is safe
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import deque
+from collections import Counter, deque
 from contextlib import contextmanager
 
 from repro import bitvec
@@ -107,6 +108,8 @@ class PipelineManager:
         self._tables: dict[str, DimensionHashTable] = {}
         #: which dimensions each active query references
         self._referenced_by: dict[int, set[str]] = {}
+        #: how many active queries reference each dimension
+        self._reference_counts: Counter[str] = Counter()
         self._finished_queue: deque[int] = deque()
 
     # ------------------------------------------------------------------
@@ -194,13 +197,15 @@ class PipelineManager:
                         probe_skip=self.probe_skip,
                     )
                 )
+        touched = 0
         for name in [*referenced_list, *sorted(pipeline_dims - referenced)]:
             if name in missing:
                 continue  # complement already correct (bit n is 0)
+            table = self._tables[name]
             if name in referenced:
-                self._tables[name].mark_query_referencing(query_id)
+                touched += table.mark_query_referencing(query_id)
             else:
-                self._tables[name].mark_query_not_referencing(query_id)
+                touched += table.mark_query_not_referencing(query_id)
 
         # --- Algorithm 1 lines 11-16: dimension filter queries --------
         # Runs outside the stall, in parallel with tuple processing: the
@@ -213,6 +218,7 @@ class PipelineManager:
             rows_loaded += self._tables[name].register_selected_rows(
                 query_id, rows
             )
+        self.stats.dim_entries_touched += touched + rows_loaded
 
         # --- Algorithm 1 lines 17-22: install under a stall -----------
         preprocessor.stall()
@@ -221,6 +227,7 @@ class PipelineManager:
                 self.pipeline.add_filter(new_filter)
             self._registrations[query_id] = registration
             self._referenced_by[query_id] = referenced
+            self._reference_counts.update(referenced)
             fact_table = self.catalog.table(query.fact_table)
             if fact_table.row_count == 0:
                 preprocessor.finish_immediately(registration)
@@ -241,10 +248,10 @@ class PipelineManager:
         the next query referencing that dimension.
         """
         self._registrations.pop(query_id, None)
-        self._referenced_by.pop(query_id, None)
+        self._reference_counts.subtract(self._referenced_by.pop(query_id, ()))
         for name in list(self._tables):
             table = self._tables[name]
-            table.unregister_query(query_id)
+            self.stats.dim_entries_touched += table.unregister_query(query_id)
             if table.is_empty and not self.pipeline.has_filter(name):
                 del self._tables[name]
 
@@ -354,10 +361,10 @@ class PipelineManager:
         """Run Algorithm 2 once for every queued finished query.
 
         The queue is drained into one group and the group is cleaned
-        up together: one pass per hash table, one ``still_referenced``
-        computation and at most one Preprocessor stall per call,
-        however many queries the Distributor retired since the last
-        one.  Returns the number of queries cleaned up.
+        up together: one combined mask per hash table and at most one
+        Preprocessor stall per call, however many queries the
+        Distributor retired since the last one.  Returns the number of
+        queries cleaned up.
 
         Raises:
             AdmissionError: if the queue held an id that is not
@@ -388,20 +395,19 @@ class PipelineManager:
         query_ids = [registration.query_id for registration in registrations]
         for registration in registrations:
             self._record_latency(registration)
-            self._referenced_by.pop(registration.query_id, None)
+            self._reference_counts.subtract(
+                self._referenced_by.pop(registration.query_id, ())
+            )
         for table in self._tables.values():
-            table.unregister_queries(query_ids)
+            self.stats.dim_entries_touched += table.unregister_queries(query_ids)
         # A Filter is removable only when NO active query references its
         # dimension.  The paper's emptiness test alone is unsafe: a hash
         # table can be empty because an *active* query's predicate
         # selected zero dimension rows — then the filter (probe miss ->
         # b_Dj, whose bit is 0 for that query) is exactly what drops
         # every fact tuple for it.
-        still_referenced: set[str] = set().union(
-            *self._referenced_by.values()
-        )
         removable = [
-            name for name in self._tables if name not in still_referenced
+            name for name in self._tables if not self._reference_counts[name]
         ]
         if removable:
             preprocessor = self.pipeline.preprocessor

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import threading
 from array import array
+from bisect import bisect_left, bisect_right, insort
 from collections import deque
 
 from repro import bitvec
@@ -94,6 +95,8 @@ class Preprocessor:
         self._snapshot_groups: dict[int, list[_ActiveQuery]] = {}
         #: scan position -> registrations that started there
         self._starts: dict[int, list[RegisteredQuery]] = {}
+        #: the keys of ``_starts``, sorted: a run looks up the next one
+        self._start_positions: list[int] = []
         self._pending_control: deque[ControlTuple] = deque()
 
     # ------------------------------------------------------------------
@@ -148,10 +151,10 @@ class Preprocessor:
                 self._snapshot_groups.setdefault(
                     snapshot.snapshot_id, []
                 ).append(active)
-        registration.start_position = self.scan.next_position
-        self._starts.setdefault(registration.start_position, []).append(
-            registration
-        )
+        position = registration.start_position = self.scan.next_position
+        if position not in self._starts:
+            insort(self._start_positions, position)
+        self._starts.setdefault(position, []).append(registration)
         self._pending_control.append(QueryStart(self._next_sequence(), registration))
         self.stats.control_tuples += 1
 
@@ -182,7 +185,7 @@ class Preprocessor:
             if remaining:
                 self._starts[position] = remaining
             else:
-                del self._starts[position]
+                self._forget_start(position)
         self._pending_control.append(
             QueryEnd(self._next_sequence(), query_id)
         )
@@ -281,6 +284,7 @@ class Preprocessor:
             # empty unless the fact table is versioned
             snapshot_groups = self._snapshot_groups
             versioned = self.versioned_fact
+            start_positions = self._start_positions
 
             def flush() -> None:
                 if rows:
@@ -320,9 +324,9 @@ class Preprocessor:
                 # just been told its first row is on the way (the tuple
                 # path has consumed that row by now, too)
                 limit = max(budget - produced_rows, 1)
-                for start_position in self._starts:
-                    if position < start_position < position + limit:
-                        limit = start_position - position
+                upcoming = bisect_right(start_positions, position)
+                if upcoming < len(start_positions):
+                    limit = min(limit, start_positions[upcoming] - position)
                 produced = scan.next_run(limit)
                 if produced is None:
                     break
@@ -419,8 +423,13 @@ class Preprocessor:
         if remaining:
             self._starts[position] = remaining
         else:
-            del self._starts[position]
+            self._forget_start(position)
         return ends
+
+    def _forget_start(self, position: int) -> None:
+        del self._starts[position]
+        positions = self._start_positions
+        del positions[bisect_left(positions, position)]
 
     def _deactivate(self, query_id: int) -> None:
         active = self._active.pop(query_id, None)

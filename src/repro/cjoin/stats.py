@@ -130,6 +130,10 @@ class PipelineStats:
     #: queries deregistered early by cancel() (DESIGN.md section 10)
     queries_cancelled: int = 0
     reoptimizations: int = 0
+    #: dimension hash-table entries written by admission and cleanup
+    #: (Algorithms 1 and 2): the sharing-side work, counted where it
+    #: happens
+    dim_entries_touched: int = 0
     #: batched-path snapshot visibility (DESIGN.md section 3), counted
     #: per scan run per distinct active snapshot id: runs the page's
     #: xmin/xmax bounds settled (all or none of the run visible)

@@ -499,6 +499,7 @@ class Warehouse:
                 "queries_completed": pipeline.queries_completed,
                 "queries_cancelled": pipeline.queries_cancelled,
                 "reoptimizations": pipeline.reoptimizations,
+                "dim_entries_touched": pipeline.dim_entries_touched,
                 "visibility_runs_uniform": pipeline.visibility_runs_uniform,
                 "visibility_runs_masked": pipeline.visibility_runs_masked,
             },

@@ -5,9 +5,11 @@ thread other than the driver used to race the batch kernels' cached
 hash-table snapshot (``DimensionHashTable.columnar_view``): the driver
 died with ``dictionary changed size during iteration``, or cached a
 half-registered snapshot and a query silently lost rows.  The hash
-tables now invalidate *after* they mutate and rebuild under a lock
-(:mod:`repro.cjoin.dimtable`); this drives the documented path hard
-enough that the old code fails it within a few hundred queries.
+tables have since dropped the snapshot: mutators change the two dicts
+the kernels read in place, under the argument in
+:mod:`repro.cjoin.dimtable`; this drives the documented path hard
+enough that the snapshot-era code fails it within a few hundred
+queries.  tests/test_spread_admission.py is the deterministic twin.
 """
 
 from __future__ import annotations

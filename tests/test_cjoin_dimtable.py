@@ -1,6 +1,7 @@
 """Unit tests for the shared dimension hash tables (paper section 3.2.1)."""
 
 import pickle
+import sys
 import threading
 
 from repro import bitvec
@@ -131,55 +132,137 @@ class TestUnregister:
         assert table.tuple_count == 2
 
 
-class TestSnapshotRebuildExcludesMutators:
-    """Invalidate after mutate, rebuild under the mutators' lock."""
+class TestInPlaceView:
+    """One stored representation: the view *is* the table."""
 
-    def test_rebuild_waits_for_a_registration_in_progress(self):
+    def test_view_identity_stable_across_register_mark_unregister(self):
         table = make_table()
+        view = table.columnar_view()
+        bits_by_key, rows_by_key = view
+        q1, q2 = bitvec.bit_for_query(1), bitvec.bit_for_query(2)
         table.mark_query_referencing(1)
-        views = []
-        reader = threading.Thread(
-            target=lambda: views.append(table.columnar_view())
-        )
-
-        def rows():
-            yield (1, "a")
-            # half-registered, no snapshot cached: a probe thread asks
-            # for one now
-            reader.start()
-            reader.join(timeout=0.2)
-            assert reader.is_alive(), "rebuild ran inside the mutation"
-            yield (2, "b")
-
-        assert table.register_selected_rows(1, rows()) == 2
-        reader.join(timeout=10)
-        assert not reader.is_alive()
-        bits_by_key, rows_by_key = views[0]
-        assert set(bits_by_key) == set(rows_by_key) == {1, 2}
-        assert table.columnar_view() is views[0]
-
-    def test_hit_path_serves_the_last_complete_snapshot(self):
-        table = make_table()
-        table.mark_query_referencing(1)
-        table.register_selected_rows(1, [(1, "a")])
-        before = table.columnar_view()
-        seen = []
-
-        def rows():
-            yield (2, "b")
-            seen.append(table.columnar_view())  # no lock on this path
-
+        table.register_selected_rows(1, [(1, "a"), (2, "b")])
+        assert bits_by_key == {1: q1, 2: q1}
+        assert rows_by_key == {1: (1, "a"), 2: (2, "b")}
+        table.mark_query_not_referencing(2)
+        assert bits_by_key == {1: q1 | q2, 2: q1 | q2}
+        table.unregister_query(1)
+        assert bits_by_key == {1: q2, 2: q2}
+        # a non-referencing query leaves b_Dj at once and its entry
+        # bits lazily: stale until a pass walks the table anyway
+        assert table.unregister_query(2) == 0
+        assert table.complement_bitmap == 0
+        assert table.bits_for_key(1) == 0 and table.entries_view() == {}
+        assert bits_by_key == {1: q2, 2: q2}
+        # ... at the latest when the id is registered again
         table.mark_query_referencing(2)
-        table.register_selected_rows(2, rows())
-        assert seen == [before]  # pre-mutation, complete
-        assert set(table.columnar_view()[0]) == {1, 2}
+        assert bits_by_key == {} and rows_by_key == {}
+        assert table.columnar_view() is view
+        assert view == (bits_by_key, rows_by_key)
 
-    def test_pickle_round_trip_rebuilds_lock_and_snapshot(self):
+    def test_stale_entry_is_as_good_as_absent_to_a_registration(self):
+        table = make_table()
+        table.mark_query_referencing(1)
+        table.register_selected_rows(1, [(1, "a"), (2, "b")])
+        table.mark_query_not_referencing(2)
+        table.unregister_query(1)
+        table.unregister_query(2)  # both entries now hold a stale bit
+        table.mark_query_not_referencing(3)  # deletes them in its pass
+        assert table.is_empty
+        table.mark_query_referencing(4)
+        table.register_selected_rows(4, [(1, "a")])
+        table.unregister_query(3)  # stale again, on a live entry
+        table.mark_query_referencing(5)
+        table.register_selected_rows(5, [(1, "A"), (2, "B")])
+        assert table.entries_view()[1].row == (1, "a")  # live: row kept
+        assert table.bits_for_key(1) == (
+            bitvec.bit_for_query(4) | bitvec.bit_for_query(5)
+        )
+        assert table.bits_for_key(2) == bitvec.bit_for_query(5)
+
+    def test_a_key_with_bits_has_its_row_at_every_dict_operation(self):
+        """Rows go in before their bits and out after them.
+
+        Deterministic: the keys hash through Python, so every dict
+        operation a mutator makes on one is a point where a reader
+        could be looking, and the check runs there.
+        """
+        table = make_table()
+        bits_by_key, rows_by_key = table.columnar_view()
+        orphans = []
+
+        class Key:
+            checking = False
+
+            def __init__(self, value):
+                self.value = value
+
+            def __eq__(self, other):
+                return self.value == other.value
+
+            def __hash__(self):
+                if not Key.checking:
+                    Key.checking = True
+                    if self in bits_by_key and self not in rows_by_key:
+                        orphans.append(self.value)
+                    Key.checking = False
+                return hash(self.value)
+
+        rows = [(Key(value), str(value)) for value in range(10)]
+        table.mark_query_referencing(1)
+        table.register_selected_rows(1, rows[:8])
+        table.mark_query_referencing(2)
+        table.register_selected_rows(2, rows[6:])
+        assert table.unregister_query(2) == 4  # by its keys: two die
+        assert table.tuple_count == 8
+        assert table.unregister_query(1) == 8  # one pass over the table
+        table.mark_query_referencing(3)
+        table.register_selected_rows(3, rows[4:])
+        assert table.unregister_query(3) == 6
+        assert not orphans
+        assert not bits_by_key and not rows_by_key
+
+    def test_reader_never_sees_bits_without_the_row(self):
+        """The same, raced: a probe thread beside a 50k-row registration."""
+        table = make_table()
+        table.mark_query_referencing(1)
+        total = 50_000
+        orphans, newest_seen = [], set()
+        done = threading.Event()
+
+        def reader():
+            while not done.is_set():
+                bits_by_key, rows_by_key = table.columnar_view()
+                try:
+                    newest = next(reversed(bits_by_key))
+                except (StopIteration, RuntimeError):
+                    continue  # empty, or resized under the iterator
+                if newest not in rows_by_key:
+                    orphans.append(newest)
+                newest_seen.add(newest)
+
+        thread = threading.Thread(target=reader)
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # hand the GIL over mid-insert, often
+        try:
+            thread.start()
+            rows = [(key, str(key)) for key in range(total)]
+            assert table.register_selected_rows(1, rows) == total
+        finally:
+            done.set()
+            thread.join(timeout=30)
+            sys.setswitchinterval(switch_interval)
+        assert not thread.is_alive()
+        assert newest_seen and not orphans
+        bits_by_key, rows_by_key = table.columnar_view()
+        assert len(bits_by_key) == len(rows_by_key) == total
+
+    def test_pickle_round_trip_keeps_view_and_lock(self):
         table = make_table()
         table.mark_query_referencing(1)
         table.register_selected_rows(1, [(1, "a")])
-        table.columnar_view()
         clone = pickle.loads(pickle.dumps(table))
         assert clone.columnar_view() == table.columnar_view()
-        clone.unregister_query(1)  # the clone has a working lock
+        assert clone.columnar_view() is clone.columnar_view()
+        clone.unregister_query(1)  # a working lock, and the key lists
         assert clone.is_empty and not table.is_empty

@@ -9,6 +9,7 @@ from repro.errors import AdmissionError
 from repro.query.aggregates import AggregateSpec
 from repro.query.predicate import Comparison
 from repro.query.star import StarQuery
+from repro.ssb.queries import ssb_workload_generator
 
 
 def city_query(city):
@@ -101,3 +102,45 @@ class TestCleanupPaths:
         operator.submit(city_query("lyon"))
         table = operator.manager.dimension_table("store")
         assert table.tuple_count == 1
+
+
+class TestSharingWorkFollowsTheQuery:
+    """``dim_entries_touched``: Algorithms 1 and 2 write what one query
+    selects, not what the other registered queries stored."""
+
+    def test_one_more_query_touches_what_it_selects(self, ssb_small):
+        catalog, star = ssb_small
+        queries = ssb_workload_generator(seed=3, catalog=catalog).generate(
+            65, selectivity=0.1
+        )
+        # the newcomer must reference some dimensions and skip others
+        newcomer = next(
+            query for query in queries
+            if 0 < len(query.referenced_dimensions()) < len(star.dimensions)
+        )
+        queries.remove(newcomer)
+        operator = CJoinOperator(catalog, star)
+        for query in queries[:64]:
+            operator.submit(query)
+        operator.executor.step()
+        manager, stats = operator.manager, operator.stats
+        tables = {name: manager.dimension_table(name) for name in star.dimensions}
+
+        before = stats.dim_entries_touched
+        skipped = sum(
+            table.tuple_count
+            for name, table in tables.items()
+            if name not in newcomer.referenced_dimensions()
+        )
+        handle = operator.submit(newcomer)
+        selected = manager.timings.dimension_rows_loaded[-1]
+        stored = sum(table.tuple_count for table in tables.values())
+        assert 0 < selected < stored // 4  # a full pass would show
+        assert stats.dim_entries_touched - before == selected + skipped
+
+        # it leaves alone, with the 64 others still registered
+        before = stats.dim_entries_touched
+        assert handle.cancel()
+        operator.executor.step()
+        assert manager.active_query_count == 64
+        assert stats.dim_entries_touched - before == selected

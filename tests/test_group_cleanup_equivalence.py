@@ -4,12 +4,20 @@ leave the sharing-side state exactly where cleaning the same ids one at
 a time leaves it.  Two operators run the same admit / scan / cancel
 script over the same data; one drains its finished queue as a group,
 the other feeds the queue to the manager one id at a time.
+
+Both sides are also held, after every step, to a model rebuilt from
+scratch (:func:`assert_matches_model`): what a probe of every dimension
+key contributes must be what section 3.2.1 defines for the queries
+still in flight, and no bit of an unallocated id may be visible — the
+hash tables clear a non-referencing query's entry bits lazily, so this
+is where a stale bit surviving into an id's next life would show.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import bitvec
 from repro.cjoin import CJoinOperator
 from repro.cjoin.executor import ExecutorConfig
 from repro.errors import AdmissionError
@@ -94,6 +102,37 @@ def sharing_state(operator):
     }
 
 
+def assert_matches_model(side, step):
+    """Every table answers probes as one rebuilt from scratch would."""
+    operator, manager = side.operator, side.operator.manager
+    in_flight = set(operator.distributor.open_query_ids) | set(
+        operator.preprocessor.active_query_ids
+    )
+    registered = bitvec.or_reduce(
+        map(bitvec.bit_for_query, manager._registrations)
+    )
+    for name, table in manager._tables.items():
+        dimension = side.catalog.table(name)
+        selects = {
+            query_id: manager._registrations[query_id]
+            .query.predicate_on(name).bind(dimension.schema)
+            for query_id in in_flight
+            if name in manager._referenced_by[query_id]
+        }
+        assert not table._stale_bits & registered, (step, name)
+        assert not table.complement_bitmap & ~registered, (step, name)
+        bits_by_key, rows_by_key = table.columnar_view()
+        assert bits_by_key.keys() == rows_by_key.keys(), (step, name)
+        for row in dimension.all_rows():
+            probed = table.bits_for_key(row[0])
+            assert not probed & ~registered, (step, name, row)
+            for query_id in in_flight:
+                select = selects.get(query_id)
+                assert bitvec.test_bit(probed, query_id) == (
+                    select is None or bool(select(row))
+                ), (step, name, row, query_id)
+
+
 STORE_PREDICATES = st.sampled_from([
     Comparison("s_city", "=", "lyon"),
     Comparison("s_city", "=", "nowhere"),  # selects zero rows
@@ -149,6 +188,15 @@ def scripts(draw):
         steps.append(("scan", draw(st.integers(1, 4))))
         if draw(st.booleans()):
             steps.append(("clean", None))
+            # the ids just released are taken again at once, by queries
+            # that may or may not reference what their last holders did
+            for query in draw(st.lists(queries(), max_size=2)):
+                steps.append(("admit", query))
+        if draw(st.booleans()):
+            # one query leaves alone, mid-scan: a single-id cleanup
+            steps.append(("cancel", draw(st.integers(0, 7))))
+            steps.append(("scan", 1))
+            steps.append(("clean", None))
     return steps
 
 
@@ -200,6 +248,8 @@ def test_group_cleanup_equals_one_at_a_time(execution, script):
         assert sharing_state(grouped.operator) == sharing_state(
             single.operator
         ), step
+        assert_matches_model(grouped, step)
+        assert_matches_model(single, step)
     for side in (grouped, single):
         side.apply(("clean", None))  # also drops leftover bogus ids
         for _ in range(100):

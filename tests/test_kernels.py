@@ -4,7 +4,7 @@ Covers the batched path piece by piece (DESIGN.md section 5): the
 bulk bit-vector primitives, routing group discovery, ``filter_batch``
 in every layout (dense / gathered) and probe strategy (dedup /
 direct) against the tuple path's ``Filter.process`` on hand-checkable
-data, the dimension table's columnar snapshot cache, the batch's
+data, the dimension table's in-place columnar view, the batch's
 per-batch join attachments, and the shared-memory column codecs
 (DESIGN.md section 14).  The whole-pipeline equivalence properties
 live in tests/test_batch_equivalence.py.
@@ -217,7 +217,7 @@ def test_filter_kernel_distinct_probes_counted():
 
 
 # ----------------------------------------------------------------------
-# Columnar snapshot cache on the dimension table
+# The dimension table's columnar view (its one stored representation)
 # ----------------------------------------------------------------------
 class TestColumnarView:
     def test_snapshot_matches_entries(self):
@@ -234,22 +234,20 @@ class TestColumnarView:
         table = _store_table()
         assert table.columnar_view()[1] is table.columnar_view()[1]
 
-    def test_registration_changes_invalidate(self):
+    def test_registration_changes_show_in_the_same_view(self):
         table = _store_table()
-        before = table.columnar_view()
+        view = table.columnar_view()
         table.register_selected_rows(3, [(3, "nice", 50)])
-        after = table.columnar_view()
-        assert after[0] is not before[0]
-        assert 3 in after[1]
+        assert table.columnar_view() is view
+        assert 3 in view[1] and bitvec.test_bit(view[0][3], 3)
         table.unregister_query(3)
-        rebuilt = table.columnar_view()
-        assert rebuilt is not after
         # the entry survives (Q2's implicit all-rows selection holds a
-        # bit on it) but the snapshot must show query 3's bit cleared
-        assert rebuilt[0][3] == table.bits_for_key(3)
-        assert not bitvec.test_bit(rebuilt[0][3], 3)
+        # bit on it) and the same dict shows query 3's bit cleared
+        assert view[0][3] == table.bits_for_key(3)
+        assert not bitvec.test_bit(view[0][3], 3)
         table.mark_query_not_referencing(4)
-        assert table.columnar_view() is not rebuilt
+        assert table.columnar_view() is view
+        assert all(bitvec.test_bit(bits, 4) for bits in view[0].values())
 
     def test_unregister_garbage_collects_dead_entries(self):
         _, star = make_tiny_star()
