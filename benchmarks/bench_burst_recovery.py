@@ -123,7 +123,6 @@ def run_burst(
     warehouse = Warehouse.from_ssb(
         scale_factor=scale_factor,
         seed=31,
-        execution="batched",
         tuning=TuningConfig(max_in_flight=tight),
     )
     threads_before = threading.active_count()

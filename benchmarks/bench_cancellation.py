@@ -89,7 +89,6 @@ def measure_cancellation(
     warehouse = Warehouse.from_ssb(
         scale_factor=scale_factor,
         seed=31,
-        execution="batched",
         tuning=TuningConfig(max_in_flight=count),
     )
     service = warehouse.start_service()

@@ -99,7 +99,6 @@ def _build_warehouse(scale_factor: float) -> Warehouse:
     return Warehouse.from_ssb(
         scale_factor=scale_factor,
         seed=31,
-        execution="batched",
         enable_updates=True,
         tuning=TuningConfig(max_in_flight=MAX_IN_FLIGHT),
     )

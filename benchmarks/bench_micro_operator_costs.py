@@ -9,9 +9,9 @@ import random
 
 from repro import bitvec
 from repro.catalog.schema import Column, DataType, ForeignKey, StarSchema, TableSchema
+from repro.cjoin.batch import FactBatch
 from repro.cjoin.dimtable import DimensionHashTable
 from repro.cjoin.filter import Filter
-from repro.cjoin.tuples import FactTuple
 
 
 def _star():
@@ -39,16 +39,24 @@ def _loaded_filter(query_count: int, rows: int = 2000) -> Filter:
     return Filter(table, star)
 
 
-def _probe_loop(filter_, tuples):
-    for fact_tuple in tuples:
-        filter_.process(fact_tuple)
+def _probe_loop(filter_, batches):
+    for batch in batches:
+        filter_.process_batch(batch)
 
 
-def _tuples(query_count: int, count: int = 2000):
+def _tuples(query_count: int, count: int = 2000, batch_rows: int = 250):
+    """``count`` fact tuples relevant to every query, as fresh batches."""
     bits = bitvec.all_ones(query_count)
     rng = random.Random(13)
+    rows = [(rng.randrange(2500),) for _ in range(count)]
     return [
-        FactTuple(i, i, (rng.randrange(2500),), bits) for i in range(count)
+        FactBatch(
+            list(range(start, start + batch_rows)),
+            list(range(start, start + batch_rows)),
+            rows[start:start + batch_rows],
+            [bits] * batch_rows,
+        )
+        for start in range(0, count, batch_rows)
     ]
 
 

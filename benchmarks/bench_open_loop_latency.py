@@ -94,7 +94,6 @@ def run_open_loop(
     warehouse = Warehouse.from_ssb(
         scale_factor=scale_factor,
         seed=31,
-        execution="batched",
         tuning=TuningConfig(max_in_flight=MAX_IN_FLIGHT),
     )
     rng = random.Random(seed)

@@ -75,9 +75,7 @@ def _serial_drain_seconds(catalog, star, queries):
         catalog,
         star,
         buffer_pool=BufferPool(1024),
-        executor_config=ExecutorConfig(
-            execution="batched", batch_size=BATCH_SIZE
-        ),
+        executor_config=ExecutorConfig(batch_size=BATCH_SIZE),
     )
     handles = [operator.submit(query) for query in queries]
     started = time.perf_counter()
@@ -98,7 +96,7 @@ def measure_scaleup(
     covers the whole sharded drain — worker admission, shard scans,
     partial-state transfer, and the coordinator merge — while the
     serial timing starts post-admission (admission code is shared, and
-    this matches bench_batch_vs_tuple's drain-only convention).
+    drain-only, like ``python -m repro.bench --profile``).
     """
     catalog, star = load_ssb(scale_factor=scale_factor, seed=31)
     queries = scaleup_workload()
@@ -133,7 +131,7 @@ def measure_scaleup(
     reason=f"scale-up gate needs >= {WORKERS} CPUs",
 )
 def test_parallel_scaleup_at_4_workers():
-    """4 shard workers drain >= 2x faster than the serial batched path."""
+    """4 shard workers drain >= 2x faster than the serial drain."""
     measured = measure_scaleup()
     print(
         f"\n{CONCURRENT_QUERIES} queries, sf={SCALE_FACTOR}, "

@@ -141,9 +141,7 @@ def measure_remote_concurrency(
     ]
 
     def build() -> Warehouse:
-        return Warehouse.from_ssb(
-            scale_factor=scale_factor, seed=31, execution="batched"
-        )
+        return Warehouse.from_ssb(scale_factor=scale_factor, seed=31)
 
     reference_warehouse = build()
     star = reference_warehouse.star
@@ -320,7 +318,6 @@ def measure_async_sessions(
     warehouse = Warehouse.from_ssb(
         scale_factor=scale_factor,
         seed=31,
-        execution="batched",
         max_concurrent=max(sessions, 256),
         tuning=TuningConfig(admission_queue_depth=max(2 * sessions, 1024)),
     )

@@ -20,9 +20,7 @@ import repro
 
 def main() -> None:
     print("Connecting to a milli-scale SSB warehouse...")
-    with repro.connect(
-        scale_factor=0.002, seed=7, execution="batched"
-    ) as connection:
+    with repro.connect(scale_factor=0.002, seed=7) as connection:
         # -- parameterized SQL (qmark style) --------------------------
         cursor = connection.execute(
             "SELECT d_year, SUM(lo_revenue) AS revenue "

@@ -23,9 +23,7 @@ from repro.server import WarehouseServer
 
 def main() -> None:
     print("Starting a warehouse server on a loopback port...")
-    warehouse = Warehouse.from_ssb(
-        scale_factor=0.002, seed=7, execution="batched"
-    )
+    warehouse = Warehouse.from_ssb(scale_factor=0.002, seed=7)
     with WarehouseServer(warehouse, owns_warehouse=True) as server:
         print(f"serving on {server.url} "
               f"({server.warehouse.star.fact.name} and friends)")

@@ -4,10 +4,8 @@
 Tracked ratios (ratios, not absolute seconds, so the gate is
 meaningful across machines of different speeds):
 
-* ``batch_vs_tuple_speedup`` — the PR-1 vectorized drain vs the
-  reference tuple-at-a-time drain (benchmarks/bench_batch_vs_tuple.py);
 * ``parallel_scaleup_speedup`` — the 4-worker process-parallel drain
-  vs the serial batched drain (benchmarks/bench_parallel_scaleup.py);
+  vs the serial drain (benchmarks/bench_parallel_scaleup.py);
   only measurable on hosts with >= 4 CPUs, skipped elsewhere;
 * ``open_loop_flatness`` — p95 latency at a low Poisson arrival rate
   over p95 at 8x that rate against the always-on service
@@ -56,13 +54,13 @@ intentional performance change, run on a quiet multi-core host::
 review the diff to BENCH_baseline.json, and commit it together with
 the change that moved the numbers.  ``--update`` only overwrites
 metrics that are measurable on the current host, so a 2-core laptop
-refreshing the batch ratio will not clobber the parallel one.  To
+refreshing the other ratios will not clobber the parallel one.  To
 refresh a subset without re-measuring (or touching) the rest —
 e.g. after a change that only moves the transport ratio, or to
 protect floor-seeded metrics — name the metrics to run::
 
     python scripts/check_bench_regression.py --update \\
-        --only batch_vs_tuple_speedup --only shm_vs_pickle_transport
+        --only ingest_flatness --only shm_vs_pickle_transport
 """
 
 from __future__ import annotations
@@ -89,7 +87,6 @@ def _ensure_import_paths() -> None:
 
 #: every metric measure_metrics() knows how to produce, in run order
 TRACKED_METRICS = (
-    "batch_vs_tuple_speedup",
     "parallel_scaleup_speedup",
     "open_loop_flatness",
     "async_session_flatness",
@@ -112,13 +109,6 @@ def measure_metrics(
     _ensure_import_paths()
     wanted = set(TRACKED_METRICS if only is None else only)
     metrics: dict[str, float | None] = {}
-    if "batch_vs_tuple_speedup" in wanted:
-        from benchmarks.bench_batch_vs_tuple import measure_batch_vs_tuple
-
-        batch = measure_batch_vs_tuple()
-        if not batch["identical"]:
-            raise AssertionError("batched drain produced different results")
-        metrics["batch_vs_tuple_speedup"] = round(batch["speedup"], 3)
     if "parallel_scaleup_speedup" in wanted:
         from benchmarks.bench_parallel_scaleup import WORKERS, measure_scaleup
 

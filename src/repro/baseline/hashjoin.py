@@ -6,9 +6,11 @@ contributes one in-memory hash table built from its selected tuples.
 A fact tuple survives iff every referenced dimension has a matching,
 predicate-satisfying build row.
 
-The probe loop reuses CJOIN's output operators by presenting the same
-duck-typed surface (``row`` + ``dim_rows``), so result normalization
-is identical across engines.
+The probe loop reuses CJOIN's output operators: each fact page's
+survivors go to ``consume_rows`` as one
+:class:`~repro.cjoin.batch.FactBatch` with this plan's own
+``key -> row`` hash tables attached as the join lookups, so result
+normalization is identical across engines.
 """
 
 from __future__ import annotations
@@ -18,20 +20,11 @@ from collections.abc import Iterator
 from repro.catalog.catalog import Catalog
 from repro.catalog.schema import StarSchema
 from repro.cjoin.aggregation import make_output_operator
+from repro.cjoin.batch import FactBatch
 from repro.query.star import StarQuery
 from repro.storage.buffer import BufferPool
 from repro.storage.mvcc import Snapshot, VersionedTable
 from repro.storage.scan import TableScan
-
-
-class _JoinedTuple:
-    """Duck-typed fact tuple carrier matching FactTuple's surface."""
-
-    __slots__ = ("row", "dim_rows")
-
-    def __init__(self, row: tuple) -> None:
-        self.row = row
-        self.dim_rows: dict[str, tuple] = {}
 
 
 class HashJoinPipeline:
@@ -127,6 +120,7 @@ class HashJoinPipeline:
         ]
         for page_id in page_order:
             page = self.buffer_pool.fetch(heap, page_id)
+            survivors = []
             for slot_id, row in enumerate(page.rows):
                 if snapshot is not None:
                     position = page_id * rows_per_page + slot_id
@@ -136,16 +130,21 @@ class HashJoinPipeline:
                         continue
                 if fact_matcher is not None and not fact_matcher(row):
                     continue
-                joined = _JoinedTuple(row)
-                survived = True
-                for name, fk_index, hash_table in probes:
-                    dim_row = hash_table.get(row[fk_index])
-                    if dim_row is None:
-                        survived = False
+                for _, fk_index, hash_table in probes:
+                    if row[fk_index] not in hash_table:
                         break
-                    joined.dim_rows[name] = dim_row
-                if survived:
-                    operator.consume(joined)
+                else:
+                    survivors.append(row)
+            if survivors:
+                count = len(survivors)
+                # a private plan: one query, so no sequence/position/
+                # bit-vector column is ever read — only rows + lookups
+                batch = FactBatch(
+                    range(count), range(count), survivors, [1] * count
+                )
+                for name, fk_index, hash_table in probes:
+                    batch.attach_dim_lookup(name, fk_index, hash_table)
+                operator.consume_rows(batch, batch.live)
             yield page_id
 
     def execute(self) -> list[tuple]:

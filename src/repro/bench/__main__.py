@@ -15,8 +15,8 @@ checks; exits non-zero if any check fails.
 ``--smoke`` is the fast mode wired into the test suite (see
 EXPERIMENTS.md): it runs every model-backed experiment's shape checks
 without charts *plus* a real-pipeline sanity pass — a milli-scale SSB
-workload executed through both the tuple-at-a-time and the batched
-CJOIN paths, asserting identical results — in a couple of seconds.
+workload through the CJOIN pipeline, asserting the reference
+evaluator's results — in a couple of seconds.
 
 ``--profile`` is the hot-path measurement hook: it drains the
 headline workload shape (32 concurrent queries, 1% selectivity) under
@@ -36,13 +36,13 @@ from repro.bench.reporting import format_comparison
 
 
 def run_smoke_pipeline() -> bool:
-    """Real-execution sanity pass: tuple and batched paths agree.
+    """Real-execution sanity pass: the pipeline agrees with the reference.
 
     Returns True on success.  Deliberately tiny (milli-scale SSB,
     eight queries) so the smoke gate stays fast.
     """
     from repro.cjoin import CJoinOperator
-    from repro.cjoin.executor import ExecutorConfig
+    from repro.query.reference import evaluate_star_query
     from repro.ssb.generator import load_ssb
     from repro.ssb.queries import ssb_workload_generator
 
@@ -50,22 +50,18 @@ def run_smoke_pipeline() -> bool:
     queries = ssb_workload_generator(seed=3, catalog=catalog).generate(
         8, selectivity=0.1
     )
-    results = {}
-    for execution in ("tuple", "batched"):
-        operator = CJoinOperator(
-            catalog,
-            star,
-            executor_config=ExecutorConfig(execution=execution),
-        )
-        handles = [operator.submit(query) for query in queries]
-        operator.run_until_drained()
-        results[execution] = [handle.results() for handle in handles]
-    matched = results["tuple"] == results["batched"]
-    rows = sum(len(result) for result in results["tuple"])
+    operator = CJoinOperator(catalog, star)
+    handles = [operator.submit(query) for query in queries]
+    operator.run_until_drained()
+    results = [handle.results() for handle in handles]
+    matched = results == [
+        evaluate_star_query(query, catalog) for query in queries
+    ]
+    rows = sum(len(result) for result in results)
     status = "ok" if matched else "MISMATCH"
     print(
-        f"pipeline smoke: 8 queries, tuple vs batched execution -> "
-        f"{status} ({rows} result rows)"
+        f"pipeline smoke: 8 queries, shared pipeline vs reference "
+        f"evaluator -> {status} ({rows} result rows)"
     )
     return matched
 
@@ -84,7 +80,7 @@ PROFILE_STAGES = (
 
 
 def run_profile(top: int = 20) -> int:
-    """Profile one batched drain of the headline workload shape.
+    """Profile one drain of the headline workload shape.
 
     Only ``run_until_drained`` runs under the profiler — submissions
     (dimension scans, query registration) happen first, unprofiled, so
@@ -105,7 +101,7 @@ def run_profile(top: int = 20) -> int:
     operator = CJoinOperator(
         catalog,
         star,
-        executor_config=ExecutorConfig(execution="batched", batch_size=512),
+        executor_config=ExecutorConfig(batch_size=512),
     )
     handles = [operator.submit(query) for query in queries]
     profiler = cProfile.Profile()

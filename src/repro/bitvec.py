@@ -86,7 +86,7 @@ def popcount(vector: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# Bulk operations (the batched fast path, DESIGN.md section 5)
+# Bulk operations (whole-column passes, DESIGN.md section 5)
 #
 # A FactBatch carries one bit-vector per row plus a per-batch *alive*
 # mask (bit r set iff row r is still in flight).  These helpers give the
@@ -132,7 +132,7 @@ def bulk_and(left, right) -> list[int]:
 def bulk_and_lookup(vectors, keys, masks_of) -> list[int]:
     """AND each bit-vector with the mask its row's key maps to.
 
-    The batched Filter's AND primitive (DESIGN.md section 5):
+    The Filter's AND primitive (DESIGN.md section 5):
     ``vectors[i] & masks_of[keys[i]]`` for every position, produced by
     two C-level ``map`` passes — the dict lookup and the AND — with no
     Python-level loop body.  ``masks_of`` must cover every key

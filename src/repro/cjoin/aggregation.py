@@ -5,9 +5,9 @@ aggregator for the common case, or a plain listing collector when the
 query has no aggregates (``k = 0``) — the shape used by galaxy
 fact-to-fact sub-plans (section 5).
 
-Operators read fact attributes directly from the tuple and dimension
-attributes through the row pointers the Filters attached (section
-3.2.2), so no probing happens here.
+Operators read fact attributes directly from the fact row and
+dimension attributes through the per-batch ``key -> row`` lookups the
+Filters attached (section 3.2.2), so no probing happens here.
 
 For the process-parallel backend (DESIGN.md section 8) every operator
 is also *mergeable*: :meth:`OutputOperator.partial_state` exports the
@@ -23,21 +23,9 @@ from __future__ import annotations
 from operator import itemgetter
 
 from repro.catalog.schema import StarSchema
-from repro.cjoin.tuples import FactTuple
 from repro.errors import PipelineError
 from repro.query.aggregates import AggregateSpec, make_accumulator
 from repro.query.star import ColumnRef, StarQuery
-
-
-def _make_extractor(ref: ColumnRef, query: StarQuery, star: StarSchema):
-    """Compile a ColumnRef into a FactTuple -> value closure."""
-    if ref.table == query.fact_table:
-        index = star.fact.column_index(ref.column)
-        return lambda fact_tuple: fact_tuple.row[index]
-    dimension = star.dimension(ref.table)
-    index = dimension.column_index(ref.column)
-    name = ref.table
-    return lambda fact_tuple: fact_tuple.dim_rows[name][index]
 
 
 def _make_row_getter_factory(
@@ -45,8 +33,7 @@ def _make_row_getter_factory(
 ):
     """Compile a ColumnRef into a lookup-state -> (row -> value) factory.
 
-    The columnar twin of :func:`_make_extractor` (DESIGN.md section
-    14).  Getters read the fact *row tuple* directly — fact attributes
+    Getters read the fact *row tuple* directly — fact attributes
     via a C-level ``itemgetter``, dimension attributes through the
     batch-level ``(fk index, key -> row)`` join lookup — so they
     depend only on the dimension tables' ``key -> row`` dicts, not on
@@ -71,19 +58,6 @@ def _make_row_getter_factory(
     return dim_factory
 
 
-def _make_aggregate_input(spec: AggregateSpec, query: StarQuery, star: StarSchema):
-    """Compile an aggregate's input expression into a closure."""
-    if spec.is_count_star:
-        return lambda fact_tuple: 0  # any non-None marker
-    first = _make_extractor(ColumnRef(spec.table, spec.column), query, star)
-    if spec.column2 is None:
-        return first
-    second = _make_extractor(ColumnRef(spec.table, spec.column2), query, star)
-    return lambda fact_tuple: spec.combine_values(
-        first(fact_tuple), second(fact_tuple)
-    )
-
-
 def _count_star_getter(_row: tuple):
     return 0  # any non-None marker
 
@@ -92,7 +66,7 @@ def _make_aggregate_row_input_factory(
     spec: AggregateSpec, query: StarQuery, star: StarSchema,
     dim_names: list[str],
 ):
-    """Columnar twin of :func:`_make_aggregate_input`."""
+    """Compile an aggregate's input expression into a getter factory."""
     if spec.is_count_star:
         return lambda lookup_of: _count_star_getter
     first = _make_row_getter_factory(
@@ -134,7 +108,7 @@ def _compile_row_getter_factories(query: StarQuery, star: StarSchema):
 
 
 class OutputOperator:
-    """Base class: consumes routed fact tuples, produces result rows."""
+    """Base class: consumes routed fact rows, produces result rows."""
 
     #: single-slot (dim lookup state, compiled getters) memo.  Row
     #: getters read the fact row tuple, so they depend only on the
@@ -147,13 +121,16 @@ class OutputOperator:
     def _compiled_row_getters(self, batch):
         """The (key, select, input) row getters for ``batch``.
 
-        Returns None when a dimension this operator reads has no
-        batch-level lookup attached (callers fall back to the
-        materializing path).
+        Every dimension this operator reads is attached: a routed row
+        passed that dimension's Filter with a hit, and the Filter
+        attaches its lookup to every batch it probes.
         """
         state = batch.dim_lookup_state(self._dim_names)
         if state is None:
-            return None
+            raise PipelineError(
+                f"rows routed without a join lookup for one of "
+                f"{self._dim_names}"
+            )
         cached_state, getters = self._getter_cache
         if cached_state != state:
             lookup_of = dict(zip(self._dim_names, state))
@@ -168,22 +145,14 @@ class OutputOperator:
             self._getter_cache = (state, getters)
         return getters
 
-    def consume(self, fact_tuple: FactTuple) -> None:
-        """Fold one routed fact tuple into the operator state."""
-        raise NotImplementedError
-
     def consume_rows(self, batch, row_indices: list[int]) -> None:
-        """Fold batch rows columnar, without materializing tuples.
+        """Fold the routed rows of ``batch`` into the operator state.
 
-        The batched path's routing entry point (DESIGN.md section 5):
-        ``row_indices`` are the batch rows routed to this query, in
-        scan order.  The default materializes and defers to
-        :meth:`consume` so tuple-shaped subclasses stay correct; the
-        built-in operators override with getters compiled straight
-        against the batch's columns.
+        The routing entry point (DESIGN.md section 5): ``row_indices``
+        are the batch rows routed to this query, in scan order, read
+        through getters compiled against the batch's join lookups.
         """
-        for row_index in row_indices:
-            self.consume(batch.materialize(row_index))
+        raise NotImplementedError
 
     def partial_state(self):
         """Export the un-finalized state for cross-process merging.
@@ -213,44 +182,15 @@ class AggregationOperator(OutputOperator):
         if not query.is_aggregation:
             raise PipelineError("query has no aggregates; use ListingOperator")
         self.query = query
-        self._key_extractors = [
-            _make_extractor(ref, query, star) for ref in query.group_by
-        ]
-        self._select_extractors = [
-            _make_extractor(ref, query, star) for ref in query.select
-        ]
-        self._aggregate_inputs = [
-            _make_aggregate_input(spec, query, star) for spec in query.aggregates
-        ]
         self._dim_names, self._row_getter_factories = (
             _compile_row_getter_factories(query, star)
         )
         self._groups: dict[tuple, list] = {}
 
-    def consume(self, fact_tuple: FactTuple) -> None:
-        key = tuple(extract(fact_tuple) for extract in self._key_extractors)
-        state = self._groups.get(key)
-        if state is None:
-            select_values = tuple(
-                extract(fact_tuple) for extract in self._select_extractors
-            )
-            state = [
-                select_values,
-                [make_accumulator(spec) for spec in self.query.aggregates],
-            ]
-            self._groups[key] = state
-        accumulators = state[1]
-        for extract_input, accumulator in zip(
-            self._aggregate_inputs, accumulators
-        ):
-            accumulator.add(extract_input(fact_tuple))
-
     def consume_rows(self, batch, row_indices: list[int]) -> None:
-        getters = self._compiled_row_getters(batch)
-        if getters is None:
-            super().consume_rows(batch, row_indices)
-            return
-        key_getters, select_getters, input_getters = getters
+        key_getters, select_getters, input_getters = (
+            self._compiled_row_getters(batch)
+        )
         groups = self._groups
         groups_get = groups.get
         specs = self.query.aggregates
@@ -321,37 +261,16 @@ class SortAggregationOperator(OutputOperator):
         if not query.is_aggregation:
             raise PipelineError("query has no aggregates; use ListingOperator")
         self.query = query
-        self._key_extractors = [
-            _make_extractor(ref, query, star) for ref in query.group_by
-        ]
-        self._select_extractors = [
-            _make_extractor(ref, query, star) for ref in query.select
-        ]
-        self._aggregate_inputs = [
-            _make_aggregate_input(spec, query, star) for spec in query.aggregates
-        ]
         self._dim_names, self._row_getter_factories = (
             _compile_row_getter_factories(query, star)
         )
         #: buffered (group key, select values, aggregate inputs) rows
         self._buffer: list[tuple] = []
 
-    def consume(self, fact_tuple: FactTuple) -> None:
-        key = tuple(extract(fact_tuple) for extract in self._key_extractors)
-        select_values = tuple(
-            extract(fact_tuple) for extract in self._select_extractors
-        )
-        inputs = tuple(
-            extract(fact_tuple) for extract in self._aggregate_inputs
-        )
-        self._buffer.append((key, select_values, inputs))
-
     def consume_rows(self, batch, row_indices: list[int]) -> None:
-        getters = self._compiled_row_getters(batch)
-        if getters is None:
-            super().consume_rows(batch, row_indices)
-            return
-        key_getters, select_getters, input_getters = getters
+        key_getters, select_getters, input_getters = (
+            self._compiled_row_getters(batch)
+        )
         self._buffer.extend(
             (
                 tuple(get(row) for get in key_getters),
@@ -405,9 +324,6 @@ class ListingOperator(OutputOperator):
 
     def __init__(self, query: StarQuery, star: StarSchema) -> None:
         self.query = query
-        self._select_extractors = [
-            _make_extractor(ref, query, star) for ref in query.select
-        ]
         # the shared getter memo's triple shape, with only selects used
         dim_names: list[str] = []
         self._row_getter_factories = (
@@ -419,17 +335,8 @@ class ListingOperator(OutputOperator):
         self._dim_names = tuple(dim_names)
         self._rows: list[tuple] = []
 
-    def consume(self, fact_tuple: FactTuple) -> None:
-        self._rows.append(
-            tuple(extract(fact_tuple) for extract in self._select_extractors)
-        )
-
     def consume_rows(self, batch, row_indices: list[int]) -> None:
-        getters = self._compiled_row_getters(batch)
-        if getters is None:
-            super().consume_rows(batch, row_indices)
-            return
-        select_getters = getters[1]
+        select_getters = self._compiled_row_getters(batch)[1]
         self._rows.extend(
             tuple(get(row) for get in select_getters)
             for row in map(batch.rows.__getitem__, row_indices)

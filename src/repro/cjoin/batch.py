@@ -1,12 +1,12 @@
-"""Columnar fact batches for the vectorized fast path (DESIGN.md section 5).
+"""Columnar fact batches: how fact rows travel (DESIGN.md section 5).
 
-The tuple-at-a-time pipeline pays several Python calls per fact tuple
-per Filter — the opposite of the paper's "one pass, shared work"
-economics.  :class:`FactBatch` restores batch granularity: the
-Preprocessor emits one batch per run of consecutive fact tuples, each
-Filter makes *one* call per batch (amortizing dispatch, deduplicating
-hash-table probes by key, and testing the batch-level probe skip once),
-and the Distributor routes survivors grouped by identical bit-vectors.
+Handling fact tuples one at a time would pay several Python calls per
+tuple per Filter — the opposite of the paper's "one pass, shared work"
+economics.  With :class:`FactBatch` the Preprocessor emits one batch
+per run of consecutive fact tuples, each Filter makes *one* call per
+batch (amortizing dispatch, deduplicating hash-table probes by key, and
+testing the batch-level probe skip once), and the Distributor routes
+survivors grouped by identical bit-vectors.
 
 A batch is parallel arrays plus two liveness views of the same state:
 
@@ -31,12 +31,11 @@ Dimension attachments (section 3.2.2) are per batch
 dimension per batch, and the output operators re-derive the join on
 demand through getters compiled against :meth:`dim_lookup_state` —
 one constant-time attachment per batch instead of one dict insert per
-surviving row.  :meth:`materialize` turns the lookups back into the
-per-tuple ``dim_rows`` shape at the batch/tuple seams.
+surviving row.
 
 Batches never cross a control tuple: the Preprocessor flushes the
 current batch before emitting QueryStart/QueryEnd, which preserves the
-section 3.3.3 control-tuple ordering exactly as in the tuple path.
+section 3.3.3 control-tuple ordering at every batch size.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ from functools import reduce
 from operator import itemgetter, or_ as _or
 
 from repro import bitvec
-from repro.cjoin.tuples import FactTuple
 
 
 class FactBatch:
@@ -130,9 +128,8 @@ class FactBatch:
     def dim_lookup_state(self, names) -> tuple | None:
         """The attached ``(fk index, key -> row)`` lookups for ``names``.
 
-        None when any named dimension has no batch-level attachment
-        (the caller must fall back to :meth:`materialize`).  The
-        returned tuple is the output operators' getter-cache key: its
+        None when any named dimension has no batch-level attachment.
+        The returned tuple is the output operators' getter-cache key: its
         elements wrap the dimension tables' own ``key -> row`` dicts,
         each one object for the life of its table, so comparing states
         costs a few pointer checks per routed batch.
@@ -167,30 +164,6 @@ class FactBatch:
         dead rows cannot contribute and no index gather is needed.
         """
         return reduce(_or, self.bitvectors, 0)
-
-    def materialize(self, row_index: int) -> FactTuple:
-        """Build the equivalent :class:`FactTuple` for one row.
-
-        Used at the batch/tuple seams: routing survivors into
-        operators that only understand tuples and feeding the
-        optimizer's tuple-shaped profiler.  The batch-level lookups
-        become the tuple's per-row ``dim_rows`` dict.
-        """
-        fact_tuple = FactTuple(
-            self.sequences[row_index],
-            self.positions[row_index],
-            self.rows[row_index],
-            self.bitvectors[row_index],
-        )
-        if self._dim_lookups:
-            dim_rows = {}
-            row = self.rows[row_index]
-            for name, (fk_index, rows_of) in self._dim_lookups.items():
-                dim_row = rows_of.get(row[fk_index])
-                if dim_row is not None:
-                    dim_rows[name] = dim_row
-            fact_tuple.dim_rows = dim_rows or None
-        return fact_tuple
 
     def __repr__(self) -> str:
         return (

@@ -52,9 +52,8 @@ def fact_columns_needed(query: StarQuery, star: StarSchema) -> set[str]:
 class ColumnMergeContinuousScan:
     """A circular merge-scan over selected columns of a column store.
 
-    Presents the :class:`~repro.storage.scan.ContinuousScan` interface
-    (``next()``, ``next_position``, ``tuples_returned``); unselected
-    columns are ``None`` in the produced rows.
+    A scan source (see :class:`~repro.storage.scan.ContinuousScan`);
+    unselected columns are ``None`` in the produced rows.
     """
 
     def __init__(
@@ -80,33 +79,49 @@ class ColumnMergeContinuousScan:
 
     @property
     def next_position(self) -> int:
-        """Position of the tuple the next :meth:`next` call returns."""
+        """Position of the first row the next :meth:`next_run` returns."""
         if self._position >= self.table.row_count:
             return 0
         return self._position
+
+    @property
+    def row_count(self) -> int:
+        """Rows one cycle visits."""
+        return self.table.row_count
 
     @property
     def tuples_returned(self) -> int:
         """Total tuples produced since construction."""
         return self._tuples_returned
 
-    def next(self) -> tuple[int, tuple] | None:
-        """Return the next (position, merged row), or None when empty."""
+    def next_run(self, max_rows: int) -> tuple[int, list[tuple]] | None:
+        """Return ``(start_position, merged rows)``, or None when empty.
+
+        A run never crosses a value page or the table end, so each
+        scanned column costs one buffer-pool fetch per run; the value
+        slices are zipped back into full-arity rows.
+        """
         row_count = self.table.row_count
-        if row_count == 0:
+        if row_count == 0 or max_rows < 1:
             return None
         if self._position >= row_count:
             self._position = 0
         position = self._position
         values_per_page = self.table.values_per_page
         page_id, slot_id = divmod(position, values_per_page)
-        row = [None] * self.table.schema.arity
+        available = min(
+            values_per_page - slot_id, row_count - position, max_rows
+        )
+        # unread positions all share one column of Nones
+        columns = [[None] * available] * self.table.schema.arity
         for column_index, heap in self._readers:
             page = self.buffer_pool.fetch(heap, page_id)
-            row[column_index] = page.slot(slot_id)[0]
-        self._position = position + 1
-        self._tuples_returned += 1
-        return position, tuple(row)
+            columns[column_index] = [
+                boxed[0] for boxed in page.rows[slot_id:slot_id + available]
+            ]
+        self._position = position + available
+        self._tuples_returned += available
+        return position, list(zip(*columns))
 
 
 class ColumnStoreCJoinOperator(CJoinOperator):
@@ -125,17 +140,19 @@ class ColumnStoreCJoinOperator(CJoinOperator):
         **kwargs,
     ) -> None:
         self.column_fact = column_fact
-        super().__init__(catalog, star, **kwargs)
         if scanned_columns is None:
             # default projection: all foreign keys (any star query joins
             # through them) — callers add measure columns as needed
             scanned_columns = [
                 fk.column for fk in star.fact.foreign_keys
             ]
-        self.scan = ColumnMergeContinuousScan(
-            column_fact, scanned_columns, self.buffer_pool
+        self._scanned_columns = list(scanned_columns)
+        super().__init__(catalog, star, **kwargs)
+
+    def _make_scan(self) -> ColumnMergeContinuousScan:
+        return ColumnMergeContinuousScan(
+            self.column_fact, self._scanned_columns, self.buffer_pool
         )
-        self.preprocessor.scan = self.scan
 
     def submit(self, query: StarQuery) -> QueryHandle:
         """Admit ``query`` after checking its fact columns are scanned.

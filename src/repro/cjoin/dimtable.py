@@ -95,7 +95,7 @@ class DimensionHashTable:
         }
 
     def columnar_view(self) -> tuple[dict, dict]:
-        """The live ``(key -> bits, key -> row)`` dicts, for the batched path.
+        """The live ``(key -> bits, key -> row)`` dicts, as the Filter reads them.
 
         Plain dicts let :func:`repro.cjoin.kernels.filter_batch` drive
         the whole probe/AND pass through C-level ``map`` calls

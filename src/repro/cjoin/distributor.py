@@ -19,7 +19,7 @@ from repro.cjoin.batch import FactBatch
 from repro.cjoin.kernels import group_rows_by_bits
 from repro.cjoin.registry import RegisteredQuery
 from repro.cjoin.stats import PipelineStats
-from repro.cjoin.tuples import FactTuple, QueryEnd, QueryStart
+from repro.cjoin.tuples import QueryEnd, QueryStart
 from repro.errors import PipelineError
 
 
@@ -70,10 +70,8 @@ class Distributor:
         self.partial_sink: dict[int, object] | None = None
 
     def process(self, item) -> None:
-        """Handle one pipeline item (fact tuple or control tuple)."""
-        if isinstance(item, FactTuple):
-            self._route(item)
-        elif isinstance(item, FactBatch):
+        """Handle one pipeline item (fact batch or control tuple)."""
+        if isinstance(item, FactBatch):
             self._route_batch(item)
         elif isinstance(item, QueryStart):
             self._start_query(item.registration)
@@ -82,31 +80,17 @@ class Distributor:
         else:
             raise PipelineError(f"unexpected pipeline item {item!r}")
 
-    def _route(self, fact_tuple: FactTuple) -> None:
-        self.stats.tuples_distributed += 1
-        for query_id in bitvec.iter_query_ids(fact_tuple.bitvector):
-            operator = self._operators.get(query_id)
-            if operator is None:
-                raise PipelineError(
-                    f"fact tuple routed to unregistered query {query_id}"
-                )
-            operator.consume(fact_tuple)
-            registration = self._registrations[query_id]
-            registration.tuples_streamed += 1
-            if registration.handle._stream_partials:
-                self._feed_partial(query_id, operator, 1)
-
     def _route_batch(self, batch: FactBatch) -> None:
         """Route a batch's surviving rows, grouped by bit-vector.
 
         Surviving rows of one batch often share the exact same
-        ``b_tau`` (they passed the same predicates), so the per-tuple
-        query-id enumeration of :meth:`_route` is amortized: decode
-        each distinct bit-vector once — cached across batches, since
-        the same surviving bit-vectors recur for the life of a query
-        set — and hand every operator its rows in one columnar
+        ``b_tau`` (they passed the same predicates), so the query-id
+        enumeration is paid per distinct bit-vector, not per tuple:
+        decode each one once — cached across batches, since the same
+        surviving bit-vectors recur for the life of a query set — and
+        hand every operator its rows in one columnar
         :meth:`~OutputOperator.consume_rows` call (row indices against
-        the batch's columns, no :class:`FactTuple` allocated).
+        the batch's columns, nothing allocated per row).
         """
         live = batch.live
         if not live:

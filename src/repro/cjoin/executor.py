@@ -4,20 +4,13 @@ One driver, :class:`SynchronousExecutor`: single-threaded and
 deterministic, it answers queries both for ``run_until_drained()`` and,
 on the service's driver thread, for the always-on continuous scan.
 
-It supports two *execution granularities* selected by
-``ExecutorConfig.execution``:
-
-* ``'tuple'`` (default) — the reference tuple-at-a-time path: every
-  fact tuple travels as a :class:`FactTuple` and every Filter is
-  invoked once per tuple;
-* ``'batched'`` — the vectorized fast path (DESIGN.md section 5): the
-  Preprocessor packs runs of fact tuples into columnar
-  :class:`~repro.cjoin.batch.FactBatch` objects, each Filter handles a
-  whole batch per call (batch-level probe skip, per-batch probe
-  deduplication, bulk alive-mask updates), and the Distributor routes
-  survivors grouped by identical bit-vectors.  Both paths produce
-  identical results (enforced by tests/test_batch_equivalence.py);
-  the batched path is what makes the hot loop fast in pure Python.
+One pipeline (DESIGN.md section 5): the Preprocessor packs runs of
+fact tuples into columnar :class:`~repro.cjoin.batch.FactBatch` objects,
+each Filter handles a whole batch per call (batch-level probe skip,
+per-batch probe deduplication, bulk alive-mask updates), and the
+Distributor routes survivors grouped by identical bit-vectors.
+``batch_size`` only sets the granularity; results are the same at every
+size, and equal to ``query/reference.py``.
 
 Note on fidelity: the paper maps the Preprocessor, Filter Stages and
 Distributor onto cores (horizontal / vertical / hybrid layouts).  Under
@@ -40,7 +33,6 @@ from dataclasses import InitVar, dataclass
 from repro.cjoin.batch import FactBatch
 from repro.cjoin.manager import PipelineManager
 from repro.cjoin.pipeline import CJoinPipeline
-from repro.cjoin.tuples import FactTuple
 from repro.errors import ConfigError, PipelineError
 from repro.tuning import (
     DEFAULT_BATCH_SIZE,
@@ -59,11 +51,8 @@ class ExecutorConfig:
     """Tuning for pipeline execution.
 
     Attributes:
-        execution: 'tuple' (reference path) or 'batched' (vectorized
-            fast path over FactBatch columns).
         backend: 'serial' (in-process, the default) or 'process' — the
-            sharded multi-process drain (DESIGN.md section 8).  The
-            process backend requires ``execution='batched'``.
+            sharded multi-process drain (DESIGN.md section 8).
         workers: fact-table shards / worker processes for the process
             backend; must be 1 for the serial backend.
         batch_size: items per preprocessor batch.
@@ -77,7 +66,6 @@ class ExecutorConfig:
             (DESIGN.md section 13) into this low-level config.
     """
 
-    execution: str = "tuple"
     backend: str = "serial"
     workers: int = 1
     batch_size: int = DEFAULT_BATCH_SIZE
@@ -89,11 +77,6 @@ class ExecutorConfig:
         if tuning is not None:
             object.__setattr__(self, "workers", tuning.workers)
             object.__setattr__(self, "batch_size", tuning.batch_size)
-        if self.execution not in ("tuple", "batched"):
-            raise ConfigError(
-                f"unknown execution granularity {self.execution!r}; "
-                f"expected 'tuple' or 'batched'"
-            )
         if self.backend not in ("serial", "process"):
             raise ConfigError(
                 f"unknown backend {self.backend!r}; "
@@ -101,14 +84,7 @@ class ExecutorConfig:
             )
         _require_int("workers", self.workers, 1, MAX_WORKERS)
         _require_int("batch_size", self.batch_size, 1, MAX_BATCH_SIZE)
-        if self.backend == "process":
-            if self.execution != "batched":
-                raise ConfigError(
-                    "backend='process' requires execution='batched' "
-                    "(shard workers run the vectorized drain); pass "
-                    "execution='batched'"
-                )
-        elif self.workers != 1:
+        if self.backend == "serial" and self.workers != 1:
             raise ConfigError(
                 f"workers={self.workers} requires backend='process'; "
                 f"the serial backend always uses exactly 1 worker"
@@ -140,52 +116,32 @@ class _ProfilingDriver:
         self._since_profile = 0
 
     def observe(self, item) -> None:
-        """Feed one preprocessor item into the profiling cadence."""
-        if isinstance(item, FactBatch):
-            self.observe_batch(item)
-            return
-        if not isinstance(item, FactTuple):
-            return
-        policy = self.manager.ordering_policy
-        rate = self.config.profile_sample_rate
-        if policy.wants_profiles and rate > 0:
-            self._since_profile += 1
-            if self._since_profile >= rate:
-                self._since_profile = 0
-                policy.record_profile(list(self.pipeline.filters), item)
-        interval = self.config.reoptimize_interval
-        if interval > 0:
-            self._since_reopt += 1
-            if self._since_reopt >= interval:
-                self._since_reopt = 0
-                self.manager.reoptimize()
+        """Advance the profiling cadence by one preprocessor item.
 
-    def observe_batch(self, batch: FactBatch) -> None:
-        """Advance the profiling cadence by a whole batch at once.
-
-        Must run *before* the batch enters the filter chain, like the
-        tuple path: the profiler wants preprocessor-fresh bit-vectors,
-        and any reoptimization installs a pure permutation that is safe
-        for batches not yet filtered.
+        Must run *before* a batch enters the filter chain: the profiler
+        wants preprocessor-fresh bit-vectors, and any reoptimization
+        installs a pure permutation that is safe for batches not yet
+        filtered.  Control tuples pass through untouched.
         """
-        row_count = len(batch)
-        if row_count == 0:
+        if not isinstance(item, FactBatch):
             return
+        row_count = len(item)
         policy = self.manager.ordering_policy
         rate = self.config.profile_sample_rate
         if policy.wants_profiles and rate > 0:
             self._since_profile += row_count
             due, self._since_profile = divmod(self._since_profile, rate)
-            live = batch.live
+            live = item.live
             if due and live:
-                # keep the tuple path's cadence (one profile per `rate`
-                # rows) and spread the samples across the batch instead
-                # of always profiling the first row of a run
+                # one profile per `rate` rows, spread across the batch
+                # instead of always profiling the first row of a run
                 filters = list(self.pipeline.filters)
                 stride = max(1, len(live) // due)
                 for sample_index in range(due):
                     row = live[min(sample_index * stride, len(live) - 1)]
-                    policy.record_profile(filters, batch.materialize(row))
+                    policy.record_profile(
+                        filters, item.bitvectors[row], item.rows[row]
+                    )
         interval = self.config.reoptimize_interval
         if interval > 0:
             self._since_reopt += row_count
@@ -239,15 +195,12 @@ class SynchronousExecutor:
     def step(self) -> int:
         """Process one batch; returns the number of items handled.
 
-        With ``execution='batched'`` the count is logical: every fact
-        row inside a FactBatch counts as one item, so drain-progress
-        semantics match the tuple path.
+        The count is logical: every fact row inside a FactBatch counts
+        as one item, like a control tuple.
         """
-        preprocessor = self.pipeline.preprocessor
-        if self.config.execution == "batched":
-            items = preprocessor.next_batched_items(self.config.batch_size)
-        else:
-            items = preprocessor.next_items(self.config.batch_size)
+        items = self.pipeline.preprocessor.next_batched_items(
+            self.config.batch_size
+        )
         handled = 0
         for item in items:
             handled += len(item) if isinstance(item, FactBatch) else 1

@@ -13,9 +13,8 @@ Implements both optimizations from section 3.2.2:
 * **pointer attachment**: the joining dimension row is attached to the
   fact tuple so aggregation operators never re-probe.
 
-Two entry points over the same logic: :meth:`Filter.process` handles
-one tuple (the reference path), :meth:`Filter.process_batch` handles a
-whole :class:`~repro.cjoin.batch.FactBatch` in one call — probe skip is
+:meth:`Filter.process_batch` handles a whole
+:class:`~repro.cjoin.batch.FactBatch` in one call — probe skip is
 tested once against the batch's bit-vector union, then
 :func:`repro.cjoin.kernels.filter_batch` runs the probe/AND/compact
 passes over whole columns: each *distinct* key probed once per batch
@@ -33,7 +32,6 @@ from repro.cjoin.batch import FactBatch
 from repro.cjoin.dimtable import DimensionHashTable
 from repro.cjoin.kernels import filter_batch
 from repro.cjoin.stats import FilterStats
-from repro.cjoin.tuples import FactTuple
 
 
 class Filter:
@@ -54,46 +52,15 @@ class Filter:
         #: section 3.2.2 optimization toggle (off only for ablation)
         self.probe_skip = probe_skip
 
-    def process(self, fact_tuple: FactTuple) -> bool:
-        """Filter one tuple in place; return True iff it survives.
-
-        The caller (Stage) forwards surviving tuples to the next
-        Filter and discards the rest.
-        """
-        self.stats.tuples_in += 1
-        bits = fact_tuple.bitvector
-        table = self.hash_table
-        # Probe-skip: every query still interested in this tuple has its
-        # bit set in b_Dj (does not reference this dimension) -> the
-        # probe could only AND-in ones.
-        if self.probe_skip and bits & ~table.complement_bitmap == 0:
-            self.stats.probe_skips += 1
-            if self.pipeline_stats is not None:
-                self.pipeline_stats.probe_skips_total += 1
-            return True
-        self.stats.probes += 1
-        if self.pipeline_stats is not None:
-            self.pipeline_stats.probes_total += 1
-        filtering_bits, dim_row = table.probe(fact_tuple.row[self.fk_index])
-        bits &= filtering_bits
-        fact_tuple.bitvector = bits
-        if bits == 0:
-            self.stats.tuples_dropped += 1
-            return False
-        if dim_row is not None:
-            if fact_tuple.dim_rows is None:
-                fact_tuple.dim_rows = {}
-            fact_tuple.dim_rows[self.name] = dim_row
-        return True
-
     def process_batch(self, batch: FactBatch) -> None:
         """Filter every live row of ``batch`` in one call.
 
-        Semantically identical to calling :meth:`process` on each live
-        row in order; the batch form amortizes the per-tuple costs:
-        one probe-skip test on the batch's bit-vector union instead of
-        one per tuple, then one :func:`~repro.cjoin.kernels.filter_batch`
-        call for the probe, the AND and the drop test.
+        Per live row: AND the probed filtering bit-vector into
+        ``b_tau`` and drop the row when no bit remains.  The batch form
+        amortizes the per-tuple costs: one probe-skip test on the
+        batch's bit-vector union instead of one per tuple, then one
+        :func:`~repro.cjoin.kernels.filter_batch` call for the probe,
+        the AND and the drop test.
         """
         live = batch.live
         if not live:
@@ -122,18 +89,16 @@ class Filter:
             pipeline_stats.probes_total += probes
             pipeline_stats.probe_skips_total += skips
 
-    def would_drop(self, fact_tuple: FactTuple) -> bool:
+    def would_drop(self, bits: int, row: tuple) -> bool:
         """Side-effect-free drop test used for optimizer profiling.
 
-        Evaluates what :meth:`process` would decide for ``fact_tuple``
-        *in isolation* (without mutating it or the stats).
+        Evaluates what this Filter *in isolation* would decide for a
+        fact ``row`` carrying bit-vector ``bits`` (without mutating
+        anything or touching the stats).
         """
-        bits = fact_tuple.bitvector
         if bits & ~self.hash_table.complement_bitmap == 0:
             return False
-        filtering_bits, _ = self.hash_table.probe(
-            fact_tuple.row[self.fk_index]
-        )
+        filtering_bits, _ = self.hash_table.probe(row[self.fk_index])
         return bits & filtering_bits == 0
 
     def __repr__(self) -> str:

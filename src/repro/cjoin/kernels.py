@@ -1,4 +1,4 @@
-"""Whole-batch passes of the vectorized hot path (DESIGN.md section 5).
+"""Whole-batch passes of the pipeline's hot path (DESIGN.md section 5).
 
 Batching amortizes per-tuple *dispatch* — one Python call per Filter
 per batch; this module makes the probe/AND/route work inside that call
@@ -23,15 +23,14 @@ per fact row:
 * **group-by-bit-vector routing** — the Distributor groups surviving
   rows by identical ``b_tau`` so each output operator receives
   columnar row slices (see ``OutputOperator.consume_rows``) instead of
-  a materialized :class:`~repro.cjoin.tuples.FactTuple` per row.
+  one object per row.
 
 These passes are the one way a batch is executed — pure Python by
-measurement (EXPERIMENTS.md section 11).  The tuple-at-a-time path
-(:meth:`repro.cjoin.filter.Filter.process`) remains the reference
-every equivalence suite compares against; stats stay comparable
-because the passes keep the *logical* per-row probe/skip counts of the
-tuple path while also reporting the deduplicated hash-table traffic
-(``FilterStats.distinct_probes``).
+measurement (EXPERIMENTS.md section 11).  Their semantics are the
+paper's per-tuple ones (probe ``HD_j``, AND, drop at zero), which is
+what tests/test_kernels.py checks them against; stats keep the
+*logical* per-row probe/skip counts while also reporting the
+deduplicated hash-table traffic (``FilterStats.distinct_probes``).
 """
 
 from __future__ import annotations
@@ -66,9 +65,8 @@ def group_rows_by_bits(bitvectors, live) -> dict[int, list[int]]:
     """Group live row indices by identical bit-vector.
 
     Returns ``{b_tau: [row_index, ...]}`` in first-occurrence order
-    with rows in scan order inside each group — the exact routing
-    order of the tuple path, so operator consumption order (and
-    therefore result rows) cannot drift.
+    with rows in scan order inside each group, so every operator
+    consumes its rows in scan order at every batch size.
     """
     groups: dict[int, list[int]] = {}
     for row_index in live:
@@ -90,10 +88,9 @@ def filter_batch(
 ) -> tuple[int, int, int]:
     """Probe/AND/compact one batch against one dimension table.
 
-    Mutates ``batch`` exactly like calling the tuple path's
-    :meth:`~repro.cjoin.filter.Filter.process` on every live row
-    (bit-vector column updated, dropped rows cleared from the alive
-    mask, joining dimension rows attached) and returns
+    For every live row: AND ``table.probe(key)``'s filtering bits
+    into its bit-vector, clear it from the alive mask when none remain;
+    the joining dimension rows are attached once.  Returns
     ``(probes, skips, distinct_probes)`` with *logical* counting:
     every live row is either a probe or a section 3.2.2 skip, while
     ``distinct_probes`` reports the hash-table lookups actually paid.

@@ -62,8 +62,7 @@ class CJoinOperator:
             else BufferPool(DEFAULT_BUFFER_POOL_PAGES)
         )
         self.stats = PipelineStats()
-        fact_table = catalog.table(self.star.fact.name)
-        self.scan = ContinuousScan(fact_table, self.buffer_pool)
+        self.scan = self._make_scan()
         self.preprocessor = Preprocessor(
             self.scan, self.star, self.stats, versioned_fact
         )
@@ -87,6 +86,17 @@ class CJoinOperator:
         self.distributor.on_query_finished = self.manager.on_query_finished
         self._rate_anchor: tuple[float, int] | None = None
         self.executor = SynchronousExecutor(self.pipeline, self.manager, config)
+
+    def _make_scan(self):
+        """Build the scan source the Preprocessor reads.
+
+        The one seam the section-5 extensions override (DESIGN.md
+        section 6): anything with ``next_position``, ``row_count``,
+        ``next_run(max_rows)`` and ``tuples_returned``.
+        """
+        return ContinuousScan(
+            self.catalog.table(self.star.fact.name), self.buffer_pool
+        )
 
     @staticmethod
     def _single_star(catalog: Catalog) -> StarSchema:

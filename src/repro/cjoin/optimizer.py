@@ -18,8 +18,9 @@ al. [5] (A-Greedy).  We provide:
   baseline).
 
 Profiles are gathered by the executor, which periodically evaluates
-every filter on a sampled tuple via ``Filter.would_drop`` (the paper's
-profiling of tuples, independent of pipeline order).
+every filter on a ``(bit-vector, fact row)`` pair sampled from a batch
+via ``Filter.would_drop`` (the paper's profiling of tuples, independent
+of pipeline order).
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from __future__ import annotations
 from collections import deque
 
 from repro.cjoin.filter import Filter
-from repro.cjoin.tuples import FactTuple
 
 #: Default number of sampled drop-profiles retained.
 DEFAULT_PROFILE_WINDOW = 512
@@ -39,8 +39,8 @@ class OrderingPolicy:
     #: whether the executor should collect drop profiles for this policy
     wants_profiles = False
 
-    def record_profile(self, filters: list[Filter], fact_tuple: FactTuple) -> None:
-        """Observe a sampled tuple (only when ``wants_profiles``)."""
+    def record_profile(self, filters: list[Filter], bits: int, row: tuple) -> None:
+        """Observe a sampled fact row (only when ``wants_profiles``)."""
 
     def recommend(self, filters: list[Filter]) -> list[Filter]:
         """Return the recommended filter order (a permutation)."""
@@ -87,9 +87,9 @@ class AGreedyPolicy(OrderingPolicy):
         #: each profile maps filter name -> would-drop boolean
         self._profiles: deque[dict[str, bool]] = deque(maxlen=window)
 
-    def record_profile(self, filters: list[Filter], fact_tuple: FactTuple) -> None:
+    def record_profile(self, filters: list[Filter], bits: int, row: tuple) -> None:
         self._profiles.append(
-            {f.name: f.would_drop(fact_tuple) for f in filters}
+            {f.name: f.would_drop(bits, row) for f in filters}
         )
 
     def recommend(self, filters: list[Filter]) -> list[Filter]:

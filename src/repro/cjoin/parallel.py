@@ -16,7 +16,7 @@ Protocol (coordinator side):
    table in scan order (:func:`repro.storage.partition.contiguous_spans`);
 2. hand every worker its span plus a dimension snapshot and the FULL
    active query set; each worker rebuilds a shard-local catalog and
-   runs the PR-1 batched pipeline (admission, filters, distributor)
+   runs the whole pipeline (admission, filters, distributor)
    to completion over its shard;
 3. instead of finalized rows, each worker exports every query's
    *un-finalized* operator state (mergeable accumulators; see
@@ -24,7 +24,7 @@ Protocol (coordinator side):
    ``partial_sink``;
 4. the coordinator folds shard states into a fresh output operator
    per query — in shard order, which is scan order — and finalizes
-   once, producing results identical to the serial batched drain.
+   once, producing results identical to the serial drain.
 
 Transports:
 
@@ -165,7 +165,7 @@ def _drain_shard(
     aggregation_mode: str,
     max_concurrent: int,
 ) -> list:
-    """Run the batched pipeline over one shard; return partial states.
+    """Run the pipeline over one shard; return partial states.
 
     Returns one :meth:`~repro.cjoin.aggregation.OutputOperator.partial_state`
     export per query, in query order.  Query sets larger than
@@ -181,9 +181,7 @@ def _drain_shard(
             catalog,
             star,
             max_concurrent=max_concurrent,
-            executor_config=ExecutorConfig(
-                execution="batched", batch_size=batch_size
-            ),
+            executor_config=ExecutorConfig(batch_size=batch_size),
             aggregation_mode=aggregation_mode,
         )
         sink: dict[int, object] = {}
@@ -298,8 +296,8 @@ def execute_process_parallel(
     """Drain ``queries`` over ``workers`` fact shards; merge results.
 
     Results are identical to submitting the same queries to a serial
-    ``execution='batched'`` :class:`~repro.cjoin.operator.CJoinOperator`
-    and draining (enforced by tests/test_parallel_equivalence.py).
+    :class:`~repro.cjoin.operator.CJoinOperator` and draining (enforced
+    by tests/test_parallel_equivalence.py).
 
     Args:
         workers: shard count = worker process count.  ``workers=1``
@@ -321,12 +319,7 @@ def execute_process_parallel(
             f"'pickle', or 'inprocess'"
         )
     # validates workers/batch_size ranges with actionable messages
-    ExecutorConfig(
-        execution="batched",
-        backend="process",
-        workers=workers,
-        batch_size=batch_size,
-    )
+    ExecutorConfig(backend="process", workers=workers, batch_size=batch_size)
     for query in queries:
         query.validate(star)
     if not queries:

@@ -35,12 +35,10 @@ from repro.storage.table import Table
 class PartitionedContinuousScan:
     """A continuous scan over the needed-partition union.
 
-    Presents the same interface as
-    :class:`~repro.storage.scan.ContinuousScan` (``next()``,
-    ``next_position``, ``tuples_returned``) over a stable global
-    position space (partition offsets are frozen at construction).
-    Partitions are ref-counted: a partition is scanned while at least
-    one active query needs it.
+    A scan source (see :class:`~repro.storage.scan.ContinuousScan`)
+    over a stable global position space (partition offsets are frozen
+    at construction).  Partitions are ref-counted: a partition is
+    scanned while at least one active query needs it.
     """
 
     def __init__(self, table: PartitionedTable, buffer_pool: BufferPool) -> None:
@@ -90,18 +88,22 @@ class PartitionedContinuousScan:
         raise StorageError(f"position {position} outside all partitions")
 
     # ------------------------------------------------------------------
-    # ContinuousScan interface
+    # Scan-source interface
     # ------------------------------------------------------------------
-    def _has_scannable_rows(self) -> bool:
-        return any(
-            self._row_counts[partition_id] > 0
-            for partition_id in self._need_counts
-        )
+    @property
+    def row_count(self) -> int:
+        """Rows in the currently pinned partitions.
+
+        Zero covers both "no pinned partitions" and "every pinned
+        partition is empty": the source is idle either way.
+        """
+        row_counts = self._row_counts
+        return sum(row_counts[pinned] for pinned in self._need_counts)
 
     @property
     def next_position(self) -> int:
         """Global position of the next tuple to be returned."""
-        if not self._has_scannable_rows():
+        if self.row_count == 0:
             return 0
         self._align()
         return self._offsets[self._partition_index] + self._local_position
@@ -111,24 +113,29 @@ class PartitionedContinuousScan:
         """Total tuples produced since construction."""
         return self._tuples_returned
 
-    def next(self) -> tuple[int, tuple] | None:
-        """Return the next (global position, row), or None when idle.
+    def next_run(self, max_rows: int) -> tuple[int, list[tuple]] | None:
+        """Return ``(global start position, rows)``, or None when idle.
 
-        Idle covers both "no pinned partitions" and "every pinned
-        partition is empty".
+        A run never leaves its partition page, so it costs one
+        buffer-pool fetch and its positions are contiguous.
         """
-        if not self._has_scannable_rows():
+        if max_rows < 1 or self.row_count == 0:
             return None
         self._align()
-        partition = self.table.partitions[self._partition_index]
-        rows_per_page = partition.heap.rows_per_page
-        page_id, slot_id = divmod(self._local_position, rows_per_page)
-        page = self.buffer_pool.fetch(partition.heap, page_id)
-        row = page.slot(slot_id)
-        position = self._offsets[self._partition_index] + self._local_position
-        self._advance()
-        self._tuples_returned += 1
-        return position, row
+        index = self._partition_index
+        local = self._local_position
+        heap = self.table.partitions[index].heap
+        page_id, slot_id = divmod(local, heap.rows_per_page)
+        page = self.buffer_pool.fetch(heap, page_id)
+        # offsets are frozen: never read past the partition's counted rows
+        available = min(max_rows, self._row_counts[index] - local)
+        rows = page.rows[slot_id:slot_id + available]
+        self._local_position = local + len(rows)
+        if self._local_position >= self._row_counts[index]:
+            self._partition_index = (index + 1) % len(self._row_counts)
+            self._local_position = 0
+        self._tuples_returned += len(rows)
+        return self._offsets[index] + local, rows
 
     def _align(self) -> None:
         """Move the cursor to the next pinned, non-empty partition."""
@@ -148,14 +155,6 @@ class PartitionedContinuousScan:
             self._local_position = 0
         raise PipelineError("no scannable partition despite pinned set")
 
-    def _advance(self) -> None:
-        self._local_position += 1
-        if self._local_position >= self._row_counts[self._partition_index]:
-            self._partition_index = (
-                (self._partition_index + 1) % len(self._row_counts)
-            )
-            self._local_position = 0
-
 
 class PartitionedCJoinOperator(CJoinOperator):
     """CJOIN with partition pruning and early query termination."""
@@ -169,9 +168,6 @@ class PartitionedCJoinOperator(CJoinOperator):
     ) -> None:
         self.partitioned_fact = partitioned_fact
         super().__init__(catalog, star, **kwargs)
-        # Replace the plain continuous scan with the partition-aware one
-        self.scan = PartitionedContinuousScan(partitioned_fact, self.buffer_pool)
-        self.preprocessor.scan = self.scan
         self._query_partitions: dict[int, set[int]] = {}
         # Finalization must release the query's pinned partitions before
         # the manager's standard cleanup runs.
@@ -184,6 +180,9 @@ class PartitionedCJoinOperator(CJoinOperator):
             original_callback(query_id)
 
         self.distributor.on_query_finished = on_finished
+
+    def _make_scan(self) -> PartitionedContinuousScan:
+        return PartitionedContinuousScan(self.partitioned_fact, self.buffer_pool)
 
     def submit(self, query: StarQuery) -> QueryHandle:
         """Admit ``query``, pinning only the partitions it needs."""

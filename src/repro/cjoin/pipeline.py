@@ -12,7 +12,7 @@ from repro.cjoin.distributor import Distributor
 from repro.cjoin.filter import Filter
 from repro.cjoin.preprocessor import Preprocessor
 from repro.cjoin.stats import PipelineStats
-from repro.cjoin.tuples import ControlTuple, FactTuple
+from repro.cjoin.tuples import ControlTuple
 from repro.errors import PipelineError
 
 
@@ -83,15 +83,8 @@ class CJoinPipeline:
     # ------------------------------------------------------------------
     # Item processing (used by executors)
     # ------------------------------------------------------------------
-    def run_filters(self, fact_tuple: FactTuple) -> bool:
-        """Run ``fact_tuple`` through the whole chain; True iff it survives."""
-        for stage_filter in self.filters:
-            if not stage_filter.process(fact_tuple):
-                return False
-        return True
-
     def run_filters_batch(self, batch: FactBatch) -> None:
-        """Run a whole batch through the chain (vectorized fast path).
+        """Run a whole batch through the chain.
 
         Stops early once no row survives; the Distributor treats a
         fully-dead batch as a no-op.
@@ -103,12 +96,6 @@ class CJoinPipeline:
 
     def process_item(self, item) -> None:
         """Process one item end-to-end (synchronous execution)."""
-        if isinstance(item, ControlTuple):
-            self.distributor.process(item)
-            return
-        if isinstance(item, FactBatch):
+        if not isinstance(item, ControlTuple):
             self.run_filters_batch(item)
-            self.distributor.process(item)
-            return
-        if self.run_filters(item):
-            self.distributor.process(item)
+        self.distributor.process(item)

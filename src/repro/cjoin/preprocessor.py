@@ -13,22 +13,26 @@ Feeds the pipeline from the continuous scan:
 * assigns every emitted item a monotonically increasing sequence
   number (the total order the Distributor enforces).
 
-The batched path evaluates the virtual predicate once per scan run
-per distinct snapshot id, not per row per query (DESIGN.md section 3).
-A run lies inside one heap page, whose ``xmin``/``xmax`` bounds settle
-it in O(1): a snapshot newer than every insert and older than every
-delete on the page sees the whole run — the steady state, which then
-costs what a warehouse without MVCC pays — and one older than every
-insert sees none of it.  Only a run that a commit boundary or a delete
-cuts through gets a per-row mask, one per snapshot id, shared by every
-query stamped with it.  The tuple path keeps the per-row, per-query
-check (``_initial_bits``) and is the oracle the batched path is tested
-against.
+The scan is any *scan source* — ``next_position``, ``row_count``,
+``next_run(max_rows)``, ``tuples_returned``, what
+:class:`~repro.storage.scan.ContinuousScan` is — so the section-5
+extensions (column-store merge, partition pruning, compressed pages)
+feed this same Preprocessor (DESIGN.md section 6).
+
+The virtual predicate is evaluated once per scan run per distinct
+snapshot id, not per row per query (DESIGN.md section 3).  The
+``xmin``/``xmax`` bounds of the heap pages a run touches settle it in
+O(1): a snapshot newer than every insert and older than every delete
+there sees the whole run — the steady state, which then costs what a
+warehouse without MVCC pays — and one older than every insert sees none
+of it.  Only a run that a commit boundary or a delete cuts through gets
+a per-row mask, one per snapshot id, shared by every query stamped with
+it.
 
 Thread-safety: the manager stalls the Preprocessor around pipeline
 mutations by holding its lock (see :meth:`stall` / :meth:`resume`);
 item production holds the same lock.  A fact-table writer must stall it
-too: the batched path reads version columns for rows the scan returns.
+too: item production reads version columns for rows the scan returns.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from repro.catalog.schema import StarSchema
 from repro.cjoin.batch import FactBatch
 from repro.cjoin.registry import RegisteredQuery
 from repro.cjoin.stats import PipelineStats
-from repro.cjoin.tuples import ControlTuple, FactTuple, QueryEnd, QueryStart
+from repro.cjoin.tuples import ControlTuple, QueryEnd, QueryStart
 from repro.errors import PipelineError
 from repro.storage.mvcc import Snapshot, VersionedTable
 from repro.storage.scan import ContinuousScan
@@ -86,11 +90,9 @@ class Preprocessor:
         self._active: dict[int, _ActiveQuery] = {}
         #: queries with no fact predicate / snapshot: their bits OR-ed
         self._unconditional_mask = 0
-        #: the rest, as the tuple path reads them (per row, per query)
-        self._conditional: list[_ActiveQuery] = []
-        #: the same queries as the batched path reads them: those with
-        #: no snapshot as ``(bit, fact matcher, None)`` per-row checks,
-        #: the others grouped by the snapshot id they were stamped with
+        #: the rest: those with no snapshot as ``(bit, fact matcher,
+        #: None)`` per-row checks, the others grouped by the snapshot
+        #: id they were stamped with
         self._row_checks: list[tuple] = []
         self._snapshot_groups: dict[int, list[_ActiveQuery]] = {}
         #: scan position -> registrations that started there
@@ -143,14 +145,12 @@ class Preprocessor:
         self._active[registration.query_id] = active
         if fact_matcher is None and snapshot is None:
             self._unconditional_mask |= active.bit
+        elif snapshot is None:
+            self._row_checks.append((active.bit, fact_matcher, None))
         else:
-            self._conditional.append(active)
-            if snapshot is None:
-                self._row_checks.append((active.bit, fact_matcher, None))
-            else:
-                self._snapshot_groups.setdefault(
-                    snapshot.snapshot_id, []
-                ).append(active)
+            self._snapshot_groups.setdefault(
+                snapshot.snapshot_id, []
+            ).append(active)
         position = registration.start_position = self.scan.next_position
         if position not in self._starts:
             insort(self._start_positions, position)
@@ -215,56 +215,23 @@ class Preprocessor:
     # ------------------------------------------------------------------
     # Item production
     # ------------------------------------------------------------------
-    def next_items(self, max_items: int) -> list:
-        """Produce up to ``max_items`` pipeline items.
-
-        Returns an empty list when there is nothing to do (no active
-        queries and no pending control tuples).
-        """
-        with self._lock:
-            items: list = []
-            while self._pending_control and len(items) < max_items:
-                items.append(self._pending_control.popleft())
-            if not self._active:
-                return items
-            while len(items) < max_items:
-                produced = self.scan.next()
-                if produced is None:
-                    break  # empty table; nothing to stream
-                position, row = produced
-                self.stats.tuples_scanned += 1
-                ended = self._handle_wraparound(position)
-                if ended:
-                    items.extend(ended)
-                    if not self._active:
-                        break
-                bits = self._initial_bits(position, row)
-                if bits == 0:
-                    self.stats.tuples_preprocessor_dropped += 1
-                    continue
-                items.append(
-                    FactTuple(self._next_sequence(), position, row, bits)
-                )
-            return items
-
     def next_batched_items(self, max_rows: int) -> list:
-        """Produce pipeline items with fact tuples grouped into batches.
+        """Produce up to ``max_rows`` pipeline items.
 
-        The batched-path twin of :meth:`next_items`: emits the same
-        logical stream (same per-row sequence numbers, same relative
-        order of control tuples and fact rows), but runs of consecutive
-        fact rows are packed into :class:`FactBatch` columns.  A batch
-        never spans a control tuple — the open batch is flushed before
-        any QueryEnd is appended — so downstream re-serialization keeps
-        the section 3.3.3 ordering property unchanged.
+        Control tuples come out as themselves, fact rows packed into
+        :class:`FactBatch` columns (every row counts as one item and
+        carries its own sequence number).  A batch never spans a
+        control tuple — the open batch is flushed before any QueryEnd
+        is appended — so the section 3.3.3 ordering property holds at
+        every batch size.  Returns an empty list when there is nothing
+        to do (no active queries and no pending control tuples).
         """
         with self._lock:
             items: list = []
             while self._pending_control and len(items) < max_rows:
                 items.append(self._pending_control.popleft())
-            # controls spend item budget exactly like the tuple path:
-            # a pending QueryStart must never be overtaken by a fact
-            # row carrying that query's bit
+            # controls spend item budget: a pending QueryStart must
+            # never be overtaken by a fact row carrying that query's bit
             if self._pending_control or not self._active:
                 return items
             budget = max_rows - len(items)
@@ -303,15 +270,15 @@ class Preprocessor:
 
             produced_rows = 0
             while produced_rows < budget:
-                if scan.table.row_count == 0:
-                    break  # empty table; nothing to stream
+                if scan.row_count == 0:
+                    break  # empty or fully unpinned source: idle
                 # arrival at the next position may wrap queries around
                 position = scan.next_position
                 ended = self._handle_wraparound(position)
                 if ended:
                     flush()
                     items.extend(ended)
-                    # ends spend item budget too, like the tuple path
+                    # ends spend item budget too
                     budget -= len(ended)
                     if not self._active:
                         break
@@ -321,8 +288,7 @@ class Preprocessor:
                 # position so every wrap-around is observed on arrival.
                 # It is never empty, even when the ends above used up
                 # the budget: a query that starts at this position has
-                # just been told its first row is on the way (the tuple
-                # path has consumed that row by now, too)
+                # just been told its first row is on the way
                 limit = max(budget - produced_rows, 1)
                 upcoming = bisect_right(start_positions, position)
                 if upcoming < len(start_positions):
@@ -336,9 +302,12 @@ class Preprocessor:
                 checks = row_checks
                 if snapshot_groups:
                     # the section-3.5 virtual predicate, per run and
-                    # per distinct snapshot id: the page's bounds decide
+                    # per distinct snapshot id: the page bounds decide
                     # all-visible and none-visible runs outright
-                    oldest, newest, first_delete = versioned.page_bounds(run_start)
+                    run_stop = run_start + len(run_rows)
+                    oldest, newest, first_delete = versioned.page_bounds(
+                        run_start, run_stop
+                    )
                     snapshot_checks = []
                     for snapshot_id, group in snapshot_groups.items():
                         if newest <= snapshot_id < first_delete:
@@ -349,7 +318,7 @@ class Preprocessor:
                             continue
                         else:
                             visible = versioned.visibility_mask(
-                                snapshot_id, run_start, run_start + len(run_rows)
+                                snapshot_id, run_start, run_stop
                             )
                             stats.visibility_runs_masked += 1
                         for active in group:
@@ -382,8 +351,9 @@ class Preprocessor:
                     produced_rows += run_length
                     continue
                 for offset, row in enumerate(run_rows):
-                    # inline _initial_bits (the per-row hot path), with
-                    # visibility read from the run's mask
+                    # the per-row hot path: a query's bit is set iff the
+                    # row is visible to it (the run's mask) and matches
+                    # its fact predicate
                     bits = run_bits
                     for bit, fact_matcher, visible in checks:
                         if visible is not None and not visible[offset]:
@@ -438,9 +408,6 @@ class Preprocessor:
         if active.snapshot is None and active.fact_matcher is None:
             self._unconditional_mask &= ~active.bit
             return
-        self._conditional = [
-            entry for entry in self._conditional if entry is not active
-        ]
         if active.snapshot is None:
             self._row_checks = [
                 check for check in self._row_checks if check[0] != active.bit
@@ -456,18 +423,6 @@ class Preprocessor:
             self._snapshot_groups[snapshot_id] = group
         else:
             del self._snapshot_groups[snapshot_id]
-
-    def _initial_bits(self, position: int, row: tuple) -> int:
-        bits = self._unconditional_mask
-        for active in self._conditional:
-            if active.snapshot is not None and not active.snapshot.can_see(
-                self.versioned_fact.version_at(position)
-            ):
-                continue
-            if active.fact_matcher is not None and not active.fact_matcher(row):
-                continue
-            bits |= active.bit
-        return bits
 
     def _next_sequence(self) -> int:
         self._sequence += 1

@@ -86,10 +86,9 @@ class FilterStats:
     tuples_dropped: int = 0
     probes: int = 0
     probe_skips: int = 0
-    #: hash-table lookups the batched path actually paid (one per
-    #: *distinct* key per batch under dedup); ``probes`` stays the
-    #: logical per-row count so drop rates and probes_per_tuple compare
-    #: with the tuple path
+    #: hash-table lookups actually paid (one per *distinct* key per
+    #: batch under dedup); ``probes`` stays the logical per-row count,
+    #: so drop rates and probes_per_tuple are the paper's per-tuple ones
     distinct_probes: int = 0
 
     @property
@@ -134,7 +133,7 @@ class PipelineStats:
     #: (Algorithms 1 and 2): the sharing-side work, counted where it
     #: happens
     dim_entries_touched: int = 0
-    #: batched-path snapshot visibility (DESIGN.md section 3), counted
+    #: snapshot visibility (DESIGN.md section 3), counted
     #: per scan run per distinct active snapshot id: runs the page's
     #: xmin/xmax bounds settled (all or none of the run visible)
     visibility_runs_uniform: int = 0

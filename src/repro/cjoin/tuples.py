@@ -1,23 +1,22 @@
-"""Tuples flowing through the CJOIN pipeline.
+"""Control tuples flowing through the CJOIN pipeline.
 
-Three kinds of items travel from the Preprocessor to the Distributor:
+Fact rows travel from the Preprocessor to the Distributor as columnar
+:class:`~repro.cjoin.batch.FactBatch` runs, each row tagged with its
+relevance bit-vector ``b_tau``.  Between batches travel two kinds of
+control tuple:
 
-* :class:`FactTuple` — a fact row tagged with its relevance bit-vector
-  ``b_tau`` and (as an optimization from section 3.2.2) pointers to the
-  dimension rows it joined with, so aggregation operators never
-  re-probe;
 * :class:`QueryStart` — the "query start" control tuple emitted right
-  after admission (section 3.3.1); it precedes every fact tuple the
+  after admission (section 3.3.1); it precedes every fact row the
   new query may produce results from;
 * :class:`QueryEnd` — the "end of query" control tuple emitted when
   the continuous scan wraps around the query's starting position
-  (section 3.3.2); it precedes the re-scan of the starting tuple.
+  (section 3.3.2); it precedes the re-scan of the starting row.
 
-Every item carries a monotonically increasing ``sequence`` assigned by
-the Preprocessor.  Parallel executors may process data tuples out of
-order, but the Distributor re-serializes by sequence, which enforces
-the paper's correctness property that control tuples are never
-reordered relative to data tuples (section 3.3.3).
+Every fact row and every control tuple carries a monotonically
+increasing ``sequence`` assigned by the Preprocessor — the total order
+in which the Distributor sees them, which is the paper's correctness
+property that control tuples are never reordered relative to data
+tuples (section 3.3.3).
 """
 
 from __future__ import annotations
@@ -26,30 +25,6 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cjoin.registry import RegisteredQuery
-
-
-class FactTuple:
-    """A fact row in flight, tagged with its relevance bit-vector."""
-
-    __slots__ = ("sequence", "position", "row", "bitvector", "dim_rows")
-
-    def __init__(
-        self, sequence: int, position: int, row: tuple, bitvector: int
-    ) -> None:
-        self.sequence = sequence
-        self.position = position
-        self.row = row
-        self.bitvector = bitvector
-        #: dimension name -> joined dimension row; allocated lazily by
-        #: the first Filter that attaches a pointer (most tuples die
-        #: before any attachment, so the common path skips the dict)
-        self.dim_rows: dict[str, tuple] | None = None
-
-    def __repr__(self) -> str:
-        return (
-            f"FactTuple(seq={self.sequence}, pos={self.position}, "
-            f"bits={bin(self.bitvector)})"
-        )
 
 
 class ControlTuple:

@@ -79,12 +79,9 @@ class Warehouse:
         data_dir: str | None = None,
     ) -> None:
         """Args:
-            execution: CJOIN execution granularity — 'batched' (the
-                default) for the vectorized path (DESIGN.md section
-                5), 'tuple' for the reference tuple-at-a-time path.
-                Results are identical; 'batched' trades per-tuple
-                dispatch for per-batch columnar passes, and the
-                process backend requires it.
+            execution: vestigial — there is one pipeline (DESIGN.md
+                section 5); only ``'batched'`` is accepted, and the
+                keyword goes with the next benchmark PR.
             backend: 'serial' for the always-on in-process operator, or
                 'process' to drain CJOIN queries over fact shards in
                 worker processes (DESIGN.md section 8).  The process
@@ -116,9 +113,13 @@ class Warehouse:
         _require_int(
             "max_concurrent", max_concurrent, 1, MAX_CONCURRENT_QUERIES
         )
-        self.executor_config = ExecutorConfig(
-            execution=execution, backend=backend, tuning=tuning
-        )
+        # kept only because the frozen benchmarks/layered/ harness passes it
+        if execution != "batched":
+            raise ConfigError(
+                f"unknown execution {execution!r}: the tuple-at-a-time "
+                f"path is gone, drop the argument"
+            )
+        self.executor_config = ExecutorConfig(backend=backend, tuning=tuning)
         if backend == "process" and enable_updates:
             raise ConfigError(
                 "backend='process' does not support enable_updates: "
@@ -144,9 +145,7 @@ class Warehouse:
             buffer_pool=self.buffer_pool,
             max_concurrent=max_concurrent,
             versioned_fact=self.versioned_fact,
-            executor_config=ExecutorConfig(
-                execution=execution, batch_size=tuning.batch_size
-            ),
+            executor_config=ExecutorConfig(batch_size=tuning.batch_size),
         )
         self.baseline = QueryAtATimeEngine(
             catalog,
@@ -221,8 +220,8 @@ class Warehouse:
         again.  The ingest generation counter and the MVCC snapshot
         counter both continue from the recovered high-water mark.
 
-        ``kwargs`` are the constructor's runtime knobs (``execution``,
-        ``tuning``, ``enable_updates``, ...); the dataset itself comes
+        ``kwargs`` are the constructor's runtime knobs (``tuning``,
+        ``enable_updates``, ...); the dataset itself comes
         from disk.
 
         Raises:
@@ -466,9 +465,7 @@ class Warehouse:
         with self._tuning_lock:
             # validates workers-vs-backend up front; only then mutate
             self.executor_config = ExecutorConfig(
-                execution=self.executor_config.execution,
-                backend=self.executor_config.backend,
-                tuning=tuning,
+                backend=self.executor_config.backend, tuning=tuning
             )
             self.service.reconfigure(tuning)
             self.cjoin.executor.reconfigure(tuning)
@@ -511,7 +508,6 @@ class Warehouse:
             "tuning": tuning,
             "backend": {
                 "backend": self.executor_config.backend,
-                "execution": self.executor_config.execution,
                 "workers": self.executor_config.workers,
                 "batch_size": self.executor_config.batch_size,
                 "pending_process": self.pending_submissions(ROUTE_PROCESS),

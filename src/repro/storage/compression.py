@@ -120,7 +120,7 @@ class CompressedTable:
 class DecompressingContinuousScan:
     """A continuous scan over a compressed table, decompressing on the fly.
 
-    Presents the :class:`~repro.storage.scan.ContinuousScan` interface;
+    A scan source (see :class:`~repro.storage.scan.ContinuousScan`):
     the underlying I/O (and buffer pool) sees only the compressed
     pages, while consumers receive logical tuples — the paper's
     "decompress on-demand as needed" mode for CJOIN (section 5).
@@ -134,21 +134,30 @@ class DecompressingContinuousScan:
 
     @property
     def next_position(self) -> int:
-        """Position of the tuple the next :meth:`next` call returns."""
+        """Position of the first row the next :meth:`next_run` returns."""
         return self._inner.next_position
+
+    @property
+    def row_count(self) -> int:
+        """Rows one cycle visits."""
+        return self._inner.row_count
 
     @property
     def tuples_returned(self) -> int:
         """Total tuples produced since construction."""
         return self._inner.tuples_returned
 
-    def next(self) -> tuple[int, tuple] | None:
-        """Return the next (position, logical row), or None when empty."""
-        produced = self._inner.next()
+    def next_run(self, max_rows: int) -> tuple[int, list[tuple]] | None:
+        """Return ``(start_position, logical rows)``, or None when empty.
+
+        One run of the physical scan (so never past a compressed page
+        or the table end), decompressed as it leaves.
+        """
+        produced = self._inner.next_run(max_rows)
         if produced is None:
             return None
-        position, coded_row = produced
-        return position, self.table.decompress_row(coded_row)
+        position, coded_rows = produced
+        return position, list(map(self.table.decompress_row, coded_rows))
 
 
 def compress_table(table: Table, column_names: list[str]) -> CompressedTable:

@@ -145,21 +145,33 @@ class VersionedTable:
         xmax = self._xmax[position]
         return TupleVersion(self._xmin[position], None if xmax == LIVE else xmax)
 
-    def page_bounds(self, position: int) -> tuple[int, int, int]:
+    def page_bounds(
+        self, position: int, stop: int | None = None
+    ) -> tuple[int, int, int]:
         """``(oldest xmin, newest xmin, first xmax)`` of a row's heap page.
 
-        A continuous-scan run never crosses a page, so these bracket
-        every row of the run starting at ``position``: snapshot ``s``
-        sees all of it when ``newest <= s < first xmax`` and none of it
-        when ``s < oldest``.  Anything else needs :meth:`visibility_mask`.
+        These bracket every row of a scan run that starts at
+        ``position``: snapshot ``s`` sees all of it when ``newest <= s
+        < first xmax`` and none of it when ``s < oldest``.  Anything
+        else needs :meth:`visibility_mask`.  A run of this table's own
+        scan never crosses a page; a source paged differently (a
+        partition's heap) passes the run's ``stop`` and gets the bounds
+        over every page the run touches.
         """
         page = position // self._rows_per_page
         if not 0 <= page < len(self._page_oldest):
             raise SnapshotError(f"no row at position {position}")
+        last = page if stop is None else (stop - 1) // self._rows_per_page
+        if last == page:
+            return (
+                self._page_oldest[page],
+                self._page_newest[page],
+                self._page_first_delete[page],
+            )
         return (
-            self._page_oldest[page],
-            self._page_newest[page],
-            self._page_first_delete[page],
+            min(self._page_oldest[page:last + 1]),
+            max(self._page_newest[page:last + 1]),
+            min(self._page_first_delete[page:last + 1]),
         )
 
     def visibility_mask(self, snapshot_id: int, start: int, stop: int) -> list[bool]:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from repro.errors import StorageError
 from repro.storage.buffer import BufferPool
 from repro.storage.table import Table
 
@@ -53,6 +52,13 @@ class ContinuousScan:
     ``(p // rows_per_page, p % rows_per_page)`` and the visiting order
     is identical on every cycle.  Rows appended mid-cycle are reached
     when the scan arrives at their position, extending the cycle.
+
+    This class is also the *scan-source seam* of the CJOIN pipeline:
+    the Preprocessor reads exactly ``next_position``, ``row_count``,
+    ``next_run(max_rows)`` and ``tuples_returned``, so the paper's
+    section-5 extensions (column-store merge, partition pruning,
+    compressed pages) are other classes with these four members
+    (DESIGN.md section 6).
     """
 
     def __init__(self, table: Table, buffer_pool: BufferPool) -> None:
@@ -65,7 +71,7 @@ class ContinuousScan:
 
     @property
     def next_position(self) -> int:
-        """Position of the tuple the next :meth:`next` call returns.
+        """Position of the first row the next :meth:`next_run` returns.
 
         This is the admission mark: a query registered now starts at
         this position and completes when the scan returns to it.
@@ -73,6 +79,11 @@ class ContinuousScan:
         if self._position >= self.table.row_count:
             return 0
         return self._position
+
+    @property
+    def row_count(self) -> int:
+        """Rows one cycle visits; 0 means the source cannot produce."""
+        return self.table.row_count
 
     @property
     def tuples_returned(self) -> int:
@@ -86,34 +97,15 @@ class ContinuousScan:
             return 0.0
         return self._tuples_returned / self.table.row_count
 
-    def next(self) -> tuple[int, tuple] | None:
-        """Return the next (position, row) pair, or None if the table is empty."""
-        row_count = self.table.row_count
-        if row_count == 0:
-            return None
-        if self._position >= row_count:
-            self._position = 0
-        position = self._position
-        rows_per_page = self.table.heap.rows_per_page
-        page_id, slot_id = divmod(position, rows_per_page)
-        if page_id != self._current_page_id:
-            self._current_page = self.buffer_pool.fetch(self.table.heap, page_id)
-            self._current_page_id = page_id
-        row = self._current_page.slot(slot_id)
-        self._position = position + 1
-        self._tuples_returned += 1
-        return position, row
-
     def next_run(self, max_rows: int) -> tuple[int, list[tuple]] | None:
         """Return ``(start_position, rows)`` for a contiguous scan run.
 
-        The bulk twin of :meth:`next` (the batched fast path, DESIGN.md
-        section 5): produces up to ``max_rows`` consecutive rows in one
-        call, never crossing a page boundary or the table end, so one
-        buffer-pool fetch covers the whole run and the per-row Python
-        dispatch of the tuple path disappears.  Returns None when the
-        table is empty.  Visiting order and wrap-around behaviour are
-        identical to repeated :meth:`next` calls.
+        Produces up to ``max_rows`` consecutive rows in one call,
+        never crossing a page boundary or the table end, so one
+        buffer-pool fetch covers the whole run (DESIGN.md section 5).
+        Returns None when the table is empty.  Positions
+        ``0 .. row_count-1`` are visited cyclically, in the same order
+        on every cycle, whatever the run sizes asked for.
         """
         row_count = self.table.row_count
         if row_count == 0 or max_rows < 1:
@@ -134,11 +126,3 @@ class ContinuousScan:
         self._position = position + available
         self._tuples_returned += available
         return position, rows
-
-    def __iter__(self) -> Iterator[tuple[int, tuple]]:
-        """Iterate forever (while rows exist); callers must break."""
-        while True:
-            item = self.next()
-            if item is None:
-                raise StorageError("continuous scan over an empty table")
-            yield item

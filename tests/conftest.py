@@ -22,6 +22,19 @@ STRING = DataType.STRING
 FLOAT = DataType.FLOAT
 
 
+def take_rows(scan, count: int, max_rows: int = 1) -> list[tuple[int, tuple]]:
+    """``count`` ``(position, row)`` pairs off a scan source.
+
+    Pulled through ``next_run`` in runs of at most ``max_rows`` — the
+    only way a scan source produces rows.
+    """
+    pairs: list[tuple[int, tuple]] = []
+    while len(pairs) < count:
+        start, rows = scan.next_run(min(max_rows, count - len(pairs)))
+        pairs.extend(enumerate(rows, start))
+    return pairs
+
+
 def make_tiny_star() -> tuple[Catalog, StarSchema]:
     """A small retail star with hand-checkable data.
 

@@ -55,7 +55,7 @@ def test_writer_and_deleter_beside_four_query_threads():
     fact.insert = store_row_then_yield
     threads_before = set(threading.enumerate())
     warehouse = Warehouse(
-        catalog, star, execution="batched", enable_updates=True
+        catalog, star, enable_updates=True
     )
     service = warehouse.start_service()
     failures: list[str] = []

@@ -1,12 +1,11 @@
-"""Batched fast path vs tuple-at-a-time: result equivalence.
+"""The pipeline vs the reference evaluator, at every batch size.
 
-The batched executor (DESIGN.md section 5) is a pure performance
-transformation — for every workload, batch size, admission
-interleaving, and update schedule it must produce byte-identical
-results to the reference tuple-at-a-time path, and both must match the
-independent evaluator in ``query/reference.py``.  These property tests
-drive both paths over randomized SSB workloads, mid-scan admissions
-(the control-tuple ordering hazard), mid-scan updates under snapshot
+Batch size is pure granularity (DESIGN.md section 5) — for every
+workload, batch size (down to one row per batch), admission
+interleaving, and update schedule the pipeline must produce the rows
+of the independent evaluator in ``query/reference.py``.  These property
+tests drive it over randomized SSB workloads, mid-scan admissions (the
+control-tuple ordering hazard), mid-scan updates under snapshot
 isolation, and the degenerate inputs of the whole-batch passes
 (batches that drop in full, an empty fact table, bit-vectors wider
 than a machine word), asserting equality each time.
@@ -41,12 +40,11 @@ def _run_all(catalog, star, queries, config, **operator_kwargs):
     return [handle.results() for handle in handles]
 
 
-def _assert_paths_match_reference(catalog, star, queries, batch_size):
-    """batched == tuple == query/reference.py, query by query."""
+def _assert_pipeline_matches_reference(catalog, star, queries, batch_size):
+    """pipeline == query/reference.py, query by query."""
     expected = [evaluate_star_query(query, catalog) for query in queries]
-    for execution in ("tuple", "batched"):
-        config = ExecutorConfig(execution=execution, batch_size=batch_size)
-        assert _run_all(catalog, star, queries, config) == expected, execution
+    config = ExecutorConfig(batch_size=batch_size)
+    assert _run_all(catalog, star, queries, config) == expected
 
 
 @settings(max_examples=20, deadline=None)
@@ -59,22 +57,22 @@ def _assert_paths_match_reference(catalog, star, queries, batch_size):
 def test_random_workloads_equivalent(
     ssb_small, seed, count, selectivity, batch_size
 ):
-    """Random SSB workloads: identical results at every batch size."""
+    """Random SSB workloads: the reference's rows at every batch size."""
     catalog, star = ssb_small
     queries = ssb_workload_generator(seed=seed, catalog=catalog).generate(
         count, selectivity=selectivity
     )
-    _assert_paths_match_reference(catalog, star, queries, batch_size)
+    _assert_pipeline_matches_reference(catalog, star, queries, batch_size)
 
 
 def test_more_queries_than_a_machine_word_equivalent(ssb_small):
     """Past 64 concurrent queries bit-vectors are multi-limb ints; the
-    column passes must carry them exactly like the tuple path."""
+    column passes must carry them exactly."""
     catalog, star = ssb_small
     queries = ssb_workload_generator(seed=5, catalog=catalog).generate(
         70, selectivity=0.1
     )
-    _assert_paths_match_reference(catalog, star, queries, batch_size=64)
+    _assert_pipeline_matches_reference(catalog, star, queries, batch_size=64)
 
 
 def _lyon_and_atlantis():
@@ -97,13 +95,13 @@ def test_all_rows_dropped_at_one_filter():
     """
     catalog, star = make_tiny_star()
     queries = _lyon_and_atlantis()
-    _assert_paths_match_reference(catalog, star, queries, batch_size=4)
+    _assert_pipeline_matches_reference(catalog, star, queries, batch_size=4)
     assert evaluate_star_query(queries[0], catalog) == [(5,)]
     assert evaluate_star_query(queries[1], catalog) == []
 
 
 def test_empty_fact_table_drains_clean():
-    """Zero fact batches: submission still completes on both paths."""
+    """Zero fact batches: submission still completes."""
     catalog, star = make_tiny_star()
     empty_catalog = Catalog()
     for name in ("store", "product"):
@@ -112,7 +110,7 @@ def test_empty_fact_table_drains_clean():
         Table.from_rows(star.fact, [], rows_per_page=4)
     )
     empty_catalog.register_star(star)
-    _assert_paths_match_reference(
+    _assert_pipeline_matches_reference(
         empty_catalog, star, _lyon_and_atlantis(), batch_size=4
     )
 
@@ -121,7 +119,7 @@ def test_empty_fact_table_drains_clean():
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
     steps_between=st.integers(min_value=0, max_value=7),
-    batch_size=st.sampled_from([2, 5, 64]),
+    batch_size=st.sampled_from([1, 2, 5, 64]),
 )
 def test_mid_scan_admission_equivalent(
     ssb_small, seed, steps_between, batch_size
@@ -129,32 +127,26 @@ def test_mid_scan_admission_equivalent(
     """Queries admitted mid-scan (control tuples between batches).
 
     Stepping the executor between submissions puts QueryStart/QueryEnd
-    control tuples at arbitrary points of the stream; the batched path
-    must chop fact batches around them exactly like the tuple path.
+    control tuples at arbitrary points of the stream; fact batches
+    must be chopped around them so no row reaches a query before its
+    QueryStart or after its QueryEnd.
     """
     catalog, star = ssb_small
     queries = ssb_workload_generator(seed=seed, catalog=catalog).generate(
         4, selectivity=0.1
     )
 
-    def staged_run(execution):
-        operator = CJoinOperator(
-            catalog,
-            star,
-            executor_config=ExecutorConfig(
-                execution=execution, batch_size=batch_size
-            ),
-        )
-        handles = []
-        for query in queries:
-            handles.append(operator.submit(query))
-            for _ in range(steps_between):
-                operator.executor.step()
-        operator.run_until_drained()
-        return [handle.results() for handle in handles]
-
+    operator = CJoinOperator(
+        catalog, star, executor_config=ExecutorConfig(batch_size=batch_size)
+    )
+    handles = []
+    for query in queries:
+        handles.append(operator.submit(query))
+        for _ in range(steps_between):
+            operator.executor.step()
+    operator.run_until_drained()
     expected = [evaluate_star_query(query, catalog) for query in queries]
-    assert staged_run("tuple") == staged_run("batched") == expected
+    assert [handle.results() for handle in handles] == expected
 
 
 @settings(max_examples=15, deadline=None)
@@ -164,7 +156,7 @@ def test_mid_scan_admission_equivalent(
     ),
     insert_count=st.integers(min_value=0, max_value=3),
     pre_steps=st.integers(min_value=0, max_value=4),
-    batch_size=st.sampled_from([3, 7, 64]),
+    batch_size=st.sampled_from([1, 3, 7, 64]),
 )
 def test_updates_mid_scan_equivalent(
     delete_positions, insert_count, pre_steps, batch_size
@@ -172,9 +164,9 @@ def test_updates_mid_scan_equivalent(
     """Updates committed mid-scan under snapshot isolation.
 
     An old-snapshot query straddling the commit and a new-snapshot
-    query admitted after it must both see exactly the same rows under
-    either execution granularity (the section 3.5 virtual predicate is
-    evaluated per row in both preprocessor paths).
+    query admitted after it must each see exactly the rows of their
+    snapshot (the section 3.5 virtual predicate), wherever the commit
+    falls relative to the scan and the batch boundaries.
     """
 
     def count_query(snapshot_id):
@@ -189,45 +181,37 @@ def test_updates_mid_scan_equivalent(
             snapshot_id=snapshot_id,
         )
 
-    def staged_run(execution):
-        catalog, star = make_tiny_star()
-        versioned = VersionedTable(catalog.table("sales"))
-        transactions = TransactionManager()
-        operator = CJoinOperator(
-            catalog,
-            star,
-            versioned_fact=versioned,
-            executor_config=ExecutorConfig(
-                execution=execution, batch_size=batch_size
-            ),
+    catalog, star = make_tiny_star()
+    versioned = VersionedTable(catalog.table("sales"))
+    transactions = TransactionManager()
+    operator = CJoinOperator(
+        catalog,
+        star,
+        versioned_fact=versioned,
+        executor_config=ExecutorConfig(batch_size=batch_size),
+    )
+    handles = [operator.submit(count_query(snapshot_id=0))]
+    for _ in range(pre_steps):
+        operator.executor.step()
+    transactions.commit(
+        versioned,
+        inserts=[(1, 10, 100 + i, 1) for i in range(insert_count)],
+        deletes=sorted(delete_positions),
+    )
+    handles.append(operator.submit(count_query(snapshot_id=1)))
+    operator.run_until_drained()
+    for handle in handles:
+        assert handle.results() == evaluate_star_query(
+            handle.query, catalog, versioned_fact=versioned
         )
-        old_handle = operator.submit(count_query(snapshot_id=0))
-        for _ in range(pre_steps):
-            operator.executor.step()
-        transactions.commit(
-            versioned,
-            inserts=[(1, 10, 100 + i, 1) for i in range(insert_count)],
-            deletes=sorted(delete_positions),
-        )
-        new_handle = operator.submit(count_query(snapshot_id=1))
-        operator.run_until_drained()
-        return old_handle.results(), new_handle.results()
-
-    assert staged_run("tuple") == staged_run("batched")
 
 
 def test_sort_aggregation_batched_equivalent(ssb_small, ssb_workload):
     """The sort-based operator's consume_rows matches hash results."""
     catalog, star = ssb_small
-    hash_results = _run_all(
-        catalog, star, ssb_workload, ExecutorConfig(execution="batched")
-    )
+    hash_results = _run_all(catalog, star, ssb_workload, ExecutorConfig())
     sort_results = _run_all(
-        catalog,
-        star,
-        ssb_workload,
-        ExecutorConfig(execution="batched"),
-        aggregation_mode="sort",
+        catalog, star, ssb_workload, ExecutorConfig(), aggregation_mode="sort"
     )
     assert hash_results == sort_results
 
@@ -243,9 +227,7 @@ def test_batch_liveness_views_stay_in_sync(ssb_small, ssb_workload):
     from repro.cjoin.batch import FactBatch
 
     catalog, star = ssb_small
-    operator = CJoinOperator(
-        catalog, star, executor_config=ExecutorConfig(execution="batched")
-    )
+    operator = CJoinOperator(catalog, star)
     for query in ssb_workload[:6]:
         operator.submit(query)
     preprocessor = operator.pipeline.preprocessor
@@ -267,16 +249,14 @@ def test_batch_liveness_views_stay_in_sync(ssb_small, ssb_workload):
 
 
 def test_batched_probe_accounting(ssb_small, ssb_workload):
-    """The batched path shares probes: stats stay bounded per tuple.
+    """Probes are shared: stats stay bounded per tuple.
 
     The paper's section 3.2.3 bound — at most one probe per dimension
-    per scanned tuple — must survive vectorization (the batch path can
-    only do fewer, via the batch-level skip on the bit-vector union).
+    per scanned tuple — must survive vectorization (a batch can only
+    do fewer, via the batch-level skip on the bit-vector union).
     """
     catalog, star = ssb_small
-    operator = CJoinOperator(
-        catalog, star, executor_config=ExecutorConfig(execution="batched")
-    )
+    operator = CJoinOperator(catalog, star)
     for query in ssb_workload:
         operator.submit(query)
     operator.run_until_drained()
@@ -292,8 +272,7 @@ def test_admission_where_ends_exhaust_the_batch_budget():
     The wrap-around handling marks the position's row as the newcomer's
     first; when the QueryEnds it emits use up the batch budget the row
     must still go out in that batch, or the next arrival at the
-    position ends the newcomer with no rows (the tuple path consumes
-    the row before it looks at the wrap-arounds).
+    position ends the newcomer with no rows.
     """
     query = StarQuery.build(
         "sales",
@@ -302,27 +281,24 @@ def test_admission_where_ends_exhaust_the_batch_budget():
         },
         aggregates=[AggregateSpec("count")],
     )
-    for execution in ("tuple", "batched"):
-        catalog, star = make_tiny_star()
-        operator = CJoinOperator(
-            catalog,
-            star,
-            executor_config=ExecutorConfig(execution=execution, batch_size=3),
-        )
-        executor = operator.executor
-        handles = [operator.submit(query)]
-        for _ in range(2):
-            executor.step()
-        handles += [operator.submit(query), operator.submit(query)]
-        for _ in range(5):
-            executor.step()
-        # one cycle later the scan is parked where the last two started
-        start = handles[1].registration.start_position
-        assert operator.scan.next_position == start == 5
-        assert [handle.done for handle in handles] == [True, False, False]
-        # start control + two ends = the whole budget of the next batch
-        handles.append(operator.submit(query))
-        operator.run_until_drained()
-        expected = evaluate_star_query(query, catalog)
-        for handle in handles:
-            assert handle.results() == expected, execution
+    catalog, star = make_tiny_star()
+    operator = CJoinOperator(
+        catalog, star, executor_config=ExecutorConfig(batch_size=3)
+    )
+    executor = operator.executor
+    handles = [operator.submit(query)]
+    for _ in range(2):
+        executor.step()
+    handles += [operator.submit(query), operator.submit(query)]
+    for _ in range(5):
+        executor.step()
+    # one cycle later the scan is parked where the last two started
+    start = handles[1].registration.start_position
+    assert operator.scan.next_position == start == 5
+    assert [handle.done for handle in handles] == [True, False, False]
+    # start control + two ends = the whole budget of the next batch
+    handles.append(operator.submit(query))
+    operator.run_until_drained()
+    expected = evaluate_star_query(query, catalog)
+    for handle in handles:
+        assert handle.results() == expected

@@ -88,7 +88,7 @@ class TestStringRoundtrip:
 
 
 class TestBulkOperations:
-    """The batched fast path's primitives (DESIGN.md section 5)."""
+    """The whole-column primitives (DESIGN.md section 5)."""
 
     def test_or_reduce(self):
         assert bitvec.or_reduce([0b001, 0b100, 0b001]) == 0b101

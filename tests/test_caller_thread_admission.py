@@ -34,7 +34,7 @@ def test_closed_loop_submit_from_four_threads_beside_the_scan():
     )
     expected = [evaluate_star_query(query, catalog) for query in queries]
     threads_before = set(threading.enumerate())
-    warehouse = Warehouse(catalog, star, execution="batched")
+    warehouse = Warehouse(catalog, star)
     service = warehouse.start_service()
     failures: list[str] = []
     completed = [0] * THREADS

@@ -220,7 +220,7 @@ class TestLiveServiceCancel:
             },
             aggregates=[AggregateSpec("sum", "lineorder", "lo_revenue")],
         )
-        with Warehouse(catalog, star, execution="batched") as warehouse:
+        with Warehouse(catalog, star) as warehouse:
             warehouse.start_service()
             survivors = [warehouse.submit(year_query) for _ in range(3)]
             victim = warehouse.submit(year_query)

@@ -16,7 +16,7 @@ from repro.query.star import ColumnRef, StarQuery
 from repro.storage.buffer import BufferPool
 from repro.storage.column import ColumnStoreTable
 from repro.storage.iostats import IOStats
-from tests.conftest import make_tiny_star
+from tests.conftest import make_tiny_star, take_rows
 
 
 def column_setup():
@@ -70,8 +70,8 @@ class TestColumnMergeScan:
             column_fact, ["f_store", "f_qty"], BufferPool(32)
         )
         rows = column_fact.row_count
-        first = [scan.next() for _ in range(rows)]
-        second = [scan.next() for _ in range(rows)]
+        first = take_rows(scan, rows, max_rows=3)
+        second = take_rows(scan, rows, max_rows=rows)
         assert first == second
         position, row = first[0]
         assert position == 0

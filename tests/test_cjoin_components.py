@@ -13,6 +13,7 @@ from repro.cjoin.aggregation import (
     ListingOperator,
     make_output_operator,
 )
+from repro.cjoin.batch import FactBatch
 from repro.cjoin.distributor import Distributor
 from repro.cjoin.dimtable import DimensionHashTable
 from repro.cjoin.filter import Filter
@@ -20,7 +21,7 @@ from repro.cjoin.pipeline import CJoinPipeline
 from repro.cjoin.preprocessor import Preprocessor
 from repro.cjoin.registry import QueryHandle, RegisteredQuery
 from repro.cjoin.stats import FilterStats, PipelineStats
-from repro.cjoin.tuples import FactTuple, QueryEnd, QueryStart
+from repro.cjoin.tuples import QueryEnd, QueryStart
 from repro.errors import PipelineError
 from repro.query.aggregates import AggregateSpec
 from repro.query.predicate import Comparison
@@ -35,6 +36,31 @@ def build_preprocessor():
     stats = PipelineStats()
     scan = ContinuousScan(catalog.table("sales"), BufferPool(16))
     return Preprocessor(scan, star, stats), catalog, star, stats
+
+
+def fact_rows(items):
+    """``(sequence, position)`` of every fact row in ``items``, in order."""
+    return [
+        pair
+        for item in items
+        if isinstance(item, FactBatch)
+        for pair in zip(item.sequences, item.positions)
+    ]
+
+
+def one_batch(rows, bits=0b1, lookups=None):
+    """A FactBatch of ``rows`` all tagged ``bits``, joins attached.
+
+    ``lookups`` maps a dimension name to its ``(fk index, key -> row)``
+    pair, as a Filter attaches it.
+    """
+    count = len(rows)
+    batch = FactBatch(
+        list(range(1, count + 1)), list(range(count)), rows, [bits] * count
+    )
+    for name, (fk_index, rows_of) in (lookups or {}).items():
+        batch.attach_dim_lookup(name, fk_index, rows_of)
+    return batch
 
 
 def registration(query_id=1, query=None):
@@ -63,9 +89,13 @@ class TestPreprocessorProtocol:
         preprocessor.stall()
         preprocessor.activate(registration())
         preprocessor.resume()
-        items = preprocessor.next_items(5)
+        items = preprocessor.next_batched_items(5)
         assert isinstance(items[0], QueryStart)
-        assert all(isinstance(item, FactTuple) for item in items[1:])
+        assert all(isinstance(item, FactBatch) for item in items[1:])
+        # the start tuple spent one item of the budget, and its
+        # sequence number comes before every row's
+        assert fact_rows(items) == [(2, 0), (3, 1), (4, 2), (5, 3)]
+        assert items[0].sequence == 1
 
     def test_sequence_numbers_strictly_increase(self):
         preprocessor, *_ = build_preprocessor()
@@ -73,12 +103,14 @@ class TestPreprocessorProtocol:
         preprocessor.activate(registration())
         preprocessor.resume()
         sequences = []
-        for _ in range(4):
-            sequences.extend(
-                item.sequence for item in preprocessor.next_items(5)
-            )
-        assert sequences == sorted(sequences)
-        assert len(set(sequences)) == len(sequences)
+        for _ in range(8):
+            for item in preprocessor.next_batched_items(5):
+                if isinstance(item, FactBatch):
+                    sequences.extend(item.sequences)
+                else:
+                    sequences.append(item.sequence)
+        assert len(sequences) > 12  # more than a cycle: the end is in there
+        assert sequences == list(range(1, len(sequences) + 1))
 
     def test_end_emitted_before_wrapped_tuple(self):
         preprocessor, catalog, *_ = build_preprocessor()
@@ -88,21 +120,46 @@ class TestPreprocessorProtocol:
         preprocessor.resume()
         items = []
         while not any(isinstance(item, QueryEnd) for item in items):
-            items.extend(preprocessor.next_items(7))
+            items.extend(preprocessor.next_batched_items(7))
         end_index = next(
             i for i, item in enumerate(items) if isinstance(item, QueryEnd)
         )
-        data_before = [
-            item for item in items[:end_index] if isinstance(item, FactTuple)
-        ]
-        # exactly one full cycle of data precedes the end tuple
-        assert len(data_before) == rows
-        assert data_before[0].position == data_before[-1].position - rows + 1 or True
-        assert data_before[0].position == 0
+        # exactly one full cycle of data precedes the end tuple ...
+        before = fact_rows(items[:end_index])
+        assert [position for _, position in before] == list(range(rows))
+        # ... in sequence order, and nothing follows it: the query was
+        # the only one active, so the wrapped tuple is never emitted
+        assert before[-1][0] < items[end_index].sequence
+        assert fact_rows(items[end_index:]) == []
+
+    def test_end_precedes_the_wrapped_tuple_other_queries_still_need(self):
+        preprocessor, catalog, *_ = build_preprocessor()
+        rows = catalog.table("sales").row_count
+        preprocessor.stall()
+        preprocessor.activate(registration(1))
+        preprocessor.resume()
+        preprocessor.next_batched_items(6)  # start + 5 rows
+        preprocessor.stall()
+        preprocessor.activate(registration(2))  # starts at position 5
+        preprocessor.resume()
+        items = []
+        while sum(isinstance(item, QueryEnd) for item in items) < 2:
+            items.extend(preprocessor.next_batched_items(7))
+        ends = {
+            item.query_id: index
+            for index, item in enumerate(items)
+            if isinstance(item, QueryEnd)
+        }
+        # query 1 ends on arrival at position 0, before the batch that
+        # re-scans it for query 2; no batch spans the control tuple
+        assert fact_rows(items[: ends[1]])[-1][1] == rows - 1
+        wrapped = fact_rows(items[ends[1]: ends[2]])
+        assert [position for _, position in wrapped] == list(range(5))
+        assert wrapped[0][0] > items[ends[1]].sequence
 
     def test_no_items_without_active_queries(self):
         preprocessor, *_ = build_preprocessor()
-        assert preprocessor.next_items(10) == []
+        assert preprocessor.next_batched_items(10) == []
 
     def test_fact_predicate_clears_bits_at_source(self):
         preprocessor, catalog, star, stats = build_preprocessor()
@@ -114,8 +171,8 @@ class TestPreprocessorProtocol:
         preprocessor.stall()
         preprocessor.activate(registration(1, query))
         preprocessor.resume()
-        items = preprocessor.next_items(20)
-        assert not any(isinstance(item, FactTuple) for item in items)
+        items = preprocessor.next_batched_items(20)
+        assert fact_rows(items) == []
         assert stats.tuples_preprocessor_dropped > 0
 
     def test_two_queries_same_start_position(self):
@@ -127,7 +184,7 @@ class TestPreprocessorProtocol:
         ends = 0
         guard = 0
         while ends < 2:
-            for item in preprocessor.next_items(8):
+            for item in preprocessor.next_batched_items(8):
                 if isinstance(item, QueryEnd):
                     ends += 1
             guard += 1
@@ -140,11 +197,9 @@ class TestAggregationOperators:
         _, star = make_tiny_star()
         return star
 
-    def _tuple(self, row, dim_rows=None):
-        fact_tuple = FactTuple(0, 0, row, 0b1)
-        if dim_rows:
-            fact_tuple.dim_rows = dict(dim_rows)
-        return fact_tuple
+    def _consume(self, operator, rows, lookups=None):
+        batch = one_batch(rows, lookups=lookups)
+        operator.consume_rows(batch, batch.live)
 
     def test_group_by_accumulates_per_key(self):
         star = self._star()
@@ -154,11 +209,24 @@ class TestAggregationOperators:
             aggregates=[AggregateSpec("sum", "sales", "f_total")],
         )
         operator = AggregationOperator(query, star)
-        operator.consume(self._tuple((1, 10, 2, 10), {"store": (1, "lyon", 100)}))
-        operator.consume(self._tuple((1, 20, 1, 30), {"store": (1, "lyon", 100)}))
-        operator.consume(self._tuple((2, 10, 5, 25), {"store": (2, "paris", 250)}))
+        stores = {1: (1, "lyon", 100), 2: (2, "paris", 250)}
+        self._consume(
+            operator,
+            [(1, 10, 2, 10), (1, 20, 1, 30), (2, 10, 5, 25)],
+            {"store": (star.fact_fk_index("store"), stores)},
+        )
         assert operator.results() == [("lyon", 40), ("paris", 25)]
         assert operator.group_count == 2
+
+    def test_rows_routed_without_their_join_lookup_raise(self):
+        star = self._star()
+        query = StarQuery.build(
+            "sales",
+            group_by=[ColumnRef("store", "s_city")],
+            aggregates=[AggregateSpec("count")],
+        )
+        with pytest.raises(PipelineError, match="join lookup"):
+            self._consume(AggregationOperator(query, star), [(1, 10, 2, 10)])
 
     def test_global_group_without_group_by(self):
         star = self._star()
@@ -167,8 +235,7 @@ class TestAggregationOperators:
             aggregates=[AggregateSpec("count"), AggregateSpec("min", "sales", "f_qty")],
         )
         operator = AggregationOperator(query, star)
-        for qty in (5, 2, 9):
-            operator.consume(self._tuple((1, 10, qty, 1)))
+        self._consume(operator, [(1, 10, qty, 1) for qty in (5, 2, 9)])
         assert operator.results() == [(3, 2)]
 
     def test_empty_aggregation_yields_no_rows(self):
@@ -186,8 +253,7 @@ class TestAggregationOperators:
             "sales", select=[ColumnRef("sales", "f_qty")]
         )
         operator = ListingOperator(query, star)
-        for qty in (5, 2, 9):
-            operator.consume(self._tuple((1, 10, qty, 1)))
+        self._consume(operator, [(1, 10, qty, 1) for qty in (5, 2, 9)])
         assert operator.results() == [(2,), (5,), (9,)]
 
     def test_factory_picks_operator_kind(self):
@@ -225,10 +291,12 @@ class TestDistributor:
         reg2 = registration(2)
         distributor.process(QueryStart(1, reg1))
         distributor.process(QueryStart(2, reg2))
-        fact_tuple = FactTuple(3, 0, (1, 10, 2, 10), bitvec.from_string("11"))
-        distributor.process(fact_tuple)
-        only_two = FactTuple(4, 1, (1, 10, 2, 10), bitvec.from_string("01"))
-        distributor.process(only_two)
+        distributor.process(
+            one_batch([(1, 10, 2, 10)], bitvec.from_string("11"))
+        )
+        distributor.process(
+            one_batch([(1, 10, 2, 10)], bitvec.from_string("01"))
+        )
         distributor.process(QueryEnd(5, 1))
         distributor.process(QueryEnd(6, 2))
         assert reg1.handle.results() == [(1,)]
@@ -237,7 +305,7 @@ class TestDistributor:
 
     def test_tuple_for_unknown_query_raises(self):
         distributor = self._distributor()
-        orphan = FactTuple(1, 0, (1, 10, 2, 10), 0b1)
+        orphan = one_batch([(1, 10, 2, 10)], 0b1)
         with pytest.raises(PipelineError):
             distributor.process(orphan)
 

@@ -10,7 +10,6 @@ from repro.catalog.schema import (
 from repro.cjoin.dimtable import DimensionHashTable
 from repro.cjoin.filter import Filter
 from repro.cjoin.optimizer import AGreedyPolicy, DropRatePolicy, FixedOrderPolicy
-from repro.cjoin.tuples import FactTuple
 
 
 def make_star(dim_names):
@@ -62,9 +61,6 @@ class TestDropRatePolicy:
 
 
 class TestAGreedyPolicy:
-    def _tuple(self, a_id, b_id):
-        return FactTuple(sequence=0, position=0, row=(a_id, b_id), bitvector=0b1)
-
     def test_no_profiles_keeps_order(self):
         filters = make_filters(["a", "b"])
         assert AGreedyPolicy().recommend(filters) == filters
@@ -78,7 +74,7 @@ class TestAGreedyPolicy:
         policy = AGreedyPolicy(window=16)
         # tuples: a drops (a_id != 1) more often than b drops
         for a_id, b_id in [(9, 1), (9, 2), (9, 9), (1, 1)]:
-            policy.record_profile(filters, self._tuple(a_id, b_id))
+            policy.record_profile(filters, 0b1, (a_id, b_id))
         order = policy.recommend(filters)
         assert [f.name for f in order] == ["a", "b"]
 
@@ -110,13 +106,13 @@ class TestAGreedyPolicy:
         filters = make_filters(["a"])
         policy = AGreedyPolicy(window=4)
         for _ in range(10):
-            policy.record_profile(filters, self._tuple(1, 1))
+            policy.record_profile(filters, 0b1, (1, 1))
         assert policy.profile_count == 4
 
     def test_forget_removes_filter_from_profiles(self):
         filters = make_filters(["a", "b"])
         policy = AGreedyPolicy(window=4)
-        policy.record_profile(filters, self._tuple(1, 1))
+        policy.record_profile(filters, 0b1, (1, 1))
         policy.forget("a")
         order = policy.recommend(make_filters(["b"]))
         assert [f.name for f in order] == ["b"]

@@ -13,7 +13,7 @@ from repro.query.reference import evaluate_star_query
 from repro.query.star import StarQuery
 from repro.storage.buffer import BufferPool
 from repro.storage.partition import PartitionedTable, RangePartitioning
-from tests.conftest import make_tiny_star
+from tests.conftest import make_tiny_star, take_rows
 
 
 def partitioned_setup():
@@ -48,16 +48,18 @@ class TestPartitionedScan:
         span0 = partitioned.partition_span(0)
         span2 = partitioned.partition_span(2)
         expected = set(range(*span0)) | set(range(*span2))
-        seen = [scan.next()[0] for _ in range(len(expected))]
+        assert scan.row_count == len(expected)
+        seen = [p for p, _ in take_rows(scan, len(expected))]
         assert set(seen) == expected
         # second cycle repeats the same order
-        second = [scan.next()[0] for _ in range(len(expected))]
+        second = [p for p, _ in take_rows(scan, len(expected), max_rows=5)]
         assert second == seen
 
     def test_idle_without_pins(self):
         _, _, partitioned = partitioned_setup()
         scan = PartitionedContinuousScan(partitioned, BufferPool(16))
-        assert scan.next() is None
+        assert scan.next_run(8) is None
+        assert scan.row_count == 0 and scan.next_position == 0
 
     def test_release_shrinks_union(self):
         _, _, partitioned = partitioned_setup()

@@ -8,7 +8,7 @@ from repro.cjoin.aggregation import (
     SortAggregationOperator,
     make_output_operator,
 )
-from repro.cjoin.tuples import FactTuple
+from repro.cjoin.batch import FactBatch
 from repro.errors import PipelineError
 from repro.query.aggregates import AggregateSpec
 from repro.query.reference import evaluate_star_query
@@ -30,13 +30,14 @@ class TestSortOperatorUnit:
         )
         return SortAggregationOperator(query, star)
 
-    def _tuple(self, store, total):
-        return FactTuple(0, 0, (store, 1, 1, total), 0b1)
-
     def test_groups_runs_after_sort(self):
         operator = self._setup()
-        for store, total in [(2, 5), (1, 3), (2, 7), (1, 1)]:
-            operator.consume(self._tuple(store, total))
+        rows = [
+            (store, 1, 1, total)
+            for store, total in [(2, 5), (1, 3), (2, 7), (1, 1)]
+        ]
+        batch = FactBatch([1, 2, 3, 4], [0, 1, 2, 3], rows, [0b1] * 4)
+        operator.consume_rows(batch, batch.live)
         assert operator.buffered_tuples == 4
         assert operator.results() == [(1, 4, 2), (2, 12, 2)]
 

@@ -342,14 +342,12 @@ class TestStreamingEquivalence:
         catalog, star = ssb_small
         sqls = [render_star_query(query, star) for query in ssb_workload]
         # batch drain on a fresh warehouse, handle.results() reference
-        drain = Warehouse(catalog, star, execution="batched")
+        drain = Warehouse(catalog, star)
         drained = [drain.submit(query) for query in ssb_workload]
         drain.run()
         expected = [handle.results() for handle in drained]
         # live service + cursor iteration (mid-scan, incremental)
-        with repro.connect(
-            Warehouse(catalog, star, execution="batched")
-        ) as conn:
+        with repro.connect(Warehouse(catalog, star)) as conn:
             cursors = [conn.execute(sql) for sql in sqls]
             streamed = [list(cursor) for cursor in cursors]
         assert streamed == expected
@@ -357,7 +355,7 @@ class TestStreamingEquivalence:
     def test_process_backend_workload(self, ssb_small, ssb_workload):
         catalog, star = ssb_small
         sqls = [render_star_query(query, star) for query in ssb_workload]
-        drain = Warehouse(catalog, star, execution="batched")
+        drain = Warehouse(catalog, star)
         drained = [drain.submit(query) for query in ssb_workload]
         drain.run()
         expected = [handle.results() for handle in drained]

@@ -21,9 +21,24 @@ from repro.tuning import (
 
 
 class TestNameValidation:
-    def test_unknown_execution(self):
-        with pytest.raises(ConfigError, match="'tuple' or 'batched'"):
-            ExecutorConfig(execution="vectorised")
+    def test_unknown_execution(self, tiny_star):
+        """There is one pipeline: the ``execution`` knob is gone.
+
+        ``Warehouse`` still accepts the one value the frozen layered
+        benchmark harness passes; anything else is a typed error.
+        """
+        from repro.engine.warehouse import Warehouse
+
+        catalog, star = tiny_star
+        for execution in ("tuple", "batched"):
+            with pytest.raises(TypeError, match="execution"):
+                ExecutorConfig(execution=execution)
+        with pytest.raises(ConfigError, match="unknown execution 'tuple'"):
+            Warehouse(catalog, star, execution="tuple")
+        warehouse = Warehouse(catalog, star, execution="batched")
+        assert not hasattr(warehouse.executor_config, "execution")
+        assert "execution" not in warehouse.stats()["backend"]
+        warehouse.close()
 
     def test_unknown_backend(self):
         with pytest.raises(ConfigError, match="'serial' or 'process'"):
@@ -32,32 +47,26 @@ class TestNameValidation:
     def test_config_error_is_a_pipeline_error(self):
         """Pre-existing callers catching PipelineError keep working."""
         with pytest.raises(PipelineError):
-            ExecutorConfig(execution="vectorised")
+            ExecutorConfig(backend="thread")
 
 
 class TestWorkerRange:
     @pytest.mark.parametrize("workers", [0, -1, MAX_WORKERS + 1])
     def test_out_of_range_workers(self, workers):
         with pytest.raises(ConfigError, match="workers must be in"):
-            ExecutorConfig(
-                execution="batched", backend="process", workers=workers
-            )
+            ExecutorConfig(backend="process", workers=workers)
 
     @pytest.mark.parametrize("workers", [1.5, "4", True])
     def test_non_int_workers(self, workers):
         with pytest.raises(ConfigError, match="workers must be an int"):
-            ExecutorConfig(
-                execution="batched", backend="process", workers=workers
-            )
+            ExecutorConfig(backend="process", workers=workers)
 
     def test_workers_require_process_backend(self):
         with pytest.raises(ConfigError, match="requires backend='process'"):
-            ExecutorConfig(execution="batched", workers=4)
+            ExecutorConfig(workers=4)
 
     def test_boundary_workers_accepted(self):
-        config = ExecutorConfig(
-            execution="batched", backend="process", workers=MAX_WORKERS
-        )
+        config = ExecutorConfig(backend="process", workers=MAX_WORKERS)
         assert config.workers == MAX_WORKERS
 
 
@@ -74,14 +83,8 @@ class TestBatchSizeRange:
 
 
 class TestProcessBackendConstraints:
-    def test_process_requires_batched_execution(self):
-        with pytest.raises(ConfigError, match="requires execution='batched'"):
-            ExecutorConfig(backend="process", workers=2)
-
     def test_valid_process_config(self):
-        config = ExecutorConfig(
-            execution="batched", backend="process", workers=8
-        )
+        config = ExecutorConfig(backend="process", workers=8)
         assert (config.backend, config.workers) == ("process", 8)
 
 
@@ -107,15 +110,6 @@ class TestWarehouseWiring:
             Warehouse(
                 catalog, star, backend="process", tuning=TuningConfig(workers=0)
             )
-
-    def test_warehouse_defaults_execution_for_process_backend(self, tiny_star):
-        from repro.engine.warehouse import Warehouse
-
-        catalog, star = tiny_star
-        warehouse = Warehouse(
-            catalog, star, backend="process", tuning=TuningConfig(workers=2)
-        )
-        assert warehouse.executor_config.execution == "batched"
 
 
 class TestServiceKnobs:

@@ -30,27 +30,22 @@ from tests.conftest import make_tiny_star
 MAX_CONCURRENT = 4  # small, so ids recycle within a script
 
 
-def make_operator(execution):
+def make_operator():
     catalog, star = make_tiny_star()
     operator = CJoinOperator(
         catalog,
         star,
         max_concurrent=MAX_CONCURRENT,
-        executor_config=ExecutorConfig(execution=execution, batch_size=3),
+        executor_config=ExecutorConfig(batch_size=3),
     )
     return catalog, operator
 
 
 def scan_batches(operator, batches):
     """Advance the scan without the executor's own cleanup call."""
-    config = operator.executor.config
-    produce = (
-        operator.preprocessor.next_batched_items
-        if config.execution == "batched"
-        else operator.preprocessor.next_items
-    )
+    batch_size = operator.executor.config.batch_size
     for _ in range(batches):
-        for item in produce(config.batch_size):
+        for item in operator.preprocessor.next_batched_items(batch_size):
             operator.pipeline.process_item(item)
 
 
@@ -201,8 +196,8 @@ def scripts(draw):
 
 
 class Side:
-    def __init__(self, execution, one_at_a_time):
-        self.catalog, self.operator = make_operator(execution)
+    def __init__(self, one_at_a_time):
+        self.catalog, self.operator = make_operator()
         self.handles = []
         if one_at_a_time:
             clean_one_at_a_time(self.operator.manager)
@@ -237,12 +232,11 @@ class Side:
         return None
 
 
-@pytest.mark.parametrize("execution", ["batched", "tuple"])
 @settings(max_examples=100, deadline=None)
 @given(script=scripts())
-def test_group_cleanup_equals_one_at_a_time(execution, script):
-    grouped = Side(execution, one_at_a_time=False)
-    single = Side(execution, one_at_a_time=True)
+def test_group_cleanup_equals_one_at_a_time(script):
+    grouped = Side(one_at_a_time=False)
+    single = Side(one_at_a_time=True)
     for step in script:
         assert grouped.apply(step) == single.apply(step), step
         assert sharing_state(grouped.operator) == sharing_state(
@@ -278,7 +272,7 @@ def test_zero_row_query_finishing_keeps_a_still_referenced_filter():
     after the group's cleanup, yet its Filter must stay — it is what
     drops every fact tuple for the active query.
     """
-    catalog, operator = make_operator("batched")
+    catalog, operator = make_operator()
     first = operator.submit(
         StarQuery.build(
             "sales",
@@ -313,7 +307,7 @@ def test_zero_row_query_finishing_keeps_a_still_referenced_filter():
 
 
 def test_unknown_id_does_not_strand_the_rest_of_the_group():
-    _, operator = make_operator("batched")
+    _, operator = make_operator()
     manager = operator.manager
     handles = [
         operator.submit(

@@ -3,8 +3,8 @@
 The subsystem contract (DESIGN.md section 15, docs/PROTOCOL.md
 section 10): a dataset built by streaming appends and dimension
 upserts through the bounded ingest buffer must answer every query
-exactly like the same dataset bulk-loaded — across the tuple,
-batched, and process execution paths and over the wire — writes
+exactly like the same dataset bulk-loaded — across the serial and
+process backends, with and without MVCC, and over the wire — writes
 beyond the buffer get typed back-pressure instead of blocking, and a
 clean ``Warehouse.close()`` drains or rejects every staged batch
 deterministically.
@@ -87,18 +87,12 @@ def grouped_query() -> StarQuery:
 
 
 class TestStreamingEquivalence:
-    """Streamed + upserted == bulk-loaded, on every execution path."""
+    """Streamed + upserted == bulk-loaded, on every backend."""
 
     @pytest.mark.parametrize(
         "kwargs",
-        [
-            {"execution": "tuple"},
-            {"execution": "batched"},
-            {"execution": "tuple", "enable_updates": True},
-            {"execution": "batched", "enable_updates": True},
-            {"backend": "process"},
-        ],
-        ids=["tuple", "batched", "tuple-mvcc", "batched-mvcc", "process"],
+        [{}, {"enable_updates": True}, {"backend": "process"}],
+        ids=["serial", "serial-mvcc", "process"],
     )
     def test_streamed_dataset_matches_bulk(self, kwargs):
         bulk_catalog, _ = make_tiny_star()

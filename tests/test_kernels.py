@@ -1,10 +1,11 @@
 """Unit tests for the whole-batch passes and the shm shard transport.
 
-Covers the batched path piece by piece (DESIGN.md section 5): the
+Covers the pipeline's passes piece by piece (DESIGN.md section 5): the
 bulk bit-vector primitives, routing group discovery, ``filter_batch``
 in every layout (dense / gathered) and probe strategy (dedup /
-direct) against the tuple path's ``Filter.process`` on hand-checkable
-data, the dimension table's in-place columnar view, the batch's
+direct) against the per-tuple definition — ``table.probe(key)``, AND,
+drop at zero — on hand-checkable data, the dimension table's in-place
+columnar view, the batch's
 per-batch join attachments, and the shared-memory column codecs
 (DESIGN.md section 14).  The whole-pipeline equivalence properties
 live in tests/test_batch_equivalence.py.
@@ -75,7 +76,7 @@ class TestGroupRowsByBits:
 
 
 # ----------------------------------------------------------------------
-# filter_batch vs the tuple path's Filter.process
+# filter_batch vs the per-tuple definition (sections 3.2.1-3.2.2)
 # ----------------------------------------------------------------------
 def _store_table(cities=("lyon", "paris")) -> DimensionHashTable:
     """store dim with Q1 selecting ``cities``, Q2 not referencing."""
@@ -110,16 +111,26 @@ def _sales_batch(total: int = 12, live=None) -> FactBatch:
     return batch
 
 
-def _tuple_path(batch: FactBatch, table: DimensionHashTable):
-    """Run the reference ``Filter.process`` over every live row."""
-    _, star = make_tiny_star()
-    reference = Filter(table, star)
+def _per_tuple(batch: FactBatch, table: DimensionHashTable, fk_index: int):
+    """What the paper's Filter decides for every live row, one by one.
+
+    Returns ``({row index: (survived, bits, joined row)}, skips)``: a
+    row relevant only to queries that do not reference the dimension
+    is skipped untouched; any other is probed, ANDed, and dropped when
+    no bit remains.
+    """
     outcome = {}
+    skips = 0
     for row_index in batch.live:
-        fact_tuple = batch.materialize(row_index)
-        survived = reference.process(fact_tuple)
-        outcome[row_index] = (survived, fact_tuple.bitvector, fact_tuple.dim_rows)
-    return reference, outcome
+        bits = batch.bitvectors[row_index]
+        if bits & ~table.complement_bitmap == 0:
+            skips += 1
+            outcome[row_index] = (True, bits, None)
+            continue
+        filtering_bits, dim_row = table.probe(batch.rows[row_index][fk_index])
+        bits &= filtering_bits
+        outcome[row_index] = (bits != 0, bits, dim_row)
+    return outcome, skips
 
 
 @pytest.mark.parametrize(
@@ -140,8 +151,9 @@ def _tuple_path(batch: FactBatch, table: DimensionHashTable):
 def test_filter_batch_matches_tuple_filter(
     total, live_stride, cities, dense, dedup
 ):
-    """Every layout x strategy leaves the batch exactly as the tuple
-    path leaves the same rows: bits, survivors, attachments, counts."""
+    """Every layout x strategy leaves the batch exactly as filtering
+    the same rows one tuple at a time would: bits, survivors,
+    attachments, counts."""
     _, star = make_tiny_star()
     table = _store_table(cities)
     live = list(range(0, total, live_stride))
@@ -149,30 +161,31 @@ def test_filter_batch_matches_tuple_filter(
     # the case exercises the branch its row claims
     assert (len(live) * DENSE_CUTOFF >= len(batch)) is dense
     assert (table.tuple_count * DEDUP_FANOUT <= len(live)) is dedup
-    reference, outcome = _tuple_path(_sales_batch(total, live), table)
     filtered = Filter(table, star)
+    outcome, skips = _per_tuple(batch, table, filtered.fk_index)
     filtered.process_batch(batch)
     assert batch.live == [r for r in live if outcome[r][0]]
     assert batch.alive == bitvec.pack_positions(batch.live)
     for row_index in live:
         assert batch.bitvectors[row_index] == outcome[row_index][1]
     for row_index in batch.live:
-        # a row the tuple path skipped carries no pointer there; the
-        # batch-level lookup may still resolve one, which no routed
-        # query reads (only non-referencing queries want the row)
+        # a skipped row needs no pointer; the batch-level lookup may
+        # still resolve one, which no routed query reads (only
+        # non-referencing queries want the row)
         if batch.bitvectors[row_index] & 0b01:
-            assert (
-                batch.materialize(row_index).dim_rows
-                == outcome[row_index][2]
-            )
-    stats, expected = filtered.stats, reference.stats
-    assert stats.tuples_in == expected.tuples_in == len(live)
-    assert stats.tuples_dropped == expected.tuples_dropped
-    # every live row is either a probe or a section 3.2.2 skip on both
-    # paths; only partially-live batches count per-row skips
+            ((fk_index, rows_of),) = batch.dim_lookup_state(("store",))
+            joined = rows_of[batch.rows[row_index][fk_index]]
+            assert joined == outcome[row_index][2] is not None
+    stats = filtered.stats
+    assert stats.tuples_in == len(live)
+    assert stats.tuples_dropped == sum(
+        not survived for survived, _, _ in outcome.values()
+    )
+    # every live row is either a probe or a section 3.2.2 skip; only
+    # partially-live batches count per-row skips
     assert stats.probes + stats.probe_skips == len(live)
     if live_stride > 1:
-        assert stats.probe_skips == expected.probe_skips
+        assert stats.probe_skips == skips
     # hash-table traffic actually paid: the dense layout runs over the
     # full column, dedup pays once per distinct key
     keys = [batch.rows[r][0] for r in (range(len(batch)) if dense else live)]
@@ -271,15 +284,6 @@ class TestBatchAttachments:
         assert state == ((0, rows_of),)
         assert batch.dim_lookup_state(("store", "product")) is None
         assert batch.dim_lookup_state(()) == ()
-
-    def test_materialize_merges_batch_level_lookups(self):
-        batch = _sales_batch()
-        store_row = (1, "lyon", 100)
-        batch.attach_dim_lookup("store", 0, {1: store_row})
-        fact_tuple = batch.materialize(0)  # sale (1, 10, 2, 10)
-        assert fact_tuple.dim_rows == {"store": store_row}
-        # row 2 joins store 2, absent from the lookup: nothing attached
-        assert batch.materialize(2).dim_rows is None
 
     def test_replace_live_rebuilds_alive_mask(self):
         batch = _sales_batch()

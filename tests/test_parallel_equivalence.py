@@ -1,10 +1,11 @@
-"""Process-parallel sharded backend vs serial paths: result equivalence.
+"""Process-parallel sharded backend vs the serial drain: result equivalence.
 
 The parallel backend (DESIGN.md section 8) is a pure performance
 decomposition: for every workload, worker count, and transport it must
-produce results identical to both serial execution granularities.
-These tests drive randomized SSB workloads through serial 'tuple',
-serial 'batched', and the sharded backend, plus targeted cases for the
+produce results identical to the serial drain and to
+``query/reference.py``.  These tests drive randomized SSB workloads
+through the reference, the serial pipeline and the sharded backend,
+plus targeted cases for the
 merge protocol itself: AVG/MIN/MAX partial-state merges, empty shards
 (more workers than fact rows), the pickle-transport fallback for
 unpicklable workloads, and the shard-span planner's invariants.
@@ -21,21 +22,19 @@ import pytest
 from hypothesis import given, settings
 
 from repro.cjoin import CJoinOperator, execute_process_parallel
-from repro.cjoin.executor import ExecutorConfig
 from repro.cjoin.parallel import merge_shard_states
 from repro.errors import ConfigError, StorageError
 from repro.query.aggregates import AggregateSpec
 from repro.query.predicate import Predicate
+from repro.query.reference import evaluate_star_query
 from repro.query.star import ColumnRef, StarQuery
 from repro.ssb.queries import ssb_workload_generator
 from repro.storage.partition import contiguous_spans
 from tests.conftest import make_tiny_star
 
 
-def _run_serial(catalog, star, queries, execution):
-    operator = CJoinOperator(
-        catalog, star, executor_config=ExecutorConfig(execution=execution)
-    )
+def _run_serial(catalog, star, queries):
+    operator = CJoinOperator(catalog, star)
     handles = [operator.submit(query) for query in queries]
     operator.run_until_drained()
     return [handle.results() for handle in handles]
@@ -55,13 +54,13 @@ def _run_serial(catalog, star, queries, execution):
 def test_random_workloads_equivalent(
     ssb_small, seed, count, selectivity, workers, batch_size
 ):
-    """tuple == batched == process-parallel on random workloads."""
+    """reference == serial == process-parallel on random workloads."""
     catalog, star = ssb_small
     queries = ssb_workload_generator(seed=seed, catalog=catalog).generate(
         count, selectivity=selectivity
     )
-    tuple_results = _run_serial(catalog, star, queries, "tuple")
-    batched_results = _run_serial(catalog, star, queries, "batched")
+    expected = [evaluate_star_query(query, catalog) for query in queries]
+    serial_results = _run_serial(catalog, star, queries)
     parallel_results = execute_process_parallel(
         catalog,
         star,
@@ -70,8 +69,8 @@ def test_random_workloads_equivalent(
         batch_size=batch_size,
         transport="inprocess",
     )
-    assert tuple_results == batched_results
-    assert parallel_results == batched_results
+    assert serial_results == expected
+    assert parallel_results == expected
 
 
 @settings(max_examples=10, deadline=None)
@@ -110,7 +109,7 @@ def test_avg_min_max_merges(seed, workers):
         ],
     )
     queries = [query, global_query]
-    serial = _run_serial(catalog, star, queries, "batched")
+    serial = _run_serial(catalog, star, queries)
     parallel = execute_process_parallel(
         catalog, star, queries, workers=workers, transport="inprocess"
     )
@@ -128,7 +127,7 @@ def test_listing_queries_equivalent(ssb_small):
         ],
         fact_predicate=None,
     )
-    serial = _run_serial(catalog, star, [query], "batched")
+    serial = _run_serial(catalog, star, [query])
     parallel = execute_process_parallel(
         catalog, star, [query], workers=4, transport="inprocess"
     )
@@ -142,7 +141,6 @@ def test_sort_aggregation_mode_equivalent(ssb_small, ssb_workload):
     operator = CJoinOperator(
         catalog,
         star,
-        executor_config=ExecutorConfig(execution="batched"),
         aggregation_mode="sort",
     )
     handles = [operator.submit(query) for query in queries]
@@ -170,7 +168,7 @@ def test_fork_pool_equivalent(ssb_small, ssb_workload):
         pytest.skip("platform has no fork start method")
     catalog, star = ssb_small
     queries = ssb_workload[:6]
-    serial = _run_serial(catalog, star, queries, "batched")
+    serial = _run_serial(catalog, star, queries)
     parallel = execute_process_parallel(
         catalog, star, queries, workers=4, transport="fork"
     )
@@ -181,7 +179,7 @@ def test_pickle_pool_equivalent(ssb_small, ssb_workload):
     """The spawn transport (explicit shard tasks) matches too."""
     catalog, star = ssb_small
     queries = ssb_workload[:4]
-    serial = _run_serial(catalog, star, queries, "batched")
+    serial = _run_serial(catalog, star, queries)
     parallel = execute_process_parallel(
         catalog, star, queries, workers=2, transport="pickle"
     )
@@ -192,7 +190,7 @@ def test_shm_pool_equivalent(ssb_small, ssb_workload):
     """The shared-memory transport (DESIGN.md section 14) matches."""
     catalog, star = ssb_small
     queries = ssb_workload[:4]
-    serial = _run_serial(catalog, star, queries, "batched")
+    serial = _run_serial(catalog, star, queries)
     parallel = execute_process_parallel(
         catalog, star, queries, workers=2, transport="shm"
     )
@@ -210,7 +208,7 @@ def test_shm_publish_cache_reused_across_drains(ssb_small, ssb_workload):
 
     catalog, star = ssb_small
     queries = ssb_workload[:2]
-    serial = _run_serial(catalog, star, queries, "batched")
+    serial = _run_serial(catalog, star, queries)
     first = execute_process_parallel(
         catalog, star, queries, workers=2, transport="shm"
     )
@@ -251,7 +249,7 @@ def test_unpicklable_workload_falls_back(ssb_small):
         group_by=[ColumnRef("date", "d_year")],
         aggregates=[AggregateSpec("sum", "lineorder", "lo_revenue")],
     )
-    serial = _run_serial(catalog, star, [query], "batched")
+    serial = _run_serial(catalog, star, [query])
     parallel = execute_process_parallel(
         catalog, star, [query], workers=3, transport="pickle"
     )
@@ -264,7 +262,7 @@ def test_query_chunking_beyond_max_concurrent(ssb_small):
     queries = ssb_workload_generator(seed=9, catalog=catalog).generate(
         7, selectivity=0.1
     )
-    serial = _run_serial(catalog, star, queries, "batched")
+    serial = _run_serial(catalog, star, queries)
     parallel = execute_process_parallel(
         catalog,
         star,
@@ -282,7 +280,7 @@ def test_merge_shard_states_orders_shards_like_the_scan(ssb_small):
     queries = ssb_workload_generator(seed=5, catalog=catalog).generate(
         3, selectivity=0.1
     )
-    serial = _run_serial(catalog, star, queries, "batched")
+    serial = _run_serial(catalog, star, queries)
     from repro.cjoin.parallel import _run_inprocess
 
     fact_rows = catalog.table(star.fact.name).all_rows()

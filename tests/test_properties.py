@@ -38,6 +38,7 @@ from repro.query.reference import evaluate_star_query
 from repro.query.star import ColumnRef, StarQuery
 from repro.storage.buffer import BufferPool
 from repro.storage.table import Table
+from tests.conftest import take_rows
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -329,6 +330,6 @@ def test_continuous_scan_cycles_are_identical(rows, rows_per_page, cycles):
     from repro.storage.scan import ContinuousScan
 
     scan = ContinuousScan(table, BufferPool(4))
-    first = [scan.next() for _ in range(rows)]
-    for _ in range(cycles - 1):
-        assert [scan.next() for _ in range(rows)] == first
+    first = take_rows(scan, rows)
+    for cycle in range(1, cycles):
+        assert take_rows(scan, rows, max_rows=cycle + 1) == first

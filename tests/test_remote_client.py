@@ -194,9 +194,7 @@ class TestPerConnectionAdmission:
         still see its queued statements admitted — every frame pumps
         the per-connection FIFO, not just a blocking fetch's wait."""
         server = server_class(
-            Warehouse.from_ssb(
-                scale_factor=0.002, seed=31, execution="batched"
-            ),
+            Warehouse.from_ssb(scale_factor=0.002, seed=31),
             owns_warehouse=True,
             max_in_flight_per_connection=1,
         ).start()
@@ -268,7 +266,7 @@ class TestSoak:
         catalog, star = ssb_small
         sqls = [render_star_query(query, star) for query in ssb_workload]
         # reference: a plain in-process batch drain
-        drain = Warehouse(catalog, star, execution="batched")
+        drain = Warehouse(catalog, star)
         drained = [drain.submit(query) for query in ssb_workload]
         drain.run()
         expected = [handle.results() for handle in drained]
@@ -308,9 +306,7 @@ class TestSoak:
             except BaseException as error:  # surfaced below
                 errors.append(error)
 
-        with server_class(
-            Warehouse(catalog, star, execution="batched")
-        ) as server:
+        with server_class(Warehouse(catalog, star)) as server:
             threads = [
                 threading.Thread(target=client, args=(index, server.url))
                 for index in range(self.CLIENTS)

@@ -12,8 +12,6 @@ races it — and holds every result to ``query/reference.py``.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.cjoin import CJoinOperator
 from repro.cjoin.aggregation import make_output_operator
 from repro.cjoin.executor import ExecutorConfig
@@ -25,14 +23,10 @@ ADMIT_EVERY = 2  # batches between arrivals
 CYCLES = 3
 
 
-def spread_run(catalog, star, execution, queries):
+def spread_run(catalog, star, queries):
     """Admit one query every ``ADMIT_EVERY`` batches for three cycles."""
     operator = CJoinOperator(
-        catalog,
-        star,
-        executor_config=ExecutorConfig(
-            execution=execution, batch_size=BATCH_SIZE
-        ),
+        catalog, star, executor_config=ExecutorConfig(batch_size=BATCH_SIZE)
     )
     fact_rows = catalog.table(star.fact.name).row_count
     handles = []
@@ -45,8 +39,7 @@ def spread_run(catalog, star, execution, queries):
     return operator, handles
 
 
-@pytest.mark.parametrize("execution", ["tuple", "batched"])
-def test_spread_arrivals_match_the_reference(ssb_small, execution):
+def test_spread_arrivals_match_the_reference(ssb_small):
     catalog, star = ssb_small
     queries = ssb_workload_generator(seed=6, catalog=catalog).generate(
         24, selectivity=0.1
@@ -54,7 +47,7 @@ def test_spread_arrivals_match_the_reference(ssb_small, execution):
     expected = {
         id(query): evaluate_star_query(query, catalog) for query in queries
     }
-    operator, handles = spread_run(catalog, star, execution, queries)
+    operator, handles = spread_run(catalog, star, queries)
     assert len(handles) > 2 * len(queries)  # every id was recycled
     assert operator.manager.allocator.max_id == 0
     assert operator.pipeline.filter_order() == ()
@@ -97,7 +90,7 @@ def test_getters_compile_once_per_operator(ssb_small, monkeypatch):
     monkeypatch.setattr(
         "repro.cjoin.distributor.make_output_operator", counting_operator
     )
-    _, handles = spread_run(catalog, star, "batched", queries)
+    _, handles = spread_run(catalog, star, queries)
     assert len(compiles) == len(handles) >= 32
     assert any(calls for calls, _ in compiles), "nobody took the columnar path"
     for calls, per_compile in compiles:

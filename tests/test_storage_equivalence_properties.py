@@ -8,14 +8,11 @@ queries, same results.
 from hypothesis import given, settings
 
 from repro.catalog.catalog import Catalog
-from repro.cjoin import CJoinOperator
 from repro.cjoin.columnstore import ColumnStoreCJoinOperator, fact_columns_needed
 from repro.query.reference import evaluate_star_query
 from repro.storage.column import ColumnStoreTable
-from repro.storage.compression import (
-    DecompressingContinuousScan,
-    compress_table,
-)
+from repro.storage.compression import compress_table
+from tests.test_cjoin_compressed import CompressedCJoinOperator
 from tests.test_properties import star_queries, warehouses
 
 
@@ -58,9 +55,5 @@ def test_compressed_fact_cjoin_equals_row_store(warehouse, query):
     if fact.row_count == 0:
         return  # compression of an empty table is trivial; skip
     compressed = compress_table(fact, [])  # codecs optional: none here
-    operator = CJoinOperator(catalog, star)
-    operator.scan = DecompressingContinuousScan(
-        compressed, operator.buffer_pool
-    )
-    operator.preprocessor.scan = operator.scan
+    operator = CompressedCJoinOperator(catalog, star, compressed)
     assert operator.execute(query) == expected

@@ -1,13 +1,14 @@
 """Run-level snapshot visibility must equal the per-row definition.
 
-The batched Preprocessor settles the section-3.5 virtual predicate once
-per scan run per distinct snapshot id (page bounds, or one mask per
-snapshot id); the tuple path asks ``Snapshot.can_see`` per row per
-query.  Two operators run the same script of commits, mid-scan
-submissions and scan steps over the same data, one per path: they must
-emit the same ``(sequence, position, bits)`` stream, drop the same
-rows, and every stamped query must equal ``evaluate_star_query`` at its
-snapshot.
+The Preprocessor settles the section-3.5 virtual predicate once per
+scan run per distinct snapshot id (page bounds, or one mask per
+snapshot id); the definition asks ``Snapshot.can_see`` per row per
+query.  An operator runs a script of commits, mid-scan submissions and
+scan steps; every position its scan passes must come out with exactly
+the bits the definition gives it — bit i set iff ``Q_i`` is active,
+its snapshot sees the row's version and its fact predicate accepts the
+row — or not at all when that is no bit, and every stamped query must
+equal ``evaluate_star_query`` at its snapshot.
 """
 
 from hypothesis import given, settings
@@ -16,21 +17,22 @@ from hypothesis import strategies as st
 from repro.cjoin import CJoinOperator
 from repro.cjoin.batch import FactBatch
 from repro.cjoin.executor import ExecutorConfig
-from repro.cjoin.tuples import FactTuple
+from repro.cjoin.tuples import QueryStart
 from repro.query.aggregates import AggregateSpec
 from repro.query.predicate import Between, Comparison
 from repro.query.reference import evaluate_star_query
 from repro.query.star import StarQuery
-from repro.storage.mvcc import TransactionManager, VersionedTable
+from repro import bitvec
+from repro.storage.mvcc import Snapshot, TransactionManager, VersionedTable
 from tests.conftest import make_tiny_star
 
 AGGREGATES = [AggregateSpec("count"), AggregateSpec("sum", "sales", "f_qty")]
 
 
 class Side:
-    """One operator over a versioned tiny star, its stream recorded."""
+    """One operator over a versioned tiny star, its stream checked."""
 
-    def __init__(self, execution, batch_size):
+    def __init__(self, batch_size):
         self.catalog, star = make_tiny_star()  # 12 fact rows, 4 per page
         self.versioned = VersionedTable(self.catalog.table("sales"))
         self.transactions = TransactionManager()
@@ -38,12 +40,14 @@ class Side:
             self.catalog,
             star,
             versioned_fact=self.versioned,
-            executor_config=ExecutorConfig(
-                execution=execution, batch_size=batch_size
-            ),
+            executor_config=ExecutorConfig(batch_size=batch_size),
         )
-        self.stream = []
         self.handles = []
+        #: queries between their QueryStart and QueryEnd in the stream
+        #: checked so far: id -> [registration, first row seen yet?]
+        self.active = {}
+        self.last_sequence = 0
+        self.expected_drops = 0
 
     @property
     def stats(self):
@@ -65,28 +69,89 @@ class Side:
         return self.handles[-1]
 
     def scan(self, batches=1):
-        """Advance the scan, recording what the Preprocessor emits."""
+        """Advance the scan, checking what the Preprocessor emits."""
         operator = self.operator
-        config = operator.executor.config
-        produce = (
-            operator.preprocessor.next_batched_items
-            if config.execution == "batched"
-            else operator.preprocessor.next_items
-        )
+        batch_size = operator.executor.config.batch_size
         for _ in range(batches):
-            for item in produce(config.batch_size):
-                if isinstance(item, FactBatch):
-                    self.stream.extend(
-                        zip(item.sequences, item.positions, item.bitvectors)
-                    )
-                elif isinstance(item, FactTuple):
-                    self.stream.append(
-                        (item.sequence, item.position, item.bitvector)
-                    )
-                else:
-                    self.stream.append((item.sequence, type(item).__name__))
+            start = operator.scan.next_position
+            scanned = operator.stats.tuples_scanned
+            items = operator.preprocessor.next_batched_items(batch_size)
+            scanned = operator.stats.tuples_scanned - scanned
+            self.check_items(items, start, scanned)
+            for item in items:
                 operator.pipeline.process_item(item)
             operator.manager.process_finished()
+
+    def defined_bits(self, position):
+        """The initial bit-vector of ``position``, from the definition."""
+        version = self.versioned.version_at(position)
+        row = self.catalog.table("sales").all_rows()[position]
+        bits = 0
+        for registration, _ in self.active.values():
+            query = registration.query
+            if query.snapshot_id is not None and not Snapshot(
+                query.snapshot_id
+            ).can_see(version):
+                continue
+            if query.fact_predicate is not None and not query.fact_predicate.bind(
+                self.operator.star.fact
+            )(row):
+                continue
+            bits |= bitvec.bit_for_query(registration.query_id)
+        return bits
+
+    def check_items(self, items, start, scanned):
+        """One ``next_batched_items`` call against the definition.
+
+        The call scanned ``scanned`` positions cyclically from
+        ``start``; walking them beside the items, every position is
+        either emitted with exactly its defined bits or defined to
+        carry none, and a QueryEnd comes on arrival back at the query's
+        start position, before that position is re-emitted.
+        """
+        row_count = self.versioned.row_count
+        passed = 0  # of the call's ``scanned`` positions
+
+        def upcoming():
+            return (start + passed) % row_count
+
+        def pass_position():
+            nonlocal passed
+            assert passed < scanned
+            position = upcoming()
+            passed += 1
+            for entry in self.active.values():
+                if entry[0].start_position == position:
+                    entry[1] = True
+            return self.defined_bits(position)
+
+        def pass_dropped_until(arrived):
+            while not arrived():
+                assert pass_position() == 0
+                self.expected_drops += 1
+
+        for item in items:
+            if isinstance(item, FactBatch):
+                rows = zip(item.sequences, item.positions, item.bitvectors)
+                for sequence, position, bits in rows:
+                    pass_dropped_until(lambda: upcoming() == position)
+                    assert bits == pass_position()
+                    assert sequence == self.last_sequence + 1
+                    self.last_sequence = sequence
+                continue
+            assert item.sequence == self.last_sequence + 1
+            self.last_sequence = item.sequence
+            if isinstance(item, QueryStart):
+                self.active[item.registration.query_id] = [
+                    item.registration, False
+                ]
+                continue
+            entry = self.active[item.query_id]
+            pass_dropped_until(
+                lambda: entry[1] and upcoming() == entry[0].start_position
+            )
+            del self.active[item.query_id]
+        pass_dropped_until(lambda: passed == scanned)
 
     def drain(self):
         for _ in range(1000):
@@ -102,23 +167,6 @@ class Side:
             assert handle.results() == evaluate_star_query(
                 handle.query, self.catalog, versioned_fact=self.versioned
             ), handle.query
-
-
-def align_idle_scans(batched, per_row):
-    """Put two idle scans on the same row.
-
-    The tuple path reads the next row before it notices that the last
-    active query has just ended, and discards it; the batched path
-    looks before it reads.  Nothing is active, so no stream or result
-    depends on that row — but the next admission starts wherever the
-    scan stands.
-    """
-    scans = batched.operator.scan, per_row.operator.scan
-    if scans[0].next_position != scans[1].next_position:
-        assert not batched.operator.active_query_count
-        assert not per_row.operator.active_query_count
-        scans[0].next()
-    assert scans[0].next_position == scans[1].next_position
 
 
 FACT_PREDICATES = st.sampled_from([
@@ -161,8 +209,7 @@ def scripts(draw):
     batch_size=st.one_of(st.integers(1, 9), st.sampled_from([12, 13, 300])),
 )
 def test_batched_visibility_equals_per_row_and_reference(script, batch_size):
-    batched = Side("batched", batch_size)
-    per_row = Side("tuple", batch_size)
+    side = Side(batch_size)
     live = list(range(12))  # positions no commit has deleted yet
     for step in script:
         kind = step[0]
@@ -173,47 +220,29 @@ def test_batched_visibility_equals_per_row_and_reference(script, batch_size):
                 if live:
                     deletes.append(live.pop(pick % len(live)))
             inserts = [(1, 10, 50 + i, 7) for i in range(insert_count)]
-            first_new = batched.versioned.row_count
-            ids = {
-                side.commit(inserts=inserts, deletes=deletes)
-                for side in (batched, per_row)
-            }
-            assert len(ids) == 1
+            first_new = side.versioned.row_count
+            side.commit(inserts=inserts, deletes=deletes)
             live.extend(range(first_new, first_new + insert_count))
         elif kind == "submit":
             _, lag, fact_predicate = step
             snapshot_id = None
             if lag is not None:
-                current = batched.transactions.current_snapshot().snapshot_id
+                current = side.transactions.current_snapshot().snapshot_id
                 snapshot_id = max(current - lag, 0)
-            for side in (batched, per_row):
-                side.submit(snapshot_id, fact_predicate)
+            side.submit(snapshot_id, fact_predicate)
         else:
-            for side in (batched, per_row):
-                side.scan(step[1])
-            align_idle_scans(batched, per_row)
-    for side in (batched, per_row):
-        side.drain()
-    assert batched.stream == per_row.stream
-    assert (
-        batched.stats.tuples_preprocessor_dropped
-        == per_row.stats.tuples_preprocessor_dropped
-    )
-    assert [h.results() for h in batched.handles] == [
-        h.results() for h in per_row.handles
-    ]
-    for side in (batched, per_row):
-        side.check_against_reference()
-    # the tuple path never classifies runs
-    assert per_row.stats.visibility_runs_uniform == 0
-    assert per_row.stats.visibility_runs_masked == 0
+            side.scan(step[1])
+    side.drain()
+    assert side.active == {}
+    assert side.stats.tuples_preprocessor_dropped == side.expected_drops
+    side.check_against_reference()
 
 
 class TestRunClasses:
     """The three run classes; a run is a whole 4-row page at this batch size."""
 
     def test_all_visible_runs_take_the_page_bounds_only(self):
-        side = Side("batched", batch_size=300)
+        side = Side(batch_size=300)
         handle = side.submit(snapshot_id=0)
         side.drain()
         assert handle.results() == [(12, 27)]
@@ -222,7 +251,7 @@ class TestRunClasses:
         assert side.stats.tuples_preprocessor_dropped == 0
 
     def test_tail_appended_after_the_snapshot_is_skipped_whole(self):
-        side = Side("batched", batch_size=300)
+        side = Side(batch_size=300)
         side.commit(inserts=[(1, 10, 9, 9)] * 4)  # a fourth page, xmin=1
         handle = side.submit(snapshot_id=0)
         side.drain()
@@ -232,7 +261,7 @@ class TestRunClasses:
         assert side.stats.tuples_preprocessor_dropped == 4
 
     def test_delete_inside_a_page_masks_it_for_later_snapshots_only(self):
-        side = Side("batched", batch_size=300)
+        side = Side(batch_size=300)
         side.commit(deletes=[5])  # f_qty 2, on the second page
         before = side.submit(snapshot_id=0)
         after = side.submit(snapshot_id=1)
@@ -250,7 +279,7 @@ class TestRunClasses:
         assert side.stats.visibility_runs_masked == 1
 
     def test_commit_boundary_inside_a_page_is_masked(self):
-        side = Side("batched", batch_size=300)
+        side = Side(batch_size=300)
         side.commit(inserts=[(1, 10, 1, 1)] * 2)  # positions 12-13, xmin=1
         side.commit(inserts=[(1, 10, 1, 1)] * 2)  # positions 14-15, xmin=2
         handles = [side.submit(snapshot_id=s) for s in (0, 1, 2)]
@@ -263,7 +292,7 @@ class TestRunClasses:
         assert side.stats.visibility_runs_masked == 1
 
     def test_sub_page_runs_inherit_their_page_bounds(self):
-        side = Side("batched", batch_size=3)  # runs end mid-page
+        side = Side(batch_size=3)  # runs end mid-page
         side.commit(deletes=[0, 11])
         old = side.submit(snapshot_id=0)
         new = side.submit(snapshot_id=1)
@@ -274,7 +303,7 @@ class TestRunClasses:
 
 def test_stamped_and_unstamped_queries_share_a_run():
     """An unstamped query on a versioned table sees every row version."""
-    side = Side("batched", batch_size=300)
+    side = Side(batch_size=300)
     side.commit(inserts=[(1, 10, 3, 3)], deletes=[0])
     stamped = side.submit(snapshot_id=1)
     unstamped = side.submit(
