@@ -299,9 +299,13 @@ def test_worker_pool_resizes_against_backlog():
 
 def _smoke() -> int:
     """Seconds-scale CI pass: burst, decisions, resize, clean stop."""
-    phases = (2, 8, 2)
+    # the burst must outrun a bound of 1 for several controller ticks
+    # whatever the host's speed: 16 arrivals about 1 ms apart against a
+    # scan cycle of a few ms (a lone query is admitted within one batch
+    # now, so the old 8 arrivals 4 ms apart no longer reliably queue)
+    phases = (2, 16, 2)
     queries = burst_queries(phases)
-    gaps = arrival_gaps(phases, low_rate_hz=32.0, burst_ratio=8.0)
+    gaps = arrival_gaps(phases, low_rate_hz=32.0, burst_ratio=32.0)
     run = run_burst(
         queries, gaps, adaptive=True, scale_factor=0.001,
         controller_interval=0.01, tight=1,

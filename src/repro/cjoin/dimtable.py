@@ -26,15 +26,20 @@ dropped after them (a key with bits always has its row), and an entry
 is deleted only when no active query selects it — a probe that misses
 it then reads the same bits from ``b_Dj``.
 
-Cleanup is a *group* operation (:meth:`unregister_queries`): the ids
-that finished together are cleared with one combined mask, from the
-entries their registrations touched.
+Registration and cleanup are *group* operations.
+:meth:`register_group` takes the queries admitted together: the
+complement bitmap is patched for all of them at once, the table is
+walked at most once, and the rows of each distinct predicate gain one
+combined mask (the queries that share a predicate share its key list).
+:meth:`unregister_queries` clears the ids that finished together with
+one combined mask, from the entries their registrations touched.  The
+one-query names are their one-element forms.
 """
 
 from __future__ import annotations
 
 import threading
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from itertools import chain
 from operator import itemgetter
 from types import SimpleNamespace
@@ -121,56 +126,78 @@ class DimensionHashTable:
     # ------------------------------------------------------------------
     # Every mutator returns the number of entries it wrote (what
     # ``PipelineStats.dim_entries_touched`` sums).
-    def mark_query_not_referencing(self, query_id: int) -> int:
-        """Record that an admitted query does not reference this dimension.
+    def register_group(
+        self,
+        not_referencing: Iterable[int],
+        selections: Iterable[tuple[Sequence[int], list[tuple]]],
+    ) -> int:
+        """Register the queries admitted together (Algorithm 1).
 
-        (Algorithm 1 line 10: ``b_Dj[n] = 1``.)  Every stored tuple
-        must also show bit n, since the query implicitly selects all
-        dimension tuples.
+        ``not_referencing`` are the ids of the group that do not
+        reference this dimension (line 10: ``b_Dj[n] = 1``, and every
+        stored tuple shows bit n, since such a query implicitly selects
+        all of them).  ``selections`` holds one ``(ids, rows)`` pair per
+        distinct predicate on this dimension: the ids of the queries
+        that carry it (line 8: ``b_Dj[n] = 0``) and the rows it selects
+        (lines 11-16).  The table is walked at most once — to set the
+        non-referencing bits, and to clear a bit left stale by the
+        previous holder of a referencing id — and each selection's rows
+        gain one combined mask; a row absent from the table is inserted
+        with bits initialized to ``b_Dj``, exactly as the paper
+        specifies.  The ids of one selection share one key list.
         """
-        bit = bitvec.bit_for_query(query_id)
-        with self._mutator_lock:
-            self.complement_bitmap |= bit
-            return self._sweep(0, bit)
-
-    def mark_query_referencing(self, query_id: int) -> int:
-        """Record that an admitted query references this dimension.
-
-        (Algorithm 1 line 8: ``b_Dj[n] = 0``.)  Selected tuples gain
-        bit n individually via :meth:`register_selected_rows`; bit n
-        left stale by the id's previous holder is swept first.
-        """
-        bit = bitvec.bit_for_query(query_id)
-        with self._mutator_lock:
-            self.complement_bitmap &= ~bit
-            return self._sweep(0, 0) if self._stale_bits & bit else 0
-
-    def register_selected_rows(self, query_id: int, rows: Iterable[tuple]) -> int:
-        """Insert/update the rows selected by query ``query_id``.
-
-        (Algorithm 1 lines 11-16.)  A row absent from the table is
-        inserted with bits initialized to ``b_Dj`` before gaining bit
-        n, exactly as the paper specifies.  Returns the number of rows
-        registered.
-        """
-        bit = bitvec.bit_for_query(query_id)
-        rows = list(rows)
-        keys = list(map(itemgetter(self._key_index), rows))
+        bit_for = bitvec.bit_for_query
+        add = bitvec.or_reduce(map(bit_for, not_referencing))
+        masked = [
+            (query_ids, bitvec.or_reduce(map(bit_for, query_ids)), rows)
+            for query_ids, rows in selections
+        ]
+        referencing = bitvec.or_reduce(mask for _, mask, _ in masked)
         bits_by_key, rows_by_key = self._view
         bits_get = bits_by_key.get
+        key_of = itemgetter(self._key_index)
+        selected_keys = self._selected_keys
         with self._mutator_lock:
-            self._selected_keys.setdefault(query_id, []).extend(keys)
+            self.complement_bitmap = (
+                self.complement_bitmap | add
+            ) & ~referencing
+            touched = 0
+            if add or self._stale_bits & referencing:
+                touched = self._sweep(0, add)
             complement = self.complement_bitmap
             stale = self._stale_bits
             live = ~stale
-            for key, row in zip(keys, rows):
-                bits = bits_get(key)
-                # absent, or as good as: only stale bits left
-                if bits is None or (stale and not bits & live):
-                    rows_by_key[key] = row
-                    bits = complement
-                bits_by_key[key] = bits | bit
-        return len(keys)
+            for query_ids, mask, rows in masked:
+                keys = list(map(key_of, rows))
+                for query_id in query_ids:
+                    earlier = selected_keys.get(query_id)
+                    # a new list, never an extend: lists are shared
+                    selected_keys[query_id] = (
+                        earlier + keys if earlier else keys
+                    )
+                for key, row in zip(keys, rows):
+                    bits = bits_get(key)
+                    # absent, or as good as: only stale bits left
+                    if bits is None or (stale and not bits & live):
+                        rows_by_key[key] = row
+                        bits = complement
+                    bits_by_key[key] = bits | mask
+                touched += len(keys)
+        return touched
+
+    def mark_query_not_referencing(self, query_id: int) -> int:
+        """:meth:`register_group` for one query that does not reference
+        this dimension."""
+        return self.register_group((query_id,), ())
+
+    def mark_query_referencing(self, query_id: int) -> int:
+        """:meth:`register_group` for one query that references this
+        dimension and selects nothing (yet)."""
+        return self.register_group((), (((query_id,), []),))
+
+    def register_selected_rows(self, query_id: int, rows: Iterable[tuple]) -> int:
+        """:meth:`register_group` for one referencing query's rows."""
+        return self.register_group((), (((query_id,), list(rows)),))
 
     def unregister_queries(self, query_ids: Iterable[int]) -> int:
         """Remove all traces of a group of finished queries (Algorithm 2).
@@ -187,16 +214,18 @@ class DimensionHashTable:
         bit 0 everywhere when it is registered again**: complement and
         selected-entry bits go now; a non-referencing query's bits, set
         on every entry, turn *stale* and go with the next whole-table
-        pass, at the latest :meth:`mark_query_referencing`'s for a stale
-        id.  Entries whose bit-vector drops to zero are
+        pass, at the latest :meth:`register_group`'s for a stale
+        referencing id.  Entries whose bit-vector drops to zero are
         garbage-collected (section 3.3.2).
         """
         mask = 0
-        key_lists = []
+        key_lists = {}  # by identity: groupmates may share one list
         for query_id in query_ids:
             mask |= bitvec.bit_for_query(query_id)
-            key_lists.append(self._selected_keys.pop(query_id, ()))
-        touched = sum(map(len, key_lists))
+            keys = self._selected_keys.pop(query_id, None)
+            if keys:
+                key_lists[id(keys)] = keys
+        touched = sum(map(len, key_lists.values()))
         bits_by_key, rows_by_key = self._view
         with self._mutator_lock:
             self._stale_bits |= self.complement_bitmap & mask
@@ -204,7 +233,7 @@ class DimensionHashTable:
             if touched >= len(bits_by_key):
                 return self._sweep(mask, 0)
             keep = ~(mask | self._stale_bits)
-            for key in chain.from_iterable(key_lists):
+            for key in chain.from_iterable(key_lists.values()):
                 bits = bits_by_key.get(key, 0) & keep
                 if bits:
                     bits_by_key[key] = bits

@@ -234,6 +234,7 @@ class SynchronousExecutor:
         idle_sleep: float = DEFAULT_IDLE_SLEEP,
         on_cycle=None,
         stop_event: threading.Event | None = None,
+        wake: threading.Event | None = None,
     ) -> None:
         """Cycle the pipeline until stopped (the always-on service mode).
 
@@ -244,7 +245,11 @@ class SynchronousExecutor:
         service layer's hook for pumping its admission queue on the
         driver thread.  ``stop_event`` overrides the executor's own
         stop flag so an external owner (the service) can coordinate
-        shutdown without racing :meth:`stop`'s flag reset.
+        shutdown without racing :meth:`stop`'s flag reset.  ``wake``,
+        when given, is what an idle loop sleeps on instead: its owner
+        sets it when there is work for ``on_cycle`` (a submission
+        queued) and when it sets ``stop_event``, so neither waits out
+        ``idle_sleep``.
 
         Returns after the stop flag is set; a clean shutdown leaves the
         pipeline consistent, and admitted-but-unfinished queries simply
@@ -256,12 +261,17 @@ class SynchronousExecutor:
         """
         idle = _resolve_idle_sleep(idle_sleep)
         stop = stop_event if stop_event is not None else self._stop
+        sleeper = wake if wake is not None else stop
         try:
             while not stop.is_set():
                 if on_cycle is not None:
                     on_cycle()
                 if self.step() == 0:
-                    stop.wait(idle())
+                    sleeper.wait(idle())
+                    if wake is not None:
+                        # cleared before the next on_cycle: whatever
+                        # set it is seen there, a later set stays set
+                        wake.clear()
         finally:
             if stop is self._stop:
                 # consume the signal on the way out: each stop() ends

@@ -71,7 +71,10 @@ class Filter:
         stats.tuples_in += count
         table = self.hash_table
         probe_skip = self.probe_skip
-        if probe_skip and batch.union_bits() & ~table.complement_bitmap == 0:
+        complement = table.complement_bitmap
+        # a live row's bits are never 0, so with an empty b_Dj the test
+        # cannot fire: skip the union reduce as well
+        if probe_skip and complement and batch.union_bits() & ~complement == 0:
             # every live row is relevant only to queries that do not
             # reference this dimension: probing could only AND-in ones
             stats.probe_skips += count

@@ -2,12 +2,16 @@
 
 Runs alongside the pipeline and owns its lifecycle:
 
-* **admission** (Algorithm 1): allocate a query id, update every
-  dimension hash table's complement bitmap, answer the dimension filter
-  queries ``sigma_cnj(D_j)`` — from a materialized view, else the
-  dimension's ordered column index (O(log N + k), built on first use),
-  else a buffered scan — install new Filters, and activate the query
-  in the Preprocessor with a start control tuple;
+* **admission** (Algorithm 1), once per *group* of queries that
+  arrived together (:meth:`PipelineManager.admit_group`; a lone query
+  is a group of one): allocate the ids, answer each distinct dimension
+  filter query ``sigma_cnj(D_j)`` once — from a materialized view, else
+  the dimension's ordered column index (O(log N + k), built on first
+  use), else a buffered scan — update every dimension hash table with
+  one group mutation (complement bitmap, at most one pass, the selected
+  rows of each distinct predicate), install new Filters, and activate
+  the queries in the Preprocessor with their start control tuples under
+  one stall;
 * **finalization cleanup** (Algorithm 2): the Distributor queues the
   ids it retires; :meth:`PipelineManager.process_finished` cleans the
   queued ids *as one group* — one combined bit mask per hash table,
@@ -118,67 +122,107 @@ class PipelineManager:
     def admit(
         self, query: StarQuery, handle: QueryHandle | None = None
     ) -> QueryHandle:
-        """Register ``query`` with the always-on pipeline.
+        """Register ``query`` alone: the one-element :meth:`admit_group`."""
+        return self.admit_group([(query, handle)])[0]
 
-        Returns a :class:`QueryHandle`; results become available once
-        the continuous scan wraps around the query's start position.
+    def admit_group(
+        self, submissions: list[tuple[StarQuery, QueryHandle | None]]
+    ) -> list[QueryHandle]:
+        """Register the queries that arrived together, as one Algorithm 1.
 
-        ``handle`` lets a caller that queued the query earlier (the
-        service's admission queue) keep the handle it already gave out:
-        the handle's submission timestamp then predates admission, so
-        ``wait_seconds`` measures the real admission wait.
+        Returns one :class:`QueryHandle` per ``(query, handle)``
+        submission, in order; results become available once the
+        continuous scan wraps around the group's start position.  A
+        ``handle`` given with a query (the service's admission queue
+        gave it out earlier) is kept: its submission timestamp predates
+        admission, so ``wait_seconds`` measures the real admission wait.
+
+        The group is admitted whole or not at all.  Ids are allocated in
+        submission order; every distinct ``(dimension, predicate)`` is
+        evaluated once, before any hash table is written; each table is
+        then updated by one
+        :meth:`~repro.cjoin.dimtable.DimensionHashTable.register_group`
+        call; and one Preprocessor stall installs new Filters and
+        activates every member, QueryStart tuples in submission order.
+
+        Raises:
+            QueryError: a query does not fit the star schema (nothing
+                was touched).
+            AdmissionError: fewer free ids than submissions.
+            Exception: whatever a member's dimension predicate raised,
+                tagged ``failed_submission`` = that member's position —
+                no table was written and every id is free again, so the
+                caller may drop the member and admit the rest.
         """
+        for query, _ in submissions:
+            query.validate(self.star)
+        return self._admit_validated(submissions)
+
+    def _admit_validated(
+        self, submissions: list[tuple[StarQuery, QueryHandle | None]]
+    ) -> list[QueryHandle]:
+        """:meth:`admit_group` for queries the caller validated already."""
+        if not submissions:
+            return []
         started = time.perf_counter()
-        query.validate(self.star)
         with self._lock:
             self.process_finished()  # reclaim ids before allocating
-            query_id = self.allocator.allocate()
+            query_ids: list[int] = []
             try:
-                handle, rows_loaded = self._admit_locked(
-                    query, query_id, handle
+                for _ in submissions:
+                    query_ids.append(self.allocator.allocate())
+                registrations, rows_loaded = self._admit_locked(
+                    submissions, query_ids
                 )
             except Exception:
-                self._rollback_admission(query_id)
-                self.allocator.release(query_id)
+                self._rollback_admission(query_ids)
                 raise
-        self.stats.queries_admitted += 1
-        self.timings.record(time.perf_counter() - started, rows_loaded)
-        return handle
+        self.stats.queries_admitted += len(registrations)
+        seconds = (time.perf_counter() - started) / len(registrations)
+        for rows in rows_loaded:
+            self.timings.record(seconds, rows)
+        return [registration.handle for registration in registrations]
 
     def _admit_locked(
         self,
-        query: StarQuery,
-        query_id: int,
-        handle: QueryHandle | None = None,
-    ) -> QueryHandle:
-        if handle is None:
-            handle = QueryHandle(query)
-        handle.admitted_at = time.perf_counter()
-        registration = RegisteredQuery(query_id, query, handle)
-        # once registered, the manager owns cancellation (a queued
-        # submission's handle previously pointed at the service queue);
-        # the canceller pins its own registration so a stale handle can
-        # never cancel a later query that recycled the same id
-        handle._canceller = lambda: self.cancel(query_id, registration)
-        registration.scanned_at_admission = self.stats.tuples_scanned
-        registration.admitted_with_in_flight = len(self._registrations)
-        handle.registration = registration
-        # keep the query's reference order: new Filters are appended in
-        # this order, which is what the FixedOrderPolicy preserves
-        referenced_list = query.referenced_dimensions()
-        referenced = set(referenced_list)
+        submissions: list[tuple[StarQuery, QueryHandle | None]],
+        query_ids: list[int],
+    ) -> tuple[list[RegisteredQuery], list[int]]:
+        # --- Algorithm 1 lines 11-16, the reads: every distinct
+        # dimension filter query of the group, once, before anything is
+        # written — one that raises leaves the tables as they were.
+        # Dimensions come out in first-reference order, which is the
+        # order new Filters are appended in (what FixedOrderPolicy
+        # preserves).
+        #: dimension -> predicate -> (ids of the members carrying it, rows)
+        selections: dict[str, dict] = {}
+        rows_loaded = []
+        for index, (query, _) in enumerate(submissions):
+            loaded = 0
+            try:
+                for name, predicate in query.dimension_predicates.items():
+                    by_predicate = selections.setdefault(name, {})
+                    selection = by_predicate.get(predicate)
+                    if selection is None:
+                        selection = by_predicate[predicate] = (
+                            [],
+                            self._run_dimension_query(name, predicate),
+                        )
+                    selection[0].append(query_ids[index])
+                    loaded += len(selection[1])
+            except Exception as error:
+                error.failed_submission = index
+                raise
+            rows_loaded.append(loaded)
         preprocessor = self.pipeline.preprocessor
 
         # --- Algorithm 1 lines 1-10: complement bitmaps & new tables ---
-        # A dimension missing from the pipeline can only be one the new
-        # query references (tables are created on first reference), so
+        # A dimension missing from the pipeline can only be one the
+        # group references (tables are created on first reference), so
         # its complement bitmap starts as the in-flight bit union: every
         # concurrent query implicitly selects all of this dimension.
         new_filters: list[Filter] = []
-        pipeline_dims = set(self.pipeline.filter_order())
-        missing = [
-            name for name in referenced_list if name not in self._tables
-        ]
+        missing = [name for name in selections if name not in self._tables]
         if missing:
             preprocessor.stall()
             try:
@@ -197,63 +241,91 @@ class PipelineManager:
                         probe_skip=self.probe_skip,
                     )
                 )
-        touched = 0
-        for name in [*referenced_list, *sorted(pipeline_dims - referenced)]:
-            if name in missing:
-                continue  # complement already correct (bit n is 0)
-            table = self._tables[name]
-            if name in referenced:
-                touched += table.mark_query_referencing(query_id)
-            else:
-                touched += table.mark_query_not_referencing(query_id)
-
-        # --- Algorithm 1 lines 11-16: dimension filter queries --------
-        # Runs outside the stall, in parallel with tuple processing: the
-        # new query's bit is never set on fact tuples yet, so partially
+        # --- and lines 11-16, the writes: one group mutation per table.
+        # Outside the stall, in parallel with tuple processing: the
+        # group's bits are never set on fact tuples yet, so partially
         # loaded hash tables cannot produce results for it (section
         # 3.3.1 correctness argument).
-        rows_loaded = 0
-        for name in referenced_list:
-            rows = self._run_dimension_query(name, query)
-            rows_loaded += self._tables[name].register_selected_rows(
-                query_id, rows
+        touched = 0
+        for name, table in self._tables.items():
+            touched += table.register_group(
+                [
+                    query_id
+                    for query_id, (query, _) in zip(query_ids, submissions)
+                    if name not in query.dimension_predicates
+                ],
+                selections.get(name, {}).values(),
             )
-        self.stats.dim_entries_touched += touched + rows_loaded
+        self.stats.dim_entries_touched += touched
 
-        # --- Algorithm 1 lines 17-22: install under a stall -----------
+        # --- Algorithm 1 lines 17-22: install under one stall ---------
+        admitted_at = time.perf_counter()
+        registrations = [
+            self._new_registration(query_id, query, handle, admitted_at)
+            for query_id, (query, handle) in zip(query_ids, submissions)
+        ]
+        fact_rows = self.catalog.table(self.star.fact.name).row_count
         preprocessor.stall()
         try:
             for new_filter in new_filters:
                 self.pipeline.add_filter(new_filter)
-            self._registrations[query_id] = registration
-            self._referenced_by[query_id] = referenced
-            self._reference_counts.update(referenced)
-            fact_table = self.catalog.table(query.fact_table)
-            if fact_table.row_count == 0:
-                preprocessor.finish_immediately(registration)
-            else:
-                handle.set_progress_total(fact_table.row_count)
-                preprocessor.activate(registration)
+            if fact_rows:
+                preprocessor.activate_group(registrations)
+            for registration in registrations:
+                registration.scanned_at_admission = self.stats.tuples_scanned
+                registration.admitted_with_in_flight = len(self._registrations)
+                referenced = set(registration.query.dimension_predicates)
+                self._registrations[registration.query_id] = registration
+                self._referenced_by[registration.query_id] = referenced
+                self._reference_counts.update(referenced)
+                if fact_rows:
+                    registration.handle.set_progress_total(fact_rows)
+                else:
+                    preprocessor.finish_immediately(registration)
         finally:
             preprocessor.resume()
-        return handle, rows_loaded
+        return registrations, rows_loaded
 
-    def _rollback_admission(self, query_id: int) -> None:
-        """Undo the partial effects of a failed admission.
+    def _new_registration(
+        self,
+        query_id: int,
+        query: StarQuery,
+        handle: QueryHandle | None,
+        admitted_at: float,
+    ) -> RegisteredQuery:
+        if handle is None:
+            handle = QueryHandle(query)
+        handle.admitted_at = admitted_at
+        registration = RegisteredQuery(query_id, query, handle)
+        # once registered, the manager owns cancellation (a queued
+        # submission's handle previously pointed at the service queue);
+        # the canceller pins its own registration so a stale handle can
+        # never cancel a later query that recycled the same id
+        handle._canceller = lambda: self.cancel(query_id, registration)
+        handle.registration = registration
+        return registration
 
-        Clears the query's bits everywhere (restoring the unallocated-
-        ids-are-zero invariant) and drops dimension tables this
-        admission created that never made it into the pipeline —
-        leaving one behind would silently suppress Filter creation for
-        the next query referencing that dimension.
+    def _rollback_admission(self, query_ids: list[int]) -> None:
+        """Undo the partial effects of a failed group admission.
+
+        Clears the group's bits everywhere (restoring the unallocated-
+        ids-are-zero invariant), drops dimension tables this admission
+        created that never made it into the pipeline — leaving one
+        behind would silently suppress Filter creation for the next
+        query referencing that dimension — and frees the ids.
         """
-        self._registrations.pop(query_id, None)
-        self._reference_counts.subtract(self._referenced_by.pop(query_id, ()))
+        for query_id in query_ids:
+            self._registrations.pop(query_id, None)
+            self._reference_counts.subtract(
+                self._referenced_by.pop(query_id, ())
+            )
         for name in list(self._tables):
             table = self._tables[name]
-            self.stats.dim_entries_touched += table.unregister_query(query_id)
+            self.stats.dim_entries_touched += table.unregister_queries(query_ids)
             if table.is_empty and not self.pipeline.has_filter(name):
                 del self._tables[name]
+        for query_id in query_ids:
+            self.allocator.release(query_id)
 
     def _in_flight_bits(self) -> int:
         """OR of the bits of every query any in-flight tuple may carry.
@@ -268,7 +340,7 @@ class PipelineManager:
             bits = bitvec.set_bit(bits, query_id)
         return bits
 
-    def _run_dimension_query(self, name: str, query: StarQuery) -> list[tuple]:
+    def _run_dimension_query(self, name: str, predicate) -> list[tuple]:
         """Evaluate ``sigma_cnj(D_j)`` against the store.
 
         The paper issues this to PostgreSQL and lets it use dimension
@@ -282,7 +354,6 @@ class PipelineManager:
         order.  Wait-free with respect to the pipeline.
         """
         dimension = self.catalog.table(name)
-        predicate = query.predicate_on(name)
         view = self.catalog.find_dimension_view(name, predicate)
         if view is not None:
             return view.rows()

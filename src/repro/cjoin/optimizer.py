@@ -25,7 +25,7 @@ of pipeline order).
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 
 from repro.cjoin.filter import Filter
 
@@ -72,56 +72,73 @@ class DropRatePolicy(OrderingPolicy):
 class AGreedyPolicy(OrderingPolicy):
     """Profile-driven conditional ordering (Babu et al. [5]).
 
-    Keeps a window of boolean drop-profiles.  ``recommend`` runs the
-    greedy selection: rank 1 goes to the filter dropping the most
-    profiles; rank 2 to the filter dropping the most of the *remaining*
-    (not yet dropped) profiles; and so on.  This matches A-Greedy's
-    matrix-view invariant and adapts to correlated predicates, which
-    pure drop-rate ranking cannot.
+    Keeps a window of drop-profiles, one int mask each.  ``recommend``
+    counts the window's *distinct* masks (at most 2^filters of them)
+    and runs the greedy selection: rank 1 goes to the filter dropping
+    the most profiles; rank 2 to the filter dropping the most of the
+    *remaining* (not yet dropped) profiles; and so on.  This matches
+    A-Greedy's matrix-view invariant and adapts to correlated
+    predicates, which pure drop-rate ranking cannot.
     """
 
     wants_profiles = True
 
     def __init__(self, window: int = DEFAULT_PROFILE_WINDOW) -> None:
         self.window = window
-        #: each profile maps filter name -> would-drop boolean
-        self._profiles: deque[dict[str, bool]] = deque(maxlen=window)
+        #: each profile is one int: bit set = that Filter would drop
+        self._profiles: deque[int] = deque(maxlen=window)
+        #: filter name -> its bit in the profiles (given out on the
+        #: filter's first drop, taken back by :meth:`forget`)
+        self._bits: dict[str, int] = {}
 
     def record_profile(self, filters: list[Filter], bits: int, row: tuple) -> None:
-        self._profiles.append(
-            {f.name: f.would_drop(bits, row) for f in filters}
-        )
+        profile = 0
+        for candidate in filters:
+            if candidate.would_drop(bits, row):
+                bit = self._bits.get(candidate.name)
+                if bit is None:
+                    used = sum(self._bits.values())  # distinct bits: an OR
+                    # the lowest bit no filter holds
+                    bit = self._bits[candidate.name] = (used + 1) & ~used
+                profile |= bit
+        self._profiles.append(profile)
 
     def recommend(self, filters: list[Filter]) -> list[Filter]:
         if not self._profiles:
             return list(filters)
         remaining = list(filters)
-        surviving = list(self._profiles)
+        #: distinct profile -> how many of the window's samples show it
+        surviving = Counter(self._profiles)
         order: list[Filter] = []
         while remaining:
             best = None
+            best_bit = 0
             best_drops = -1
             for candidate in remaining:
+                bit = self._bits.get(candidate.name, 0)
                 drops = sum(
-                    1
-                    for profile in surviving
-                    if profile.get(candidate.name, False)
+                    count
+                    for profile, count in surviving.items()
+                    if profile & bit
                 )
                 if drops > best_drops:
-                    best = candidate
-                    best_drops = drops
+                    best, best_bit, best_drops = candidate, bit, drops
             order.append(best)
             remaining.remove(best)
-            surviving = [
-                profile
-                for profile in surviving
-                if not profile.get(best.name, False)
-            ]
+            surviving = {
+                profile: count
+                for profile, count in surviving.items()
+                if not profile & best_bit
+            }
         return order
 
     def forget(self, filter_name: str) -> None:
-        for profile in self._profiles:
-            profile.pop(filter_name, None)
+        bit = self._bits.pop(filter_name, 0)
+        if bit:
+            self._profiles = deque(
+                (profile & ~bit for profile in self._profiles),
+                maxlen=self.window,
+            )
 
     @property
     def profile_count(self) -> int:

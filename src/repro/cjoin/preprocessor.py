@@ -125,38 +125,54 @@ class Preprocessor:
     # Query activation (called by the manager, pipeline stalled)
     # ------------------------------------------------------------------
     def activate(self, registration: RegisteredQuery) -> None:
-        """Install a query into ``Q`` and emit its start control tuple.
+        """The one-element :meth:`activate_group`."""
+        self.activate_group((registration,))
 
-        Must be called while stalled.  Sets the registration's start
+    def activate_group(self, registrations) -> None:
+        """Install queries into ``Q`` and emit their start control tuples.
+
+        Must be called while stalled.  Sets every registration's start
         position to the next unprocessed scan tuple, appends the
-        QueryStart control tuple, and begins setting bit ``n`` on
-        subsequent fact tuples.
+        QueryStart control tuples in the order given, and begins
+        setting the queries' bits on subsequent fact tuples.  All or
+        nothing: whatever can raise (binding a fact predicate) runs for
+        the whole group before the first query is installed.
         """
         if not self._stalled:
             raise PipelineError("activate() requires a stalled preprocessor")
-        query = registration.query
-        fact_matcher = None
-        if query.fact_predicate is not None:
-            fact_matcher = query.fact_predicate.bind(self.star.fact)
-        snapshot = None
-        if query.snapshot_id is not None and self.versioned_fact is not None:
-            snapshot = Snapshot(query.snapshot_id)
-        active = _ActiveQuery(registration, fact_matcher, snapshot)
-        self._active[registration.query_id] = active
-        if fact_matcher is None and snapshot is None:
-            self._unconditional_mask |= active.bit
-        elif snapshot is None:
-            self._row_checks.append((active.bit, fact_matcher, None))
-        else:
-            self._snapshot_groups.setdefault(
-                snapshot.snapshot_id, []
-            ).append(active)
-        position = registration.start_position = self.scan.next_position
+        group = []
+        for registration in registrations:
+            query = registration.query
+            fact_matcher = None
+            if query.fact_predicate is not None:
+                fact_matcher = query.fact_predicate.bind(self.star.fact)
+            snapshot = None
+            if query.snapshot_id is not None and self.versioned_fact is not None:
+                snapshot = Snapshot(query.snapshot_id)
+            group.append(_ActiveQuery(registration, fact_matcher, snapshot))
+        if not group:
+            return
+        position = self.scan.next_position
         if position not in self._starts:
             insort(self._start_positions, position)
-        self._starts.setdefault(position, []).append(registration)
-        self._pending_control.append(QueryStart(self._next_sequence(), registration))
-        self.stats.control_tuples += 1
+        started_here = self._starts.setdefault(position, [])
+        for active in group:
+            registration = active.registration
+            self._active[registration.query_id] = active
+            if active.fact_matcher is None and active.snapshot is None:
+                self._unconditional_mask |= active.bit
+            elif active.snapshot is None:
+                self._row_checks.append((active.bit, active.fact_matcher, None))
+            else:
+                self._snapshot_groups.setdefault(
+                    active.snapshot.snapshot_id, []
+                ).append(active)
+            registration.start_position = position
+            started_here.append(registration)
+            self._pending_control.append(
+                QueryStart(self._next_sequence(), registration)
+            )
+        self.stats.control_tuples += len(group)
 
     def cancel(self, registration: RegisteredQuery) -> bool:
         """Deregister an active query early (DESIGN.md section 10).

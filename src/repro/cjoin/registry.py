@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import threading
 import time
+from heapq import heappop, heappush
 from typing import TYPE_CHECKING
 
 from repro.errors import AdmissionError, CancelledError
@@ -33,6 +34,10 @@ class QueryIdAllocator:
             )
         self.max_concurrent = max_concurrent
         self._in_use: set[int] = set()
+        #: released ids below the high-water mark (a min-heap); every
+        #: id in ``[1, _high_water]`` is in exactly one of the two
+        self._released: list[int] = []
+        self._high_water = 0
 
     def allocate(self) -> int:
         """Return the smallest free id.
@@ -40,13 +45,16 @@ class QueryIdAllocator:
         Raises:
             AdmissionError: when ``maxConc`` queries are already active.
         """
-        for candidate in range(1, self.max_concurrent + 1):
-            if candidate not in self._in_use:
-                self._in_use.add(candidate)
-                return candidate
-        raise AdmissionError(
-            f"operator is at its concurrency limit ({self.max_concurrent})"
-        )
+        if self._released:
+            candidate = heappop(self._released)
+        elif self._high_water < self.max_concurrent:
+            candidate = self._high_water = self._high_water + 1
+        else:
+            raise AdmissionError(
+                f"operator is at its concurrency limit ({self.max_concurrent})"
+            )
+        self._in_use.add(candidate)
+        return candidate
 
     def release(self, query_id: int) -> None:
         """Return ``query_id`` to the pool.
@@ -57,6 +65,7 @@ class QueryIdAllocator:
         if query_id not in self._in_use:
             raise AdmissionError(f"query id {query_id} is not allocated")
         self._in_use.remove(query_id)
+        heappush(self._released, query_id)
 
     @property
     def active_count(self) -> int:
@@ -114,6 +123,8 @@ class QueryHandle:
         #: set once cancel() succeeds; result accessors then raise
         #: CancelledError instead of returning rows
         self._cancelled = False
+        #: set by _fail(): the error that refused a queued admission
+        self._error: BaseException | None = None
         #: installed by whichever layer owns the query right now (the
         #: service for queued submissions, the manager once admitted,
         #: the warehouse for offline pending routes); cancel() calls it
@@ -193,11 +204,9 @@ class QueryHandle:
                 (``timeout=None``), or did not complete within
                 ``timeout`` seconds.
             CancelledError: if the query was cancelled.
+            Exception: whatever refused the query's queued admission.
         """
-        if self._cancelled:
-            raise CancelledError(
-                f"query {self.query.label or ''!r} was cancelled"
-            )
+        self._raise_if_no_rows()
         if timeout is not None:
             if not self.wait(timeout):
                 raise AdmissionError(
@@ -205,11 +214,28 @@ class QueryHandle:
                 )
         elif not self.done:
             raise AdmissionError("query has not completed yet")
+        self._raise_if_no_rows()
+        return list(self._results)
+
+    def _raise_if_no_rows(self) -> None:
+        """Raise what ended the query without results, if anything did."""
         if self._cancelled:
             raise CancelledError(
                 f"query {self.query.label or ''!r} was cancelled"
             )
-        return list(self._results)
+        if self._error is not None:
+            raise self._error
+
+    def _fail(self, error: BaseException) -> None:
+        """Complete the handle with the error that refused its admission.
+
+        For the layer that admits queued submissions on the driving
+        thread (the service's group pump): the submitter is long gone
+        from the call stack, so the error travels on the handle and
+        every result accessor raises it.
+        """
+        self._error = error
+        self.complete([])
 
     # ------------------------------------------------------------------
     # Cancellation (DESIGN.md section 10)
@@ -284,10 +310,7 @@ class QueryHandle:
             raise AdmissionError(
                 f"query did not complete within {timeout} seconds"
             )
-        if self._cancelled:
-            raise CancelledError(
-                f"query {self.query.label or ''!r} was cancelled"
-            )
+        self._raise_if_no_rows()
         yield from self._results
 
     @property

@@ -74,7 +74,8 @@ class TuningSample:
     wait_p95: float
     #: completed queries covered by the two percentiles
     window_count: int
-    #: submissions waiting in the service admission FIFO
+    #: submissions waiting in the service admission FIFO for a slot
+    #: (those a free slot awaits at the next batch boundary excluded)
     queued: int
     #: queries admitted and not yet completed
     in_flight: int
@@ -250,7 +251,13 @@ class AutoTuner:
             p95=percentile([r.latency_seconds for r in tail], 0.95),
             wait_p95=percentile([r.wait_seconds for r in tail], 0.95),
             window_count=len(tail),
-            queued=service["queued"],
+            # every submission queues until the next batch boundary;
+            # pressure is what the free slots will not absorb there
+            queued=max(
+                service["queued"]
+                - max(service["max_in_flight"] - service["in_flight"], 0),
+                0,
+            ),
             in_flight=service["in_flight"],
             max_in_flight=service["max_in_flight"],
             backend=warehouse.executor_config.backend,

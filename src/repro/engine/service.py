@@ -18,17 +18,22 @@ Usage, open-loop::
     warehouse.stop_service()
 
 Admission protocol: ``submit()`` may be called from any thread at any
-moment.  When an in-flight slot is free (fewer than ``max_in_flight``
-registered queries) and no earlier submission is waiting, the query is
-admitted *inline on the calling thread* through the Pipeline Manager's
-stall protocol — ``admit()`` serializes against the driver's item
-production on the preprocessor lock, so the scan pauses for exactly
-the Algorithm-1 critical sections and nothing else.  Otherwise the
-query joins the FIFO queue (bounded by ``admission_queue_depth``;
-overflow raises :class:`~repro.errors.AdmissionError`) and the driver
-thread admits it as completions free slots.  Either way the caller
-immediately holds a :class:`~repro.cjoin.registry.QueryHandle` whose
-``results(timeout=...)`` blocks until the continuous scan wraps.
+moment, and only ever *enqueues*: it validates the query, appends it to
+the FIFO and returns a :class:`~repro.cjoin.registry.QueryHandle` whose
+``results(timeout=...)`` blocks until the continuous scan wraps.  The
+driving thread admits at its next batch boundary — the background
+driver between two batches (an idle one is woken by the enqueue rather
+than sleeping out ``idle_sleep``), ``drain()`` and ``pump()`` on the
+calling thread.  There it pops ``min(queued, free slots)`` submissions
+and hands them to the Pipeline Manager as *one group*
+(:meth:`~repro.cjoin.manager.PipelineManager.admit_group`): Algorithm 1
+runs once for the queries that arrived together, the scan pauses for
+one stall, and the rest of the queue waits for completions to free
+slots.  A submission that would find a free slot is never refused: the
+queue holds at most free slots + ``admission_queue_depth`` entries,
+beyond which ``submit()`` raises :class:`~repro.errors.AdmissionError`.
+An error raised while admitting a queued query (a dimension predicate
+that cannot be evaluated) reaches the caller through the handle.
 
 Shutdown protocol: ``stop()`` sets the service's stop event and joins
 the driver thread.  Admitted-but-unfinished queries stay registered
@@ -74,10 +79,10 @@ class WarehouseService:
         self._apply_tuning(tuning if tuning is not None else TuningConfig())
         self._queue: deque[tuple[StarQuery, QueryHandle]] = deque()
         self._in_flight = 0
-        #: True while the driver admits a submission it popped from the
-        #: queue; inline admission must not overtake that query (FIFO)
-        self._pumping = False
         self._stop_event = threading.Event()
+        #: set by an enqueue (and by stop()) so an idle driver pumps
+        #: now instead of sleeping out idle_sleep
+        self._wake = threading.Event()
         self._thread: threading.Thread | None = None
         self._driver_error: BaseException | None = None
         #: optional scan-boundary callback, run on the driving thread
@@ -180,8 +185,8 @@ class WarehouseService:
     ) -> QueryHandle:
         """Submit a star query; returns its handle immediately.
 
-        Admits inline when a slot is free (mid-scan, via the manager's
-        stall protocol); queues FIFO otherwise.
+        The query joins the FIFO; the driving thread admits it, with
+        whatever else is queued, at its next batch boundary.
 
         Raises:
             AdmissionError: when the admission queue is full.
@@ -190,52 +195,29 @@ class WarehouseService:
                 late on the driver thread).
         """
         query.validate(self.operator.star)
+        return self._enqueue(query, handle)
+
+    def _enqueue(
+        self, query: StarQuery, handle: QueryHandle | None
+    ) -> QueryHandle:
+        """:meth:`submit` for a query the caller validated already."""
         if handle is None:
             handle = QueryHandle(query)
         # the service owns cancellation while the query waits in the
         # FIFO; admission hands ownership to the Pipeline Manager
         handle._canceller = lambda: self._cancel(handle)
         with self._cond:
-            # reserve a slot only; the admission itself runs outside
-            # the service lock so the driver's scan (and completion
-            # callbacks) never block behind a dimension subquery
-            inline = (
-                not self._queue
-                and not self._pumping
-                and self._in_flight < self.max_in_flight
-            )
-            if inline:
-                self._in_flight += 1
-            else:
-                self._enqueue_locked(query, handle)
-                return handle
-        try:
-            self.operator.submit(query, handle)
-        except AdmissionError:
-            # operator fuller than our count (direct operator.submit
-            # callers bypass the service); fall back to the queue
-            with self._cond:
-                self._in_flight -= 1
-                self._enqueue_locked(query, handle)
-            return handle
-        except BaseException:
-            with self._cond:
-                self._in_flight -= 1
-                self._cond.notify_all()
-            raise
-        handle.on_complete(self._on_query_done)
+            free = max(self.max_in_flight - self._in_flight, 0)
+            if len(self._queue) >= free + self.admission_queue_depth:
+                raise AdmissionError(
+                    f"admission queue is full "
+                    f"({len(self._queue)} queries waiting for {free} free "
+                    f"slots); retry later or raise admission_queue_depth"
+                )
+            self._queue.append((query, handle))
+            self._cond.notify_all()
+        self._wake.set()
         return handle
-
-    def _enqueue_locked(self, query: StarQuery, handle: QueryHandle) -> None:
-        """Append to the admission FIFO; reject when at depth."""
-        if len(self._queue) >= self.admission_queue_depth:
-            raise AdmissionError(
-                f"admission queue is full "
-                f"({self.admission_queue_depth} queries waiting); "
-                f"retry later or raise admission_queue_depth"
-            )
-        self._queue.append((query, handle))
-        self._cond.notify_all()
 
     def _on_query_done(self, handle: QueryHandle) -> None:
         """Completion callback: free the slot and wake waiters."""
@@ -281,41 +263,48 @@ class WarehouseService:
         return self._pump_admissions()
 
     def _pump_admissions(self) -> int:
-        """Admit queued submissions while slots are free (FIFO).
+        """Admit ``min(queued, free slots)`` submissions as one group.
 
-        Called on the driver thread once per scan cycle, and by the
-        synchronous drain loop.  Returns the number admitted.  Each
-        admission runs outside the service lock (the ``_pumping`` flag
-        keeps inline submissions from overtaking the popped query).
+        Called on the driving thread at every batch boundary (the
+        driver loop, ``drain()``, ``pump()``).  Returns the number
+        admitted.  The group admission runs outside the service lock,
+        so submitters and completion callbacks never block behind a
+        dimension subquery; FIFO holds because only this thread pops.
+        The group is admitted whole or not at all: a member whose
+        dimension predicate raises gets the error on its handle and the
+        others go back to the head of the queue for the next boundary
+        (an error no member can be blamed for fails the whole group's
+        handles; none is left to hang).
         """
-        admitted = 0
-        while True:
+        with self._cond:
+            count = min(len(self._queue), self.max_in_flight - self._in_flight)
+            if count <= 0:
+                return 0
+            group = [self._queue.popleft() for _ in range(count)]
+            self._in_flight += count
+        try:
+            self.operator.manager._admit_validated(group)
+        except Exception as error:
+            # all or nothing: no member was admitted
+            if isinstance(error, AdmissionError):
+                refused = ()  # ids still held pending cleanup: retry all
+            else:
+                culprit = getattr(error, "failed_submission", None)
+                refused = range(count) if culprit is None else (culprit,)
             with self._cond:
-                if not self._queue or self._in_flight >= self.max_in_flight:
-                    return admitted
-                query, handle = self._queue.popleft()
-                self._in_flight += 1
-                self._pumping = True
-            try:
-                self.operator.submit(query, handle)
-            except AdmissionError:
-                # ids still held pending cleanup; retry next cycle
-                with self._cond:
-                    self._in_flight -= 1
-                    self._queue.appendleft((query, handle))
-                    self._pumping = False
-                return admitted
-            except BaseException:
-                with self._cond:
-                    self._in_flight -= 1
-                    self._pumping = False
-                    self._cond.notify_all()
-                raise
-            handle.on_complete(self._on_query_done)
-            with self._cond:
-                self._pumping = False
+                self._in_flight -= count
+                self._queue.extendleft(
+                    group[index]
+                    for index in reversed(range(count))
+                    if index not in refused
+                )
                 self._cond.notify_all()
-            admitted += 1
+            for index in refused:
+                group[index][1]._fail(error)
+            return 0
+        for _, handle in group:
+            handle.on_complete(self._on_query_done)
+        return count
 
     # ------------------------------------------------------------------
     # Background driver lifecycle
@@ -349,6 +338,7 @@ class WarehouseService:
                 idle_sleep=lambda: self.idle_sleep,
                 on_cycle=self._on_cycle,
                 stop_event=self._stop_event,
+                wake=self._wake,
             )
         except BaseException as error:  # keep stop()/drain() informative
             self._driver_error = error
@@ -369,6 +359,7 @@ class WarehouseService:
         """
         thread = self._thread
         self._stop_event.set()
+        self._wake.set()
         with self._cond:
             self._cond.notify_all()
         if thread is not None:

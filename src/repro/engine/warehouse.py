@@ -288,11 +288,13 @@ class Warehouse:
         """Submit a star query; returns a handle for its results.
 
         Every route flows through one :class:`Submission` lifecycle
-        (DESIGN.md section 10).  CJOIN-routed queries go to the
-        always-on service: admitted mid-scan immediately when an
-        in-flight slot is free, queued FIFO otherwise.  Process- and
-        baseline-routed queries join their offline FIFO and admit at
-        the next :meth:`run` drain boundary.  Either way the caller
+        (DESIGN.md section 10).  CJOIN-routed queries join the
+        always-on service's FIFO and are admitted mid-scan, as one group
+        with whatever else arrived, at the driving thread's next batch
+        boundary.  Process- and baseline-routed queries join their
+        offline FIFO and admit at the next :meth:`run` drain boundary.
+        The query is validated here, once (the router's schema check),
+        whichever route it takes.  Either way the caller
         holds one uniform handle — blocking results, streaming,
         ``cancel()``, and latency telemetry behave the same.
 
@@ -303,7 +305,9 @@ class Warehouse:
         cancellation follows the handle across layers.
 
         Raises:
-            QueryError: when the warehouse has been closed.
+            QueryError: when the warehouse has been closed, or the
+                query does not fit the star schema.
+            AdmissionError: when the service's admission queue is full.
         """
         self._require_open()
         query = self._stamp_snapshot(query)
@@ -312,7 +316,7 @@ class Warehouse:
             if self.executor_config.backend == "process":
                 submission = self._enqueue_offline(ROUTE_PROCESS, query, handle)
             else:
-                handle = self.service.submit(query, handle)
+                handle = self.service._enqueue(query, handle)
                 submission = Submission(query, handle, ROUTE_SERVICE)
                 self._submission_log.append(submission)
         else:
@@ -325,8 +329,7 @@ class Warehouse:
         query: StarQuery,
         handle: QueryHandle | None = None,
     ) -> Submission:
-        """Queue a submission for the next drain of an offline route."""
-        query.validate(self.star)
+        """Queue a (validated) submission for an offline route's next drain."""
         submission = Submission(query, handle or QueryHandle(query), route)
         self._offline_queues[route].add(submission)
         self._submission_log.append(submission)

@@ -96,11 +96,11 @@ class TuningConfig:
         max_in_flight: bound on concurrently registered CJOIN queries;
             ``None`` defers to the operator's ``max_concurrent`` (and
             any explicit value is clamped to it at apply time).
-        admission_queue_depth: bound on submissions waiting for an
-            in-flight slot before :class:`~repro.errors.AdmissionError`
-            back-pressure kicks in.
+        admission_queue_depth: bound on queued submissions beyond the
+            free in-flight slots before
+            :class:`~repro.errors.AdmissionError` back-pressure kicks in.
         idle_sleep: service driver sleep, in seconds, between polls
-            while no query is registered.
+            while no query is registered (a submission wakes it).
         workers: fact-table shards / worker processes for the process
             backend; must stay 1 for the serial backend.
         batch_size: items per preprocessor batch (both backends).

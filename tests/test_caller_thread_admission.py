@@ -1,15 +1,23 @@
 """``Warehouse.submit`` from any thread, at any moment, beside the scan.
 
-The documented contract of the always-on service.  Admitting from a
-thread other than the driver used to race the batch kernels' cached
-hash-table snapshot (``DimensionHashTable.columnar_view``): the driver
-died with ``dictionary changed size during iteration``, or cached a
-half-registered snapshot and a query silently lost rows.  The hash
-tables have since dropped the snapshot: mutators change the two dicts
-the kernels read in place, under the argument in
-:mod:`repro.cjoin.dimtable`; this drives the documented path hard
-enough that the snapshot-era code fails it within a few hundred
-queries.  tests/test_spread_admission.py is the deterministic twin.
+The documented contract of the always-on service.  Callers only
+*enqueue* now: ``submit`` validates, appends to the service FIFO, wakes
+an idle driver and returns, and the driver thread admits whatever
+queued up as one group at its next batch boundary (DESIGN.md section 9)
+— so the hash tables are no longer mutated from caller threads at all
+on this path.  What this guards is the hand-off: four threads appending
+while the driver pops groups, handles completing on one thread while
+their owners block on another, FIFO and the slot count staying
+consistent under a switch interval that hands the GIL over mid-call —
+no lost submission, no wrong rows, no dead driver, no leaked thread.
+
+History: admitting on the caller's thread used to race the batch
+kernels' cached hash-table snapshot (the driver died with ``dictionary
+changed size during iteration``, or a query silently lost rows); the
+tables then became two dicts mutated in place under the argument in
+:mod:`repro.cjoin.dimtable`, which still covers ``CJoinOperator.submit``
+beside a running scan.  tests/test_spread_admission.py is the
+deterministic twin.
 """
 
 from __future__ import annotations

@@ -99,8 +99,10 @@ class TestMidScanCancel:
         service = small_batch_service(catalog, star, max_in_flight=1)
         first = service.submit(city_query("lyon"))
         queued = service.submit(city_query("paris"))
-        assert service.queued == 1
+        assert service.queued == 2  # submit only enqueues
         service.pump(batches=1)  # scan is 4/12 tuples into the cycle
+        # the boundary admitted one group of min(queued, free slots) = 1
+        assert service.queued == 1 and first.registration is not None
         assert first.cancel() is True
         # one batch flushes the early QueryEnd and frees the slot; the
         # next pump admits the queued query mid-cycle
@@ -122,10 +124,12 @@ class TestMidScanCancel:
         catalog, star = tiny_star
         service = small_batch_service(catalog, star)
         first = service.submit(city_query("lyon"))
+        service.pump(batches=1)  # admitted at the boundary: the manager's
         stale_canceller = first._canceller  # as QueryHandle.cancel reads it
         service.drain()
         assert first.done
         second = service.submit(city_query("paris"))
+        service.pump(batches=1)
         # the id was recycled to the new query
         assert second.registration.query_id == 1
         assert stale_canceller() is False  # identity check refuses
@@ -139,11 +143,12 @@ class TestMidScanCancel:
         catalog, star = tiny_star
         service = small_batch_service(catalog, star)
         first = service.submit(city_query("lyon"))
-        first_id = first.registration.query_id
         service.pump(batches=1)
+        first_id = first.registration.query_id
         first.cancel()
         service.drain()
         replacement = service.submit(city_query("nice"))
+        service.pump(batches=1)
         assert replacement.registration.query_id == first_id
         service.drain()
         assert replacement.results() == evaluate_star_query(
@@ -157,7 +162,8 @@ class TestQueuedCancel:
         service = small_batch_service(catalog, star, max_in_flight=1)
         running = service.submit(city_query("lyon"))
         queued = service.submit(city_query("paris"))
-        assert service.queued == 1
+        service.pump(batches=1)  # one slot: the second waits its turn
+        assert service.queued == 1 and queued.registration is None
         assert queued.cancel() is True
         assert service.queued == 0
         assert queued.done and queued.cancelled
@@ -257,8 +263,10 @@ def test_cancel_property_survivors_reference_equal(
         for index in range(6)
     ]
     handles = [service.submit(query) for query in queries]
-    assert service.queued == 3  # capacity 3: the rest wait FIFO
+    assert service.queued == 6  # all wait for the next batch boundary
     service.pump(batches=warmup_batches)
+    # capacity 3: the boundary admits the first three as one group
+    assert service.queued == (3 if warmup_batches else 6)
     cancelled = [
         handle
         for handle, cancel in zip(handles, cancel_mask)

@@ -132,6 +132,51 @@ class TestUnregister:
         assert table.tuple_count == 2
 
 
+class TestRegisterGroup:
+    """Algorithm 1 for the queries admitted together; the three
+    one-query names above are its one-element forms."""
+
+    def test_one_call_equals_the_one_query_calls(self):
+        rows = [(1, "a"), (2, "b"), (3, "c")]
+        one_by_one, grouped = make_table(), make_table()
+        for table in (one_by_one, grouped):
+            table.mark_query_referencing(9)
+            table.register_selected_rows(9, rows[2:])
+        one_by_one.mark_query_referencing(1)
+        one_by_one.register_selected_rows(1, rows[:2])
+        one_by_one.mark_query_referencing(2)
+        one_by_one.register_selected_rows(2, rows[:2])
+        one_by_one.mark_query_not_referencing(3)
+        one_by_one.mark_query_referencing(4)
+        touched = grouped.register_group(
+            [3], [([1, 2], rows[:2]), ([4], [])]
+        )
+        assert touched == 1 + 2  # one pass over the stored row, two writes
+        assert grouped.complement_bitmap == one_by_one.complement_bitmap
+        assert grouped.columnar_view() == one_by_one.columnar_view()
+        assert grouped._selected_keys[1] is grouped._selected_keys[2]
+
+    def test_a_second_registration_of_an_id_keeps_the_first_keys(self):
+        table = make_table()
+        table.register_selected_rows(1, [(1, "a")])
+        table.register_selected_rows(1, [(2, "b")])
+        table.register_selected_rows(2, [(3, "c"), (4, "d"), (5, "e")])
+        assert table.unregister_query(1) == 2  # keyed: both keys, no sweep
+        assert sorted(table.entries_view()) == [3, 4, 5]
+
+    def test_a_stale_referencing_id_costs_the_group_one_sweep(self):
+        table = make_table()
+        table.register_selected_rows(9, [(1, "a"), (2, "b")])
+        table.register_group([1, 2], [])
+        table.unregister_queries([1, 2])  # bits 1 and 2 stay, stale
+        bit = bitvec.bit_for_query
+        assert table._stale_bits == bit(1) | bit(2)
+        touched = table.register_group([], [([1], [(1, "a")]), ([2], [])])
+        assert touched == 2 + 1  # one pass for both ids, then one write
+        assert table._stale_bits == 0
+        assert table.columnar_view()[0] == {1: bit(9) | bit(1), 2: bit(9)}
+
+
 class TestInPlaceView:
     """One stored representation: the view *is* the table."""
 

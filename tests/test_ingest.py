@@ -23,6 +23,7 @@ from repro.errors import IngestBackpressureError, IngestError
 from repro.query.aggregates import AggregateSpec
 from repro.query.reference import evaluate_star_query
 from repro.query.star import ColumnRef, StarQuery
+from repro.tuning import TuningConfig
 from tests.conftest import make_tiny_star
 
 COUNT_SQL = "SELECT COUNT(*) FROM sales, store WHERE f_store = s_id"
@@ -244,8 +245,10 @@ class TestCloseDeterminism:
 
     def test_close_rejects_batches_stuck_behind_queries(self, tiny_star):
         catalog, star = tiny_star
-        warehouse = Warehouse(catalog, star)  # non-MVCC: applies defer
-        handle = warehouse.submit(grouped_query())  # registered, undrained
+        # non-MVCC: applies defer
+        warehouse = Warehouse(catalog, star, tuning=TuningConfig(batch_size=4))
+        handle = warehouse.submit(grouped_query())
+        warehouse.service.pump()  # registered at the boundary, undrained
         ticket = warehouse.ingest(fact_rows=[(1, 10, 7, 35)])
         warehouse.close()
         assert ticket.done and not ticket.applied

@@ -1,6 +1,7 @@
 """Tests for the warehouse EXPLAIN facility."""
 
 from repro.engine import Warehouse
+from repro.tuning import TuningConfig
 
 
 def test_explain_reports_routing_and_selectivities(tiny_star):
@@ -18,10 +19,11 @@ def test_explain_reports_routing_and_selectivities(tiny_star):
 
 def test_explain_reports_sharing_with_in_flight_queries(tiny_star):
     catalog, star = tiny_star
-    warehouse = Warehouse(catalog, star)
+    warehouse = Warehouse(catalog, star, tuning=TuningConfig(batch_size=4))
     warehouse.submit_sql(
         "SELECT COUNT(*) FROM sales, store WHERE f_store = s_id"
     )
+    warehouse.service.pump()  # a batch boundary admits it; 4 of 12 rows
     report = warehouse.explain_sql(
         "SELECT COUNT(*) FROM sales, product WHERE f_product = p_id"
     )

@@ -93,8 +93,8 @@ class TestServiceLifecycle:
         """Stopping mid-query is clean; run() later completes it."""
         catalog, star = tiny_star
         warehouse = Warehouse(catalog, star)
-        # no driver running: inline admission registers the query but
-        # nothing advances the scan until run()
+        # no driver running: the query waits in the FIFO; the driver
+        # admits it at its first boundary
         handle = warehouse.submit(city_query("paris"))
         warehouse.start_service()
         warehouse.stop_service()
@@ -139,7 +139,7 @@ class TestSubmission:
             star,
             tuning=TuningConfig(max_in_flight=1, admission_queue_depth=2),
         )
-        for _ in range(3):  # 1 in flight + 2 queued
+        for _ in range(3):  # 1 free slot + 2 queue depth
             warehouse.submit(city_query("lyon"))
         with pytest.raises(AdmissionError, match="admission queue is full"):
             warehouse.submit(city_query("lyon"))
@@ -165,7 +165,9 @@ class TestSubmission:
         warehouse = Warehouse(catalog, star, tuning=TuningConfig(max_in_flight=1))
         first = warehouse.submit(city_query("lyon"))
         queued = warehouse.submit(city_query("paris"))
+        warehouse.service.pump()  # one slot: the boundary admits `first`
         assert warehouse.service.queued == 1
+        assert first.registration is not None
         assert queued.registration is None  # not admitted yet
         warehouse.run()
         assert queued.registration is not None
