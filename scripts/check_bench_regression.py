@@ -4,8 +4,8 @@
 Tracked ratios (ratios, not absolute seconds, so the gate is
 meaningful across machines of different speeds):
 
-* ``parallel_scaleup_speedup`` — the 4-worker process-parallel drain
-  vs the serial drain (benchmarks/bench_parallel_scaleup.py);
+* ``parallel_scaleup_speedup`` — the 4-worker sharded drain
+  (``execute_process_parallel``) vs the serial drain (benchmarks/bench_parallel_scaleup.py);
   only measurable on hosts with >= 4 CPUs, skipped elsewhere;
 * ``open_loop_flatness`` — p95 latency at a low Poisson arrival rate
   over p95 at 8x that rate against the always-on service
@@ -28,10 +28,6 @@ meaningful across machines of different speeds):
   through the bounded ingest buffer, applied at scan boundaries
   (benchmarks/bench_ingest_flatness.py; 1.0 = streaming writes are
   free, the streaming-ingest predictability claim);
-* ``shm_vs_pickle_transport`` — per-drain shard-handoff seconds of
-  the pickle process transport over the warm shared-memory transport
-  (benchmarks/bench_kernel_cost.py; above 1.0 shm hands workers their
-  shards faster);
 * ``restart_recovery`` — seconds to regenerate and load the SSB
   dataset from scratch over seconds for ``Warehouse.open`` on a
   durable data directory after a crash (decode columns + replay the
@@ -56,11 +52,11 @@ the change that moved the numbers.  ``--update`` only overwrites
 metrics that are measurable on the current host, so a 2-core laptop
 refreshing the other ratios will not clobber the parallel one.  To
 refresh a subset without re-measuring (or touching) the rest —
-e.g. after a change that only moves the transport ratio, or to
+e.g. after a change that only moves the ingest ratios, or to
 protect floor-seeded metrics — name the metrics to run::
 
     python scripts/check_bench_regression.py --update \\
-        --only ingest_flatness --only shm_vs_pickle_transport
+        --only ingest_flatness --only restart_recovery
 """
 
 from __future__ import annotations
@@ -92,7 +88,6 @@ TRACKED_METRICS = (
     "async_session_flatness",
     "burst_recovery_ratio",
     "ingest_flatness",
-    "shm_vs_pickle_transport",
     "restart_recovery",
 )
 
@@ -184,15 +179,6 @@ def measure_metrics(
                 "ingest producer applied no rows; the race never happened"
             )
         metrics["ingest_flatness"] = round(ingest["flatness"], 3)
-    if "shm_vs_pickle_transport" in wanted:
-        from benchmarks.bench_kernel_cost import measure_shard_transport
-
-        transport = measure_shard_transport()
-        if not transport["identical"]:
-            raise AssertionError(
-                "shm shard slices diverged from the pickled shards"
-            )
-        metrics["shm_vs_pickle_transport"] = round(transport["speedup"], 3)
     if "restart_recovery" in wanted:
         from benchmarks.bench_restart_recovery import (
             measure_restart_recovery,

@@ -9,9 +9,9 @@ Operators read fact attributes directly from the fact row and
 dimension attributes through the per-batch ``key -> row`` lookups the
 Filters attached (section 3.2.2), so no probing happens here.
 
-For the process-parallel backend (DESIGN.md section 8) every operator
-is also *mergeable*: :meth:`OutputOperator.partial_state` exports the
-un-finalized state accumulated over one fact shard, and
+For the data-parallel sharded drain (DESIGN.md section 8) every
+operator is also *mergeable*: :meth:`OutputOperator.partial_state`
+exports the un-finalized state accumulated over one fact shard, and
 :meth:`OutputOperator.merge_partial` folds such a state into a fresh
 coordinator-side operator.  Merging shard states in shard order
 reconstructs exactly the state the serial scan would have built,

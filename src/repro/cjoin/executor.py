@@ -17,11 +17,11 @@ Distributor onto cores (horizontal / vertical / hybrid layouts).  Under
 CPython's GIL stage threads cannot speed up a pure-Python pipeline, so
 those mappings are *modelled* — the calibrated model in
 :mod:`repro.sim` reproduces their performance consequences (Figure 4,
-DESIGN.md section 4) — and real cores are used by the process-parallel
-sharded backend (:mod:`repro.cjoin.parallel`, DESIGN.md section 8),
-selected via ``ExecutorConfig(backend='process', workers=N)``: data
-parallelism across fact shards sidesteps the GIL where
-thread-per-stage cannot.
+DESIGN.md section 4) — and real cores are used by the data-parallel
+sharded drain, the library call
+:func:`repro.cjoin.parallel.execute_process_parallel` (DESIGN.md
+section 8): data parallelism across fact shards sidesteps the GIL
+where thread-per-stage cannot.
 """
 
 from __future__ import annotations
@@ -33,13 +33,12 @@ from dataclasses import InitVar, dataclass
 from repro.cjoin.batch import FactBatch
 from repro.cjoin.manager import PipelineManager
 from repro.cjoin.pipeline import CJoinPipeline
-from repro.errors import ConfigError, PipelineError
+from repro.errors import PipelineError
 from repro.tuning import (
     DEFAULT_BATCH_SIZE,
     DEFAULT_IDLE_SLEEP,
     MAX_BATCH_SIZE,
     MAX_IDLE_SLEEP,
-    MAX_WORKERS,
     TuningConfig,
     _require_float,
     _require_int,
@@ -51,23 +50,17 @@ class ExecutorConfig:
     """Tuning for pipeline execution.
 
     Attributes:
-        backend: 'serial' (in-process, the default) or 'process' — the
-            sharded multi-process drain (DESIGN.md section 8).
-        workers: fact-table shards / worker processes for the process
-            backend; must be 1 for the serial backend.
         batch_size: items per preprocessor batch.
         reoptimize_interval: scanned tuples between reoptimization
             attempts (0 disables on-line reordering).
         profile_sample_rate: profile every k-th tuple for the ordering
             policy (0 disables profiling).
         tuning: init-only; a :class:`~repro.tuning.TuningConfig` whose
-            ``workers`` and ``batch_size`` override the keywords above
-            — the bridge from the unified runtime-tuning surface
-            (DESIGN.md section 13) into this low-level config.
+            ``batch_size`` overrides the keyword above — the bridge
+            from the unified runtime-tuning surface (DESIGN.md section
+            13) into this low-level config.
     """
 
-    backend: str = "serial"
-    workers: int = 1
     batch_size: int = DEFAULT_BATCH_SIZE
     reoptimize_interval: int = 4096
     profile_sample_rate: int = 64
@@ -75,20 +68,8 @@ class ExecutorConfig:
 
     def __post_init__(self, tuning: TuningConfig | None = None) -> None:
         if tuning is not None:
-            object.__setattr__(self, "workers", tuning.workers)
             object.__setattr__(self, "batch_size", tuning.batch_size)
-        if self.backend not in ("serial", "process"):
-            raise ConfigError(
-                f"unknown backend {self.backend!r}; "
-                f"expected 'serial' or 'process'"
-            )
-        _require_int("workers", self.workers, 1, MAX_WORKERS)
         _require_int("batch_size", self.batch_size, 1, MAX_BATCH_SIZE)
-        if self.backend == "serial" and self.workers != 1:
-            raise ConfigError(
-                f"workers={self.workers} requires backend='process'; "
-                f"the serial backend always uses exactly 1 worker"
-            )
 
 
 def _resolve_idle_sleep(idle_sleep):
@@ -185,8 +166,7 @@ class SynchronousExecutor:
         :meth:`step` reads ``self.config`` once per batch, so swapping
         the (immutable) config between batches is safe from any thread
         — the in-flight batch finishes under the old size and the next
-        one picks up the new.  Only ``batch_size`` applies here; the
-        worker layout is construction-time state.
+        one picks up the new.  Only ``batch_size`` applies here.
         """
         self.config = dataclasses.replace(
             self.config, batch_size=tuning.batch_size

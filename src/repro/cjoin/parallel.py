@@ -1,4 +1,5 @@
-"""Process-parallel sharded CJOIN drain (DESIGN.md section 8).
+"""Data-parallel sharded CJOIN drain, a library call (DESIGN.md
+section 8): :func:`execute_process_parallel`.
 
 The paper scales CJOIN by mapping pipeline components onto cores
 (section 4); under CPython's GIL that mapping is architecture-only
@@ -37,25 +38,21 @@ Transports:
   table, so repeat drains skip the encode; spawn workers attach the
   segment read-only and decode only their shard slice, so fact rows
   never cross a pipe even without fork;
-* ``'pickle'`` — spawn-safe: explicit picklable shard tasks carrying
-  the row snapshots (portable, slower; kept as the reference the
-  shared-memory transport is benchmarked against);
 * ``'inprocess'`` — the same shard/merge protocol on the calling
-  thread; used for ``workers=1``, as the graceful fallback for
-  unpicklable workloads or pool failures, and for deterministic
-  testing of the merge path.
+  thread; used for ``workers=1``, as the fallback for unpicklable
+  workloads or pool failures (each one logged as a warning), and for
+  deterministic testing of the merge path.
 
-Semantics intentionally relaxed relative to the always-on serial
-operator (documented in DESIGN.md section 8): queries are admitted at
-shard boundaries only (mid-scan admission is barrier'd — every query
-in a drain sees every shard in full), and MVCC snapshots are not
-consulted (matching the serial path when no versioned fact table is
-attached).
+Not a warehouse mode: no query a ``Warehouse`` accepts comes through
+here.  The call takes a closed query set, every query sees every shard
+in full, and MVCC snapshots are not consulted (matching the serial
+path when no versioned fact table is attached).
 """
 
 from __future__ import annotations
 
 import atexit
+import logging
 import multiprocessing
 import os
 import pickle
@@ -77,26 +74,18 @@ from repro.storage.shm import (
     publish_fact_rows,
 )
 from repro.storage.table import Table
-from repro.tuning import DEFAULT_BATCH_SIZE
+from repro.tuning import DEFAULT_BATCH_SIZE, MAX_BATCH_SIZE, _require_int
+
+logger = logging.getLogger(__name__)
+
+#: Upper bound on shard workers: beyond this, shard setup cost dwarfs
+#: any conceivable speedup on real hardware.
+MAX_WORKERS = 128
 
 #: Default cap on queries drained concurrently inside one shard
 #: pipeline (the worker-side ``maxConc``); larger query sets are
 #: drained in successive full-shard passes.
 DEFAULT_MAX_CONCURRENT = 256
-
-
-@dataclass(frozen=True)
-class ShardTask:
-    """Picklable payload for one worker under the 'pickle' transport."""
-
-    shard_index: int
-    star: StarSchema
-    fact_rows: tuple[tuple, ...]
-    dimension_rows: tuple[tuple[str, tuple[tuple, ...]], ...]
-    queries: tuple[StarQuery, ...]
-    batch_size: int
-    aggregation_mode: str
-    max_concurrent: int
 
 
 @dataclass(frozen=True)
@@ -126,8 +115,8 @@ def default_transport() -> str:
 
     Copy-on-write fork memory is still the cheapest way to hand
     workers the catalog; where only spawn exists (Windows, macOS
-    default), the shared-memory column transport replaces the old
-    row-pickling default.
+    default), the shared-memory column transport keeps fact rows
+    off the pipes.
     """
     if "fork" in multiprocessing.get_all_start_methods():
         return "fork"
@@ -192,23 +181,6 @@ def _drain_shard(
         operator.run_until_drained()
         states.extend(sink[query_id] for query_id in query_ids)
     return states
-
-
-def _run_shard_task(task: ShardTask) -> list:
-    """Pickle-transport worker body: rebuild tables, drain the shard."""
-    dimension_tables = {
-        name: Table.from_validated_rows(task.star.dimension(name), list(rows))
-        for name, rows in task.dimension_rows
-    }
-    catalog = _shard_catalog(task.star, task.fact_rows, dimension_tables)
-    return _drain_shard(
-        catalog,
-        task.star,
-        task.queries,
-        task.batch_size,
-        task.aggregation_mode,
-        task.max_concurrent,
-    )
 
 
 def _run_shm_task(task: ShmShardTask) -> list:
@@ -302,10 +274,10 @@ def execute_process_parallel(
     Args:
         workers: shard count = worker process count.  ``workers=1``
             runs in-process (no pool).
-        transport: 'fork', 'shm', 'pickle', 'inprocess', or None to
-            pick the platform default.  Pool or serialization failures
-            under any process transport fall back to 'inprocess'
-            transparently — same protocol, same results.
+        transport: 'fork', 'shm', 'inprocess', or None to pick the
+            platform default.  Pool or serialization failures under a
+            process transport fall back to 'inprocess' — same
+            protocol, same results — with one logged warning.
 
     Raises:
         ConfigError: on an invalid worker count or unknown transport.
@@ -313,13 +285,13 @@ def execute_process_parallel(
     queries = tuple(queries)
     if transport is None:
         transport = default_transport()
-    if transport not in ("fork", "shm", "pickle", "inprocess"):
+    if transport not in ("fork", "shm", "inprocess"):
         raise ConfigError(
             f"unknown transport {transport!r}; expected 'fork', 'shm', "
-            f"'pickle', or 'inprocess'"
+            f"or 'inprocess'"
         )
-    # validates workers/batch_size ranges with actionable messages
-    ExecutorConfig(backend="process", workers=workers, batch_size=batch_size)
+    _require_int("workers", workers, 1, MAX_WORKERS)
+    _require_int("batch_size", batch_size, 1, MAX_BATCH_SIZE)
     for query in queries:
         query.validate(star)
     if not queries:
@@ -340,16 +312,11 @@ def execute_process_parallel(
             star, fact_rows, dimension_tables, queries, spans,
             batch_size, aggregation_mode, max_concurrent,
         )
-    elif transport == "shm":
+    else:
         shard_states = _run_shm_pool(
             star, fact_rows, dimension_tables, queries, spans,
             batch_size, aggregation_mode, max_concurrent,
             fact_table=fact_table,
-        )
-    else:
-        shard_states = _run_pickle_pool(
-            star, fact_rows, dimension_tables, queries, spans,
-            batch_size, aggregation_mode, max_concurrent,
         )
     return merge_shard_states(star, queries, shard_states, aggregation_mode)
 
@@ -369,6 +336,16 @@ def _run_inprocess(
             )
         )
     return shard_states
+
+
+def _warn_fallback(transport: str, workers: int, reason: str) -> None:
+    """One warning per abandoned pool: a dead pool must not look like
+    a slow host (the in-process redo is slower than the serial drain)."""
+    logger.warning(
+        "%r transport with %d workers fell back to the in-process "
+        "drain: %s",
+        transport, workers, reason,
+    )
 
 
 def _run_fork_pool(
@@ -392,7 +369,8 @@ def _run_fork_pool(
         try:
             with context.Pool(processes=len(spans)) as pool:
                 return pool.map(_run_shard_span, spans)
-        except Exception:
+        except Exception as error:
+            _warn_fallback("fork", len(spans), repr(error))
             return _run_inprocess(
                 star, fact_rows, dimension_tables, queries, spans,
                 batch_size, aggregation_mode, max_concurrent,
@@ -413,52 +391,6 @@ def _spawn_is_safe() -> bool:
     main_module = sys.modules.get("__main__")
     main_file = getattr(main_module, "__file__", None)
     return main_file is None or os.path.isfile(main_file)
-
-
-def _run_pickle_pool(
-    star, fact_rows, dimension_tables, queries, spans,
-    batch_size, aggregation_mode, max_concurrent,
-) -> list[list]:
-    """Fan out over a spawn pool with explicit picklable shard tasks.
-
-    Workloads that cannot be pickled (e.g. ad-hoc predicate objects
-    defined in a REPL) and any pool failure fall back to the
-    in-process protocol — correctness first, parallelism best-effort.
-    """
-    if not _spawn_is_safe():
-        return _run_inprocess(
-            star, fact_rows, dimension_tables, queries, spans,
-            batch_size, aggregation_mode, max_concurrent,
-        )
-    dimension_rows = tuple(
-        (name, tuple(table.all_rows()))
-        for name, table in dimension_tables.items()
-    )
-    tasks = [
-        ShardTask(
-            shard_index=index,
-            star=star,
-            fact_rows=tuple(fact_rows[start:end]),
-            dimension_rows=dimension_rows,
-            queries=queries,
-            batch_size=batch_size,
-            aggregation_mode=aggregation_mode,
-            max_concurrent=max_concurrent,
-        )
-        for index, (start, end) in enumerate(spans)
-    ]
-    try:
-        # preflight only the workload: rows and schemas always pickle,
-        # queries may close over ad-hoc predicate objects that do not
-        pickle.dumps(queries)
-        context = multiprocessing.get_context("spawn")
-        with context.Pool(processes=len(tasks)) as pool:
-            return pool.map(_run_shard_task, tasks)
-    except Exception:
-        return _run_inprocess(
-            star, fact_rows, dimension_tables, queries, spans,
-            batch_size, aggregation_mode, max_concurrent,
-        )
 
 
 #: Published-segment cache for the 'shm' transport: the fact table is
@@ -522,10 +454,15 @@ def _run_shm_pool(
     per table (see :data:`_SHM_CACHE`); each worker's task carries
     only the layout descriptor and its span, so per-worker pipe
     traffic is independent of fact-table size and repeat drains skip
-    the encode entirely.  Unpicklable workloads and pool failures
-    fall back to the in-process protocol like every other transport.
+    the encode entirely.  Unpicklable workloads (e.g. ad-hoc
+    predicate objects defined in a REPL) and pool failures fall back
+    to the in-process protocol — correctness first, parallelism
+    best-effort.
     """
     if not _spawn_is_safe():
+        _warn_fallback(
+            "shm", len(spans), "__main__ is not a file spawn can re-import"
+        )
         return _run_inprocess(
             star, fact_rows, dimension_tables, queries, spans,
             batch_size, aggregation_mode, max_concurrent,
@@ -536,7 +473,8 @@ def _run_shm_pool(
     )
     segment = None  # owned by this drain only when there is no cache key
     try:
-        # same workload preflight as the pickle transport
+        # preflight only the workload: rows and schemas always pickle,
+        # queries may close over ad-hoc predicate objects that do not
         pickle.dumps(queries)
         if fact_table is not None:
             layout = _published_layout(
@@ -563,7 +501,8 @@ def _run_shm_pool(
         context = multiprocessing.get_context("spawn")
         with context.Pool(processes=len(tasks)) as pool:
             return pool.map(_run_shm_task, tasks)
-    except Exception:
+    except Exception as error:
+        _warn_fallback("shm", len(spans), repr(error))
         return _run_inprocess(
             star, fact_rows, dimension_tables, queries, spans,
             batch_size, aggregation_mode, max_concurrent,

@@ -126,8 +126,8 @@ class QueryHandle:
         #: set by _fail(): the error that refused a queued admission
         self._error: BaseException | None = None
         #: installed by whichever layer owns the query right now (the
-        #: service for queued submissions, the manager once admitted,
-        #: the warehouse for offline pending routes); cancel() calls it
+        #: server session or the service for queued submissions, the
+        #: manager once admitted); cancel() calls it
         self._canceller = None
         #: latest partial-result snapshot pushed by the Distributor
         self._partial_rows: list[tuple] = []

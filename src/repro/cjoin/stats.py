@@ -69,13 +69,6 @@ class QueryLatencyRecord:
     admitted_with_in_flight: int
     #: continuous-scan position the query started at
     scan_position_at_admission: int
-    #: which submission route completed the query: 'service' (the
-    #: always-on CJOIN operator), 'process' (sharded drain), or
-    #: 'baseline' (query-at-a-time engine) — matching Submission.route,
-    #: so the submission log and latency records join on one vocabulary
-    #: and latency_summary() covers the whole warehouse (DESIGN.md
-    #: section 10)
-    route: str = "service"
 
 
 @dataclass

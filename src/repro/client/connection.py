@@ -33,7 +33,6 @@ from repro.client.exceptions import (
     NotSupportedError,
     translated,
 )
-from repro.engine.submission import ROUTE_BASELINE, ROUTE_PROCESS
 from repro.engine.warehouse import Warehouse
 
 #: Default bound on how long a fetch blocks waiting for completion.
@@ -71,13 +70,7 @@ class Connection:
         #: the session's lifetime
         self._cursors: weakref.WeakSet[Cursor] = weakref.WeakSet()
         self._started_service = False
-        # the process backend admits at drain boundaries only, so a
-        # background driver would just idle; everything else serves live
-        if (
-            start_service
-            and warehouse.executor_config.backend == "serial"
-            and not warehouse.service.running
-        ):
+        if start_service and not warehouse.service.running:
             with translated():
                 warehouse.start_service()
             self._started_service = True
@@ -146,7 +139,7 @@ class Connection:
         """The warehouse telemetry + tuning-decision audit snapshot.
 
         Same schema over every transport: ``latency``, ``pipeline``,
-        ``service``, ``tuning``, ``backend``, and ``autotune`` (the
+        ``service``, ``ingest``, ``tuning``, and ``autotune`` (the
         adaptive controller's decision audit, DESIGN.md section 13).
         """
         self._check_open()
@@ -238,20 +231,12 @@ class Connection:
     def _complete(self, handle) -> None:
         """Make sure ``handle`` can finish before a blocking fetch.
 
-        With the background driver running and nothing parked on the
-        offline routes there is nothing to do — the fetch just blocks
-        on the handle.  Otherwise (no driver, or process/baseline
-        submissions waiting for their drain boundary) drive
+        With the background driver running there is nothing to do —
+        the fetch just blocks on the handle.  With no driver, drive
         ``Warehouse.run()`` on the calling thread.
         """
-        if handle.done:
-            return
-        warehouse = self.warehouse
-        offline_pending = warehouse.pending_submissions(
-            ROUTE_PROCESS
-        ) or warehouse.pending_submissions(ROUTE_BASELINE)
-        if offline_pending or not warehouse.service.running:
-            warehouse.run()
+        if not handle.done and not self.warehouse.service.running:
+            self.warehouse.run()
 
 
 def connect(

@@ -1,8 +1,8 @@
 """Warehouse facade: the system architecture of paper section 2.1.
 
-Concurrent star queries are diverted to the specialized CJOIN
-processor; anything else (or anything explicitly requested) runs on
-conventional query-at-a-time infrastructure.  Updates flow through
+Concurrent star queries ride the specialized CJOIN processor; the
+conventional query-at-a-time engine sits beside it on the same catalog
+(``Warehouse.baseline``).  Updates flow through
 snapshot isolation (section 3.5).  The always-on serving surface —
 background continuous scan, mid-scan online admission, latency
 telemetry — is :class:`~repro.engine.service.WarehouseService`
@@ -10,7 +10,6 @@ telemetry — is :class:`~repro.engine.service.WarehouseService`
 """
 
 from repro.engine.autotune import AutoTuner, TuningDecision, TuningPolicy
-from repro.engine.router import QueryRouter, RoutingDecision
 from repro.engine.service import WarehouseService
 from repro.engine.submission import Submission, SubmissionQueue
 from repro.engine.swap import SwapReport, WarehouseHolder, blue_green_swap
@@ -18,8 +17,6 @@ from repro.engine.warehouse import Warehouse
 
 __all__ = [
     "AutoTuner",
-    "QueryRouter",
-    "RoutingDecision",
     "Submission",
     "SubmissionQueue",
     "SwapReport",

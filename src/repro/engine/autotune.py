@@ -2,8 +2,8 @@
 section 13).
 
 The paper's promise is predictable latency under arbitrary
-concurrency, but the knobs that defend it — the service's admission
-bound, the process backend's worker count — were static while
+concurrency, but the knob that defends it — the service's admission
+bound — was static while
 :meth:`~repro.cjoin.stats.PipelineStats.latency_summary` already
 measures exactly what an autoscaler needs.  :class:`AutoTuner` closes
 that loop natively inside the engine, in the observe → decide → apply
@@ -11,18 +11,17 @@ shape production autoscalers use:
 
 * **observe** — each tick samples a :class:`TuningSample` from the
   warehouse's own telemetry: tail-window p95 end-to-end latency and
-  p95 admission wait, live admission-queue depth, in-flight occupancy,
-  and the offline process-route backlog;
+  p95 admission wait, live admission-queue depth and in-flight
+  occupancy;
 * **decide** — pure rules over the sample (no I/O, so every rule is
   unit-testable with a fake clock and fake telemetry): grow the
   admission bound when submissions queue behind it, shrink it after
-  sustained idleness, grow/shrink the process-backend worker pool
-  against its drain backlog, all bounded by the policy's clamps and
+  sustained idleness, both bounded by the policy's clamps and
   rate-limited by a cooldown;
 * **apply** — actions go through ``Warehouse.reconfigure``, the same
   runtime path a human operator uses, so every knob lands at its safe
-  boundary (scan cycle, batch, or drain) and results stay
-  reference-equal across a resize.
+  boundary (scan cycle or batch) and results stay reference-equal
+  across a resize.
 
 Every tick that proposes an action — applied, clamped, or suppressed
 by the cooldown — is recorded as a :class:`TuningDecision` in a
@@ -42,8 +41,6 @@ from repro.cjoin.stats import percentile
 from repro.errors import ConfigError, ReproError
 from repro.tuning import (
     MAX_CONCURRENT_QUERIES,
-    MAX_WORKERS,
-    TuningConfig,
     _require_float,
     _require_int,
 )
@@ -53,13 +50,6 @@ DEFAULT_INTERVAL = 0.25
 
 #: Default size of the decision-audit ring buffer.
 DEFAULT_AUDIT_LIMIT = 256
-
-
-def host_parallelism(cap: int = MAX_WORKERS) -> int:
-    """The largest worker count worth growing to on this host."""
-    import os
-
-    return max(1, min(cap, os.cpu_count() or 1))
 
 
 @dataclass(frozen=True)
@@ -81,12 +71,6 @@ class TuningSample:
     in_flight: int
     #: the service's current (effective) admission bound
     max_in_flight: int
-    #: the executor backend ('serial' or 'process')
-    backend: str
-    #: current process-backend worker count
-    workers: int
-    #: submissions parked on the offline process route
-    pending_process: int
 
 
 @dataclass(frozen=True)
@@ -125,15 +109,13 @@ class TuningPolicy:
 
     Attributes:
         min_in_flight / max_in_flight: clamp on the admission bound.
-        min_workers / max_workers: clamp on the process worker pool;
-            ``max_workers=None`` defaults to :func:`host_parallelism`.
         grow_factor / shrink_factor: multiplicative step sizes.
         queue_grow_fraction: grow the admission bound when the FIFO
             holds more than this fraction of it.
         idle_shrink_fraction: an "idle" sample has occupancy at or
             under this fraction of the bound (and an empty FIFO).
         shrink_patience: consecutive idle samples before shrinking
-            (hysteresis, so one quiet tick never thrashes the pool).
+            (hysteresis, so one quiet tick never thrashes the bound).
         cooldown_seconds: minimum spacing between *applied* actions;
             rules that fire inside it are audited but suppressed.
         latency_window: completed-query records in the p95 tail window.
@@ -141,8 +123,6 @@ class TuningPolicy:
 
     min_in_flight: int = 2
     max_in_flight: int = 1024
-    min_workers: int = 1
-    max_workers: int | None = None
     grow_factor: float = 2.0
     shrink_factor: float = 0.5
     queue_grow_fraction: float = 0.25
@@ -159,12 +139,6 @@ class TuningPolicy:
             "max_in_flight", self.max_in_flight,
             self.min_in_flight, MAX_CONCURRENT_QUERIES,
         )
-        _require_int("min_workers", self.min_workers, 1, MAX_WORKERS)
-        if self.max_workers is not None:
-            _require_int(
-                "max_workers", self.max_workers,
-                self.min_workers, MAX_WORKERS,
-            )
         _require_float("grow_factor", self.grow_factor, 1.0, 64.0)
         _require_float("shrink_factor", self.shrink_factor, 0.0, 1.0)
         _require_float(
@@ -179,12 +153,6 @@ class TuningPolicy:
         )
         _require_int("latency_window", self.latency_window, 1, 1 << 20)
 
-    def worker_ceiling(self) -> int:
-        """The effective upper clamp on the worker pool."""
-        if self.max_workers is not None:
-            return self.max_workers
-        return max(self.min_workers, host_parallelism())
-
 
 class AutoTuner:
     """The controller thread: sample → rules → bounded resize actions.
@@ -192,9 +160,8 @@ class AutoTuner:
     Args:
         warehouse: the live warehouse to observe and resize; only
             ``tuning``, ``reconfigure``, and (for the default probe)
-            ``service`` / ``cjoin`` / ``pending_submissions`` /
-            ``executor_config`` are touched, so tests drive the rules
-            with a stub warehouse.
+            ``service`` / ``cjoin`` are touched, so tests drive the
+            rules with a stub warehouse.
         policy: rule thresholds and clamps (default
             :class:`TuningPolicy`).
         interval: seconds between ticks of the background thread.
@@ -228,7 +195,6 @@ class AutoTuner:
         self._thread: threading.Thread | None = None
         self._last_action_at: float | None = None
         self._idle_streak = 0
-        self._worker_idle_streak = 0
         self.last_sample: TuningSample | None = None
         self.last_error: BaseException | None = None
 
@@ -244,8 +210,6 @@ class AutoTuner:
         tail = warehouse.cjoin.stats.recent_latency_records(
             self.policy.latency_window
         )
-        from repro.engine.submission import ROUTE_PROCESS
-
         return TuningSample(
             at=self.clock(),
             p95=percentile([r.latency_seconds for r in tail], 0.95),
@@ -260,19 +224,16 @@ class AutoTuner:
             ),
             in_flight=service["in_flight"],
             max_in_flight=service["max_in_flight"],
-            backend=warehouse.executor_config.backend,
-            workers=warehouse.executor_config.workers,
-            pending_process=warehouse.pending_submissions(ROUTE_PROCESS),
         )
 
     # ------------------------------------------------------------------
     # Decide (pure: sample + policy + streak state → decisions)
     # ------------------------------------------------------------------
-    def _propose(self, sample: TuningSample) -> tuple[str, str, int, int] | None:
-        """The first rule that wants to move a knob, or None.
+    def _propose(self, sample: TuningSample) -> tuple[str, int] | None:
+        """The first rule that wants to move the bound, or None.
 
-        Returns ``(rule, knob, raw_target, current)``; priority favors
-        growing under pressure over shrinking when idle.
+        Returns ``(rule, raw_target)``; priority favors growing under
+        pressure over shrinking when idle.
         """
         policy = self.policy
         # grow_admission: submissions are queueing behind the bound
@@ -283,61 +244,24 @@ class AutoTuner:
                 sample.max_in_flight + 1,
                 int(sample.max_in_flight * policy.grow_factor),
             )
-            return ("grow_admission", "max_in_flight", raw, sample.max_in_flight)
-        # grow_workers: the offline drain backlog outruns the pool
-        if (
-            sample.backend == "process"
-            and sample.pending_process > sample.workers
-        ):
-            raw = max(
-                sample.workers + 1,
-                int(sample.workers * policy.grow_factor),
-            )
-            return ("grow_workers", "workers", raw, sample.workers)
+            return ("grow_admission", raw)
         # shrink_admission: sustained low occupancy, nothing waiting
-        admission_idle = (
-            sample.queued == 0
-            and sample.in_flight
-            <= policy.idle_shrink_fraction * sample.max_in_flight
-        )
         if (
-            admission_idle
+            self._admission_idle(sample)
             and self._idle_streak >= policy.shrink_patience
             and sample.max_in_flight > policy.min_in_flight
         ):
-            raw = int(sample.max_in_flight * policy.shrink_factor)
             return (
-                "shrink_admission", "max_in_flight", raw, sample.max_in_flight
+                "shrink_admission",
+                int(sample.max_in_flight * policy.shrink_factor),
             )
-        # shrink_workers: the process backlog has stayed empty
-        if (
-            sample.backend == "process"
-            and sample.pending_process == 0
-            and self._worker_idle_streak >= policy.shrink_patience
-            and sample.workers > policy.min_workers
-        ):
-            raw = int(sample.workers * policy.shrink_factor)
-            return ("shrink_workers", "workers", raw, sample.workers)
         return None
 
-    def _clamp(self, knob: str, raw: int) -> int:
-        policy = self.policy
-        if knob == "max_in_flight":
-            return min(max(raw, policy.min_in_flight), policy.max_in_flight)
-        return min(max(raw, policy.min_workers), policy.worker_ceiling())
-
-    def _advance_streaks(self, sample: TuningSample) -> None:
-        admission_idle = (
+    def _admission_idle(self, sample: TuningSample) -> bool:
+        return (
             sample.queued == 0
             and sample.in_flight
             <= self.policy.idle_shrink_fraction * sample.max_in_flight
-        )
-        self._idle_streak = self._idle_streak + 1 if admission_idle else 0
-        workers_idle = (
-            sample.backend == "process" and sample.pending_process == 0
-        )
-        self._worker_idle_streak = (
-            self._worker_idle_streak + 1 if workers_idle else 0
         )
 
     # ------------------------------------------------------------------
@@ -354,22 +278,24 @@ class AutoTuner:
         proposal = self._propose(sample)
         # streaks advance after proposing, so patience is measured in
         # *previous* consecutive idle samples
-        self._advance_streaks(sample)
+        self._idle_streak = (
+            self._idle_streak + 1 if self._admission_idle(sample) else 0
+        )
         if proposal is None:
             return None
-        rule, knob, raw, current = proposal
-        target = self._clamp(knob, raw)
+        rule, raw = proposal
+        policy = self.policy
+        current = sample.max_in_flight
+        target = min(max(raw, policy.min_in_flight), policy.max_in_flight)
         signals = {
             "p95": sample.p95,
             "wait_p95": sample.wait_p95,
             "queued": sample.queued,
             "in_flight": sample.in_flight,
             "max_in_flight": sample.max_in_flight,
-            "workers": sample.workers,
-            "pending_process": sample.pending_process,
         }
-        action = {"knob": knob, "from": current, "raw_target": raw,
-                  "to": target}
+        action = {"knob": "max_in_flight", "from": current,
+                  "raw_target": raw, "to": target}
         if target == current:
             return self._record(
                 sample.at, rule, signals, action, False,
@@ -378,7 +304,7 @@ class AutoTuner:
         if (
             self._last_action_at is not None
             and sample.at - self._last_action_at
-            < self.policy.cooldown_seconds
+            < policy.cooldown_seconds
         ):
             return self._record(
                 sample.at, rule, signals, action, False,
@@ -390,7 +316,7 @@ class AutoTuner:
             reason = "applied (clamped to the policy bound)"
         try:
             self.warehouse.reconfigure(
-                self.warehouse.tuning.replace(**{knob: target})
+                self.warehouse.tuning.replace(max_in_flight=target)
             )
         except (ConfigError, ReproError) as error:
             return self._record(
@@ -398,11 +324,8 @@ class AutoTuner:
                 f"apply failed: {error}",
             )
         self._last_action_at = sample.at
-        # an applied action resets the relevant hysteresis
-        if knob == "max_in_flight":
-            self._idle_streak = 0
-        else:
-            self._worker_idle_streak = 0
+        # an applied action resets the hysteresis
+        self._idle_streak = 0
         return self._record(sample.at, rule, signals, action, True, reason)
 
     def _record(

@@ -1,48 +1,45 @@
-"""The unified submission lifecycle (DESIGN.md section 10).
+"""The submission lifecycle (DESIGN.md section 10).
 
-Every query entering the warehouse — whether it rides the always-on
-CJOIN service, waits for the next process-parallel shard drain, or
-falls back to the query-at-a-time baseline engine — is wrapped in one
-:class:`Submission` with the same lifecycle: *submitted* (handle
-created, timestamps running) → *admitted* (work started; queued
-submissions can be cancelled for free until here) → *completed* or
-*cancelled*.  Before this layer the three routes were three private
-code paths with divergent telemetry; now the warehouse keeps one
-submission log and every route reports the same
-:class:`~repro.cjoin.stats.QueryLatencyRecord` fields.
+Every query entering the warehouse rides the always-on CJOIN service
+(paper section 3.1) and is wrapped in one :class:`Submission`:
+*submitted* (handle created, timestamps running) -> *admitted* (work
+started; queued submissions can be cancelled for free until here) ->
+*completed* or *cancelled*.  The warehouse keeps one bounded submission
+log of them.
 
-:class:`SubmissionQueue` is the FIFO for the two offline routes
-(process, baseline), which admit work at drain boundaries only.  It is
-a first-class citizen of the cancellation protocol: a queued
+:class:`SubmissionQueue` is the FIFO a layer *above* the warehouse
+parks submissions in before handing them over — the TCP server's
+per-connection admission queue (``server/session.py``).  It is a
+first-class citizen of the cancellation protocol: a queued
 submission's handle carries a canceller that drops the entry in place,
-mirroring what the service's admission FIFO does for mid-scan routes.
+mirroring what the service's admission FIFO does once the warehouse
+has the query.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass, field
 
 from repro.cjoin.registry import QueryHandle
 from repro.query.star import StarQuery
 
-#: The three submission routes a warehouse query can take.
+#: The route of a query the warehouse accepted (a session's queue
+#: tags its not-yet-handed-over entries ``'remote'``).
 ROUTE_SERVICE = "service"
-ROUTE_PROCESS = "process"
-ROUTE_BASELINE = "baseline"
 
 
 @dataclass
 class Submission:
-    """One query's trip through the warehouse, on any route.
+    """One query's trip through the warehouse.
 
     Attributes:
         query: the validated star query.
         handle: the caller's handle; its timestamps (``submitted_at``,
             ``admitted_at``, ``completed_at``) are the single source of
             truth for this submission's latency telemetry.
-        route: ``'service'``, ``'process'``, or ``'baseline'``.
+        route: ``'service'``, or ``'remote'`` while a server session
+            still holds it.
         label: the query's label (telemetry convenience).
     """
 
@@ -50,8 +47,6 @@ class Submission:
     handle: QueryHandle
     route: str
     label: str | None = field(default=None)
-    #: concurrent submissions in the same drain batch (offline routes)
-    admitted_with_in_flight: int = 0
 
     def __post_init__(self) -> None:
         if self.label is None:
@@ -72,11 +67,6 @@ class Submission:
         """True once work started (the handle was stamped)."""
         return self.handle.admitted_at is not None
 
-    def mark_admitted(self, in_flight: int = 0) -> None:
-        """Stamp admission time for an offline drain (telemetry)."""
-        self.handle.admitted_at = time.perf_counter()
-        self.admitted_with_in_flight = in_flight
-
     def __repr__(self) -> str:
         state = (
             "cancelled"
@@ -94,12 +84,12 @@ class Submission:
 
 
 class SubmissionQueue:
-    """FIFO of offline submissions awaiting the next drain boundary.
+    """FIFO of submissions waiting to be handed to the warehouse.
 
-    Thread-safe; used by the warehouse for the process and baseline
-    routes.  Cancellation drops a queued entry in place and completes
-    its handle as cancelled — identical semantics to the service's
-    admission FIFO, just at drain granularity.
+    Thread-safe; used by the server session for statements beyond its
+    connection's in-flight bound.  Cancellation drops a queued entry in
+    place and completes its handle as cancelled — identical semantics
+    to the service's admission FIFO.
     """
 
     def __init__(self, route: str) -> None:
@@ -118,7 +108,7 @@ class SubmissionQueue:
             self._entries.append(submission)
 
     def cancel(self, submission: Submission) -> bool:
-        """Drop a queued submission; no-op once a drain claimed it."""
+        """Drop a queued submission; no-op once a pump claimed it."""
         with self._lock:
             try:
                 self._entries.remove(submission)
@@ -129,7 +119,7 @@ class SubmissionQueue:
         return True
 
     def cancel_all(self) -> int:
-        """Cancel every queued submission (warehouse shutdown).
+        """Cancel every queued submission (session teardown).
 
         Blocked waiters on the dropped handles wake with
         ``CancelledError`` instead of hanging forever.  Returns the
@@ -143,18 +133,18 @@ class SubmissionQueue:
         return len(batch)
 
     def take(self) -> list[Submission]:
-        """Claim every pending submission for a drain (FIFO order)."""
+        """Claim every pending submission (FIFO order)."""
         with self._lock:
             batch, self._entries = self._entries, []
         return batch
 
     def restore(self, batch: list[Submission]) -> None:
-        """Return a claimed batch after a failed drain (retryable).
+        """Return the unsubmitted rest of a claimed batch.
 
         The handles' cancellers still point at this queue (``take()``
-        never detaches them; a cancel during the failed drain was just
-        a no-op), so re-queueing the entries makes them cancellable
-        again with no further wiring.
+        never detaches them; a cancel while claimed was just a no-op),
+        so re-queueing the entries makes them cancellable again with
+        no further wiring.
         """
         with self._lock:
             self._entries = [*batch, *self._entries]

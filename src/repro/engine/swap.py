@@ -107,7 +107,7 @@ def blue_green_swap(
         old_queued = old.service.queued
     started = time.monotonic()
     # queries admitted before the flip complete against the version
-    # they were admitted under; run() also drains the offline routes
+    # they were admitted under
     if old.service.running:
         old.service.drain(timeout=drain_timeout)
     old.run()

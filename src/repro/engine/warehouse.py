@@ -30,16 +30,8 @@ from repro.catalog.schema import StarSchema
 from repro.cjoin.executor import ExecutorConfig
 from repro.cjoin.operator import CJoinOperator
 from repro.cjoin.registry import QueryHandle
-from repro.cjoin.stats import QueryLatencyRecord
-from repro.engine.router import QueryRouter, RoutingDecision
 from repro.engine.service import WarehouseService
-from repro.engine.submission import (
-    ROUTE_BASELINE,
-    ROUTE_PROCESS,
-    ROUTE_SERVICE,
-    Submission,
-    SubmissionQueue,
-)
+from repro.engine.submission import ROUTE_SERVICE, Submission
 from repro.errors import ConfigError, QueryError, SchemaError
 from repro.ingest.buffer import (
     DEFAULT_BUFFER_ROWS,
@@ -63,7 +55,10 @@ SUBMISSION_LOG_LIMIT = 4096
 
 
 class Warehouse:
-    """One star-schema warehouse with a CJOIN path and a baseline path."""
+    """One star-schema warehouse: the always-on CJOIN operator, plus
+
+    a query-at-a-time engine (:attr:`baseline`) over the same catalog.
+    """
 
     def __init__(
         self,
@@ -73,7 +68,6 @@ class Warehouse:
         max_concurrent: int = 256,
         enable_updates: bool = False,
         execution: str = "batched",
-        backend: str = "serial",
         tuning: TuningConfig | None = None,
         ingest_buffer_rows: int = DEFAULT_BUFFER_ROWS,
         data_dir: str | None = None,
@@ -82,17 +76,11 @@ class Warehouse:
             execution: vestigial — there is one pipeline (DESIGN.md
                 section 5); only ``'batched'`` is accepted, and the
                 keyword goes with the next benchmark PR.
-            backend: 'serial' for the always-on in-process operator, or
-                'process' to drain CJOIN queries over fact shards in
-                worker processes (DESIGN.md section 8).  The process
-                backend admits queries at drain boundaries only and is
-                incompatible with ``enable_updates``.
             tuning: every runtime-tunable knob as one validated
                 :class:`~repro.tuning.TuningConfig` — the service
                 bounds (``max_in_flight``, ``admission_queue_depth``,
-                ``idle_sleep``, DESIGN.md section 9) plus the executor
-                knobs (``workers`` for backend='process',
-                ``batch_size``).  Mutable at runtime through
+                ``idle_sleep``, DESIGN.md section 9) plus the executor's
+                ``batch_size``.  Mutable at runtime through
                 :meth:`reconfigure` (DESIGN.md section 13).
             ingest_buffer_rows: bound on staged-but-unapplied streaming
                 writes (DESIGN.md section 15); a full buffer rejects
@@ -119,26 +107,15 @@ class Warehouse:
                 f"unknown execution {execution!r}: the tuple-at-a-time "
                 f"path is gone, drop the argument"
             )
-        self.executor_config = ExecutorConfig(backend=backend, tuning=tuning)
-        if backend == "process" and enable_updates:
-            raise ConfigError(
-                "backend='process' does not support enable_updates: "
-                "shard workers cannot see the coordinator's MVCC "
-                "snapshots; use backend='serial' for update workloads"
-            )
         self.catalog = catalog
         self.star = star
         self.io_stats = IOStats()
         self.buffer_pool = BufferPool(buffer_pool_pages, self.io_stats)
-        self.router = QueryRouter(star)
         self.transactions: TransactionManager | None = None
         self.versioned_fact: VersionedTable | None = None
         if enable_updates:
             self.transactions = TransactionManager()
             self.versioned_fact = VersionedTable(catalog.table(star.fact.name))
-        self.max_concurrent = max_concurrent
-        # the always-on operator is serial even when the offline drain
-        # is process-sharded, so its config takes batch_size only
         self.cjoin = CJoinOperator(
             catalog,
             star,
@@ -155,8 +132,8 @@ class Warehouse:
             versioned_fact=self.versioned_fact,
         )
         #: the always-on serving surface (DESIGN.md section 9): owns
-        #: the CJOIN admission queue; submit() delegates to it and
-        #: run() drains through it
+        #: the admission queue; submit() delegates to it and run()
+        #: drains through it
         self.service = WarehouseService(self.cjoin, tuning=tuning)
         #: streaming-write staging (DESIGN.md section 15): batches wait
         #: here until the scan-boundary hook lands them atomically
@@ -172,13 +149,6 @@ class Warehouse:
         self._tuning_lock = threading.Lock()
         #: the adaptive controller, when enabled (DESIGN.md section 13)
         self.autotuner = None
-        #: offline-route FIFOs: submissions waiting for the next drain
-        #: boundary, with the same cancellation semantics as the
-        #: service's admission queue (DESIGN.md section 10)
-        self._offline_queues = {
-            ROUTE_PROCESS: SubmissionQueue(ROUTE_PROCESS),
-            ROUTE_BASELINE: SubmissionQueue(ROUTE_BASELINE),
-        }
         #: recent submissions in arrival order, bounded so an always-on
         #: service does not pin every query's results forever
         self._submission_log: deque[Submission] = deque(
@@ -282,21 +252,16 @@ class Warehouse:
     def submit(
         self,
         query: StarQuery,
-        force: RoutingDecision | None = None,
         handle: QueryHandle | None = None,
     ) -> QueryHandle:
         """Submit a star query; returns a handle for its results.
 
-        Every route flows through one :class:`Submission` lifecycle
-        (DESIGN.md section 10).  CJOIN-routed queries join the
-        always-on service's FIFO and are admitted mid-scan, as one group
-        with whatever else arrived, at the driving thread's next batch
-        boundary.  Process- and baseline-routed queries join their
-        offline FIFO and admit at the next :meth:`run` drain boundary.
-        The query is validated here, once (the router's schema check),
-        whichever route it takes.  Either way the caller
-        holds one uniform handle — blocking results, streaming,
-        ``cancel()``, and latency telemetry behave the same.
+        The one way in (DESIGN.md section 10): the query is validated
+        here, once, joins the always-on service's FIFO and is admitted
+        mid-scan, as one group with whatever else arrived, at the
+        driving thread's next batch boundary.  The handle gives
+        blocking results, streaming, ``cancel()`` and latency
+        telemetry.
 
         ``handle`` lets a layer that queued the query *before* the
         warehouse (the TCP server's per-connection admission queue,
@@ -311,29 +276,10 @@ class Warehouse:
         """
         self._require_open()
         query = self._stamp_snapshot(query)
-        decision = self.router.route(query, force)
-        if decision is RoutingDecision.CJOIN:
-            if self.executor_config.backend == "process":
-                submission = self._enqueue_offline(ROUTE_PROCESS, query, handle)
-            else:
-                handle = self.service._enqueue(query, handle)
-                submission = Submission(query, handle, ROUTE_SERVICE)
-                self._submission_log.append(submission)
-        else:
-            submission = self._enqueue_offline(ROUTE_BASELINE, query, handle)
-        return submission.handle
-
-    def _enqueue_offline(
-        self,
-        route: str,
-        query: StarQuery,
-        handle: QueryHandle | None = None,
-    ) -> Submission:
-        """Queue a (validated) submission for an offline route's next drain."""
-        submission = Submission(query, handle or QueryHandle(query), route)
-        self._offline_queues[route].add(submission)
-        self._submission_log.append(submission)
-        return submission
+        query.validate(self.star)
+        handle = self.service._enqueue(query, handle)
+        self._submission_log.append(Submission(query, handle, ROUTE_SERVICE))
+        return handle
 
     def _require_open(self) -> None:
         if self._closed:
@@ -342,12 +288,7 @@ class Warehouse:
                 "'with Warehouse(...) as warehouse:' scoping)"
             )
 
-    def submit_sql(
-        self,
-        sql: str,
-        force: RoutingDecision | None = None,
-        params=None,
-    ) -> QueryHandle:
+    def submit_sql(self, sql: str, params=None) -> QueryHandle:
         """Parse and submit a star query written in SQL.
 
         ``params`` binds ``?`` / ``:name`` placeholders (a sequence or
@@ -358,7 +299,7 @@ class Warehouse:
         from repro.sql.parser import parse_star_query
 
         query = parse_star_query(sql, self.star, params)
-        return self.submit(query, force)
+        return self.submit(query)
 
     def execute_sql(self, sql: str, params=None) -> list[tuple]:
         """Convenience: parse, submit, run, return rows.
@@ -374,16 +315,19 @@ class Warehouse:
         return handle.results()
 
     def explain_sql(self, sql: str) -> str:
-        """EXPLAIN-style report: routing, per-dimension selectivities,
+        """EXPLAIN-style report: per-dimension selectivities and the
 
-        and the work-sharing the query would get right now.
+        work-sharing the query would get right now.
         """
         from repro.query.predicate import estimate_selectivity
         from repro.sql.parser import parse_star_query
 
         query = parse_star_query(sql, self.star)
-        lines = [f"star query on {query.fact_table!r}"]
-        lines.append(f"routing: {self.router.explain(query)}")
+        lines = [
+            f"star query on {query.fact_table!r}",
+            "routing: cjoin: joins shared work with all in-flight "
+            "star queries",
+        ]
         for name in query.referenced_dimensions():
             dimension = self.catalog.table(name)
             fraction = estimate_selectivity(
@@ -422,10 +366,8 @@ class Warehouse:
     def start_service(self) -> WarehouseService:
         """Start the always-on background driver; returns the service.
 
-        Afterwards, CJOIN-routed submissions are admitted mid-scan and
-        complete in the background — read them with
-        ``handle.results(timeout=...)``.  Baseline-routed queries still
-        drain inside :meth:`run`.
+        Afterwards, submissions are admitted mid-scan and complete in
+        the background — read them with ``handle.results(timeout=...)``.
         """
         return self.service.start()
 
@@ -452,24 +394,14 @@ class Warehouse:
           ``idle_sleep``) apply immediately; queued/registered queries
           are never evicted, the driver's admission pump just sees the
           new limits on its next scan cycle;
-        * ``batch_size`` reaches the serial executor at its next batch
-          boundary (the immutable-config swap);
-        * ``workers`` takes effect at the next process-backend drain —
-          shard pools are built per drain, so workers "join/retire" at
-          drain boundaries and the worker-count-independent merge
-          protocol keeps results identical.
+        * ``batch_size`` reaches the executor at its next batch
+          boundary (the immutable-config swap).
 
-        Returns the applied config.  Raises
-        :class:`~repro.errors.ConfigError` before touching anything
-        when the config cannot fit this warehouse (e.g. ``workers > 1``
-        on the serial backend).
+        Returns the applied config (a :class:`TuningConfig` that exists
+        has already passed validation).
         """
         self._require_open()
         with self._tuning_lock:
-            # validates workers-vs-backend up front; only then mutate
-            self.executor_config = ExecutorConfig(
-                backend=self.executor_config.backend, tuning=tuning
-            )
             self.service.reconfigure(tuning)
             self.cjoin.executor.reconfigure(tuning)
             self._tuning = tuning
@@ -481,7 +413,7 @@ class Warehouse:
         The canonical schema served identically over every transport
         (the local ``Connection.stats()``, the wire STATS frame of
         docs/PROTOCOL.md section 9, and the async client): latency
-        percentiles over all routes, pipeline counters, the service's
+        percentiles, pipeline counters, the service's
         live admission state, the current tuning config, and the
         adaptive controller's decision audit when one is enabled.
         """
@@ -509,13 +441,6 @@ class Warehouse:
                 "snapshot_id": self.current_snapshot_id,
             },
             "tuning": tuning,
-            "backend": {
-                "backend": self.executor_config.backend,
-                "workers": self.executor_config.workers,
-                "batch_size": self.executor_config.batch_size,
-                "pending_process": self.pending_submissions(ROUTE_PROCESS),
-                "pending_baseline": self.pending_submissions(ROUTE_BASELINE),
-            },
             "autotune": {
                 "enabled": autotuner is not None and autotuner.running,
                 "decisions": (
@@ -557,96 +482,19 @@ class Warehouse:
         if self.autotuner is not None:
             self.autotuner.stop()
 
-    def run(self, max_in_flight_baseline: int | None = None) -> None:
+    def run(self) -> None:
         """Run all submitted queries to completion.
 
-        Compatibility wrapper over the service: without a running
-        driver this drives the pipeline on the calling thread exactly
-        as before; with one, it blocks until the service drains.  The
-        offline routes (process shards, baseline engine) drain here at
-        their batch boundaries, with the same admission/latency
-        telemetry the service records (DESIGN.md section 10).
+        Without a running driver this drives the pipeline on the
+        calling thread; with one, it blocks until the service drains.
 
         Raises:
-            QueryError: when the warehouse has been closed (close()
-                guarantees queued offline submissions never complete).
+            QueryError: when the warehouse has been closed.
         """
         self._require_open()
-        # staged writes land first, so offline drains (and the service
-        # boundary below, via its cycle hook) query the freshest data
+        # staged writes land first, so the drain queries the freshest data
         self.apply_pending_ingest()
-        self._drain_offline(
-            ROUTE_PROCESS,
-            lambda queries: self._execute_process(queries),
-        )
         self.service.drain()
-        self._drain_offline(
-            ROUTE_BASELINE,
-            lambda queries: self.baseline.execute_concurrent(
-                queries, max_in_flight_baseline
-            ),
-        )
-
-    def _execute_process(self, queries: list[StarQuery]) -> list[list[tuple]]:
-        from repro.cjoin.parallel import execute_process_parallel
-
-        return execute_process_parallel(
-            self.catalog,
-            self.star,
-            queries,
-            workers=self.executor_config.workers,
-            batch_size=self.executor_config.batch_size,
-            max_concurrent=self.max_concurrent,
-        )
-
-    def _drain_offline(self, route: str, executor) -> None:
-        """Drain one offline FIFO through ``executor`` with telemetry.
-
-        The batch is claimed up front (cancelled entries are already
-        gone); on failure it is restored intact, so an interrupted
-        :meth:`run` can simply be retried with the queries still
-        queued.  Each completed submission is stamped and reported as a
-        :class:`~repro.cjoin.stats.QueryLatencyRecord` on the shared
-        pipeline stats, so :meth:`latency_summary` covers every route.
-        """
-        queue = self._offline_queues[route]
-        batch = queue.take()
-        if not batch:
-            return
-        try:
-            for submission in batch:
-                submission.mark_admitted(in_flight=len(batch) - 1)
-            results = executor([submission.query for submission in batch])
-        except BaseException:
-            queue.restore(batch)
-            raise
-        for submission, rows in zip(batch, results):
-            submission.handle.complete(rows)
-            self._record_offline_latency(submission)
-
-    def _record_offline_latency(self, submission: Submission) -> None:
-        """Report an offline completion like a service completion.
-
-        ``query_id`` is 0 (never pipeline-registered) and
-        ``scan_cycles`` is 1.0 for the process route (one sharded pass
-        over the fact table) or 0.0 for the baseline engine (private
-        plans, not the continuous scan).
-        """
-        handle = submission.handle
-        if handle.cancelled or handle.admitted_at is None:
-            return
-        self.cjoin.stats.record_latency(
-            QueryLatencyRecord(
-                query_id=0,
-                label=submission.label,
-                wait_seconds=handle.admitted_at - handle.submitted_at,
-                scan_cycles=1.0 if submission.route == ROUTE_PROCESS else 0.0,
-                latency_seconds=handle.completed_at - handle.submitted_at,
-                admitted_with_in_flight=submission.admitted_with_in_flight,
-                scan_position_at_admission=0,
-                route=submission.route,
-            )
-        )
 
     # ------------------------------------------------------------------
     # Lifecycle and telemetry introspection
@@ -654,12 +502,9 @@ class Warehouse:
     def close(self) -> None:
         """Shut the warehouse down (idempotent).
 
-        Stops the service driver, joins its threads, rejects further
-        submissions, and cancels queued offline submissions — so a
-        thread blocked iterating one of their handles wakes with
-        :class:`~repro.errors.CancelledError` instead of hanging.
-        In-flight CJOIN state is preserved exactly as
-        :meth:`stop_service` leaves it.
+        Stops the service driver, joins its threads and rejects
+        further submissions.  In-flight CJOIN state is preserved
+        exactly as :meth:`stop_service` leaves it.
         """
         if self._closed:
             return
@@ -675,8 +520,6 @@ class Warehouse:
         self.ingest_buffer.reject_all(
             "warehouse closed before the batch could be applied"
         )
-        for queue in self._offline_queues.values():
-            queue.cancel_all()
         if self.durability is not None:
             # a clean shutdown checkpoints: the WAL tail compacts into
             # a fresh snapshot generation, so the next open() loads one
@@ -699,27 +542,22 @@ class Warehouse:
 
     @property
     def submissions(self) -> list[Submission]:
-        """Recent accepted submissions, in arrival order (all routes).
+        """Recent accepted submissions, in arrival order.
 
         Bounded to the last ``SUBMISSION_LOG_LIMIT`` entries so the
         always-on service never pins unbounded history.
         """
         return list(self._submission_log)
 
-    def pending_submissions(self, route: str) -> int:
-        """Queued-but-undrained submissions on an offline route."""
-        return len(self._offline_queues[route])
-
     def latency_summary(self) -> dict[str, float]:
-        """p50/p95/p99 latency over completions on *all* routes."""
+        """p50/p95/p99 latency over recent completions."""
         return self.cjoin.stats.latency_summary()
 
     @property
     def latency_records(self):
         """The most recent per-query latency records, oldest first
 
-        (service, process, and baseline routes; at most
-        ``repro.cjoin.stats.LATENCY_WINDOW`` of them).
+        (at most ``repro.cjoin.stats.LATENCY_WINDOW`` of them).
         """
         return self.cjoin.stats.recent_latency_records()
 

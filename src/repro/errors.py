@@ -84,12 +84,11 @@ class PipelineError(ReproError):
 
 
 class ConfigError(PipelineError):
-    """An execution configuration is invalid (unknown mode/backend,
+    """An execution configuration is invalid (out-of-range worker or
 
-    out-of-range worker or batch counts, inconsistent stage layouts,
-    ...).  Subclasses :class:`PipelineError` so pre-existing callers
-    that catch configuration problems at pipeline granularity keep
-    working.
+    batch counts, an unknown shard transport, ...).  Subclasses
+    :class:`PipelineError` so pre-existing callers that catch
+    configuration problems at pipeline granularity keep working.
     """
 
 

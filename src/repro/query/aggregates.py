@@ -8,7 +8,7 @@ counts rows regardless of values.
 Every accumulator is a *commutative mergeable state*, not just a
 streaming fold: :meth:`Accumulator.merge` combines two partial states
 into one as if their inputs had been concatenated.  This is what lets
-the process-parallel backend (DESIGN.md section 8) aggregate each fact
+the data-parallel sharded drain (DESIGN.md section 8) aggregate each fact
 shard independently and have a coordinator merge the per-shard states
 — AVG in particular keeps its (sum, count) pair un-finalized so the
 merge is exact.

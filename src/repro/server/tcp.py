@@ -47,7 +47,6 @@ from repro.client.exceptions import (
     translated,
 )
 from repro.cjoin.registry import QueryHandle
-from repro.engine.submission import ROUTE_BASELINE, ROUTE_PROCESS
 from repro.engine.warehouse import Warehouse
 from repro.server import protocol
 from repro.server.protocol import ProtocolError
@@ -72,8 +71,8 @@ OUTBOX_FRAMES = 64
 #: pushing backpressure onto the client's socket.
 DEFAULT_MAX_PENDING_FETCHES = 1024
 
-#: Waiters poll at this cadence only while offline routes need
-#: driving; with the service driver running they sleep on completion
+#: Waiters poll at this cadence only while no service driver runs
+#: (stopped or dead); with one running they sleep on completion
 #: callbacks instead.
 _FETCH_POLL_SECONDS = 0.02
 
@@ -187,7 +186,8 @@ class WarehouseServer:
         self._closing_async: asyncio.Event | None = None
         self._connections: set[_Connection] = set()
         self._conn_lock = threading.Lock()
-        #: serializes Warehouse.run() drains for offline-routed handles
+        #: serializes the driverless fallback's Warehouse.run() /
+        #: apply_pending_ingest() calls (stopped or dead driver)
         self._run_lock = threading.Lock()
         self._started = threading.Event()
         self._startup_error: BaseException | None = None
@@ -242,12 +242,7 @@ class WarehouseServer:
         self._started.clear()
         self._startup_error = None
         self.leaked_tasks = []
-        # serial backends serve live (mid-scan admission); the process
-        # backend admits at drain boundaries, driven from waiters
-        if (
-            self.warehouse.executor_config.backend == "serial"
-            and not self.warehouse.service.running
-        ):
+        if not self.warehouse.service.running:
             with translated():
                 self.warehouse.start_service()
             self._started_service = True
@@ -473,7 +468,7 @@ class WarehouseServer:
 
         async def drive() -> None:
             session.pump()
-            if not handle.done and self._needs_driving():
+            if not handle.done and self._driverless():
                 await asyncio.get_running_loop().run_in_executor(
                     None, self._drive_blocking, handle
                 )
@@ -485,7 +480,7 @@ class WarehouseServer:
                 handle,
                 handle.on_complete,
                 drive,
-                self._needs_driving,
+                self._driverless,
                 timeout,
                 f"query did not complete within {timeout} seconds",
             ),
@@ -505,13 +500,10 @@ class WarehouseServer:
         timeout = timeout_of(frame)
         ticket = conn.session.ingest(frame)
 
-        def driverless() -> bool:
-            return not self.warehouse.service.running
-
         async def drive() -> None:
-            # with no service driver (process-backend servers, stopped
-            # drivers) nobody reaches a scan boundary: apply from here
-            if driverless():
+            # with no service driver (stopped or dead) nobody reaches
+            # a scan boundary: apply from here
+            if self._driverless():
                 await asyncio.get_running_loop().run_in_executor(
                     None, self._apply_ingest_blocking
                 )
@@ -523,7 +515,7 @@ class WarehouseServer:
                 ticket,
                 ticket.on_done,
                 drive,
-                driverless,
+                self._driverless,
                 timeout,
                 f"ingest batch was not applied within {timeout} seconds",
             ),
@@ -562,7 +554,7 @@ class WarehouseServer:
         that sets an asyncio event via ``call_soon_threadsafe``;
         shutdown wakes every waiter through the server-wide closing
         event.  Only while ``polling()`` says nobody else will make
-        progress (offline routes, no service driver) does the wait fall
+        progress (no service driver) does the wait fall
         back to the poll cadence, with ``drive()`` pushing the blocking
         work onto the default executor so the loop never blocks.
         """
@@ -623,16 +615,13 @@ class WarehouseServer:
                 waiter.cancel()
             await asyncio.gather(*waiters, return_exceptions=True)
 
-    def _needs_driving(self) -> bool:
-        warehouse = self.warehouse
-        return bool(
-            warehouse.pending_submissions(ROUTE_PROCESS)
-            or warehouse.pending_submissions(ROUTE_BASELINE)
-            or not warehouse.service.running
-        )
+    def _driverless(self) -> bool:
+        """True when the service driver was stopped or died: waiters
+        must then reach the scan boundaries themselves."""
+        return not self.warehouse.service.running
 
     def _drive_blocking(self, handle: QueryHandle) -> None:
-        """Push offline-routed handles forward (executor thread)."""
+        """Drain the pipeline in the driver's stead (executor thread)."""
         with self._run_lock:
             if not handle.done:
                 with translated():

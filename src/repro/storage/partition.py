@@ -156,7 +156,7 @@ def contiguous_spans(row_count: int, segment_count: int) -> list[tuple[int, int]
     """Split ``[0, row_count)`` into balanced contiguous ``[start, end)`` spans.
 
     The segmentation primitive shared by range partitioning consumers
-    and the process-parallel CJOIN backend (DESIGN.md section 8): spans
+    and the data-parallel sharded drain (DESIGN.md section 8): spans
     are contiguous in global scan order, sizes differ by at most one
     row, and when ``row_count < segment_count`` the trailing spans are
     empty (never dropped), so callers can map segment index -> worker

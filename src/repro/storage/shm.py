@@ -1,8 +1,8 @@
 """Shared-memory columnar fact-table transport (DESIGN.md section 14).
 
-The process backend's ``'pickle'`` transport serializes every fact
-shard into its worker's pipe — one full copy of the fact table per
-drain, paid again on every drain.  This module lays the fact table
+Where ``fork`` is missing, handing spawn workers their fact shard
+through the pipe would copy the whole fact table per drain.  This
+module lays the fact table
 out **once** in a :mod:`multiprocessing.shared_memory` segment as
 typed columns; workers attach the segment read-only and decode only
 their ``[start, end)`` shard slice.  What crosses the pipe is a

@@ -148,7 +148,7 @@ class Table:
         """Bulk-load rows that are already known schema-valid.
 
         The fast path for rehosting a slice of an existing table (fact
-        shards in the process-parallel backend, DESIGN.md section 8):
+        shards in the data-parallel drain, DESIGN.md section 8):
         pages are built by slicing, skipping per-row validation, and no
         primary-key index is maintained.  The schema is stored without
         its primary key so key lookups fail loudly (None) instead of

@@ -3,13 +3,13 @@
 Every knob that defends the paper's predictability claim used to be a
 loose constructor keyword scattered across three layers:
 ``max_in_flight`` and ``admission_queue_depth`` on the service,
-``workers`` and ``batch_size`` on the executor config, ``idle_sleep``
-on both.  :class:`TuningConfig` consolidates them into one validated,
-immutable value object that is also the unit of *runtime*
-reconfiguration: ``Warehouse.reconfigure(tuning)`` threads a new
-config through service → executor → process backend atomically, which
-is what lets the adaptive controller (:mod:`repro.engine.autotune`)
-resize a live warehouse between scan cycles.
+``batch_size`` on the executor config, ``idle_sleep`` on both.
+:class:`TuningConfig` consolidates them into one validated, immutable
+value object that is also the unit of *runtime* reconfiguration:
+``Warehouse.reconfigure(tuning)`` threads a new config through
+service → executor atomically, which is what lets the adaptive
+controller (:mod:`repro.engine.autotune`) resize a live warehouse
+between scan cycles.
 
 This module sits below every engine layer (it depends only on
 :mod:`repro.errors`), so the executor, the service, the warehouse,
@@ -27,10 +27,6 @@ from repro.errors import ConfigError
 
 #: Default number of items pulled from the Preprocessor per batch.
 DEFAULT_BATCH_SIZE = 256
-
-#: Upper bound on process-parallel workers: beyond this, shard setup
-#: cost dwarfs any conceivable speedup on real hardware.
-MAX_WORKERS = 128
 
 #: Upper bound on batch_size: one batch should never be asked to hold
 #: more rows than a large fact table, which only wastes memory.
@@ -101,15 +97,12 @@ class TuningConfig:
             :class:`~repro.errors.AdmissionError` back-pressure kicks in.
         idle_sleep: service driver sleep, in seconds, between polls
             while no query is registered (a submission wakes it).
-        workers: fact-table shards / worker processes for the process
-            backend; must stay 1 for the serial backend.
-        batch_size: items per preprocessor batch (both backends).
+        batch_size: items per preprocessor batch.
     """
 
     max_in_flight: int | None = None
     admission_queue_depth: int = DEFAULT_ADMISSION_QUEUE_DEPTH
     idle_sleep: float = DEFAULT_IDLE_SLEEP
-    workers: int = 1
     batch_size: int = DEFAULT_BATCH_SIZE
 
     def __post_init__(self) -> None:
@@ -124,7 +117,6 @@ class TuningConfig:
             MAX_ADMISSION_QUEUE_DEPTH,
         )
         _require_float("idle_sleep", self.idle_sleep, 0.0, MAX_IDLE_SLEEP)
-        _require_int("workers", self.workers, 1, MAX_WORKERS)
         _require_int("batch_size", self.batch_size, 1, MAX_BATCH_SIZE)
 
     def replace(self, **changes) -> "TuningConfig":

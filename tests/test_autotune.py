@@ -6,12 +6,12 @@ Three layers of coverage for DESIGN.md section 13:
   ``tuning=`` / legacy-keyword resolution rules on ``Warehouse`` and
   ``WarehouseService``, and runtime ``reconfigure`` plumbing;
 * **controller rules, deterministically** — every AutoTuner rule
-  (grow/shrink admission, grow/shrink workers, cooldown suppression,
+  (grow/shrink admission, cooldown suppression,
   bounds clamping, the audit ring bound) driven by a fake clock and a
   fake telemetry probe against a stub warehouse, no threads involved;
 * **live integration** — a warehouse resized mid-burst by the real
   controller thread keeps results reference-equal and leaks no
-  threads or workers.
+  threads.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ class TestTuningConfig:
     def test_defaults_validate(self):
         config = TuningConfig()
         assert config.max_in_flight is None
-        assert config.workers == 1
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -65,8 +64,6 @@ class TestTuningConfig:
             {"max_in_flight": True},
             {"admission_queue_depth": 0},
             {"idle_sleep": -0.1},
-            {"workers": 0},
-            {"workers": 1000},
             {"batch_size": 0},
         ],
     )
@@ -78,7 +75,7 @@ class TestTuningConfig:
         config = TuningConfig(max_in_flight=8)
         assert config.replace(max_in_flight=16).max_in_flight == 16
         with pytest.raises(ConfigError):
-            config.replace(workers=-1)
+            config.replace(batch_size=-1)
         # the original is untouched (immutability)
         assert config.max_in_flight == 8
 
@@ -124,7 +121,6 @@ class TestReconfigure:
             assert warehouse.tuning.max_in_flight == 8
             assert warehouse.service.max_in_flight == 8
             assert warehouse.cjoin.executor.config.batch_size == 64
-            assert warehouse.executor_config.batch_size == 64
         finally:
             warehouse.close()
 
@@ -132,10 +128,11 @@ class TestReconfigure:
         catalog, star = tiny_star
         warehouse = Warehouse(catalog, star)
         try:
+            before = warehouse.tuning
             with pytest.raises(ConfigError):
-                # serial backend cannot take workers > 1; nothing moves
-                warehouse.reconfigure(TuningConfig(workers=4))
-            assert warehouse.tuning.workers == 1
+                # a config that cannot apply cannot exist; nothing moves
+                warehouse.reconfigure(before.replace(batch_size=0))
+            assert warehouse.tuning is before
             assert warehouse.service.max_in_flight > 0
         finally:
             warehouse.close()
@@ -146,7 +143,7 @@ class TestReconfigure:
         try:
             stats = warehouse.stats()
             assert set(stats) == {
-                "latency", "pipeline", "service", "tuning", "backend",
+                "latency", "pipeline", "service", "tuning",
                 "autotune", "ingest",
             }
             assert stats["tuning"] == warehouse.tuning.as_dict()
@@ -201,8 +198,6 @@ def make_tuner(
         "wait_p95": 0.0,
         "queued": 0,
         "in_flight": 4,
-        "backend": "serial",
-        "pending_process": 0,
     }
 
     def probe() -> TuningSample:
@@ -214,9 +209,6 @@ def make_tuner(
             queued=signals["queued"],
             in_flight=signals["in_flight"],
             max_in_flight=warehouse.tuning.max_in_flight,
-            backend=signals["backend"],
-            workers=warehouse.tuning.workers,
-            pending_process=signals["pending_process"],
         )
 
     tuner = AutoTuner(
@@ -336,40 +328,6 @@ class TestShrinkAdmission:
         assert all(not d.applied for d in tuner.decisions)
 
 
-class TestWorkerRules:
-    def test_backlog_grows_the_pool_and_idle_shrinks_it(self):
-        tuner, warehouse, clock, signals = make_tuner(
-            tuning=TuningConfig(max_in_flight=8, workers=2),
-            policy=TuningPolicy(
-                min_workers=1, max_workers=8,
-                cooldown_seconds=0.0, shrink_patience=2,
-            ),
-        )
-        signals["backend"] = "process"
-        signals["pending_process"] = 5  # > workers=2
-        decision = tuner.tick()
-        assert decision.applied and decision.rule == "grow_workers"
-        assert warehouse.tuning.workers == 4
-        signals["pending_process"] = 0
-        clock.advance(1.0)
-        for _ in range(2):  # patience
-            assert tuner.tick() is None
-            clock.advance(1.0)
-        decision = tuner.tick()
-        assert decision.applied and decision.rule == "shrink_workers"
-        assert warehouse.tuning.workers == 2
-
-    def test_worker_rules_ignore_the_serial_backend(self):
-        tuner, warehouse, clock, signals = make_tuner(
-            policy=TuningPolicy(cooldown_seconds=0.0, shrink_patience=1)
-        )
-        signals["backend"] = "serial"
-        signals["pending_process"] = 10
-        signals["in_flight"] = 6  # not idle either
-        assert tuner.tick() is None
-        assert warehouse.applied == []
-
-
 class TestAudit:
     def test_ring_buffer_is_bounded(self):
         tuner, _, clock, signals = make_tuner(
@@ -411,7 +369,6 @@ class TestPolicyValidation:
         [
             {"min_in_flight": 0},
             {"max_in_flight": 1, "min_in_flight": 2},
-            {"max_workers": 1, "min_workers": 4},
             {"grow_factor": 0.5},
             {"shrink_factor": 1.5},
             {"shrink_patience": 0},
@@ -472,30 +429,3 @@ class TestLiveResizing:
         assert not tuner.running
         warehouse.disable_autotuning()  # idempotent
         warehouse.close()  # close after disable is clean too
-
-    def test_worker_resize_applies_at_the_drain_boundary(self, tiny_star):
-        catalog, star = tiny_star
-        warehouse = Warehouse(
-            catalog, star, backend="process",
-            tuning=TuningConfig(workers=1, batch_size=16),
-        )
-        tuner = AutoTuner(
-            warehouse,
-            policy=TuningPolicy(max_workers=2, cooldown_seconds=0.0),
-        )
-        cities = ["lyon", "paris", "nice", "lyon"]
-        try:
-            handles = [
-                warehouse.submit(city_query(city)) for city in cities
-            ]
-            decision = tuner.tick()  # pending_process=4 > workers=1
-            assert decision is not None and decision.applied
-            assert decision.rule == "grow_workers"
-            assert warehouse.executor_config.workers == 2
-            warehouse.run()
-            results = [handle.results() for handle in handles]
-        finally:
-            warehouse.close()
-        assert results == [
-            evaluate_star_query(city_query(city), catalog) for city in cities
-        ]

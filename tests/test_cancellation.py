@@ -1,10 +1,10 @@
 """Mid-scan query cancellation (DESIGN.md section 10).
 
-Covers every place a submission can be cancelled — registered
-mid-scan, queued in the service FIFO, queued on an offline route —
-and the ISSUE-4 acceptance property: cancelling one of N in-flight
-queries frees its slot within one scan cycle while the other N-1
-results stay reference-equal.
+Covers every place a warehouse submission can be cancelled —
+registered mid-scan, queued in the service FIFO — and the ISSUE-4
+acceptance property: cancelling one of N in-flight queries frees its
+slot within one scan cycle while the other N-1 results stay
+reference-equal.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ from hypothesis import given, settings
 
 from repro.cjoin import CJoinOperator, ExecutorConfig
 from repro.engine import Warehouse, WarehouseService
-from repro.engine.router import RoutingDecision
-from repro.engine.submission import ROUTE_PROCESS
 from repro.errors import CancelledError
 from repro.query.aggregates import AggregateSpec
 from repro.query.predicate import Comparison
@@ -173,44 +171,6 @@ class TestQueuedCancel:
         assert running.results() == evaluate_star_query(
             city_query("lyon"), catalog
         )
-
-    def test_cancel_queued_process_submission(self, tiny_star):
-        catalog, star = tiny_star
-        warehouse = Warehouse(
-            catalog, star, backend="process", tuning=TuningConfig(workers=2)
-        )
-        keep = warehouse.submit(city_query("lyon"))
-        drop = warehouse.submit(city_query("paris"))
-        assert warehouse.pending_submissions(ROUTE_PROCESS) == 2
-        assert drop.cancel() is True
-        assert warehouse.pending_submissions(ROUTE_PROCESS) == 1
-        warehouse.run()
-        assert keep.results() == evaluate_star_query(
-            city_query("lyon"), catalog
-        )
-        with pytest.raises(CancelledError):
-            drop.results()
-        # cancelled offline submissions produce no latency record
-        assert [record.label for record in warehouse.latency_records] == [
-            "lyon"
-        ]
-
-    def test_cancel_queued_baseline_submission(self, tiny_star):
-        catalog, star = tiny_star
-        warehouse = Warehouse(catalog, star)
-        keep = warehouse.submit(
-            city_query("lyon"), force=RoutingDecision.BASELINE
-        )
-        drop = warehouse.submit(
-            city_query("paris"), force=RoutingDecision.BASELINE
-        )
-        assert drop.cancel() is True
-        warehouse.run()
-        assert keep.results() == evaluate_star_query(
-            city_query("lyon"), catalog
-        )
-        with pytest.raises(CancelledError):
-            drop.results()
 
 
 class TestLiveServiceCancel:

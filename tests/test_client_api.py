@@ -3,12 +3,12 @@
 Covers connect()/Connection/Cursor end to end: lifecycle and context
 management, parameterized execution, fetch semantics, iteration,
 description metadata, executemany fan-out, error mapping, streaming
-equivalence on both backends, and the unified submission telemetry
-(process and baseline routes now report latency records too).
+equivalence, and the submission log / latency telemetry.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 
 import pytest
@@ -23,18 +23,12 @@ from repro.client import (
     ProgrammingError,
 )
 from repro.engine import Warehouse
-from repro.engine.router import RoutingDecision
-from repro.engine.submission import (
-    ROUTE_BASELINE,
-    ROUTE_PROCESS,
-    ROUTE_SERVICE,
-)
+from repro.engine.submission import ROUTE_SERVICE
 from repro.query.aggregates import AggregateSpec
 from repro.query.predicate import Comparison
 from repro.query.reference import evaluate_star_query
 from repro.query.star import StarQuery
 from repro.sql.render import render_star_query
-from repro.tuning import TuningConfig
 
 CITY_COUNT_SQL = (
     "SELECT COUNT(*) FROM sales, store "
@@ -352,22 +346,6 @@ class TestStreamingEquivalence:
             streamed = [list(cursor) for cursor in cursors]
         assert streamed == expected
 
-    def test_process_backend_workload(self, ssb_small, ssb_workload):
-        catalog, star = ssb_small
-        sqls = [render_star_query(query, star) for query in ssb_workload]
-        drain = Warehouse(catalog, star)
-        drained = [drain.submit(query) for query in ssb_workload]
-        drain.run()
-        expected = [handle.results() for handle in drained]
-        with repro.connect(
-            Warehouse(
-                catalog, star, backend="process", tuning=TuningConfig(workers=2)
-            )
-        ) as conn:
-            cursors = [conn.execute(sql) for sql in sqls]
-            streamed = [list(cursor) for cursor in cursors]
-        assert streamed == expected
-
     def test_rows_so_far_converges_to_results(self, tiny_star):
         catalog, star = tiny_star
         from repro.cjoin import CJoinOperator, ExecutorConfig
@@ -397,73 +375,29 @@ class TestStreamingEquivalence:
 
 
 class TestRouteTelemetry:
-    """ISSUE 4 satellite: all three routes report latency records."""
-
-    def test_baseline_route_records_latency(self, tiny_star):
-        catalog, star = tiny_star
-        warehouse = Warehouse(catalog, star)
-        handle = warehouse.submit(
-            city_query("lyon"), force=RoutingDecision.BASELINE
-        )
-        warehouse.run()
-        assert handle.results() == evaluate_star_query(
-            city_query("lyon"), catalog
-        )
-        records = warehouse.latency_records
-        assert [record.route for record in records] == [ROUTE_BASELINE]
-        record = records[0]
-        assert record.latency_seconds >= record.wait_seconds >= 0.0
-        assert record.scan_cycles == 0.0  # private plans, not the scan
-        assert warehouse.latency_summary()["count"] == 1.0
-
-    def test_process_route_records_latency(self, tiny_star):
-        catalog, star = tiny_star
-        warehouse = Warehouse(
-            catalog, star, backend="process", tuning=TuningConfig(workers=2)
-        )
-        handles = [
-            warehouse.submit(city_query(city)) for city in ("lyon", "paris")
-        ]
-        warehouse.run()
-        for city, handle in zip(("lyon", "paris"), handles):
-            assert handle.results() == evaluate_star_query(
-                city_query(city), catalog
-            )
-        records = warehouse.latency_records
-        assert [record.route for record in records] == [ROUTE_PROCESS] * 2
-        assert all(
-            record.admitted_with_in_flight == 1 for record in records
-        )
-        assert all(record.scan_cycles == 1.0 for record in records)
+    """The submission log and the latency records tell one story."""
 
     def test_all_routes_in_one_summary(self, tiny_star):
         catalog, star = tiny_star
         warehouse = Warehouse(catalog, star)
-        warehouse.submit(city_query("lyon"))  # service route
-        warehouse.submit(
-            city_query("paris"), force=RoutingDecision.BASELINE
-        )
+        for city in ("lyon", "paris"):
+            warehouse.submit(dataclasses.replace(city_query(city), label=city))
         warehouse.run()
-        routes = sorted(record.route for record in warehouse.latency_records)
-        assert routes == [ROUTE_BASELINE, ROUTE_SERVICE]
         assert warehouse.latency_summary()["count"] == 2.0
-        # one vocabulary: latency records join the submission log
-        assert {record.route for record in warehouse.latency_records} == {
-            submission.route for submission in warehouse.submissions
-        }
+        # latency records join the submission log
+        assert sorted(
+            record.label for record in warehouse.latency_records
+        ) == sorted(submission.label for submission in warehouse.submissions)
 
     def test_submission_log_covers_all_routes(self, tiny_star):
         catalog, star = tiny_star
         warehouse = Warehouse(catalog, star)
         warehouse.submit(city_query("lyon"))
-        warehouse.submit(
-            city_query("paris"), force=RoutingDecision.BASELINE
-        )
+        warehouse.submit(city_query("paris"))
         routes = [submission.route for submission in warehouse.submissions]
-        assert routes == ["service", ROUTE_BASELINE]
-        assert warehouse.pending_submissions(ROUTE_BASELINE) == 1
+        assert routes == [ROUTE_SERVICE, ROUTE_SERVICE]
+        assert not any(s.admitted for s in warehouse.submissions)
         warehouse.run()
-        assert warehouse.pending_submissions(ROUTE_BASELINE) == 0
         assert all(submission.done for submission in warehouse.submissions)
 
 
@@ -496,20 +430,5 @@ class TestWarehouseContextManager:
             warehouse.submit_sql(
                 "SELECT COUNT(*) FROM sales, store WHERE f_store = s_id"
             )
-
-    def test_close_cancels_pending_offline_submissions(self, tiny_star):
-        """close() cancels queued offline handles (waiters wake with
-        CancelledError) and a later run() refuses to drain them."""
-        from repro.errors import CancelledError, QueryError
-
-        catalog, star = tiny_star
-        warehouse = Warehouse(catalog, star)
-        pending = warehouse.submit(
-            city_query("lyon"), force=RoutingDecision.BASELINE
-        )
-        warehouse.close()
         with pytest.raises(QueryError, match="closed"):
             warehouse.run()
-        assert pending.done and pending.cancelled
-        with pytest.raises(CancelledError):
-            list(pending)  # a blocked iterator wakes instead of hanging

@@ -1,8 +1,8 @@
-"""Tests for the Warehouse facade and query router."""
+"""Tests for the Warehouse facade and its one submission route."""
 
 import pytest
 
-from repro.engine import QueryRouter, RoutingDecision, Warehouse
+from repro.engine import Warehouse
 from repro.errors import QueryError
 from repro.query.aggregates import AggregateSpec
 from repro.query.predicate import Comparison
@@ -20,33 +20,35 @@ def city_query(city):
 
 
 class TestRouter:
-    def test_star_queries_go_to_cjoin(self, tiny_star):
-        _, star = tiny_star
-        router = QueryRouter(star)
-        assert router.route(city_query("lyon")) is RoutingDecision.CJOIN
+    """One route: every valid star query rides the always-on service."""
 
-    def test_force_baseline(self, tiny_star):
-        _, star = tiny_star
-        router = QueryRouter(star)
-        decision = router.route(
-            city_query("lyon"), force=RoutingDecision.BASELINE
-        )
-        assert decision is RoutingDecision.BASELINE
+    def test_star_queries_go_to_cjoin(self, tiny_star):
+        catalog, star = tiny_star
+        warehouse = Warehouse(catalog, star)
+        warehouse.submit(city_query("lyon"))
+        assert [s.route for s in warehouse.submissions] == ["service"]
+        assert warehouse.service.queued == 1
 
     def test_invalid_query_rejected(self, tiny_star):
-        _, star = tiny_star
-        router = QueryRouter(star)
+        catalog, star = tiny_star
+        warehouse = Warehouse(catalog, star)
         bad = StarQuery.build(
             "sales",
             dimension_predicates={"store": Comparison("missing", "=", 1)},
         )
         with pytest.raises(QueryError):
-            router.route(bad)
+            warehouse.submit(bad)
+        assert warehouse.submissions == []
+        assert warehouse.service.queued == 0
 
     def test_explain(self, tiny_star):
-        _, star = tiny_star
-        router = QueryRouter(star)
-        assert "cjoin" in router.explain(city_query("lyon"))
+        catalog, star = tiny_star
+        warehouse = Warehouse(catalog, star)
+        report = warehouse.explain_sql(
+            "SELECT COUNT(*) FROM sales, store "
+            "WHERE f_store = s_id AND s_city = 'lyon'"
+        )
+        assert "routing: cjoin" in report
 
 
 class TestWarehouse:
@@ -55,11 +57,9 @@ class TestWarehouse:
         warehouse = Warehouse(catalog, star)
         query = city_query("paris")
         cjoin_handle = warehouse.submit(query)
-        baseline_handle = warehouse.submit(
-            query, force=RoutingDecision.BASELINE
-        )
         warehouse.run()
-        assert cjoin_handle.results() == baseline_handle.results()
+        [baseline_rows] = warehouse.baseline.execute_concurrent([query])
+        assert cjoin_handle.results() == baseline_rows
         assert cjoin_handle.results() == evaluate_star_query(query, catalog)
 
     def test_sql_round_trip(self, tiny_star):
@@ -113,13 +113,19 @@ class TestWarehouse:
         assert warehouse.current_snapshot_id == 1
 
     def test_mixed_engines_one_run(self, tiny_star):
+        """Two engines, one catalog and buffer pool: the baseline runs a
+        query while CJOIN submissions wait, and neither disturbs the other."""
         catalog, star = tiny_star
         warehouse = Warehouse(catalog, star)
         handles = [
             warehouse.submit(city_query("lyon")),
-            warehouse.submit(city_query("nice"), force=RoutingDecision.BASELINE),
             warehouse.submit(city_query("paris")),
         ]
+        assert warehouse.baseline.buffer_pool is warehouse.cjoin.buffer_pool
+        baseline_rows = warehouse.baseline.execute(city_query("nice"))
         warehouse.run()
-        for handle in handles:
-            assert handle.done
+        assert baseline_rows == evaluate_star_query(city_query("nice"), catalog)
+        for handle, city in zip(handles, ("lyon", "paris")):
+            assert handle.results() == evaluate_star_query(
+                city_query(city), catalog
+            )

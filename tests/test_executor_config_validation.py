@@ -1,7 +1,8 @@
 """ExecutorConfig and service-knob range validation (ConfigError).
 
-Worker counts and batch sizes must not silently accept nonsense (zero
-workers, bool batch sizes).  The service layer (DESIGN.md section 9) added
+Worker counts (of the sharded drain, ``execute_process_parallel``) and
+batch sizes must not silently accept nonsense (zero workers, bool
+batch sizes).  The service layer (DESIGN.md section 9) added
 ``max_concurrent`` / ``max_in_flight`` / ``idle_sleep`` /
 ``admission_queue_depth`` to the same regime.  Every rejection must
 carry an actionable message naming the field and the accepted range.
@@ -10,12 +11,12 @@ carry an actionable message naming the field and the accepted range.
 import pytest
 
 from repro.cjoin.executor import ExecutorConfig
+from repro.cjoin.parallel import MAX_WORKERS, execute_process_parallel
 from repro.errors import ConfigError, PipelineError
 from repro.tuning import (
     MAX_BATCH_SIZE,
     MAX_CONCURRENT_QUERIES,
     MAX_IDLE_SLEEP,
-    MAX_WORKERS,
     TuningConfig,
 )
 
@@ -36,38 +37,66 @@ class TestNameValidation:
         with pytest.raises(ConfigError, match="unknown execution 'tuple'"):
             Warehouse(catalog, star, execution="tuple")
         warehouse = Warehouse(catalog, star, execution="batched")
-        assert not hasattr(warehouse.executor_config, "execution")
-        assert "execution" not in warehouse.stats()["backend"]
+        assert not hasattr(warehouse.cjoin.executor.config, "execution")
         warehouse.close()
 
-    def test_unknown_backend(self):
-        with pytest.raises(ConfigError, match="'serial' or 'process'"):
-            ExecutorConfig(backend="thread")
+    def test_unknown_backend(self, tiny_star):
+        """There is one route in: no ``backend``, no ``workers`` knob."""
+        from repro.engine.warehouse import Warehouse
+
+        catalog, star = tiny_star
+        with pytest.raises(TypeError, match="backend"):
+            Warehouse(catalog, star, backend="process")
+        with pytest.raises(TypeError, match="backend"):
+            ExecutorConfig(backend="process")
+        for config in (ExecutorConfig, TuningConfig):
+            with pytest.raises(TypeError, match="workers"):
+                config(workers=2)
+
+    def test_force_is_gone(self, tiny_star):
+        """No caller picks an engine per submission; the baseline is
+        ``warehouse.baseline``, not a route."""
+        from repro.engine.warehouse import Warehouse
+        from repro.query.star import StarQuery
+
+        catalog, star = tiny_star
+        warehouse = Warehouse(catalog, star)
+        query = StarQuery.build("sales", dimension_predicates={})
+        with pytest.raises(TypeError, match="force"):
+            warehouse.submit(query, force="baseline")
+        with pytest.raises(TypeError, match="force"):
+            warehouse.submit_sql("SELECT COUNT(*) FROM sales", force="baseline")
+        with pytest.raises(TypeError, match="max_in_flight_baseline"):
+            warehouse.run(max_in_flight_baseline=1)
+        assert warehouse.submissions == []
+        warehouse.close()
 
     def test_config_error_is_a_pipeline_error(self):
         """Pre-existing callers catching PipelineError keep working."""
         with pytest.raises(PipelineError):
-            ExecutorConfig(backend="thread")
+            ExecutorConfig(batch_size=0)
 
 
 class TestWorkerRange:
+    """``execute_process_parallel`` validates its own ``workers``."""
+
     @pytest.mark.parametrize("workers", [0, -1, MAX_WORKERS + 1])
-    def test_out_of_range_workers(self, workers):
+    def test_out_of_range_workers(self, tiny_star, workers):
+        catalog, star = tiny_star
         with pytest.raises(ConfigError, match="workers must be in"):
-            ExecutorConfig(backend="process", workers=workers)
+            execute_process_parallel(catalog, star, [], workers=workers)
 
     @pytest.mark.parametrize("workers", [1.5, "4", True])
-    def test_non_int_workers(self, workers):
+    def test_non_int_workers(self, tiny_star, workers):
+        catalog, star = tiny_star
         with pytest.raises(ConfigError, match="workers must be an int"):
-            ExecutorConfig(backend="process", workers=workers)
+            execute_process_parallel(catalog, star, [], workers=workers)
 
-    def test_workers_require_process_backend(self):
-        with pytest.raises(ConfigError, match="requires backend='process'"):
-            ExecutorConfig(workers=4)
-
-    def test_boundary_workers_accepted(self):
-        config = ExecutorConfig(backend="process", workers=MAX_WORKERS)
-        assert config.workers == MAX_WORKERS
+    def test_boundary_workers_accepted(self, tiny_star):
+        catalog, star = tiny_star
+        assert execute_process_parallel(
+            catalog, star, [], workers=MAX_WORKERS
+        ) == []
 
 
 class TestBatchSizeRange:
@@ -80,36 +109,6 @@ class TestBatchSizeRange:
     def test_non_int_batch_size(self, batch_size):
         with pytest.raises(ConfigError, match="batch_size must be an int"):
             ExecutorConfig(batch_size=batch_size)
-
-
-class TestProcessBackendConstraints:
-    def test_valid_process_config(self):
-        config = ExecutorConfig(backend="process", workers=8)
-        assert (config.backend, config.workers) == ("process", 8)
-
-
-class TestWarehouseWiring:
-    def test_warehouse_rejects_process_with_updates(self, tiny_star):
-        from repro.engine.warehouse import Warehouse
-
-        catalog, star = tiny_star
-        with pytest.raises(ConfigError, match="enable_updates"):
-            Warehouse(
-                catalog,
-                star,
-                backend="process",
-                tuning=TuningConfig(workers=2),
-                enable_updates=True,
-            )
-
-    def test_warehouse_rejects_bad_worker_count(self, tiny_star):
-        from repro.engine.warehouse import Warehouse
-
-        catalog, star = tiny_star
-        with pytest.raises(ConfigError, match="workers must be in"):
-            Warehouse(
-                catalog, star, backend="process", tuning=TuningConfig(workers=0)
-            )
 
 
 class TestServiceKnobs:

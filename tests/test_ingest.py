@@ -3,8 +3,9 @@
 The subsystem contract (DESIGN.md section 15, docs/PROTOCOL.md
 section 10): a dataset built by streaming appends and dimension
 upserts through the bounded ingest buffer must answer every query
-exactly like the same dataset bulk-loaded — across the serial and
-process backends, with and without MVCC, and over the wire — writes
+exactly like the same dataset bulk-loaded — through the always-on scan
+and the sharded library drain, with and without MVCC, and over the
+wire — writes
 beyond the buffer get typed back-pressure instead of blocking, and a
 clean ``Warehouse.close()`` drains or rejects every staged batch
 deterministically.
@@ -17,6 +18,7 @@ import asyncio
 import pytest
 
 import repro
+from repro.cjoin import execute_process_parallel
 from repro.client import OperationalError, ProgrammingError
 from repro.engine import Warehouse
 from repro.errors import IngestBackpressureError, IngestError
@@ -88,14 +90,14 @@ def grouped_query() -> StarQuery:
 
 
 class TestStreamingEquivalence:
-    """Streamed + upserted == bulk-loaded, on every backend."""
+    """Streamed + upserted == bulk-loaded, on every drain."""
 
     @pytest.mark.parametrize(
-        "kwargs",
-        [{}, {"enable_updates": True}, {"backend": "process"}],
+        "kwargs, sharded",
+        [({}, False), ({"enable_updates": True}, False), ({}, True)],
         ids=["serial", "serial-mvcc", "process"],
     )
-    def test_streamed_dataset_matches_bulk(self, kwargs):
+    def test_streamed_dataset_matches_bulk(self, kwargs, sharded):
         bulk_catalog, _ = make_tiny_star()
         partial, star = make_partial_star()
         query = grouped_query()
@@ -104,9 +106,15 @@ class TestStreamingEquivalence:
         try:
             receipt = stream_the_tail(warehouse)
             assert receipt["rows"] == len(STREAMED_SALES) + 1
-            handle = warehouse.submit(query)
-            warehouse.run()
-            assert handle.results(timeout=30.0) == expected
+            if sharded:
+                [rows] = execute_process_parallel(
+                    warehouse.catalog, star, [query], workers=2
+                )
+            else:
+                handle = warehouse.submit(query)
+                warehouse.run()
+                rows = handle.results(timeout=30.0)
+            assert rows == expected
         finally:
             warehouse.close()
 

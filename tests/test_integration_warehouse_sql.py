@@ -1,13 +1,14 @@
 """Whole-system integration: all 13 SSB queries through the SQL path.
 
-render(benchmark query) -> parse -> route -> CJOIN -> results must
-equal the reference evaluator and the forced-baseline path, on a
-shared warehouse, for every query the benchmark defines.
+render(benchmark query) -> parse -> submit -> CJOIN -> results must
+equal the reference evaluator and the baseline engine's answer for
+the same parsed query, on a shared warehouse, for every query the
+benchmark defines.
 """
 
 import pytest
 
-from repro.engine import RoutingDecision, Warehouse
+from repro.engine import Warehouse
 from repro.query.reference import evaluate_star_query
 from repro.sql.render import render_star_query
 from repro.ssb.queries import ALL_QUERY_NAMES, ssb_query
@@ -23,13 +24,13 @@ def test_every_ssb_query_through_sql_and_both_engines(warehouse, name):
     query = ssb_query(name)
     sql = render_star_query(query, warehouse.star)
     cjoin_handle = warehouse.submit_sql(sql)
-    baseline_handle = warehouse.submit_sql(
-        sql, force=RoutingDecision.BASELINE
-    )
     warehouse.run()
+    [baseline_rows] = warehouse.baseline.execute_concurrent(
+        [cjoin_handle.query]
+    )
     expected = evaluate_star_query(query, warehouse.catalog)
     assert cjoin_handle.results() == expected, name
-    assert baseline_handle.results() == expected, name
+    assert baseline_rows == expected, name
 
 
 def test_all_queries_in_one_shared_batch(warehouse):

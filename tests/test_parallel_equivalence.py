@@ -1,14 +1,15 @@
-"""Process-parallel sharded backend vs the serial drain: result equivalence.
+"""Data-parallel sharded drain vs the serial drain: result equivalence.
 
-The parallel backend (DESIGN.md section 8) is a pure performance
-decomposition: for every workload, worker count, and transport it must
-produce results identical to the serial drain and to
+``execute_process_parallel`` (DESIGN.md section 8) is a pure
+performance decomposition: for every workload, worker count, and
+transport it must produce results identical to the serial drain and to
 ``query/reference.py``.  These tests drive randomized SSB workloads
-through the reference, the serial pipeline and the sharded backend,
+through the reference, the serial pipeline and the sharded drain,
 plus targeted cases for the
 merge protocol itself: AVG/MIN/MAX partial-state merges, empty shards
-(more workers than fact rows), the pickle-transport fallback for
-unpicklable workloads, and the shard-span planner's invariants.
+(more workers than fact rows), the logged in-process fallback for
+unpicklable workloads and dead pools, and the shard-span planner's
+invariants.
 
 Process pools are real but small here; the in-process transport runs
 the identical shard/merge protocol deterministically, so most examples
@@ -41,7 +42,7 @@ def _run_serial(catalog, star, queries):
 
 
 # ----------------------------------------------------------------------
-# Property suite: all three backends agree on random SSB workloads
+# Property suite: reference, serial and sharded agree on random SSB workloads
 # ----------------------------------------------------------------------
 @settings(max_examples=12, deadline=None)
 @given(
@@ -175,17 +176,6 @@ def test_fork_pool_equivalent(ssb_small, ssb_workload):
     assert parallel == serial
 
 
-def test_pickle_pool_equivalent(ssb_small, ssb_workload):
-    """The spawn transport (explicit shard tasks) matches too."""
-    catalog, star = ssb_small
-    queries = ssb_workload[:4]
-    serial = _run_serial(catalog, star, queries)
-    parallel = execute_process_parallel(
-        catalog, star, queries, workers=2, transport="pickle"
-    )
-    assert parallel == serial
-
-
 def test_shm_pool_equivalent(ssb_small, ssb_workload):
     """The shared-memory transport (DESIGN.md section 14) matches."""
     catalog, star = ssb_small
@@ -240,8 +230,20 @@ class _UnpicklablePredicate(Predicate):
         return set()
 
 
-def test_unpicklable_workload_falls_back(ssb_small):
-    """Pickle-transport drains unpicklable workloads in-process."""
+def _fallback_warnings(caplog) -> list[str]:
+    return [
+        record.getMessage()
+        for record in caplog.records
+        if record.name == "repro.cjoin.parallel"
+        and record.levelname == "WARNING"
+    ]
+
+
+def test_unpicklable_workload_falls_back(ssb_small, caplog):
+    """Spawn transports drain unpicklable workloads in-process, and
+    say so once: a dead pool must not look like a slow host."""
+    import pickle
+
     catalog, star = ssb_small
     query = StarQuery.build(
         "lineorder",
@@ -250,10 +252,45 @@ def test_unpicklable_workload_falls_back(ssb_small):
         aggregates=[AggregateSpec("sum", "lineorder", "lo_revenue")],
     )
     serial = _run_serial(catalog, star, [query])
-    parallel = execute_process_parallel(
-        catalog, star, [query], workers=3, transport="pickle"
-    )
+    with pytest.raises(Exception) as unpicklable:
+        pickle.dumps(query)
+    with caplog.at_level("WARNING", logger="repro.cjoin.parallel"):
+        parallel = execute_process_parallel(
+            catalog, star, [query], workers=3, transport="shm"
+        )
     assert parallel == serial
+    [message] = _fallback_warnings(caplog)
+    assert "'shm' transport with 3 workers" in message
+    assert repr(unpicklable.value) in message
+
+
+def _dead_shard_worker(span):
+    raise RuntimeError(f"worker for {span} died")
+
+
+def test_dead_fork_pool_falls_back_with_one_warning(
+    ssb_small, ssb_workload, caplog, monkeypatch
+):
+    import multiprocessing
+
+    from repro.cjoin import parallel as parallel_module
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("platform has no fork start method")
+    catalog, star = ssb_small
+    queries = ssb_workload[:2]
+    serial = _run_serial(catalog, star, queries)
+    monkeypatch.setattr(
+        parallel_module, "_run_shard_span", _dead_shard_worker
+    )
+    with caplog.at_level("WARNING", logger="repro.cjoin.parallel"):
+        parallel = execute_process_parallel(
+            catalog, star, queries, workers=2, transport="fork"
+        )
+    assert parallel == serial
+    [message] = _fallback_warnings(caplog)
+    assert "'fork' transport with 2 workers" in message
+    assert "RuntimeError('worker for" in message
 
 
 def test_query_chunking_beyond_max_concurrent(ssb_small):

@@ -28,7 +28,6 @@ from repro.client import (
 from repro.client.remote import parse_url
 from repro.engine import Warehouse
 from repro.sql.render import render_star_query
-from repro.tuning import TuningConfig
 
 COUNT_SQL = "SELECT COUNT(*) FROM sales, store WHERE f_store = s_id"
 
@@ -142,17 +141,18 @@ class TestPerConnectionAdmission:
 
     @pytest.fixture
     def offline_server(self, tiny_star, server_class):
-        """Process-backend server: queries only complete when a FETCH
-        drives the drain, so queue states are fully deterministic."""
+        """A server whose service driver is stopped: queries only
+        complete when a FETCH drives the drain (the driverless path),
+        so queue states are fully deterministic."""
         catalog, star = tiny_star
         with server_class(
-            Warehouse(
-                catalog, star, backend="process", tuning=TuningConfig(workers=2)
-            ),
+            Warehouse(catalog, star),
             owns_warehouse=True,
             max_in_flight_per_connection=1,
         ) as server:
+            server.warehouse.stop_service()
             yield server
+        assert server.leaked_tasks == []
 
     def test_cancel_while_queued_per_connection(self, offline_server):
         with repro.connect(offline_server.url) as conn:
@@ -215,6 +215,14 @@ class TestPerConnectionAdmission:
                 assert first.fetchall() == queued.fetchall()
         finally:
             server.stop()
+
+    def test_driverless_server_applies_ingest(self, offline_server):
+        """With the driver stopped nobody reaches a scan boundary: the
+        INGEST waiter applies the batch itself, then FETCH sees it."""
+        with repro.connect(offline_server.url) as conn:
+            receipt = conn.ingest(fact_rows=[(1, 10, 1, 5)], timeout=10.0)
+            assert receipt["rows"] == 1
+            assert conn.execute(COUNT_SQL).fetchall() == [(13,)]
 
     def test_vanished_connection_frees_its_queries(self, offline_server):
         conn = repro.connect(offline_server.url)

@@ -17,8 +17,7 @@ import repro
 from repro.engine import Warehouse
 
 STATS_KEYS = {
-    "latency", "pipeline", "service", "tuning", "backend", "autotune",
-    "ingest",
+    "latency", "pipeline", "service", "tuning", "autotune", "ingest",
 }
 
 COUNT_SQL = "SELECT COUNT(*) FROM sales, store WHERE f_store = s_id"
