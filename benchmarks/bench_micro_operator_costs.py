@@ -51,9 +51,7 @@ def _tuples(query_count: int, count: int = 2000, batch_rows: int = 250):
     rows = [(rng.randrange(2500),) for _ in range(count)]
     return [
         FactBatch(
-            list(range(start, start + batch_rows)),
-            list(range(start, start + batch_rows)),
-            rows[start:start + batch_rows],
+            [(start, start, rows[start:start + batch_rows])],
             [bits] * batch_rows,
         )
         for start in range(0, count, batch_rows)

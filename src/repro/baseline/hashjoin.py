@@ -136,12 +136,9 @@ class HashJoinPipeline:
                 else:
                     survivors.append(row)
             if survivors:
-                count = len(survivors)
-                # a private plan: one query, so no sequence/position/
-                # bit-vector column is ever read — only rows + lookups
-                batch = FactBatch(
-                    range(count), range(count), survivors, [1] * count
-                )
+                # a private plan: one query, so no sequence, position
+                # or bit-vector is ever read — only rows + lookups
+                batch = FactBatch([(0, 0, survivors)], [1] * len(survivors))
                 for name, fk_index, hash_table in probes:
                     batch.attach_dim_lookup(name, fk_index, hash_table)
                 operator.consume_rows(batch, batch.live)

@@ -18,7 +18,6 @@ query ``Q_i`` owns bit ``i - 1``.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from operator import and_ as _and
 
 #: The all-zeroes bit-vector (the paper's ``0`` symbol).
 EMPTY: int = 0
@@ -88,10 +87,9 @@ def popcount(vector: int) -> int:
 # ----------------------------------------------------------------------
 # Bulk operations (whole-column passes, DESIGN.md section 5)
 #
-# A FactBatch carries one bit-vector per row plus a per-batch *alive*
-# mask (bit r set iff row r is still in flight).  These helpers give the
-# batch pipeline its amortized primitives: one Python call covers a
-# whole batch column instead of one call per tuple.
+# A FactBatch carries one bit-vector per row.  These helpers are the
+# whole-column primitives: one Python call covers a batch column
+# instead of one call per tuple.
 # ----------------------------------------------------------------------
 def or_reduce(vectors) -> int:
     """OR-reduce an iterable of bit-vectors into one union vector.
@@ -129,27 +127,6 @@ def bulk_and(left, right) -> list[int]:
     return [a & b for a, b in zip(left, right)]
 
 
-def bulk_and_lookup(vectors, keys, masks_of) -> list[int]:
-    """AND each bit-vector with the mask its row's key maps to.
-
-    The Filter's AND primitive (DESIGN.md section 5):
-    ``vectors[i] & masks_of[keys[i]]`` for every position, produced by
-    two C-level ``map`` passes — the dict lookup and the AND — with no
-    Python-level loop body.  ``masks_of`` must cover every key
-    (:mod:`repro.cjoin.kernels` builds it from the deduplicated probe
-    results, so it does by construction).
-
-    Raises:
-        ValueError: on a length mismatch (a silent zip would mask a
-            batch bookkeeping bug).
-    """
-    if len(vectors) != len(keys):
-        raise ValueError(
-            f"bulk_and_lookup length mismatch: {len(vectors)} vs {len(keys)}"
-        )
-    return list(map(_and, vectors, map(masks_of.__getitem__, keys)))
-
-
 def bulk_popcount(vectors) -> int:
     """Total number of set bits across a sequence of bit-vectors."""
     return sum(vector.bit_count() for vector in vectors)
@@ -158,8 +135,8 @@ def bulk_popcount(vectors) -> int:
 def pack_positions(positions) -> int:
     """Build a mask with the given 0-based bit positions set.
 
-    The inverse of :func:`iter_set_positions`; used to build the
-    dropped-rows mask a Filter subtracts from a batch's alive mask.
+    The inverse of :func:`iter_set_positions`; turns a batch's live
+    row indices into its alive mask (``FactBatch.alive``).
     Positions are distinct bits, so summing the shifted singletons
     equals OR-ing them — and ``sum(map(...))`` runs at C level.
     """

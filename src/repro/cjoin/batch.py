@@ -3,27 +3,27 @@
 Handling fact tuples one at a time would pay several Python calls per
 tuple per Filter — the opposite of the paper's "one pass, shared work"
 economics.  With :class:`FactBatch` the Preprocessor emits one batch
-per run of consecutive fact tuples, each Filter makes *one* call per
-batch (amortizing dispatch, deduplicating hash-table probes by key, and
-testing the batch-level probe skip once), and the Distributor routes
-survivors grouped by identical bit-vectors.
+per few runs of consecutive fact tuples, each Filter makes *one* call
+per batch (amortizing dispatch and testing the batch-level probe skip
+once), and the Distributor routes survivors grouped by identical
+bit-vectors.
 
-A batch is parallel arrays plus two liveness views of the same state:
+A batch is what the scan returned, not a repacking of it.  ``runs``
+lists the scan runs it holds as ``(first sequence, first position,
+rows)`` — consecutive sequence numbers and scan positions from there —
+and ``rows`` is the run's own list when there is one run, one
+concatenation when there are several.  ``bitvectors`` is the one
+per-row column the pipeline writes (arbitrary-precision ints: queries
+beyond bit 63 must not overflow silently), and ``live`` the still-alive
+row indices in scan order: ``range(n)`` until the first Filter drops a
+row, a list after.  ``sequences``, ``positions`` and ``alive`` are
+derived from these on demand; only tests and tools read them.
 
-* ``live`` — the list of still-alive row indices, in scan order (what
-  the hot loops iterate);
-* ``alive`` — the same set as a bit-mask (bit r set iff row r is
-  alive), maintained with :mod:`repro.bitvec` bulk operations so
-  invariants are cheap to check and cheap to reason about.
-
-``sequences`` and ``positions`` are ``array('q')`` buffers: machine
-i64 columns (8 bytes/row instead of a PyObject* plus an int object),
-sharing small-int objects on element access and supporting the
-buffer protocol, so the shared-memory shard transport
-(:mod:`repro.storage.shm`) can view them zero-copy.  ``rows`` and
-``bitvectors`` stay plain lists — rows are heterogeneous tuples, and
-bit-vectors are arbitrary-precision ints (queries beyond bit 63 must
-not overflow silently).
+:meth:`FactBatch.key_column` is one fact column of the batch's rows.
+A run cut from a heap page (:class:`~repro.storage.page.PageRun`)
+answers with a slice of the page's resident column, so the scan pays
+the extraction once per page, not once per cycle; rows from any other
+scan source are extracted here, once per batch.
 
 Dimension attachments (section 3.2.2) are per batch
 (``attach_dim_lookup``): each Filter attaches one O(1)
@@ -41,52 +41,46 @@ section 3.3.3 control-tuple ordering at every batch size.
 from __future__ import annotations
 
 from functools import reduce
+from itertools import chain
 from operator import itemgetter, or_ as _or
 
 from repro import bitvec
 
 
+def _joined(parts: list[list]) -> list:
+    """The parts as one list; the part itself when there is only one."""
+    if len(parts) == 1:
+        return parts[0]
+    return list(chain.from_iterable(parts))
+
+
 class FactBatch:
-    """A run of consecutive fact tuples in columnar form."""
+    """The scan runs that travel the pipeline together, as columns."""
 
     __slots__ = (
-        "sequences",
-        "positions",
+        "runs",
         "rows",
         "bitvectors",
         "live",
-        "alive",
         "_dim_lookups",
         "_key_columns",
     )
 
-    def __init__(
-        self,
-        sequences,
-        positions,
-        rows: list[tuple],
-        bitvectors: list[int],
-    ) -> None:
-        if not (
-            len(sequences) == len(positions) == len(rows) == len(bitvectors)
-        ):
+    def __init__(self, runs: list[tuple], bitvectors: list[int]) -> None:
+        #: the scan runs held, in scan order: ``(sequence of the first
+        #: row, scan position of the first row, the run's rows)``
+        self.runs = runs
+        self.rows: list[tuple] = _joined([rows for _, _, rows in runs])
+        if len(self.rows) != len(bitvectors):
             raise ValueError("FactBatch columns must have equal length")
-        #: scan sequence / scan position columns; ``array('q')`` on the
-        #: production path (the Preprocessor), any indexable works
-        self.sequences = sequences
-        self.positions = positions
-        self.rows = rows
         self.bitvectors = bitvectors
         #: per-batch dimension attachments (section 3.2.2 pointer rows):
         #: dimension name -> (fk column index, key -> dimension row)
         self._dim_lookups: dict[str, tuple] = {}
-        #: still-alive row indices in scan order (the hot-loop view)
-        self.live: list[int] = list(range(len(rows)))
-        #: the same liveness as a bit-mask — the batch's shared BitVec.
-        #: Hot loops iterate ``live``; the mask is the O(1)-to-combine
-        #: summary (tests cross-check the two views stay in sync)
-        self.alive: int = bitvec.all_ones(len(rows))
-        #: fk column index -> extracted key column (built on demand)
+        #: still-alive row indices in scan order; every drop path also
+        #: writes bit-vector 0 back, so dead rows read as 0 there
+        self.live = range(len(bitvectors))
+        #: fk column index -> key column (built on demand)
         self._key_columns: dict[int, list] = {}
 
     def __len__(self) -> int:
@@ -97,18 +91,45 @@ class FactBatch:
         """Number of rows still in flight."""
         return len(self.live)
 
+    def _numbered(self, first_of: int) -> list[int]:
+        """Consecutive numbers from each run's ``first_of`` field."""
+        return [
+            number
+            for run in self.runs
+            for number in range(run[first_of], run[first_of] + len(run[2]))
+        ]
+
+    @property
+    def sequences(self) -> list[int]:
+        """Every row's sequence number, in scan order."""
+        return self._numbered(0)
+
+    @property
+    def positions(self) -> list[int]:
+        """Every row's scan position, in scan order."""
+        return self._numbered(1)
+
+    @property
+    def alive(self) -> int:
+        """``live`` as a bit-mask: bit r set iff row r is alive."""
+        return bitvec.pack_positions(self.live)
+
     def key_column(self, column_index: int) -> list:
         """The batch's values for fact column ``column_index``.
 
-        Extracted once per batch and cached, so every Filter probing
-        the same foreign-key column shares one extraction pass (and
-        the Distributor's columnar consumers reuse it as the fact
-        value column).
+        Per run, a slice of the page's resident column when the run
+        still knows its page, one extraction pass otherwise; cached, so
+        every Filter probing the same column of this batch shares it.
         """
         column = self._key_columns.get(column_index)
         if column is None:
-            column = list(map(itemgetter(column_index), self.rows))
-            self._key_columns[column_index] = column
+            # a PageRun has ``column``; a plain list of rows does not
+            column = self._key_columns[column_index] = _joined([
+                rows.column(column_index)
+                if hasattr(rows, "column")
+                else list(map(itemgetter(column_index), rows))
+                for _, _, rows in self.runs
+            ])
         return column
 
     def attach_dim_lookup(
@@ -137,25 +158,6 @@ class FactBatch:
         state = tuple(map(self._dim_lookups.get, names))
         return None if None in state else state
 
-    def drop_rows(self, dropped_mask: int, survivors: list[int]) -> None:
-        """Install a Filter's verdict: clear dropped bits, shrink live.
-
-        ``survivors`` must be the live list minus exactly the rows in
-        ``dropped_mask`` (the Filter builds both in its probe loop).
-        """
-        self.alive &= ~dropped_mask
-        self.live = survivors
-
-    def replace_live(self, survivors: list[int]) -> None:
-        """Install a Filter's verdict from the surviving side.
-
-        Equivalent to :meth:`drop_rows` but rebuilds the alive mask
-        from the survivors — the cheaper side when a Filter drops most
-        of a batch.
-        """
-        self.alive = bitvec.pack_positions(survivors)
-        self.live = survivors
-
     def union_bits(self) -> int:
         """OR of the live rows' bit-vectors (the batch relevance union).
 
@@ -168,5 +170,5 @@ class FactBatch:
     def __repr__(self) -> str:
         return (
             f"FactBatch(rows={len(self.rows)}, live={len(self.live)}, "
-            f"seq={self.sequences[0] if len(self.sequences) else '-'}..)"
+            f"seq={self.runs[0][0] if self.runs else '-'}..)"
         )

@@ -4,10 +4,10 @@ One driver, :class:`SynchronousExecutor`: single-threaded and
 deterministic, it answers queries both for ``run_until_drained()`` and,
 on the service's driver thread, for the always-on continuous scan.
 
-One pipeline (DESIGN.md section 5): the Preprocessor packs runs of
-fact tuples into columnar :class:`~repro.cjoin.batch.FactBatch` objects,
-each Filter handles a whole batch per call (batch-level probe skip,
-per-batch probe deduplication, bulk alive-mask updates), and the
+One pipeline (DESIGN.md section 5): the Preprocessor hands the scan's
+runs on as :class:`~repro.cjoin.batch.FactBatch` objects, each Filter
+handles a whole batch per call (batch-level probe skip, mapped probe
+and AND passes over the page-resident key column), and the
 Distributor routes survivors grouped by identical bit-vectors.
 ``batch_size`` only sets the granularity; results are the same at every
 size, and equal to ``query/reference.py``.

@@ -17,10 +17,10 @@ Implements both optimizations from section 3.2.2:
 :class:`~repro.cjoin.batch.FactBatch` in one call — probe skip is
 tested once against the batch's bit-vector union, then
 :func:`repro.cjoin.kernels.filter_batch` runs the probe/AND/compact
-passes over whole columns: each *distinct* key probed once per batch
-against a small dimension, the bit-vector column ANDed in bulk,
-survivors compacted without per-row appends, and the joining dimension
-rows attached once per batch
+passes over whole columns: the page-resident key column probed by one
+mapped lookup, the bit-vector column ANDed in bulk, survivors
+compacted without per-row appends, and the joining dimension rows
+attached once per batch
 (:meth:`~repro.cjoin.batch.FactBatch.attach_dim_lookup`) instead of
 once per surviving row (DESIGN.md section 5).
 """
@@ -81,12 +81,11 @@ class Filter:
             if pipeline_stats is not None:
                 pipeline_stats.probe_skips_total += count
             return
-        probes, skips, distinct = filter_batch(
+        probes, skips = filter_batch(
             batch, self.fk_index, table, probe_skip, self.name
         )
         stats.probes += probes
         stats.probe_skips += skips
-        stats.distinct_probes += distinct
         stats.tuples_dropped += count - len(batch.live)
         if pipeline_stats is not None:
             pipeline_stats.probes_total += probes
@@ -99,10 +98,13 @@ class Filter:
         fact ``row`` carrying bit-vector ``bits`` (without mutating
         anything or touching the stats).
         """
-        if bits & ~self.hash_table.complement_bitmap == 0:
+        table = self.hash_table
+        complement = table.complement_bitmap
+        if bits & ~complement == 0:
             return False
-        filtering_bits, _ = self.hash_table.probe(row[self.fk_index])
-        return bits & filtering_bits == 0
+        # the filtering bits alone: the joined row is not needed
+        bits_by_key = table.columnar_view()[0]
+        return bits & bits_by_key.get(row[self.fk_index], complement) == 0
 
     def __repr__(self) -> str:
         return f"Filter({self.name!r}, tuples={self.hash_table.tuple_count})"

@@ -38,7 +38,6 @@ too: item production reads version columns for rows the scan returns.
 from __future__ import annotations
 
 import threading
-from array import array
 from bisect import bisect_left, bisect_right, insort
 from collections import deque
 
@@ -234,13 +233,14 @@ class Preprocessor:
     def next_batched_items(self, max_rows: int) -> list:
         """Produce up to ``max_rows`` pipeline items.
 
-        Control tuples come out as themselves, fact rows packed into
-        :class:`FactBatch` columns (every row counts as one item and
-        carries its own sequence number).  A batch never spans a
-        control tuple — the open batch is flushed before any QueryEnd
-        is appended — so the section 3.3.3 ordering property holds at
-        every batch size.  Returns an empty list when there is nothing
-        to do (no active queries and no pending control tuples).
+        Control tuples come out as themselves, fact rows as
+        :class:`FactBatch` objects holding the scan's runs as the scan
+        returned them (every row counts as one item and owns one
+        sequence number).  A batch never spans a control tuple — the
+        open batch is flushed before any QueryEnd is appended — so the
+        section 3.3.3 ordering property holds at every batch size.
+        Returns an empty list when there is nothing to do (no active
+        queries and no pending control tuples).
         """
         with self._lock:
             items: list = []
@@ -253,12 +253,9 @@ class Preprocessor:
             budget = max_rows - len(items)
             stats = self.stats
             scan = self.scan
-            # machine i64 columns (DESIGN.md section 5): 8 bytes per
-            # row, bulk range-extends, and buffer-protocol views for
-            # the shared-memory transport
-            sequences = array("q")
-            positions = array("q")
-            rows: list[tuple] = []
+            # the open batch: its runs as ``(first sequence, first
+            # position, rows)`` and one bit-vector per row of them
+            runs: list[tuple] = []
             bitvectors: list[int] = []
             # hoisted bit sources; refreshed whenever a wraparound can
             # mutate the active set (the only mutator under this lock)
@@ -269,21 +266,6 @@ class Preprocessor:
             versioned = self.versioned_fact
             start_positions = self._start_positions
 
-            def flush() -> None:
-                if rows:
-                    items.append(
-                        FactBatch(
-                            sequences[:],
-                            positions[:],
-                            list(rows),
-                            list(bitvectors),
-                        )
-                    )
-                    del sequences[:]
-                    del positions[:]
-                    rows.clear()
-                    bitvectors.clear()
-
             produced_rows = 0
             while produced_rows < budget:
                 if scan.row_count == 0:
@@ -292,7 +274,9 @@ class Preprocessor:
                 position = scan.next_position
                 ended = self._handle_wraparound(position)
                 if ended:
-                    flush()
+                    if runs:
+                        items.append(FactBatch(runs, bitvectors))
+                        runs, bitvectors = [], []
                     items.extend(ended)
                     # ends spend item budget too
                     budget -= len(ended)
@@ -305,7 +289,8 @@ class Preprocessor:
                 # It is never empty, even when the ends above used up
                 # the budget: a query that starts at this position has
                 # just been told its first row is on the way
-                limit = max(budget - produced_rows, 1)
+                remaining = budget - produced_rows
+                limit = max(remaining, 1)
                 upcoming = bisect_right(start_positions, position)
                 if upcoming < len(start_positions):
                     limit = min(limit, start_positions[upcoming] - position)
@@ -313,14 +298,15 @@ class Preprocessor:
                 if produced is None:
                     break
                 run_start, run_rows = produced
-                stats.tuples_scanned += len(run_rows)
+                run_length = len(run_rows)
+                stats.tuples_scanned += run_length
                 run_bits = unconditional
                 checks = row_checks
                 if snapshot_groups:
                     # the section-3.5 virtual predicate, per run and
                     # per distinct snapshot id: the page bounds decide
                     # all-visible and none-visible runs outright
-                    run_stop = run_start + len(run_rows)
+                    run_stop = run_start + run_length
                     oldest, newest, first_delete = versioned.page_bounds(
                         run_start, run_stop
                     )
@@ -347,47 +333,77 @@ class Preprocessor:
                     if snapshot_checks:
                         checks = row_checks + snapshot_checks
                 if not checks:
-                    # no active query needs a per-row look: the whole
-                    # run shares one initial bit-vector, so the columns
-                    # extend in bulk with no per-row work
+                    # no active query needs a per-row look: the run
+                    # travels as the scan returned it, under one
+                    # initial bit-vector
                     if run_bits == 0:
-                        stats.tuples_preprocessor_dropped += len(run_rows)
+                        stats.tuples_preprocessor_dropped += run_length
                         continue
-                    run_length = len(run_rows)
-                    sequence = self._sequence
-                    sequences.extend(
-                        range(sequence + 1, sequence + run_length + 1)
-                    )
-                    self._sequence = sequence + run_length
-                    positions.extend(
-                        range(run_start, run_start + run_length)
-                    )
-                    rows.extend(run_rows)
-                    bitvectors.extend([run_bits] * run_length)
+                    runs.append((self._sequence + 1, run_start, run_rows))
+                    self._sequence += run_length
+                    bitvectors += [run_bits] * run_length
                     produced_rows += run_length
-                    continue
-                for offset, row in enumerate(run_rows):
-                    # the per-row hot path: a query's bit is set iff the
-                    # row is visible to it (the run's mask) and matches
-                    # its fact predicate
-                    bits = run_bits
-                    for bit, fact_matcher, visible in checks:
-                        if visible is not None and not visible[offset]:
-                            continue
-                        if fact_matcher is not None and not fact_matcher(row):
-                            continue
-                        bits |= bit
-                    if bits == 0:
-                        stats.tuples_preprocessor_dropped += 1
-                        continue
-                    produced_rows += 1
-                    self._sequence += 1
-                    sequences.append(self._sequence)
-                    positions.append(run_start + offset)
-                    rows.append(row)
-                    bitvectors.append(bits)
-            flush()
+                else:
+                    produced_rows += self._tag_rows(
+                        run_start, run_rows, run_bits, checks, runs, bitvectors
+                    )
+                # the run came back short — a page boundary, the table
+                # end or a start position — and the next would have to
+                # be cut to fit what is left: end the batch here, so
+                # the batches after it start on the boundary instead of
+                # straddling it for good
+                if run_length < remaining and budget - produced_rows < run_length:
+                    break
+            if runs:
+                items.append(FactBatch(runs, bitvectors))
             return items
+
+    def _tag_rows(
+        self, run_start, run_rows, run_bits, checks, runs, bitvectors
+    ) -> int:
+        """The per-row path: one scan run under per-row ``checks``.
+
+        A query's bit is set iff the row is visible to it (the run's
+        mask) and matches its fact predicate.  Rows no query wants are
+        dropped here; each stretch of consecutive kept rows goes on
+        ``runs`` as a run of its own, its bit-vectors on
+        ``bitvectors``.  Returns the number of rows kept.
+        """
+        tagged_before = len(bitvectors)
+        # offset the open stretch of kept rows began at; None if closed
+        kept_from = None
+        for offset, row in enumerate(run_rows):
+            bits = run_bits
+            for bit, fact_matcher, visible in checks:
+                if visible is not None and not visible[offset]:
+                    continue
+                if fact_matcher is not None and not fact_matcher(row):
+                    continue
+                bits |= bit
+            if bits:
+                bitvectors.append(bits)
+                if kept_from is None:
+                    kept_from = offset
+            elif kept_from is not None:
+                self._close_stretch(
+                    runs, run_start, run_rows, kept_from, offset
+                )
+                kept_from = None
+        if kept_from is not None:
+            self._close_stretch(
+                runs, run_start, run_rows, kept_from, len(run_rows)
+            )
+        kept = len(bitvectors) - tagged_before
+        self.stats.tuples_preprocessor_dropped += len(run_rows) - kept
+        return kept
+
+    def _close_stretch(self, runs, run_start, run_rows, start, stop) -> None:
+        # a run kept whole stays the scan's own object (and so keeps
+        # its page's key columns); a part of it is a plain slice
+        kept = stop - start
+        rows = run_rows if kept == len(run_rows) else run_rows[start:stop]
+        runs.append((self._sequence + 1, run_start + start, rows))
+        self._sequence += kept
 
     def _handle_wraparound(self, position: int) -> list[QueryEnd]:
         """Emit QueryEnd for queries whose scan wrapped to ``position``."""

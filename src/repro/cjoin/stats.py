@@ -79,10 +79,6 @@ class FilterStats:
     tuples_dropped: int = 0
     probes: int = 0
     probe_skips: int = 0
-    #: hash-table lookups actually paid (one per *distinct* key per
-    #: batch under dedup); ``probes`` stays the logical per-row count,
-    #: so drop rates and probes_per_tuple are the paper's per-tuple ones
-    distinct_probes: int = 0
 
     @property
     def pass_rate(self) -> float:
@@ -104,7 +100,6 @@ class FilterStats:
         self.tuples_dropped = 0
         self.probes = 0
         self.probe_skips = 0
-        self.distinct_probes = 0
 
 
 @dataclass

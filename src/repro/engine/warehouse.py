@@ -30,6 +30,7 @@ from repro.catalog.schema import StarSchema
 from repro.cjoin.executor import ExecutorConfig
 from repro.cjoin.operator import CJoinOperator
 from repro.cjoin.registry import QueryHandle
+from repro.cjoin.stats import LATENCY_WINDOW
 from repro.engine.service import WarehouseService
 from repro.engine.submission import ROUTE_SERVICE, Submission
 from repro.errors import ConfigError, QueryError, SchemaError
@@ -51,7 +52,10 @@ DEFAULT_POOL_PAGES = 2048
 
 #: Submissions retained for introspection; older entries fall off so a
 #: long-running service does not leak handles (and their result rows).
-SUBMISSION_LOG_LIMIT = 4096
+#: A finished submission pins 4-9 KB (handle, query, rows), so the log
+#: was most of what ``peak_rss_mb`` added per completed query: it keeps
+#: as many as the latency records do, not four times that.
+SUBMISSION_LOG_LIMIT = LATENCY_WINDOW
 
 
 class Warehouse:

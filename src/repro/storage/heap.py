@@ -62,9 +62,7 @@ class HeapFile:
         Raises:
             StorageError: if the address does not hold a row.
         """
-        page = self.page(page_id)
-        page.slot(slot_id)  # raises on an empty/unknown slot
-        page.rows[slot_id] = tuple(row)
+        self.page(page_id).write(slot_id, tuple(row))
 
     @property
     def page_count(self) -> int:
@@ -75,6 +73,11 @@ class HeapFile:
     def row_count(self) -> int:
         """Number of rows in the heap."""
         return self._row_count
+
+    @property
+    def columns_built(self) -> int:
+        """Page value columns built so far, over every page."""
+        return sum(page.columns_built for page in self.pages)
 
     def page_ids(self) -> range:
         """Page ids in heap order."""

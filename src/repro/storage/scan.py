@@ -103,6 +103,8 @@ class ContinuousScan:
         Produces up to ``max_rows`` consecutive rows in one call,
         never crossing a page boundary or the table end, so one
         buffer-pool fetch covers the whole run (DESIGN.md section 5).
+        The rows are the page's own :class:`~repro.storage.page.PageRun`
+        copy, which a batch carries unchanged and asks for key columns.
         Returns None when the table is empty.  Positions
         ``0 .. row_count-1`` are visited cyclically, in the same order
         on every cycle, whatever the run sizes asked for.
@@ -118,11 +120,8 @@ class ContinuousScan:
         if page_id != self._current_page_id:
             self._current_page = self.buffer_pool.fetch(self.table.heap, page_id)
             self._current_page_id = page_id
-        page_rows = self._current_page.rows
-        available = min(
-            len(page_rows) - slot_id, row_count - position, max_rows
-        )
-        rows = page_rows[slot_id : slot_id + available]
+        page = self._current_page
+        available = min(len(page) - slot_id, row_count - position, max_rows)
         self._position = position + available
         self._tuples_returned += available
-        return position, rows
+        return position, page.run(slot_id, slot_id + available)

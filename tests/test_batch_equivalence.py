@@ -89,8 +89,8 @@ def _lyon_and_atlantis():
 def test_all_rows_dropped_at_one_filter():
     """A predicate matching nothing drops every batch in full.
 
-    Exercises the all-dropped compaction (``replace_live`` with an
-    empty survivor list) and the Distributor's empty-batch early-out;
+    Exercises the all-dropped compaction (an empty ``live`` list) and
+    the Distributor's empty-batch early-out;
     the query must still complete with zero rows.
     """
     catalog, star = make_tiny_star()
@@ -217,14 +217,20 @@ def test_sort_aggregation_batched_equivalent(ssb_small, ssb_workload):
 
 
 def test_batch_liveness_views_stay_in_sync(ssb_small, ssb_workload):
-    """The batch's live list and alive bit-mask are the same set.
+    """The live list and the bit-vector column agree on who is alive.
 
-    Filters maintain both views (the list drives the hot loops, the
-    mask is the bulk-combinable summary); a real filter chain must
-    keep them consistent at every stage.
+    A Filter compacts ``live`` and leaves bit-vector 0 on every row it
+    drops; ``union_bits`` reduces the whole column on the strength of
+    that, so a real filter chain must keep the two consistent at every
+    stage (``alive`` is the live list as a mask).
     """
     from repro import bitvec
     from repro.cjoin.batch import FactBatch
+
+    def rows_with_bits(batch):
+        return bitvec.pack_positions(
+            row for row, bits in enumerate(batch.bitvectors) if bits
+        )
 
     catalog, star = ssb_small
     operator = CJoinOperator(catalog, star)
@@ -237,11 +243,12 @@ def test_batch_liveness_views_stay_in_sync(ssb_small, ssb_workload):
             if not isinstance(item, FactBatch):
                 operator.pipeline.process_item(item)
                 continue
-            assert item.alive == bitvec.pack_positions(item.live)
+            assert item.alive == rows_with_bits(item)
             for stage_filter in operator.pipeline.filters:
                 stage_filter.process_batch(item)
-                assert item.alive == bitvec.pack_positions(item.live)
+                assert item.alive == rows_with_bits(item)
                 assert item.live_count == bitvec.popcount(item.alive)
+                assert list(item.live) == sorted(item.live)
             checked_batches += 1
             operator.pipeline.distributor.process(item)
         operator.manager.process_finished()
@@ -292,9 +299,11 @@ def test_admission_where_ends_exhaust_the_batch_budget():
     handles += [operator.submit(query), operator.submit(query)]
     for _ in range(5):
         executor.step()
-    # one cycle later the scan is parked where the last two started
+    # the second step ended its batch at the page boundary (rows 2-3 of
+    # a 4-row page, not 2-4), so the last two started at row 4; one
+    # cycle later the scan is parked there again
     start = handles[1].registration.start_position
-    assert operator.scan.next_position == start == 5
+    assert operator.scan.next_position == start == 4
     assert [handle.done for handle in handles] == [True, False, False]
     # start control + two ends = the whole budget of the next batch
     handles.append(operator.submit(query))

@@ -54,10 +54,7 @@ def one_batch(rows, bits=0b1, lookups=None):
     ``lookups`` maps a dimension name to its ``(fk index, key -> row)``
     pair, as a Filter attaches it.
     """
-    count = len(rows)
-    batch = FactBatch(
-        list(range(1, count + 1)), list(range(count)), rows, [bits] * count
-    )
+    batch = FactBatch([(1, 0, rows)], [bits] * len(rows))
     for name, (fk_index, rows_of) in (lookups or {}).items():
         batch.attach_dim_lookup(name, fk_index, rows_of)
     return batch
@@ -138,10 +135,14 @@ class TestPreprocessorProtocol:
         preprocessor.stall()
         preprocessor.activate(registration(1))
         preprocessor.resume()
-        preprocessor.next_batched_items(6)  # start + 5 rows
+        # start + the 4 rows of the first page: the batch ends on the
+        # page boundary instead of taking 1 row of the next page
+        preprocessor.next_batched_items(6)
+        second = registration(2)
         preprocessor.stall()
-        preprocessor.activate(registration(2))  # starts at position 5
+        preprocessor.activate(second)
         preprocessor.resume()
+        assert second.start_position == 4
         items = []
         while sum(isinstance(item, QueryEnd) for item in items) < 2:
             items.extend(preprocessor.next_batched_items(7))
@@ -154,7 +155,7 @@ class TestPreprocessorProtocol:
         # re-scans it for query 2; no batch spans the control tuple
         assert fact_rows(items[: ends[1]])[-1][1] == rows - 1
         wrapped = fact_rows(items[ends[1]: ends[2]])
-        assert [position for _, position in wrapped] == list(range(5))
+        assert [position for _, position in wrapped] == list(range(4))
         assert wrapped[0][0] > items[ends[1]].sequence
 
     def test_no_items_without_active_queries(self):

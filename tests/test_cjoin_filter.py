@@ -40,7 +40,7 @@ def make_filter(stats=None):
 
 def tuple_with_bits(bits, d_id=5):
     """A one-row batch: the fact tuple ``(d_id, 10)`` tagged ``bits``."""
-    return FactBatch([1], [0], [(d_id, 10)], [bits])
+    return FactBatch([(1, 0, [(d_id, 10)])], [bits])
 
 
 def survives(filter_, batch):

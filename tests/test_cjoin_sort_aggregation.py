@@ -36,7 +36,7 @@ class TestSortOperatorUnit:
             (store, 1, 1, total)
             for store, total in [(2, 5), (1, 3), (2, 7), (1, 1)]
         ]
-        batch = FactBatch([1, 2, 3, 4], [0, 1, 2, 3], rows, [0b1] * 4)
+        batch = FactBatch([(1, 0, rows)], [0b1] * 4)
         operator.consume_rows(batch, batch.live)
         assert operator.buffered_tuples == 4
         assert operator.results() == [(1, 4, 2), (2, 12, 2)]

@@ -2,11 +2,11 @@
 
 Covers the pipeline's passes piece by piece (DESIGN.md section 5): the
 bulk bit-vector primitives, routing group discovery, ``filter_batch``
-in every layout (dense / gathered) and probe strategy (dedup /
-direct) against the per-tuple definition — ``table.probe(key)``, AND,
-drop at zero — on hand-checkable data, the dimension table's in-place
-columnar view, the batch's
-per-batch join attachments, and the shared-memory column codecs
+in every column layout (fully live / dense partial / gathered) against
+the per-tuple definition — ``table.probe(key)``, AND, drop at zero — on
+hand-checkable data and as a property over random batches, the
+dimension table's in-place columnar view, the batch's per-batch join
+attachments and derived columns, and the shared-memory column codecs
 (DESIGN.md section 14).  The whole-pipeline equivalence properties
 live in tests/test_batch_equivalence.py.
 """
@@ -15,17 +15,16 @@ from __future__ import annotations
 
 import pickle
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro import bitvec
 from repro.cjoin.batch import FactBatch
 from repro.cjoin.dimtable import DimensionHashTable
 from repro.cjoin.filter import Filter
-from repro.cjoin.kernels import (
-    DEDUP_FANOUT,
-    DENSE_CUTOFF,
-    group_rows_by_bits,
-)
+from repro.cjoin.kernels import DENSE_CUTOFF, group_rows_by_bits
+from repro.storage.heap import HeapFile
 from repro.storage.shm import (
     attach_fact_slice,
     decode_rows,
@@ -39,17 +38,6 @@ from tests.conftest import make_tiny_star
 # Bulk bit-vector primitives
 # ----------------------------------------------------------------------
 class TestBulkPrimitives:
-    def test_bulk_and_lookup(self):
-        masks = {"a": 0b011, "b": 0b110}
-        vectors = [0b111, 0b101, 0b010]
-        assert bitvec.bulk_and_lookup(
-            vectors, ["a", "b", "a"], masks
-        ) == [0b011, 0b100, 0b010]
-
-    def test_bulk_and_lookup_length_mismatch(self):
-        with pytest.raises(ValueError, match="length mismatch"):
-            bitvec.bulk_and_lookup([1, 2], ["a"], {"a": 1})
-
     def test_pack_positions_matches_or_loop(self):
         positions = [0, 3, 17, 200]
         expected = 0
@@ -98,17 +86,21 @@ def _sales_batch(total: int = 12, live=None) -> FactBatch:
     catalog, _ = make_tiny_star()
     sales = catalog.table("sales").all_rows()
     rows = [sales[index % len(sales)] for index in range(total)]
-    live = list(range(total)) if live is None else live
-    alive = set(live)
     pattern = (0b11, 0b10, 0b01)  # query id n rides bit n - 1
-    bitvectors = [
-        pattern[index % 3] if index in alive else 0 for index in range(total)
-    ]
-    batch = FactBatch(
-        list(range(total)), list(range(total)), rows, bitvectors
-    )
-    batch.replace_live(live)
+    bitvectors = [pattern[index % 3] for index in range(total)]
+    batch = FactBatch([(1, 0, rows)], bitvectors)
+    if live is not None:
+        _kill_rows_outside(batch, live)
     return batch
+
+
+def _kill_rows_outside(batch: FactBatch, live: list[int]) -> None:
+    """Leave ``batch`` as Filters dropping every other row would."""
+    alive = set(live)
+    for row_index in range(len(batch)):
+        if row_index not in alive:
+            batch.bitvectors[row_index] = 0
+    batch.live = live
 
 
 def _per_tuple(batch: FactBatch, table: DimensionHashTable, fk_index: int):
@@ -133,63 +125,147 @@ def _per_tuple(batch: FactBatch, table: DimensionHashTable, fk_index: int):
     return outcome, skips
 
 
-@pytest.mark.parametrize(
-    "total, live_stride, cities, dense, dedup",
-    [
-        pytest.param(48, 1, ("lyon", "paris"), True, True, id="fully-live-dedup"),
-        pytest.param(6, 1, ("lyon", "paris"), True, False, id="fully-live-direct"),
-        pytest.param(48, 2, ("lyon", "paris"), True, True, id="dense-partial-dedup"),
-        pytest.param(12, 2, ("lyon", "paris"), True, False, id="dense-partial-direct"),
-        pytest.param(48, 5, ("lyon", "paris"), False, True, id="gathered-dedup"),
-        pytest.param(12, 5, ("lyon", "paris"), False, False, id="gathered-direct"),
-        pytest.param(
-            48, 1, ("lyon", "paris", "nice"), True, True, id="nothing-dropped"
-        ),
-        pytest.param(12, 1, ("atlantis",), True, True, id="empty-table-all-drop"),
-    ],
-)
-def test_filter_batch_matches_tuple_filter(
-    total, live_stride, cities, dense, dedup
-):
-    """Every layout x strategy leaves the batch exactly as filtering
-    the same rows one tuple at a time would: bits, survivors,
-    attachments, counts."""
-    _, star = make_tiny_star()
-    table = _store_table(cities)
-    live = list(range(0, total, live_stride))
-    batch = _sales_batch(total, live)
-    # the case exercises the branch its row claims
-    assert (len(live) * DENSE_CUTOFF >= len(batch)) is dense
-    assert (table.tuple_count * DEDUP_FANOUT <= len(live)) is dedup
+def _assert_filter_matches_per_tuple(batch, table, star, live) -> Filter:
+    """Filtering ``batch`` leaves it as one tuple at a time would."""
     filtered = Filter(table, star)
-    outcome, skips = _per_tuple(batch, table, filtered.fk_index)
+    fk_index = filtered.fk_index
+    outcome, skips = _per_tuple(batch, table, fk_index)
+    fully_live = len(live) == len(batch)
     filtered.process_batch(batch)
-    assert batch.live == [r for r in live if outcome[r][0]]
+    assert list(batch.live) == [r for r in live if outcome[r][0]]
     assert batch.alive == bitvec.pack_positions(batch.live)
     for row_index in live:
         assert batch.bitvectors[row_index] == outcome[row_index][1]
+    # every drop path leaves bit-vector 0 behind (union_bits relies on it)
+    alive = set(batch.live)
+    assert all(
+        bits == 0
+        for row_index, bits in enumerate(batch.bitvectors)
+        if row_index not in alive
+    )
     for row_index in batch.live:
         # a skipped row needs no pointer; the batch-level lookup may
         # still resolve one, which no routed query reads (only
         # non-referencing queries want the row)
-        if batch.bitvectors[row_index] & 0b01:
-            ((fk_index, rows_of),) = batch.dim_lookup_state(("store",))
+        if outcome[row_index][2] is not None:
+            ((attached_index, rows_of),) = batch.dim_lookup_state((table.name,))
+            assert attached_index == fk_index
             joined = rows_of[batch.rows[row_index][fk_index]]
-            assert joined == outcome[row_index][2] is not None
+            assert joined == outcome[row_index][2]
     stats = filtered.stats
     assert stats.tuples_in == len(live)
     assert stats.tuples_dropped == sum(
         not survived for survived, _, _ in outcome.values()
     )
     # every live row is either a probe or a section 3.2.2 skip; only
-    # partially-live batches count per-row skips
+    # partially-live batches count per-row skips (or a batch the union
+    # test skips whole)
     assert stats.probes + stats.probe_skips == len(live)
-    if live_stride > 1:
+    if not fully_live or skips == len(live):
         assert stats.probe_skips == skips
-    # hash-table traffic actually paid: the dense layout runs over the
-    # full column, dedup pays once per distinct key
-    keys = [batch.rows[r][0] for r in (range(len(batch)) if dense else live)]
-    assert stats.distinct_probes == (len(set(keys)) if dedup else len(keys))
+    return filtered
+
+
+@pytest.mark.parametrize(
+    "total, live_stride, cities, dense",
+    [
+        pytest.param(48, 1, ("lyon", "paris"), True, id="fully-live"),
+        pytest.param(12, 2, ("lyon", "paris"), True, id="dense-partial"),
+        pytest.param(48, 5, ("lyon", "paris"), False, id="gathered"),
+        pytest.param(48, 1, ("lyon", "paris", "nice"), True, id="nothing-dropped"),
+        pytest.param(12, 1, ("atlantis",), True, id="empty-table-all-drop"),
+    ],
+)
+def test_filter_batch_matches_tuple_filter(total, live_stride, cities, dense):
+    """Every column layout leaves the batch exactly as filtering the
+    same rows one tuple at a time would: bits, survivors, attachments,
+    counts."""
+    _, star = make_tiny_star()
+    table = _store_table(cities)
+    live = list(range(0, total, live_stride))
+    batch = _sales_batch(total, live if live_stride > 1 else None)
+    # the case exercises the branch its row claims
+    assert (len(live) * DENSE_CUTOFF >= len(batch)) is dense
+    _assert_filter_matches_per_tuple(batch, table, star, live)
+
+
+#: queries the property registers: ids beyond 64 make the bit-vectors
+#: wider than one machine word
+_PROPERTY_QUERY_IDS = (1, 2, 3, 63, 64, 65, 70)
+_PROPERTY_KEYS = range(8)
+
+
+@st.composite
+def _filter_cases(draw):
+    """(rows' keys, bits, live, run lengths, paged?, per-query selections)."""
+    count = draw(st.integers(1, 40))
+    keys = draw(st.lists(
+        st.sampled_from(_PROPERTY_KEYS), min_size=count, max_size=count
+    ))
+    bits = draw(st.lists(
+        st.sets(st.sampled_from(_PROPERTY_QUERY_IDS), min_size=1).map(
+            lambda ids: bitvec.pack_positions(q - 1 for q in ids)
+        ),
+        min_size=count, max_size=count,
+    ))
+    # fully live half the time, else any subset (the empty one too)
+    flags = draw(st.lists(st.booleans(), min_size=count, max_size=count))
+    live = (
+        list(range(count)) if draw(st.booleans())
+        else [index for index, flag in enumerate(flags) if flag]
+    )
+    run_length = draw(st.integers(1, count))
+    paged = draw(st.booleans())
+    # None: the query does not reference the dimension (its bit rides
+    # the complement bitmap); else the keys its predicate selects
+    selections = draw(st.lists(
+        st.none() | st.sets(st.sampled_from(_PROPERTY_KEYS)),
+        min_size=len(_PROPERTY_QUERY_IDS), max_size=len(_PROPERTY_QUERY_IDS),
+    ))
+    return keys, bits, live, run_length, paged, selections
+
+
+@settings(max_examples=150, deadline=None)
+@given(_filter_cases())
+def test_filter_batch_is_the_per_row_definition(case):
+    """``filter_batch`` ≡ probe, AND, drop at zero — over random
+    liveness, keys, complement bitmaps and > 64-bit vectors, whether
+    the batch holds page runs (resident key columns) or the plain row
+    lists the per-row Preprocessor path and the page-less scan sources
+    build."""
+    keys, bits, live, run_length, paged, selections = case
+    _, star = make_tiny_star()
+    table = DimensionHashTable(star.dimension("store"))
+    for query_id, selected in zip(_PROPERTY_QUERY_IDS, selections):
+        if selected is None:
+            table.mark_query_not_referencing(query_id)
+        else:
+            table.mark_query_referencing(query_id)
+            table.register_selected_rows(
+                query_id, [(key, "city", 1) for key in sorted(selected)]
+            )
+    rows = [(key, 10, 1, 1) for key in keys]
+    if paged:
+        heap = HeapFile(rows_per_page=run_length)
+        for row in rows:
+            heap.append_row(row)
+        parts = [page.run(0, len(page)) for page in heap.pages]
+    else:
+        parts = [
+            rows[start:start + run_length]
+            for start in range(0, len(rows), run_length)
+        ]
+    runs, sequence = [], 1
+    for part in parts:
+        # per-row-built runs leave gaps in the positions
+        runs.append((sequence, 3 * sequence, part))
+        sequence += len(part)
+    batch = FactBatch(runs, list(bits))
+    assert batch.rows == rows
+    assert batch.key_column(0) == keys
+    if len(live) < len(rows):
+        _kill_rows_outside(batch, live)
+    _assert_filter_matches_per_tuple(batch, table, star, live)
 
 
 def test_filter_batch_union_skip_counts_every_row():
@@ -200,33 +276,22 @@ def test_filter_batch_union_skip_counts_every_row():
     batch.bitvectors[:] = [0b10] * len(batch)
     filtered = Filter(table, star)
     filtered.process_batch(batch)
-    assert batch.live == list(range(12))
+    assert list(batch.live) == list(range(12))
     assert (filtered.stats.probes, filtered.stats.probe_skips) == (0, 12)
 
 
 def test_filter_kernel_alive_mask_tracks_live_list():
-    """Both compaction sides keep alive == pack(live) (mostly-dropped
-    batches go through replace_live, mostly-kept through drop_rows)."""
+    """Mostly-kept and mostly-dropped batches alike: the survivors are
+    exactly the rows left with a bit."""
     _, star = make_tiny_star()
     for cities in (("lyon", "paris"), ("nice",)):
         batch = _sales_batch()
         batch.bitvectors[:] = [0b01] * len(batch)
         Filter(_store_table(cities), star).process_batch(batch)
         assert 0 < len(batch.live) < len(batch)
-        assert batch.alive == bitvec.pack_positions(batch.live)
-        assert all(batch.bitvectors[r] for r in batch.live)
-
-
-def test_filter_kernel_distinct_probes_counted():
-    """Dedup probing reports the deduplicated hash-table traffic."""
-    table = _store_table()
-    _, star = make_tiny_star()
-    batch = _sales_batch()
-    filtered = Filter(table, star)
-    filtered.process_batch(batch)
-    # 12 logical probes but only 3 distinct store keys in the batch
-    assert filtered.stats.probes == 12
-    assert 0 < filtered.stats.distinct_probes <= 3
+        assert batch.alive == bitvec.pack_positions(
+            r for r, bits in enumerate(batch.bitvectors) if bits
+        )
 
 
 # ----------------------------------------------------------------------
@@ -285,12 +350,20 @@ class TestBatchAttachments:
         assert batch.dim_lookup_state(("store", "product")) is None
         assert batch.dim_lookup_state(()) == ()
 
-    def test_replace_live_rebuilds_alive_mask(self):
-        batch = _sales_batch()
-        batch.replace_live([1, 4, 7])
-        assert batch.live == [1, 4, 7]
-        assert batch.alive == bitvec.pack_positions([1, 4, 7])
-        assert batch.live_count == 3
+    def test_sequences_and_positions_follow_the_runs(self):
+        """Derived on demand from ``(first sequence, first position,
+        rows)``; several runs make one ``rows`` list."""
+        first, second = [(1, 10, 1, 1), (2, 20, 1, 1)], [(3, 30, 1, 1)]
+        batch = FactBatch([(7, 40, first), (9, 90, second)], [0b1] * 3)
+        assert batch.sequences == [7, 8, 9]
+        assert batch.positions == [40, 41, 90]
+        assert batch.rows == first + second
+        assert batch.key_column(1) == [10, 20, 30]
+        assert batch.alive == 0b111 and batch.live_count == len(batch) == 3
+        one_run = FactBatch([(1, 0, first)], [0b1] * 2)
+        assert one_run.rows is first
+        with pytest.raises(ValueError, match="equal length"):
+            FactBatch([(1, 0, first)], [0b1])
 
 
 # ----------------------------------------------------------------------
