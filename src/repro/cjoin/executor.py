@@ -2,7 +2,8 @@
 
 One driver, :class:`SynchronousExecutor`: single-threaded and
 deterministic, it answers queries both for ``run_until_drained()`` and,
-on the service's driver thread, for the always-on continuous scan.
+one ``step()`` at a time under the service's driver, for the always-on
+continuous scan.
 
 One pipeline (DESIGN.md section 5): the Preprocessor hands the scan's
 runs on as :class:`~repro.cjoin.batch.FactBatch` objects, each Filter
@@ -27,7 +28,6 @@ where thread-per-stage cannot.
 from __future__ import annotations
 
 import dataclasses
-import threading
 from dataclasses import InitVar, dataclass
 
 from repro.cjoin.batch import FactBatch
@@ -36,11 +36,8 @@ from repro.cjoin.pipeline import CJoinPipeline
 from repro.errors import PipelineError
 from repro.tuning import (
     DEFAULT_BATCH_SIZE,
-    DEFAULT_IDLE_SLEEP,
     MAX_BATCH_SIZE,
-    MAX_IDLE_SLEEP,
     TuningConfig,
-    _require_float,
     _require_int,
 )
 
@@ -70,19 +67,6 @@ class ExecutorConfig:
         if tuning is not None:
             object.__setattr__(self, "batch_size", tuning.batch_size)
         _require_int("batch_size", self.batch_size, 1, MAX_BATCH_SIZE)
-
-
-def _resolve_idle_sleep(idle_sleep):
-    """Normalize a float-or-callable idle throttle to a callable.
-
-    A plain number is validated once and frozen; a callable is trusted
-    per call (the service validates through TuningConfig before any
-    value reaches it) so a running driver sees retunes immediately.
-    """
-    if callable(idle_sleep):
-        return idle_sleep
-    _require_float("idle_sleep", idle_sleep, 0.0, MAX_IDLE_SLEEP)
-    return lambda: idle_sleep
 
 
 class _ProfilingDriver:
@@ -132,20 +116,16 @@ class _ProfilingDriver:
 
 
 class SynchronousExecutor:
-    """Drives the pipeline to completion on the calling thread.
+    """Drives the pipeline on the calling thread, one batch per step.
 
-    Two drive modes:
-
-    * :meth:`run_until_drained` — the batch-drain mode: run until every
-      admitted query completes, then return (the historical
-      ``Warehouse.run()`` contract);
-    * :meth:`run_forever` — the continuous service mode (DESIGN.md
-      section 9): cycle the scan indefinitely, idle-throttling when no
-      query is registered, until :meth:`stop` is signalled from another
-      thread.  Mid-scan admission needs no extra machinery here: the
-      manager's stall protocol serializes ``admit()`` against
-      :meth:`step`'s item production on the preprocessor lock, so any
-      thread may admit at any moment between batches.
+    :meth:`step` is the unit every driver is built from: the service's
+    continuous drive (DESIGN.md section 9, on its thread or a server's
+    event loop) calls it forever, :meth:`run_until_drained` until every
+    admitted query completes (the historical ``Warehouse.run()``
+    contract).  Mid-scan admission needs no extra machinery here: the
+    manager's stall protocol serializes ``admit()`` against
+    :meth:`step`'s item production on the preprocessor lock, so any
+    thread may admit at any moment between batches.
     """
 
     def __init__(
@@ -158,7 +138,6 @@ class SynchronousExecutor:
         self.manager = manager
         self.config = config if config is not None else ExecutorConfig()
         self._profiler = _ProfilingDriver(pipeline, manager, self.config)
-        self._stop = threading.Event()
 
     def reconfigure(self, tuning: TuningConfig) -> None:
         """Apply runtime-tunable knobs at the next batch boundary.
@@ -208,56 +187,3 @@ class SynchronousExecutor:
                 raise PipelineError(
                     f"pipeline did not drain within {max_batches} batches"
                 )
-
-    def run_forever(
-        self,
-        idle_sleep: float = DEFAULT_IDLE_SLEEP,
-        on_cycle=None,
-        stop_event: threading.Event | None = None,
-        wake: threading.Event | None = None,
-    ) -> None:
-        """Cycle the pipeline until stopped (the always-on service mode).
-
-        Steps the pipeline continuously; when a step handles nothing
-        (no registered queries, no pending control tuples) the loop
-        sleeps ``idle_sleep`` seconds instead of spinning.  ``on_cycle``
-        — called once per loop iteration, before the step — is the
-        service layer's hook for pumping its admission queue on the
-        driver thread.  ``stop_event`` overrides the executor's own
-        stop flag so an external owner (the service) can coordinate
-        shutdown without racing :meth:`stop`'s flag reset.  ``wake``,
-        when given, is what an idle loop sleeps on instead: its owner
-        sets it when there is work for ``on_cycle`` (a submission
-        queued) and when it sets ``stop_event``, so neither waits out
-        ``idle_sleep``.
-
-        Returns after the stop flag is set; a clean shutdown leaves the
-        pipeline consistent, and admitted-but-unfinished queries simply
-        resume on the next drive call.
-
-        ``idle_sleep`` may also be a zero-argument callable returning
-        the current sleep, so the service layer can retune the idle
-        throttle of a *running* driver (DESIGN.md section 13).
-        """
-        idle = _resolve_idle_sleep(idle_sleep)
-        stop = stop_event if stop_event is not None else self._stop
-        sleeper = wake if wake is not None else stop
-        try:
-            while not stop.is_set():
-                if on_cycle is not None:
-                    on_cycle()
-                if self.step() == 0:
-                    sleeper.wait(idle())
-                    if wake is not None:
-                        # cleared before the next on_cycle: whatever
-                        # set it is seen there, a later set stays set
-                        wake.clear()
-        finally:
-            if stop is self._stop:
-                # consume the signal on the way out: each stop() ends
-                # at most one run, and the driver stays reusable
-                self._stop.clear()
-
-    def stop(self) -> None:
-        """Signal :meth:`run_forever` to return (thread-safe, idempotent)."""
-        self._stop.set()

@@ -131,10 +131,6 @@ class CJoinOperator:
         self.run_until_drained()
         return handle.results()
 
-    def stop(self) -> None:
-        """Signal a running ``executor.run_forever()`` to return."""
-        self.executor.stop()
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------

@@ -2,11 +2,25 @@
 
 The paper's operator never stops: the fact scan cycles indefinitely
 and queries attach mid-cycle at whatever position the scan happens to
-be.  :class:`WarehouseService` is that serving surface.  It owns a
-background driver thread that keeps the CJOIN pipeline cycling
-(idle-throttled when no query is registered), a bounded FIFO admission
-queue in front of the Pipeline Manager, and the per-query latency
-telemetry that backs the "predictable" half of the paper's title.
+be.  :class:`WarehouseService` is that serving surface.  It owns the
+driver that keeps the CJOIN pipeline cycling (idle-throttled when no
+query is registered), a bounded FIFO admission queue in front of the
+Pipeline Manager, and the per-query latency telemetry that backs the
+"predictable" half of the paper's title.
+
+The driver is one drive body — scan-boundary hook, admission pump, one
+``executor.step()``, idle detection (:meth:`WarehouseService._drive_once`)
+— with two hosts.  Embedded, it runs on a ``warehouse-service``
+thread.  Served, it runs as a task on the server's event loop, handed
+in by :class:`~repro.server.tcp.WarehouseServer`, so a served
+warehouse has exactly one thread running Python: the task yields to
+the sockets between slices of steps, each slice running twice as long
+as the sockets did before it (one step when they are quiet), and an
+idle one waits on the submission wake or an ``idle_sleep`` poll.
+``running``, ``start()``, ``stop()``, ``drain()`` and
+crash reporting mean the same under either host and from any thread;
+``stop()`` on the loop's own thread returns at once (the task is
+parked, and ends at its next resumption without stepping again).
 
 Usage, open-loop::
 
@@ -35,15 +49,18 @@ beyond which ``submit()`` raises :class:`~repro.errors.AdmissionError`.
 An error raised while admitting a queued query (a dimension predicate
 that cannot be evaluated) reaches the caller through the handle.
 
-Shutdown protocol: ``stop()`` sets the service's stop event and joins
-the driver thread.  Admitted-but-unfinished queries stay registered
-and resume on the next ``start()`` or ``drain()`` — stopping never
-corrupts pipeline state.
+Shutdown protocol: ``stop()`` sets the run's stop event and waits for
+the drive body to exit.  Admitted-but-unfinished queries stay
+registered and resume on the next ``start()`` or ``drain()`` —
+stopping never corrupts pipeline state.
 """
 
 from __future__ import annotations
 
+import asyncio
+import sys
 import threading
+import time
 from collections import deque
 
 from repro.cjoin.operator import CJoinOperator
@@ -51,6 +68,41 @@ from repro.cjoin.registry import QueryHandle
 from repro.errors import AdmissionError, PipelineError
 from repro.query.star import StarQuery
 from repro.tuning import TuningConfig
+
+#: How often a busy loop-hosted driver runs one slice long enough for
+#: another thread of the process to get the GIL (seconds of scanning).
+HANDOFF_PERIOD_S = 0.1
+
+
+def _on_loop(loop: asyncio.AbstractEventLoop | None) -> bool:
+    """True when the calling thread is running ``loop``."""
+    try:
+        return loop is not None and asyncio.get_running_loop() is loop
+    except RuntimeError:
+        return False  # no loop runs on this thread
+
+
+def call_on_loop(loop: asyncio.AbstractEventLoop, callback, *args) -> None:
+    """Schedule ``callback(*args)`` on ``loop`` from any thread.
+
+    On the loop's own thread this is ``call_soon``: no byte goes
+    through the self-pipe and the selector is not woken again.  Any
+    other thread takes ``call_soon_threadsafe``.  A closed loop drops
+    the call (whoever waited on it was cancelled with the loop).
+    """
+    if _on_loop(loop):
+        loop.call_soon(callback, *args)
+        return
+    try:
+        loop.call_soon_threadsafe(callback, *args)
+    except RuntimeError:
+        pass  # loop closed
+
+
+def resolve(future: asyncio.Future) -> None:
+    """Complete ``future`` unless something got there first."""
+    if not future.done():
+        future.set_result(None)
 
 
 class WarehouseService:
@@ -79,11 +131,23 @@ class WarehouseService:
         self._apply_tuning(tuning if tuning is not None else TuningConfig())
         self._queue: deque[tuple[StarQuery, QueryHandle]] = deque()
         self._in_flight = 0
+        #: the current run's stop signal and exit mark; start() makes a
+        #: fresh pair, so a late exit of an old run never reads as the
+        #: new one's
         self._stop_event = threading.Event()
+        self._finished: threading.Event | None = None
         #: set by an enqueue (and by stop()) so an idle driver pumps
         #: now instead of sleeping out idle_sleep
         self._wake = threading.Event()
         self._thread: threading.Thread | None = None
+        #: the event loop a server handed in (:meth:`_host`): while
+        #: set, start() runs the drive body as a task on it, and
+        #: ``_on_stop`` runs on it whenever a run ends
+        self._loop: asyncio.AbstractEventLoop | None = None
+        self._on_stop = None
+        self._task: asyncio.Task | None = None
+        #: what a loop-hosted driver awaits while idle; a wake resolves it
+        self._idle_waiter: asyncio.Future | None = None
         self._driver_error: BaseException | None = None
         #: optional scan-boundary callback, run on the driving thread
         #: right before each admission pump (so admissions stamped in
@@ -125,8 +189,8 @@ class WarehouseService:
         in-flight count under the new bound — registered queries are
         never evicted.  Shrinking ``admission_queue_depth`` below the
         current queue length keeps the queued entries and only rejects
-        new submissions.  ``idle_sleep`` reaches the live driver loop
-        through the callable handed to ``run_forever``.
+        new submissions.  ``idle_sleep`` is read by the live driver at
+        its next idle wait.
         """
         self._apply_tuning(tuning)
 
@@ -152,9 +216,10 @@ class WarehouseService:
     # ------------------------------------------------------------------
     @property
     def running(self) -> bool:
-        """True while the background driver thread is alive."""
-        thread = self._thread
-        return thread is not None and thread.is_alive()
+        """True from ``start()`` until the driver stops or crashes,
+        whichever host (thread or event loop) runs it."""
+        finished = self._finished
+        return finished is not None and not finished.is_set()
 
     @property
     def in_flight(self) -> int:
@@ -216,8 +281,15 @@ class WarehouseService:
                 )
             self._queue.append((query, handle))
             self._cond.notify_all()
-        self._wake.set()
+        self._signal_wake()
         return handle
+
+    def _signal_wake(self) -> None:
+        """Cut an idle driver's wait short, on either host."""
+        self._wake.set()
+        waiter = self._idle_waiter
+        if waiter is not None:
+            call_on_loop(waiter.get_loop(), resolve, waiter)
 
     def _on_query_done(self, handle: QueryHandle) -> None:
         """Completion callback: free the slot and wake waiters."""
@@ -256,11 +328,22 @@ class WarehouseService:
         )
 
     def _on_cycle(self) -> int:
-        """The per-cycle driver callback: scan-boundary hook, then pump."""
+        """The batch-boundary callback: scan-boundary hook, then pump."""
         hook = self.cycle_hook
         if hook is not None:
             hook()
         return self._pump_admissions()
+
+    def _drive_once(self) -> int:
+        """The drive body, once: boundary hook, admission pump, one step.
+
+        Every host runs exactly this — the ``warehouse-service``
+        thread, the task on a server's event loop, and ``pump()`` —
+        and treats a return of 0 (nothing scanned, no control tuple) as
+        idle.  Returns the number of items the step handled.
+        """
+        self._on_cycle()
+        return self.operator.executor.step()
 
     def _pump_admissions(self) -> int:
         """Admit ``min(queued, free slots)`` submissions as one group.
@@ -307,67 +390,200 @@ class WarehouseService:
         return count
 
     # ------------------------------------------------------------------
-    # Background driver lifecycle
+    # Driver lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "WarehouseService":
-        """Start the background continuous-scan driver.
+        """Start the continuous-scan driver.
 
-        Returns self, so ``service = warehouse.start_service()`` reads
-        naturally.  Restartable: ``start()`` after ``stop()`` spins up
-        a fresh driver over the same pipeline state.
+        On a ``warehouse-service`` thread, or as a task on the event
+        loop a server handed in (:meth:`_host`).  Returns self, so
+        ``service = warehouse.start_service()`` reads naturally.
+        Restartable: ``start()`` after ``stop()`` spins up a fresh
+        driver over the same pipeline state, on the same host.
 
         Raises:
-            PipelineError: if the driver is already running.
+            PipelineError: if the driver is already running, or its
+                event loop has closed.
         """
         with self._cond:
             if self.running:
                 raise PipelineError("service driver is already running")
             self._driver_error = None
-            self._stop_event = threading.Event()
-            self._thread = threading.Thread(
-                target=self._drive, name="warehouse-service", daemon=True
-            )
-            self._thread.start()
+            stop, finished = threading.Event(), threading.Event()
+            self._stop_event, self._finished = stop, finished
+            loop = self._loop
+            if loop is None:
+                self._thread = threading.Thread(
+                    target=self._run_thread,
+                    args=(stop, finished),
+                    name="warehouse-service",
+                    daemon=True,
+                )
+                self._thread.start()
+                return self
+            try:
+                loop.call_soon_threadsafe(self._spawn, loop, stop, finished)
+            except RuntimeError:
+                finished.set()
+                raise PipelineError(
+                    "the service driver's event loop is closed"
+                ) from None
         return self
 
-    def _drive(self) -> None:
+    def _spawn(self, loop, stop, finished) -> None:
+        self._task = loop.create_task(
+            self._run_task(stop, finished), name="warehouse-service"
+        )
+
+    def _run_thread(self, stop: threading.Event, finished) -> None:
+        """The thread host: the drive body, idle waits on the wake."""
         try:
-            self.operator.executor.run_forever(
-                # a callable, so reconfigure() retunes the idle
-                # throttle of the running driver (DESIGN.md section 13)
-                idle_sleep=lambda: self.idle_sleep,
-                on_cycle=self._on_cycle,
-                stop_event=self._stop_event,
-                wake=self._wake,
-            )
+            while not stop.is_set():
+                if self._drive_once() == 0:
+                    self._wake.wait(self.idle_sleep)
+                    # cleared before the next boundary: whatever set it
+                    # is seen there, a later set stays set
+                    self._wake.clear()
         except BaseException as error:  # keep stop()/drain() informative
             self._driver_error = error
         finally:
+            self._run_ended(finished)
+
+    async def _run_task(self, stop: threading.Event, finished) -> None:
+        """The event-loop host: the drive body between socket callbacks.
+
+        The task yields after every slice of steps, so a ready frame
+        waits one slice at most.  A slice is one step, or as many as
+        it takes to run twice as long as everything else on the loop
+        ran since the task last yielded: a turn crowded with ready
+        sockets cannot starve the scan, which keeps two thirds of the
+        thread under any storm of frames.  An idle driver awaits the
+        wake or a poll (:meth:`_idle_wait`).
+
+        Busy, the loop gives the GIL up only inside its ``select()``
+        and takes it back before a thread waiting for it can wake, so
+        such a thread would wait as long as the scan stays busy.  One
+        slice per :data:`HANDOFF_PERIOD_S` therefore outlasts twice the
+        interpreter's switch interval, long enough for CPython's forced
+        switch to hand the GIL over.
+        """
+        loop = asyncio.get_running_loop()
+        try:
+            yielded_at = handed_at = time.perf_counter()
+            while not stop.is_set():
+                started = time.perf_counter()
+                length = 2 * (started - yielded_at)
+                if started - handed_at >= HANDOFF_PERIOD_S:
+                    length = max(length, 2 * sys.getswitchinterval())
+                    handed_at = started
+                idle = self._drive_once() == 0
+                while (
+                    not idle
+                    and not stop.is_set()
+                    and time.perf_counter() - started < length
+                ):
+                    idle = self._drive_once() == 0
+                if idle:
+                    # blocked in select(), the loop lets every thread in
+                    await self._idle_wait(loop, stop)
+                    yielded_at = handed_at = time.perf_counter()
+                else:
+                    yielded_at = time.perf_counter()
+                    await asyncio.sleep(0)
+        except asyncio.CancelledError:
+            raise  # the loop is shutting down under the driver: a stop
+        except BaseException as error:  # keep stop()/drain() informative
+            self._driver_error = error
+        finally:
+            self._run_ended(finished)
+
+    async def _idle_wait(
+        self, loop: asyncio.AbstractEventLoop, stop: threading.Event
+    ) -> None:
+        """Park the task until a wake or until a poll finds work.
+
+        Every ``idle_sleep`` a timer callback runs the drive body once
+        (work can also arrive without a wake: a staged ingest batch, a
+        query admitted past the service); the task itself only resumes
+        once there is something to scan, so an idle loop turns once per
+        poll, not twice.
+        """
+        waiter = loop.create_future()
+        timer = None
+
+        def poll() -> None:
+            nonlocal timer
+            if waiter.done():
+                return  # woken already: the task steps next
+            try:
+                busy = self._drive_once() != 0
+            except BaseException as error:  # the task reports it
+                waiter.set_exception(error)
+                return
+            if busy or stop.is_set():
+                resolve(waiter)
+            else:
+                timer = loop.call_later(self.idle_sleep, poll)
+
+        self._idle_waiter = waiter
+        try:
+            # a wake set before the waiter was visible is not lost
+            if not self._wake.is_set():
+                timer = loop.call_later(self.idle_sleep, poll)
+                await waiter
+        finally:
+            self._idle_waiter = None
+            if timer is not None:
+                timer.cancel()
+        self._wake.clear()
+
+    def _run_ended(self, finished: threading.Event) -> None:
+        try:
             self.operator.manager.process_finished()
-            with self._cond:
-                self._cond.notify_all()
+        finally:
+            self._mark_stopped(finished)
+
+    def _mark_stopped(self, finished: threading.Event) -> None:
+        """End a run once: ``running`` turns False, waiters wake."""
+        if finished.is_set():
+            return
+        finished.set()
+        with self._cond:
+            self._cond.notify_all()
+            loop, on_stop = self._loop, self._on_stop
+        if on_stop is not None:
+            call_on_loop(loop, on_stop)
 
     def stop(self, timeout: float = 10.0) -> None:
         """Shut the driver down cleanly (idempotent).
 
-        Joins the driver thread.  In-flight queries stay registered;
-        they resume on the next ``start()`` or ``drain()``.
+        Waits for the drive body to exit — except on the driver's own
+        event loop, where the task is parked at an await while this
+        runs: it is marked stopped at once and ends at its next
+        resumption without stepping again.  In-flight queries stay
+        registered; they resume on the next ``start()`` or ``drain()``.
 
         Raises:
             PipelineError: if the driver does not stop within
                 ``timeout`` seconds, or previously crashed.
         """
-        thread = self._thread
-        self._stop_event.set()
-        self._wake.set()
         with self._cond:
+            finished, thread = self._finished, self._thread
+            self._stop_event.set()
             self._cond.notify_all()
-        if thread is not None:
-            thread.join(timeout)
-            if thread.is_alive():
+        self._signal_wake()
+        if finished is not None and not finished.is_set():
+            loop = self._loop
+            if thread is None and loop is not None and (
+                _on_loop(loop) or loop.is_closed()
+            ):
+                self._mark_stopped(finished)
+            elif not finished.wait(timeout):
                 raise PipelineError(
                     f"service driver did not stop within {timeout} seconds"
                 )
+        if thread is not None:
+            thread.join(timeout)
         self._thread = None
         self._raise_driver_error()
 
@@ -377,6 +593,38 @@ class WarehouseService:
             raise PipelineError(
                 "service driver crashed; pipeline state preserved"
             ) from error
+
+    def _host(self, loop: asyncio.AbstractEventLoop, on_stop=None) -> bool:
+        """Make ``loop`` the driver's host and start the driver there.
+
+        What a server calls with its own event loop: from now on
+        ``start()`` runs the drive body as a task on ``loop``, and
+        ``on_stop()`` runs on the loop whenever a run ends (stopped or
+        crashed).  A driver already running on a thread is stopped
+        and taken over; returns True when one was, so the caller can
+        hand it back after :meth:`_unhost`.
+        """
+        taken_over = self.running
+        if taken_over:
+            self.stop()
+        with self._cond:
+            self._loop, self._on_stop = loop, on_stop
+        self.start()
+        return taken_over
+
+    def _unhost(self) -> None:
+        """Stop the loop-hosted driver and detach from the loop, so the
+        next ``start()`` runs a thread again.
+
+        Raises:
+            PipelineError: like :meth:`stop`, when the driver crashed
+                (the service is detached either way).
+        """
+        try:
+            self.stop()
+        finally:
+            with self._cond:
+                self._loop = self._on_stop = self._task = None
 
     # ------------------------------------------------------------------
     # Draining (the Warehouse.run() compatibility path)
@@ -390,10 +638,15 @@ class WarehouseService:
         behaviour ``Warehouse.run()`` is specified to keep.
 
         Raises:
-            PipelineError: on ``timeout`` (running driver only) or
-                driver crash.
+            PipelineError: on ``timeout`` (running driver only), on
+                driver crash, or when called on the event loop that
+                hosts the running driver (the wait would block it).
         """
         if self.running:
+            if _on_loop(self._loop):
+                raise PipelineError(
+                    "drain() on the driver's own event loop would block it"
+                )
             with self._cond:
                 done = self._cond.wait_for(
                     lambda: (
@@ -432,9 +685,7 @@ class WarehouseService:
             raise PipelineError(
                 "pump() conflicts with the running driver; call stop() first"
             )
-        executor = self.operator.executor
         handled = 0
         for _ in range(batches):
-            self._on_cycle()
-            handled += executor.step()
+            handled += self._drive_once()
         return handled

@@ -11,7 +11,10 @@ dataset swap a pointer flip with careful sequencing:
    regenerated in-memory instance) — the expensive part happens
    entirely off the serving path;
 2. start the shadow's service driver so its continuous scan is already
-   warm when traffic arrives;
+   warm when traffic arrives — behind a server, as a second scan task
+   on the server's event loop (a served warehouse is always driven
+   from its server's loop; the two tasks alternate while the old one
+   drains), else on its own thread;
 3. under the **old** pipeline's write barrier, flip
    ``holder.warehouse`` to the shadow — the barrier serializes the
    flip against in-progress admissions, so the cutover lands at a
@@ -21,7 +24,8 @@ dataset swap a pointer flip with careful sequencing:
    on the scan (and the dataset version) they were admitted under, so
    in-flight cursors stream exactly the results their admission
    promised;
-5. retire the old warehouse (stop its driver, close it) once empty.
+5. retire the old warehouse (stop its driver, close it) once empty —
+   behind a server its scan task leaves the loop first.
 
 Sessions never notice: their next statement routes to the shadow, the
 handles they already hold complete against the old version first.
@@ -77,7 +81,11 @@ def blue_green_swap(
 
     With ``retire=False`` the old warehouse is drained but left open
     (e.g. to roll back by swapping again); otherwise it is closed,
-    which also checkpoints it when it is durable.
+    which also checkpoints it when it is durable.  An old warehouse
+    that was driven from a server's event loop leaves it stopped.
+
+    Call it from any thread but that event loop's own: it waits for
+    the old scan to drain.
 
     Raises:
         ConfigError: when ``holder`` has no warehouse, or the shadow
@@ -97,7 +105,14 @@ def blue_green_swap(
     if old.closed:
         raise QueryError("live warehouse is closed; nothing to swap from")
     shadow_started = False
-    if old.service.running and not shadow.service.running:
+    # the event loop a server hands its warehouse's driver, if any
+    loop, on_stop = old.service._loop, old.service._on_stop
+    if loop is not None:
+        # warm the shadow's scan on the same loop before any traffic
+        # can reach it (a thread driver it runs is taken over)
+        shadow_started = not shadow.service.running
+        shadow.service._host(loop, on_stop)
+    elif old.service.running and not shadow.service.running:
         # warm the shadow's scan before any traffic can reach it
         shadow.start_service()
         shadow_started = True
@@ -110,6 +125,8 @@ def blue_green_swap(
     # they were admitted under
     if old.service.running:
         old.service.drain(timeout=drain_timeout)
+    if loop is not None:
+        old.service._unhost()
     old.run()
     drain_seconds = time.monotonic() - started
     if retire:

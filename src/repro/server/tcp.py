@@ -11,17 +11,31 @@ peers are :class:`~repro.client.remote.RemoteConnection`
 :class:`~repro.client.aio.AsyncRemoteConnection`
 (``repro.connect_async(...)``).
 
-Concurrency model (docs/ARCHITECTURE.md section 3): an asyncio event
-loop on one background thread, so a thousand concurrent remote
+Concurrency model (docs/ARCHITECTURE.md section 3): one asyncio event
+loop on one background thread runs everything — the sockets *and* the
+continuous scan.  The server hands its loop to the warehouse service,
+which runs its drive body there as one task between socket callbacks
+(:mod:`repro.engine.service`), so a served warehouse has exactly one
+thread running Python and the loop never waits for the GIL behind a
+CPU-bound driver thread.  A scan step never awaits a socket; the scan
+task yields after every slice of steps, so a ready frame waits one
+slice at most (one step, or twice as long as the sockets took before
+it when they crowd the loop).  A thousand concurrent remote
 sessions cost a thousand parked coroutines, not a thousand OS threads.
 Per connection, one reader task dispatches frames, one writer task
 drains the connection's bounded outbox with ``drain()`` so a stalled
 client throttles only its own replies, and each still-running FETCH or
-INGEST parks a small waiter task on the handle's completion callback —
-bridged from the warehouse driver thread with ``call_soon_threadsafe``
-— so waiting consumes no thread anywhere.  Replies interleave across
-request ids (docs/PROTOCOL.md section 8), so many FETCHes proceed
-concurrently per connection.
+INGEST parks a small waiter on the handle's completion callback, which
+fires on the loop itself (``call_soon``, no self-pipe write) unless a
+foreign thread completes it — so waiting consumes no thread anywhere.
+Replies interleave across request ids (docs/PROTOCOL.md section 8), so
+many FETCHes proceed concurrently per connection.
+
+The driver is the warehouse's, lent to the server: ``start()`` takes a
+running thread driver over (one driver per warehouse) and ``stop()``
+hands it back; ``warehouse.stop_service()`` / ``start_service()`` and
+a restart after a crash act on the loop-hosted driver, and while it is
+stopped parked waiters fall back to draining on an executor thread.
 
 Backpressure is layered: each request holds one outbox slot at most
 (the protocol's one-reply-per-request rule bounds every per-request
@@ -47,7 +61,9 @@ from repro.client.exceptions import (
     translated,
 )
 from repro.cjoin.registry import QueryHandle
+from repro.engine.service import call_on_loop, resolve
 from repro.engine.warehouse import Warehouse
+from repro.errors import PipelineError
 from repro.server import protocol
 from repro.server.protocol import ProtocolError
 from repro.server.session import (
@@ -117,7 +133,8 @@ class WarehouseServer:
 
     ``start()``/``stop()`` are synchronous: the event loop runs on a
     background thread, so launchers and tests drive the server from
-    plain code.
+    plain code.  The warehouse's scan runs on that loop too while the
+    server is up.
 
     Args:
         warehouse: the warehouse to serve.
@@ -191,7 +208,14 @@ class WarehouseServer:
         self._run_lock = threading.Lock()
         self._started = threading.Event()
         self._startup_error: BaseException | None = None
-        self._started_service = False
+        #: the warehouse had a thread driver running when start() took
+        #: it over; stop() hands it back
+        self._handback = False
+        #: a driver crash found at shutdown, raised by stop()
+        self._driver_error: PipelineError | None = None
+        #: the wake futures of parked FETCH/INGEST waiters (loop thread
+        #: only); shutdown and a driver stop resolve every one
+        self._parked: set[asyncio.Future] = set()
         self._address: tuple[str, int] | None = None
         #: tasks still pending when the loop shut down — always empty
         #: after a clean stop; the fault suite asserts on it
@@ -228,10 +252,12 @@ class WarehouseServer:
             return len(self._connections)
 
     def start(self) -> "WarehouseServer":
-        """Bind, start the loop thread, start the warehouse service.
+        """Bind, start the loop thread, drive the warehouse's scan on it.
 
-        Returns self; raises the bind error on this thread when the
-        requested address is unavailable.
+        A warehouse whose service driver already runs on its own
+        thread is taken over; :meth:`stop` hands it back.  Returns
+        self; raises the bind error on this thread when the requested
+        address is unavailable.
 
         Raises:
             InterfaceError: when already running.
@@ -241,11 +267,9 @@ class WarehouseServer:
         self._closing.clear()
         self._started.clear()
         self._startup_error = None
+        self._handback = False
+        self._driver_error = None
         self.leaked_tasks = []
-        if not self.warehouse.service.running:
-            with translated():
-                self.warehouse.start_service()
-            self._started_service = True
         self._thread = threading.Thread(
             target=self._thread_main,
             name="warehouse-async-loop",
@@ -257,9 +281,6 @@ class WarehouseServer:
             error, self._startup_error = self._startup_error, None
             self._thread.join(10.0)
             self._thread = None
-            if self._started_service:
-                self.warehouse.stop_service()
-                self._started_service = False
             raise error
         return self
 
@@ -268,9 +289,14 @@ class WarehouseServer:
 
         Wakes the loop, which closes the listener, cancels every
         connection's tasks (their teardown cancels the queries their
-        clients abandoned), and drains its executor; then stops the
-        service driver this server started and closes the warehouse
-        when it owns it.
+        clients abandoned), stops the scan task (restarting the
+        warehouse's own driver thread when :meth:`start` took one
+        over) and drains its executor; then closes the warehouse when
+        it owns it.
+
+        Raises:
+            PipelineError: when the service driver had crashed and no
+                one restarted it (the server is stopped all the same).
         """
         self._closing.set()
         loop, closing = self._loop, self._closing_async
@@ -283,18 +309,20 @@ class WarehouseServer:
         if thread is not None:
             thread.join(timeout)
         self._loop = None
-        if self._started_service:
-            self.warehouse.stop_service()
-            self._started_service = False
+        error, self._driver_error = self._driver_error, None
         if self._owns_warehouse and not self.warehouse.closed:
             self.warehouse.close()
+        if error is not None:
+            raise error
 
     def swap_warehouse(self, shadow: Warehouse, **kwargs):
         """Blue-green cutover to ``shadow`` (DESIGN.md section 16).
 
-        Safe from any thread: sessions resolve ``server.warehouse``
-        per statement on the loop thread, and the attribute flip is
-        atomic under the old pipeline's write barrier.  Returns the
+        Safe from any thread but the loop's own (it waits for the old
+        scan to drain): sessions resolve ``server.warehouse`` per
+        statement on the loop thread, and the attribute flip is atomic
+        under the old pipeline's write barrier.  The shadow's scan
+        joins this server's loop.  Returns the
         :class:`~repro.engine.swap.SwapReport`.
         """
         from repro.engine.swap import blue_green_swap
@@ -320,7 +348,7 @@ class WarehouseServer:
             self._started.set()
 
     async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
+        loop = self._loop = asyncio.get_running_loop()
         self._closing_async = asyncio.Event()
         if self._closing.is_set():  # stop() raced start()
             self._closing_async.set()
@@ -333,10 +361,14 @@ class WarehouseServer:
             self._started.set()
             return
         self._address = server.sockets[0].getsockname()[:2]
-        self._started.set()
         try:
+            self._handback = self.warehouse.service._host(
+                loop, self._wake_parked
+            )
+            self._started.set()
             await self._closing_async.wait()
         finally:
+            self._wake_parked()
             server.close()
             await server.wait_closed()
             with self._conn_lock:
@@ -348,6 +380,7 @@ class WarehouseServer:
             for task in serve_tasks:
                 task.cancel()
             await asyncio.gather(*serve_tasks, return_exceptions=True)
+            self._release_driver()
             # belt and braces: no task may outlive the loop
             current = asyncio.current_task()
             leftovers = [
@@ -363,6 +396,25 @@ class WarehouseServer:
                 for task in asyncio.all_tasks()
                 if task is not current and not task.done()
             ]
+
+    def _release_driver(self) -> None:
+        """Stop the scan task; hand a taken-over driver back to a thread."""
+        service = self.warehouse.service
+        was_running = service.running
+        try:
+            service._unhost()
+        except PipelineError as error:
+            self._driver_error = error
+            return
+        if self._handback and was_running:
+            service.start()
+
+    def _wake_parked(self) -> None:
+        """Wake every parked waiter to re-check what it waits on: run on
+        shutdown, and by the service whenever its driver stops, so a
+        waiter turns to the driverless fallback instead of hanging."""
+        for wake in self._parked:
+            resolve(wake)
 
     # -- connection serving --------------------------------------------
     async def _on_connect(
@@ -549,26 +601,25 @@ class WarehouseServer:
     ) -> None:
         """Park until ``waitable.done`` — no thread consumed.
 
-        ``subscribe`` registers a completion callback (fired on the
-        warehouse driver thread, or whichever thread applies a batch)
-        that sets an asyncio event via ``call_soon_threadsafe``;
-        shutdown wakes every waiter through the server-wide closing
-        event.  Only while ``polling()`` says nobody else will make
-        progress (no service driver) does the wait fall
-        back to the poll cadence, with ``drive()`` pushing the blocking
-        work onto the default executor so the loop never blocks.
+        ``subscribe`` registers a completion callback that resolves the
+        waiter's current wake future: with ``call_soon`` when it fires
+        on the loop (the scan runs there), ``call_soon_threadsafe``
+        from any other thread.  Shutdown and a driver stop resolve
+        every parked future (:meth:`_wake_parked`).  Only while
+        ``polling()`` says nobody else will make progress (no service
+        driver) does the wait fall back to the poll cadence, with
+        ``drive()`` pushing the blocking work onto the default executor
+        so the loop never blocks.
         """
         loop = asyncio.get_running_loop()
         deadline = (
             None if timeout is None else loop.time() + float(timeout)
         )
-        event = asyncio.Event()
+        wake: asyncio.Future | None = None
 
         def _notify(_waitable) -> None:
-            try:
-                loop.call_soon_threadsafe(event.set)
-            except RuntimeError:
-                pass  # loop closed first; the waiter was cancelled
+            if wake is not None:
+                call_on_loop(loop, resolve, wake)
 
         subscribe(_notify)
         while not waitable.done:
@@ -589,7 +640,10 @@ class WarehouseServer:
                     if wait_slice is None
                     else min(wait_slice, _FETCH_POLL_SECONDS)
                 )
-            await self._sleep_until(event, wait_slice)
+            wake = loop.create_future()
+            if waitable.done:  # completed before _notify could see it
+                return
+            await self._sleep_until(wake, wait_slice)
 
     def _apply_ingest_blocking(self) -> None:
         with self._run_lock:
@@ -597,23 +651,21 @@ class WarehouseServer:
                 self.warehouse.apply_pending_ingest()
 
     async def _sleep_until(
-        self, event: asyncio.Event, timeout: float | None
+        self, wake: asyncio.Future, timeout: float | None
     ) -> None:
-        """Wait for completion, shutdown, or the drive cadence."""
-        waiters = [
-            asyncio.ensure_future(event.wait()),
-            asyncio.ensure_future(self._closing_async.wait()),
-        ]
+        """Wait for completion, shutdown, a driver stop, or the cadence."""
+        self._parked.add(wake)
+        timer = (
+            None
+            if timeout is None
+            else asyncio.get_running_loop().call_later(timeout, resolve, wake)
+        )
         try:
-            await asyncio.wait(
-                waiters,
-                timeout=timeout,
-                return_when=asyncio.FIRST_COMPLETED,
-            )
+            await wake
         finally:
-            for waiter in waiters:
-                waiter.cancel()
-            await asyncio.gather(*waiters, return_exceptions=True)
+            self._parked.discard(wake)
+            if timer is not None:
+                timer.cancel()
 
     def _driverless(self) -> bool:
         """True when the service driver was stopped or died: waiters
@@ -632,9 +684,9 @@ class WarehouseServer:
     ) -> None:
         """Pump the connection's admission FIFO on every completion.
 
-        A completion on the driver thread schedules a pump on the
-        loop, so queued statements advance even when no frame is in
-        flight.
+        A completion schedules a pump on the loop (``call_soon`` when
+        the scan task completed it there), so queued statements
+        advance even when no frame is in flight.
         """
         for query_id in query_ids:
             state = conn.session.queries.get(query_id)
@@ -642,10 +694,9 @@ class WarehouseServer:
                 continue
 
             def _done(_handle: QueryHandle, conn=conn) -> None:
-                try:
-                    self._loop.call_soon_threadsafe(self._pump_now, conn)
-                except (RuntimeError, AttributeError):
-                    pass  # loop closed first; teardown pumps nothing
+                loop = self._loop
+                if loop is not None:  # else stopped: teardown pumps nothing
+                    call_on_loop(loop, self._pump_now, conn)
 
             state.handle.on_complete(_done)
 

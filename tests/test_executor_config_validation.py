@@ -179,11 +179,3 @@ class TestServiceKnobs:
             Warehouse(
                 catalog, star, tuning=TuningConfig(admission_queue_depth=depth)
             )
-
-    def test_run_forever_validates_idle_sleep(self, tiny_star):
-        from repro.cjoin import CJoinOperator
-
-        catalog, star = tiny_star
-        operator = CJoinOperator(catalog, star)
-        with pytest.raises(ConfigError, match="idle_sleep must be in"):
-            operator.executor.run_forever(idle_sleep=-1.0)
