@@ -16,13 +16,6 @@ meaningful across machines of different speeds):
   over 4 sockets against one server
   (benchmarks/bench_remote_concurrency.py; 1.0 = session count does
   not move tail latency, the serving-layer predictability claim);
-* ``burst_recovery_ratio`` — p95 under an 8x Poisson burst with a
-  *static* tight admission bound over p95 with the adaptive
-  right-sizing controller enabled
-  (benchmarks/bench_burst_recovery.py).  Deliberately inverted —
-  static over adaptive — so that, like every other tracked ratio,
-  higher is better: 1.0 = the controller matched the static config,
-  above 1.0 it relieved the burst;
 * ``ingest_flatness`` — open-loop query p95 with no ingest over p95
   while a producer streams >= 2k appended fact rows per second
   through the bounded ingest buffer, applied at scan boundaries
@@ -86,7 +79,6 @@ TRACKED_METRICS = (
     "parallel_scaleup_speedup",
     "open_loop_flatness",
     "async_session_flatness",
-    "burst_recovery_ratio",
     "ingest_flatness",
     "restart_recovery",
 )
@@ -148,19 +140,6 @@ def measure_metrics(
         metrics["async_session_flatness"] = round(
             async_sessions["flatness"], 3
         )
-    if "burst_recovery_ratio" in wanted:
-        from benchmarks.bench_burst_recovery import measure_burst_recovery
-
-        burst = measure_burst_recovery()
-        if not burst["identical"]:
-            raise AssertionError(
-                "burst-recovery results diverged from reference"
-            )
-        if not burst["resized"]:
-            raise AssertionError(
-                "adaptive controller applied no resize during the burst"
-            )
-        metrics["burst_recovery_ratio"] = round(burst["ratio"], 3)
     if "ingest_flatness" in wanted:
         from benchmarks.bench_ingest_flatness import measure_ingest_flatness
 

@@ -36,11 +36,8 @@ from repro.catalog import (
 from repro.cjoin import CJoinOperator, ExecutorConfig, QueryHandle
 from repro.client import Connection, Cursor, connect, connect_async
 from repro.engine import (
-    AutoTuner,
     Submission,
     SwapReport,
-    TuningDecision,
-    TuningPolicy,
     Warehouse,
     WarehouseService,
     blue_green_swap,
@@ -69,7 +66,6 @@ __all__ = [
     "AggregateSpec",
     "And",
     "AsyncWarehouseServer",
-    "AutoTuner",
     "Between",
     "CJoinOperator",
     "Catalog",
@@ -98,8 +94,6 @@ __all__ = [
     "TableSchema",
     "TruePredicate",
     "TuningConfig",
-    "TuningDecision",
-    "TuningPolicy",
     "Warehouse",
     "WarehouseServer",
     "WarehouseService",

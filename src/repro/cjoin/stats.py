@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 #: Per-query latency records kept (and summarized) at any moment.  An
 #: always-on service completes queries without end; the records are a
-#: ring like autotune's decision audit, and only ``count`` is cumulative.
+#: a ring, and only ``count`` is cumulative.
 LATENCY_WINDOW = 1024
 
 
@@ -146,15 +146,13 @@ class PipelineStats:
         self.latency_records.append(record)
         self.latencies_recorded += 1
 
-    def recent_latency_records(
-        self, limit: int = LATENCY_WINDOW
-    ) -> list[QueryLatencyRecord]:
-        """The ``limit`` most recent records, oldest first.
+    def recent_latency_records(self) -> list[QueryLatencyRecord]:
+        """The :data:`LATENCY_WINDOW` most recent records, oldest first.
 
         A C-level copy, so it is a consistent snapshot even while the
         scan's thread appends.
         """
-        return list(self.latency_records)[-limit:]
+        return list(self.latency_records)
 
     def latency_summary(self) -> dict[str, float]:
         """p50/p95/p99 over the most recent per-query latencies.

@@ -270,7 +270,7 @@ class AsyncRemoteConnection:
 
     # -- telemetry (docs/PROTOCOL.md section 9) ------------------------
     async def stats(self) -> dict:
-        """The server warehouse's telemetry + decision-audit snapshot
+        """The server warehouse's telemetry snapshot
         (same schema as local ``Connection.stats()``)."""
         self._check_open()
         return await self._run(wire.stats())

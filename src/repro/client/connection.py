@@ -136,11 +136,10 @@ class Connection:
     # Telemetry (docs/PROTOCOL.md section 9 schema, local transport)
     # ------------------------------------------------------------------
     def stats(self) -> dict:
-        """The warehouse telemetry + tuning-decision audit snapshot.
+        """The warehouse telemetry snapshot.
 
         Same schema over every transport: ``latency``, ``pipeline``,
-        ``service``, ``ingest``, ``tuning``, and ``autotune`` (the
-        adaptive controller's decision audit, DESIGN.md section 13).
+        ``service``, ``ingest`` and ``tuning``.
         """
         self._check_open()
         with translated():

@@ -259,7 +259,7 @@ class RemoteConnection:
     # Telemetry (docs/PROTOCOL.md section 9)
     # ------------------------------------------------------------------
     def stats(self) -> dict:
-        """The server warehouse's telemetry + decision-audit snapshot
+        """The server warehouse's telemetry snapshot
         (same schema as local ``Connection.stats()``)."""
         self._check_open()
         return self._run(wire.stats())

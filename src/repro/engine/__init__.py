@@ -9,19 +9,15 @@ telemetry — is :class:`~repro.engine.service.WarehouseService`
 (DESIGN.md section 9).
 """
 
-from repro.engine.autotune import AutoTuner, TuningDecision, TuningPolicy
 from repro.engine.service import WarehouseService
 from repro.engine.submission import Submission, SubmissionQueue
 from repro.engine.swap import SwapReport, WarehouseHolder, blue_green_swap
 from repro.engine.warehouse import Warehouse
 
 __all__ = [
-    "AutoTuner",
     "Submission",
     "SubmissionQueue",
     "SwapReport",
-    "TuningDecision",
-    "TuningPolicy",
     "Warehouse",
     "WarehouseHolder",
     "WarehouseService",

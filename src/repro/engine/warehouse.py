@@ -151,8 +151,6 @@ class Warehouse:
         #: is internally thread-safe, the lock keeps the composite
         #: (service + executors + self._tuning) atomic per caller
         self._tuning_lock = threading.Lock()
-        #: the adaptive controller, when enabled (DESIGN.md section 13)
-        self.autotuner = None
         #: recent submissions in arrival order, bounded so an always-on
         #: service does not pin every query's results forever
         self._submission_log: deque[Submission] = deque(
@@ -412,19 +410,17 @@ class Warehouse:
         return tuning
 
     def stats(self) -> dict:
-        """One JSON-able telemetry + decision-audit snapshot.
+        """One JSON-able telemetry snapshot.
 
         The canonical schema served identically over every transport
         (the local ``Connection.stats()``, the wire STATS frame of
         docs/PROTOCOL.md section 9, and the async client): latency
-        percentiles, pipeline counters, the service's
-        live admission state, the current tuning config, and the
-        adaptive controller's decision audit when one is enabled.
+        percentiles, pipeline counters, the service's live admission
+        state, the ingest buffer, and the current tuning config.
         """
         pipeline = self.cjoin.stats
         with self._tuning_lock:
             tuning = self._tuning.as_dict()
-            autotuner = self.autotuner
         return {
             "latency": self.latency_summary(),
             "pipeline": {
@@ -445,46 +441,7 @@ class Warehouse:
                 "snapshot_id": self.current_snapshot_id,
             },
             "tuning": tuning,
-            "autotune": {
-                "enabled": autotuner is not None and autotuner.running,
-                "decisions": (
-                    [d.as_dict() for d in autotuner.decisions]
-                    if autotuner is not None
-                    else []
-                ),
-            },
         }
-
-    def enable_autotuning(
-        self, policy=None, interval: float = 0.25, **tuner_kwargs
-    ):
-        """Start the adaptive right-sizing controller (DESIGN.md §13).
-
-        Spawns the ``warehouse-autotuner`` thread sampling this
-        warehouse's own telemetry every ``interval`` seconds and
-        applying bounded resize actions through :meth:`reconfigure`.
-        Returns the :class:`~repro.engine.autotune.AutoTuner`; every
-        decision it takes lands in the audit ring served by
-        :meth:`stats`.  Idempotent while running.
-
-        Raises:
-            QueryError: when the warehouse has been closed.
-        """
-        from repro.engine.autotune import AutoTuner
-
-        self._require_open()
-        if self.autotuner is not None and self.autotuner.running:
-            return self.autotuner
-        self.autotuner = AutoTuner(
-            self, policy=policy, interval=interval, **tuner_kwargs
-        )
-        self.autotuner.start()
-        return self.autotuner
-
-    def disable_autotuning(self) -> None:
-        """Stop the controller thread (idempotent); audit is retained."""
-        if self.autotuner is not None:
-            self.autotuner.stop()
 
     def run(self) -> None:
         """Run all submitted queries to completion.
@@ -513,7 +470,6 @@ class Warehouse:
         if self._closed:
             return
         self._closed = True
-        self.disable_autotuning()
         self.service.stop()
         # the ingest buffer drains deterministically: everything that
         # can land at this boundary is applied, the remainder (e.g.

@@ -55,13 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-connection admission bound (fairness across clients)",
     )
     parser.add_argument(
-        "--autotune",
-        action="store_true",
-        help="enable the adaptive right-sizing controller "
-        "(DESIGN.md section 13); decisions are auditable through "
-        "connection.stats()",
-    )
-    parser.add_argument(
         "--data-dir",
         default=None,
         help="durable storage directory (DESIGN.md section 16): when "
@@ -100,9 +93,6 @@ def main(argv: list[str] | None = None) -> int:
         )
         if args.data_dir is not None:
             print(f"dataset persisted to {args.data_dir}")
-    if args.autotune:
-        warehouse.enable_autotuning()
-        print("adaptive right-sizing controller enabled")
     server = WarehouseServer(
         warehouse,
         host=args.host,

@@ -7,9 +7,8 @@ loose constructor keyword scattered across three layers:
 :class:`TuningConfig` consolidates them into one validated, immutable
 value object that is also the unit of *runtime* reconfiguration:
 ``Warehouse.reconfigure(tuning)`` threads a new config through
-service → executor atomically, which is what lets the adaptive
-controller (:mod:`repro.engine.autotune`) resize a live warehouse
-between scan cycles.
+service → executor atomically, which is how an operator resizes a
+live warehouse between scan cycles.
 
 This module sits below every engine layer (it depends only on
 :mod:`repro.errors`), so the executor, the service, the warehouse,

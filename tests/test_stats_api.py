@@ -3,8 +3,7 @@
 ``Connection.stats()`` (local), ``RemoteConnection.stats()`` (STATS
 frame over the server), ``AsyncRemoteConnection`` /
 ``AsyncConnectionPool.stats()`` (multiplexed STATS) must all return
-the same JSON-able snapshot shape — telemetry plus the adaptive
-controller's decision audit.
+the same JSON-able telemetry snapshot shape.
 """
 
 from __future__ import annotations
@@ -16,9 +15,7 @@ import pytest
 import repro
 from repro.engine import Warehouse
 
-STATS_KEYS = {
-    "latency", "pipeline", "service", "tuning", "autotune", "ingest",
-}
+STATS_KEYS = {"latency", "pipeline", "service", "tuning", "ingest"}
 
 COUNT_SQL = "SELECT COUNT(*) FROM sales, store WHERE f_store = s_id"
 
@@ -42,7 +39,6 @@ def assert_stats_shape(stats: dict) -> None:
         "running", "in_flight", "queued", "max_in_flight",
         "admission_queue_depth", "idle_sleep",
     }
-    assert {"enabled", "decisions"} <= set(stats["autotune"])
     assert "p95" in stats["latency"]
     assert "queries_completed" in stats["pipeline"]
     assert {
@@ -67,30 +63,6 @@ class TestLocalStats:
         connection.close()
         with pytest.raises(InterfaceError):
             connection.stats()
-
-    def test_decision_audit_flows_through_stats(self, tiny_star):
-        from repro.engine.autotune import TuningPolicy
-        from repro.tuning import TuningConfig
-
-        catalog, star = tiny_star
-        warehouse = Warehouse(
-            catalog, star, tuning=TuningConfig(max_in_flight=4)
-        )
-        try:
-            tuner = warehouse.enable_autotuning(
-                policy=TuningPolicy(cooldown_seconds=0.0), interval=60.0
-            )
-            # drive one deterministic decision through the real probe
-            tuner.probe = None
-            decision = tuner.tick()  # idle tick; builds the streak only
-            assert decision is None
-            stats = warehouse.stats()
-            assert stats["autotune"]["enabled"]
-            # decisions (possibly empty) are dicts, JSON-able
-            for entry in stats["autotune"]["decisions"]:
-                assert {"rule", "signals", "action", "applied"} <= set(entry)
-        finally:
-            warehouse.close()
 
 
 class TestRemoteStats:
