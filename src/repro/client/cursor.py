@@ -13,7 +13,6 @@ frees the in-flight slot).
 
 from __future__ import annotations
 
-import time
 from typing import TYPE_CHECKING
 
 from repro.catalog.schema import DataType, StarSchema
@@ -207,14 +206,7 @@ class Cursor:
                     handles.append(self.connection.warehouse.submit(query))
             except BaseException:
                 for handle in handles:
-                    # cancel() can transiently return False while the
-                    # driver moves a handle from the FIFO into the
-                    # pipeline; retry briefly so the slot is not leaked
-                    deadline = time.monotonic() + 1.0
-                    while not (handle.cancel() or handle.done):
-                        if time.monotonic() >= deadline:
-                            break
-                        time.sleep(0.001)
+                    handle.cancel()
                 raise
         self._handles = handles
         self._description = description

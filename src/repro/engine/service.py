@@ -52,7 +52,9 @@ that cannot be evaluated) reaches the caller through the handle.
 Shutdown protocol: ``stop()`` sets the run's stop event and waits for
 the drive body to exit.  Admitted-but-unfinished queries stay
 registered and resume on the next ``start()`` or ``drain()`` —
-stopping never corrupts pipeline state.
+stopping never corrupts pipeline state.  One thread steps the pipeline
+at a time: ``start()`` refuses while ``drain()`` or ``pump()`` drive
+it on a calling thread, and they refuse while the driver runs.
 """
 
 from __future__ import annotations
@@ -131,6 +133,12 @@ class WarehouseService:
         self._apply_tuning(tuning if tuning is not None else TuningConfig())
         self._queue: deque[tuple[StarQuery, QueryHandle]] = deque()
         self._in_flight = 0
+        #: the handles the pump popped and is admitting right now; a
+        #: cancel that finds its handle here is carried out by the pump
+        self._admitting: list[QueryHandle] = []
+        #: True while drain() or pump() steps on a calling thread;
+        #: start() refuses then, so one stepper drives the pipeline
+        self._driving = False
         #: the current run's stop signal and exit mark; start() makes a
         #: fresh pair, so a late exit of an old run never reads as the
         #: new one's
@@ -141,10 +149,8 @@ class WarehouseService:
         self._wake = threading.Event()
         self._thread: threading.Thread | None = None
         #: the event loop a server handed in (:meth:`_host`): while
-        #: set, start() runs the drive body as a task on it, and
-        #: ``_on_stop`` runs on it whenever a run ends
+        #: set, start() runs the drive body as a task on it
         self._loop: asyncio.AbstractEventLoop | None = None
-        self._on_stop = None
         self._task: asyncio.Task | None = None
         #: what a loop-hosted driver awaits while idle; a wake resolves it
         self._idle_waiter: asyncio.Future | None = None
@@ -298,13 +304,14 @@ class WarehouseService:
             self._cond.notify_all()
 
     def _cancel(self, handle: QueryHandle) -> bool:
-        """Cancel a submission that may still be waiting in the FIFO.
+        """Cancel a submission wherever the service holds it.
 
-        A queued submission is dropped in place (it never held a slot);
-        one that made it into the pipeline is delegated to the
-        manager's mid-scan deregistration.  Returns False on the narrow
-        race where the driver popped the query but has not registered
-        it yet — the caller may simply retry ``handle.cancel()``.
+        A queued submission is dropped in place (it never held a slot).
+        One the driving thread is admitting right now is flagged, and
+        the pump deregisters it as soon as it is registered
+        (:meth:`_pump_admissions`), so the cancel is definitive either
+        way.  One that made it into the pipeline is delegated to the
+        manager's mid-scan deregistration.
         """
         with self._cond:
             dequeued = False
@@ -315,6 +322,10 @@ class WarehouseService:
                     dequeued = True
                     self._cond.notify_all()
                     break
+            else:
+                if any(member is handle for member in self._admitting):
+                    handle.mark_cancelled()
+                    return True
         if dequeued:
             handle.complete([])  # outside the lock: runs callbacks
             return True
@@ -357,7 +368,9 @@ class WarehouseService:
         dimension predicate raises gets the error on its handle and the
         others go back to the head of the queue for the next boundary
         (an error no member can be blamed for fails the whole group's
-        handles; none is left to hang).
+        handles; none is left to hang).  A member cancelled while the
+        group was being admitted is deregistered right after, or, when
+        the group failed, completed as cancelled instead of requeued.
         """
         with self._cond:
             count = min(len(self._queue), self.max_in_flight - self._in_flight)
@@ -365,6 +378,7 @@ class WarehouseService:
                 return 0
             group = [self._queue.popleft() for _ in range(count)]
             self._in_flight += count
+            self._admitting = [handle for _, handle in group]
         try:
             self.operator.manager._admit_validated(group)
         except Exception as error:
@@ -375,18 +389,30 @@ class WarehouseService:
                 culprit = getattr(error, "failed_submission", None)
                 refused = range(count) if culprit is None else (culprit,)
             with self._cond:
+                self._admitting = []
                 self._in_flight -= count
-                self._queue.extendleft(
-                    group[index]
-                    for index in reversed(range(count))
-                    if index not in refused
-                )
+                requeued, dropped = [], []
+                for index, entry in enumerate(group):
+                    if index not in refused:
+                        (dropped if entry[1].cancelled else requeued).append(
+                            entry
+                        )
+                self._queue.extendleft(reversed(requeued))
                 self._cond.notify_all()
             for index in refused:
                 group[index][1]._fail(error)
+            for _, handle in dropped:
+                handle.complete([])  # cancelled while it was being admitted
             return 0
+        with self._cond:
+            self._admitting = []
         for _, handle in group:
             handle.on_complete(self._on_query_done)
+            if handle.cancelled:  # cancelled while it was being admitted
+                registration = handle.registration
+                self.operator.manager.cancel(
+                    registration.query_id, registration
+                )
         return count
 
     # ------------------------------------------------------------------
@@ -402,12 +428,18 @@ class WarehouseService:
         driver over the same pipeline state, on the same host.
 
         Raises:
-            PipelineError: if the driver is already running, or its
-                event loop has closed.
+            PipelineError: if the driver is already running, if
+                ``drain()`` or ``pump()`` is stepping the pipeline on a
+                calling thread, or if its event loop has closed.
         """
         with self._cond:
             if self.running:
                 raise PipelineError("service driver is already running")
+            if self._driving:
+                raise PipelineError(
+                    "drain() or pump() is driving the pipeline on a "
+                    "calling thread; start the driver once it returns"
+                )
             self._driver_error = None
             stop, finished = threading.Event(), threading.Event()
             self._stop_event, self._finished = stop, finished
@@ -550,9 +582,6 @@ class WarehouseService:
         finished.set()
         with self._cond:
             self._cond.notify_all()
-            loop, on_stop = self._loop, self._on_stop
-        if on_stop is not None:
-            call_on_loop(loop, on_stop)
 
     def stop(self, timeout: float = 10.0) -> None:
         """Shut the driver down cleanly (idempotent).
@@ -594,21 +623,20 @@ class WarehouseService:
                 "service driver crashed; pipeline state preserved"
             ) from error
 
-    def _host(self, loop: asyncio.AbstractEventLoop, on_stop=None) -> bool:
+    def _host(self, loop: asyncio.AbstractEventLoop) -> bool:
         """Make ``loop`` the driver's host and start the driver there.
 
         What a server calls with its own event loop: from now on
-        ``start()`` runs the drive body as a task on ``loop``, and
-        ``on_stop()`` runs on the loop whenever a run ends (stopped or
-        crashed).  A driver already running on a thread is stopped
-        and taken over; returns True when one was, so the caller can
-        hand it back after :meth:`_unhost`.
+        ``start()`` runs the drive body as a task on ``loop``.  A
+        driver already running on a thread is stopped and taken over;
+        returns True when one was, so the caller can hand it back
+        after :meth:`_unhost`.
         """
         taken_over = self.running
         if taken_over:
             self.stop()
         with self._cond:
-            self._loop, self._on_stop = loop, on_stop
+            self._loop = loop
         self.start()
         return taken_over
 
@@ -624,7 +652,7 @@ class WarehouseService:
             self.stop()
         finally:
             with self._cond:
-                self._loop = self._on_stop = self._task = None
+                self._loop = self._task = None
 
     # ------------------------------------------------------------------
     # Draining (the Warehouse.run() compatibility path)
@@ -635,14 +663,17 @@ class WarehouseService:
         With the driver running, blocks until the queue empties and the
         last in-flight query completes.  Without it, drives the
         pipeline on the calling thread — the historical batch-drain
-        behaviour ``Warehouse.run()`` is specified to keep.
+        behaviour ``Warehouse.run()`` is specified to keep — and
+        ``start()`` refuses until it returns.
 
         Raises:
             PipelineError: on ``timeout`` (running driver only), on
-                driver crash, or when called on the event loop that
-                hosts the running driver (the wait would block it).
+                driver crash, when another thread is driving the
+                pipeline with ``drain()`` or ``pump()``, or when called
+                on the event loop that hosts the running driver (the
+                wait would block it).
         """
-        if self.running:
+        if not self._claim_calling_thread():
             if _on_loop(self._loop):
                 raise PipelineError(
                     "drain() on the driver's own event loop would block it"
@@ -661,14 +692,17 @@ class WarehouseService:
                     f"service did not drain within {timeout} seconds"
                 )
             return
-        self._raise_driver_error()
-        while True:
-            self._on_cycle()
-            self.operator.run_until_drained()
-            self.operator.manager.process_finished()
-            with self._cond:
-                if not self._queue and self._in_flight == 0:
-                    return
+        try:
+            self._raise_driver_error()
+            while True:
+                self._on_cycle()
+                self.operator.run_until_drained()
+                self.operator.manager.process_finished()
+                with self._cond:
+                    if not self._queue and self._in_flight == 0:
+                        return
+        finally:
+            self._release_calling_thread()
 
     def pump(self, batches: int = 1) -> int:
         """Deterministic single-thread drive: admissions + ``batches`` steps.
@@ -679,13 +713,41 @@ class WarehouseService:
 
         Raises:
             PipelineError: when the background driver is running (the
-                driver owns the pipeline then).
+                driver owns the pipeline then), or another thread is
+                driving it with ``drain()`` or ``pump()``.
         """
-        if self.running:
+        if not self._claim_calling_thread():
             raise PipelineError(
                 "pump() conflicts with the running driver; call stop() first"
             )
-        handled = 0
-        for _ in range(batches):
-            handled += self._drive_once()
-        return handled
+        try:
+            handled = 0
+            for _ in range(batches):
+                handled += self._drive_once()
+            return handled
+        finally:
+            self._release_calling_thread()
+
+    def _claim_calling_thread(self) -> bool:
+        """Make the calling thread the pipeline's one stepper.
+
+        Returns False when the driver is running (it steps then).
+
+        Raises:
+            PipelineError: when another ``drain()`` or ``pump()`` is
+                stepping already.
+        """
+        with self._cond:
+            if self.running:
+                return False
+            if self._driving:
+                raise PipelineError(
+                    "another thread is driving the pipeline with drain() "
+                    "or pump()"
+                )
+            self._driving = True
+            return True
+
+    def _release_calling_thread(self) -> None:
+        with self._cond:
+            self._driving = False

@@ -106,12 +106,12 @@ def blue_green_swap(
         raise QueryError("live warehouse is closed; nothing to swap from")
     shadow_started = False
     # the event loop a server hands its warehouse's driver, if any
-    loop, on_stop = old.service._loop, old.service._on_stop
+    loop = old.service._loop
     if loop is not None:
         # warm the shadow's scan on the same loop before any traffic
         # can reach it (a thread driver it runs is taken over)
         shadow_started = not shadow.service.running
-        shadow.service._host(loop, on_stop)
+        shadow.service._host(loop)
     elif old.service.running and not shadow.service.running:
         # warm the shadow's scan before any traffic can reach it
         shadow.start_service()

@@ -34,8 +34,12 @@ many FETCHes proceed concurrently per connection.
 The driver is the warehouse's, lent to the server: ``start()`` takes a
 running thread driver over (one driver per warehouse) and ``stop()``
 hands it back; ``warehouse.stop_service()`` / ``start_service()`` and
-a restart after a crash act on the loop-hosted driver, and while it is
-stopped parked waiters fall back to draining on an executor thread.
+a restart after a crash act on the loop-hosted driver.  That task is
+the warehouse's only stepper: a stopped or crashed driver is a pause,
+not a cue for anyone else to scan.  A parked waiter ends when its
+query or ingest batch completes (after a restart, if it takes one),
+when its own ``timeout`` passes, or when the server shuts down — the
+last two as :class:`~repro.client.exceptions.OperationalError`.
 
 Backpressure is layered: each request holds one outbox slot at most
 (the protocol's one-reply-per-request rule bounds every per-request
@@ -58,7 +62,6 @@ from repro.client.exceptions import (
     Error,
     InterfaceError,
     OperationalError,
-    translated,
 )
 from repro.cjoin.registry import QueryHandle
 from repro.engine.service import call_on_loop, resolve
@@ -86,11 +89,6 @@ OUTBOX_FRAMES = 64
 #: beyond it the reader stops reading frames until a waiter retires,
 #: pushing backpressure onto the client's socket.
 DEFAULT_MAX_PENDING_FETCHES = 1024
-
-#: Waiters poll at this cadence only while no service driver runs
-#: (stopped or dead); with one running they sleep on completion
-#: callbacks instead.
-_FETCH_POLL_SECONDS = 0.02
 
 #: Flush budget for the final reply frames of a closing connection.
 _FLUSH_TIMEOUT_SECONDS = 5.0
@@ -203,9 +201,6 @@ class WarehouseServer:
         self._closing_async: asyncio.Event | None = None
         self._connections: set[_Connection] = set()
         self._conn_lock = threading.Lock()
-        #: serializes the driverless fallback's Warehouse.run() /
-        #: apply_pending_ingest() calls (stopped or dead driver)
-        self._run_lock = threading.Lock()
         self._started = threading.Event()
         self._startup_error: BaseException | None = None
         #: the warehouse had a thread driver running when start() took
@@ -214,7 +209,7 @@ class WarehouseServer:
         #: a driver crash found at shutdown, raised by stop()
         self._driver_error: PipelineError | None = None
         #: the wake futures of parked FETCH/INGEST waiters (loop thread
-        #: only); shutdown and a driver stop resolve every one
+        #: only); shutdown resolves every one
         self._parked: set[asyncio.Future] = set()
         self._address: tuple[str, int] | None = None
         #: tasks still pending when the loop shut down — always empty
@@ -291,8 +286,7 @@ class WarehouseServer:
         connection's tasks (their teardown cancels the queries their
         clients abandoned), stops the scan task (restarting the
         warehouse's own driver thread when :meth:`start` took one
-        over) and drains its executor; then closes the warehouse when
-        it owns it.
+        over); then closes the warehouse when it owns it.
 
         Raises:
             PipelineError: when the service driver had crashed and no
@@ -337,8 +331,6 @@ class WarehouseServer:
 
     def _thread_main(self) -> None:
         try:
-            # asyncio.run also joins the default executor's threads on
-            # the way out, so drive() work cannot outlive stop()
             asyncio.run(self._main())
         except BaseException as error:  # pragma: no cover - defensive
             if not self._started.is_set():
@@ -362,9 +354,7 @@ class WarehouseServer:
             return
         self._address = server.sockets[0].getsockname()[:2]
         try:
-            self._handback = self.warehouse.service._host(
-                loop, self._wake_parked
-            )
+            self._handback = self.warehouse.service._host(loop)
             self._started.set()
             await self._closing_async.wait()
         finally:
@@ -410,9 +400,8 @@ class WarehouseServer:
             service.start()
 
     def _wake_parked(self) -> None:
-        """Wake every parked waiter to re-check what it waits on: run on
-        shutdown, and by the service whenever its driver stops, so a
-        waiter turns to the driverless fallback instead of hanging."""
+        """Wake every parked waiter on shutdown, so each one ends with
+        a typed error instead of outliving the loop."""
         for wake in self._parked:
             resolve(wake)
 
@@ -518,21 +507,12 @@ class WarehouseServer:
         if state.rows is not None or handle.done:
             return session.page_reply(query_id, state, max_rows)
 
-        async def drive() -> None:
-            session.pump()
-            if not handle.done and self._driverless():
-                await asyncio.get_running_loop().run_in_executor(
-                    None, self._drive_blocking, handle
-                )
-
         await self._park(
             conn,
             request_id,
             lambda: self._await(
                 handle,
                 handle.on_complete,
-                drive,
-                self._driverless,
                 timeout,
                 f"query did not complete within {timeout} seconds",
             ),
@@ -552,22 +532,12 @@ class WarehouseServer:
         timeout = timeout_of(frame)
         ticket = conn.session.ingest(frame)
 
-        async def drive() -> None:
-            # with no service driver (stopped or dead) nobody reaches
-            # a scan boundary: apply from here
-            if self._driverless():
-                await asyncio.get_running_loop().run_in_executor(
-                    None, self._apply_ingest_blocking
-                )
-
         await self._park(
             conn,
             request_id,
             lambda: self._await(
                 ticket,
                 ticket.on_done,
-                drive,
-                self._driverless,
                 timeout,
                 f"ingest batch was not applied within {timeout} seconds",
             ),
@@ -597,87 +567,43 @@ class WarehouseServer:
             conn.fetch_slots.release()
 
     async def _await(
-        self, waitable, subscribe, drive, polling, timeout, expired: str
+        self, waitable, subscribe, timeout, expired: str
     ) -> None:
         """Park until ``waitable.done`` — no thread consumed.
 
         ``subscribe`` registers a completion callback that resolves the
-        waiter's current wake future: with ``call_soon`` when it fires
-        on the loop (the scan runs there), ``call_soon_threadsafe``
-        from any other thread.  Shutdown and a driver stop resolve
-        every parked future (:meth:`_wake_parked`).  Only while
-        ``polling()`` says nobody else will make progress (no service
-        driver) does the wait fall back to the poll cadence, with
-        ``drive()`` pushing the blocking work onto the default executor
-        so the loop never blocks.
+        waiter's wake future: with ``call_soon`` when it fires on the
+        loop (the scan runs there), ``call_soon_threadsafe`` from any
+        other thread.  The wait does not depend on the service driver
+        running: a stopped or crashed one only delays the completion
+        until ``start()`` puts it back.  The deadline and shutdown
+        (:meth:`_wake_parked`) are the other two ways out.
+
+        Raises:
+            OperationalError: ``expired`` past ``timeout`` seconds, or
+                when the server shuts down first.
         """
         loop = asyncio.get_running_loop()
-        deadline = (
-            None if timeout is None else loop.time() + float(timeout)
-        )
-        wake: asyncio.Future | None = None
-
-        def _notify(_waitable) -> None:
-            if wake is not None:
-                call_on_loop(loop, resolve, wake)
-
-        subscribe(_notify)
-        while not waitable.done:
-            if self._closing.is_set():
-                raise OperationalError("server is shutting down")
-            await drive()
-            if waitable.done:
-                return
-            remaining = (
-                None if deadline is None else deadline - loop.time()
-            )
-            if remaining is not None and remaining <= 0:
-                raise OperationalError(expired)
-            wait_slice = remaining
-            if polling():
-                wait_slice = (
-                    _FETCH_POLL_SECONDS
-                    if wait_slice is None
-                    else min(wait_slice, _FETCH_POLL_SECONDS)
-                )
-            wake = loop.create_future()
-            if waitable.done:  # completed before _notify could see it
-                return
-            await self._sleep_until(wake, wait_slice)
-
-    def _apply_ingest_blocking(self) -> None:
-        with self._run_lock:
-            with translated():
-                self.warehouse.apply_pending_ingest()
-
-    async def _sleep_until(
-        self, wake: asyncio.Future, timeout: float | None
-    ) -> None:
-        """Wait for completion, shutdown, a driver stop, or the cadence."""
-        self._parked.add(wake)
+        wake = loop.create_future()
+        subscribe(lambda _waitable: call_on_loop(loop, resolve, wake))
         timer = (
             None
             if timeout is None
-            else asyncio.get_running_loop().call_later(timeout, resolve, wake)
+            else loop.call_later(float(timeout), resolve, wake)
         )
+        self._parked.add(wake)
         try:
-            await wake
+            if not (waitable.done or self._closing.is_set()):
+                await wake
         finally:
             self._parked.discard(wake)
             if timer is not None:
                 timer.cancel()
-
-    def _driverless(self) -> bool:
-        """True when the service driver was stopped or died: waiters
-        must then reach the scan boundaries themselves."""
-        return not self.warehouse.service.running
-
-    def _drive_blocking(self, handle: QueryHandle) -> None:
-        """Drain the pipeline in the driver's stead (executor thread)."""
-        with self._run_lock:
-            if not handle.done:
-                with translated():
-                    self.warehouse.run()
+        if waitable.done:
+            return
+        if self._closing.is_set():
+            raise OperationalError("server is shutting down")
+        raise OperationalError(expired)
 
     def _watch_completions(
         self, conn: _Connection, query_ids: list[int]

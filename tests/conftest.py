@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import threading
+import time
+
 import pytest
 
 from repro.catalog.catalog import Catalog
@@ -12,7 +15,6 @@ from repro.catalog.schema import (
     StarSchema,
     TableSchema,
 )
-from repro.server import WarehouseServer
 from repro.ssb.generator import load_ssb
 from repro.ssb.queries import ssb_workload_generator
 from repro.storage.table import Table
@@ -33,6 +35,38 @@ def take_rows(scan, count: int, max_rows: int = 1) -> list[tuple[int, tuple]]:
         start, rows = scan.next_run(min(max_rows, count - len(pairs)))
         pairs.extend(enumerate(rows, start))
     return pairs
+
+
+def count_overlapping_steps(warehouse) -> dict[str, int]:
+    """Wrap the warehouse executor's ``step()`` to count its calls.
+
+    Returns the live counts: ``steps`` taken, and ``overlaps``, the
+    steps that began while another thread was still inside one — two
+    steppers on one pipeline.  ``overlaps`` must stay 0.  Each step
+    sleeps briefly on entry, handing the interpreter lock over, so a
+    second stepper, if there is one, gets in while the first is inside.
+    """
+    executor = warehouse.cjoin.executor
+    real_step = executor.step
+    lock = threading.Lock()
+    counts = {"steps": 0, "overlaps": 0}
+    inside = 0
+
+    def step() -> int:
+        nonlocal inside
+        with lock:
+            counts["steps"] += 1
+            counts["overlaps"] += inside > 0
+            inside += 1
+        try:
+            time.sleep(0.0001)
+            return real_step()
+        finally:
+            with lock:
+                inside -= 1
+
+    executor.step = step
+    return counts
 
 
 def make_tiny_star() -> tuple[Catalog, StarSchema]:
@@ -127,17 +161,6 @@ def make_tiny_star() -> tuple[Catalog, StarSchema]:
 def tiny_star() -> tuple[Catalog, StarSchema]:
     """Fresh tiny retail star per test."""
     return make_tiny_star()
-
-
-@pytest.fixture(params=[WarehouseServer], ids=["async"])
-def server_class(request):
-    """The server class of the server-facing suites.
-
-    One class, so one parameter; its id is ``async`` so that the tests
-    that ran against the asyncio core before it became the only core
-    keep the ids they had.
-    """
-    return request.param
 
 
 @pytest.fixture(scope="session")

@@ -48,13 +48,11 @@ def city_query(city: str) -> StarQuery:
     )
 
 
-@pytest.fixture(params=["local", "remote", "async"])
+@pytest.fixture(params=["local", "remote"])
 def connection(request, tiny_star):
     """One client session per transport: every test using this fixture
-    runs in-process and over the TCP server (ISSUE 5/6 acceptance
-    criteria: the remote path passes the same cursor-semantics tests).
-    ``remote`` and ``async`` are the same server since it has one core;
-    both ids stay so the suite's test ids do."""
+    runs in-process and over the TCP server (the remote path passes the
+    same cursor-semantics tests)."""
     catalog, star = tiny_star
     if request.param == "local":
         with repro.connect(catalog=catalog, star=star) as conn:

@@ -25,6 +25,7 @@ from repro.errors import IngestBackpressureError, IngestError
 from repro.query.aggregates import AggregateSpec
 from repro.query.reference import evaluate_star_query
 from repro.query.star import ColumnRef, StarQuery
+from repro.server import WarehouseServer
 from repro.tuning import TuningConfig
 from tests.conftest import make_tiny_star
 
@@ -131,13 +132,13 @@ class TestStreamingEquivalence:
         finally:
             warehouse.close()
 
-    def test_streamed_dataset_matches_bulk_over_the_wire(self, server_class):
+    def test_streamed_dataset_matches_bulk_over_the_wire(self):
         bulk_catalog, bulk_star = make_tiny_star()
         with repro.connect(catalog=bulk_catalog, star=bulk_star) as bulk:
             expected_count = bulk.execute(COUNT_SQL).fetchall()
             expected_cities = sorted(bulk.execute(CITY_SQL).fetchall())
         partial, star = make_partial_star()
-        server = server_class(
+        server = WarehouseServer(
             Warehouse(partial, star), owns_warehouse=True
         )
         with server:
@@ -155,12 +156,12 @@ class TestStreamingEquivalence:
                     expected_cities
                 )
 
-    def test_async_client_streams_the_same_dataset(self, server_class):
+    def test_async_client_streams_the_same_dataset(self):
         bulk_catalog, bulk_star = make_tiny_star()
         with repro.connect(catalog=bulk_catalog, star=bulk_star) as bulk:
             expected_count = bulk.execute(COUNT_SQL).fetchall()
         partial, star = make_partial_star()
-        server = server_class(
+        server = WarehouseServer(
             Warehouse(partial, star), owns_warehouse=True
         )
 
@@ -214,9 +215,9 @@ class TestBackpressureAndValidation:
             with pytest.raises(IngestError):
                 warehouse.ingest()  # empty write set
 
-    def test_per_connection_bound_is_typed_over_the_wire(self, server_class):
+    def test_per_connection_bound_is_typed_over_the_wire(self):
         catalog, star = make_tiny_star()
-        server = server_class(
+        server = WarehouseServer(
             Warehouse(catalog, star),
             owns_warehouse=True,
             max_pending_ingest_rows_per_connection=4,
@@ -230,9 +231,9 @@ class TestBackpressureAndValidation:
                     fact_rows=[(1, 10, 1, 5)]
                 )["rows"] == 1
 
-    def test_remote_schema_violation_is_programming_error(self, server_class):
+    def test_remote_schema_violation_is_programming_error(self):
         catalog, star = make_tiny_star()
-        server = server_class(
+        server = WarehouseServer(
             Warehouse(catalog, star), owns_warehouse=True
         )
         with server:

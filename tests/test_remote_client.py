@@ -7,8 +7,7 @@ deterministic cancel-while-queued path, remote executemany atomicity
 observed server-side, URL validation, and the 8-client soak —
 concurrent execute/stream/cancel against one server with results
 reference-equal to an in-process drain and no leaked threads or
-sockets afterwards.  `server_class` is the conftest fixture naming the
-one server class.
+sockets afterwards.
 """
 
 from __future__ import annotations
@@ -27,6 +26,8 @@ from repro.client import (
 )
 from repro.client.remote import parse_url
 from repro.engine import Warehouse
+from repro.server import WarehouseServer
+from repro.server.session import ServerSession
 from repro.sql.render import render_star_query
 
 COUNT_SQL = "SELECT COUNT(*) FROM sales, store WHERE f_store = s_id"
@@ -41,12 +42,10 @@ def wait_until(predicate, timeout: float = 10.0) -> bool:
 
 
 class TestServerLifecycle:
-    def test_start_stop_leaves_no_threads_or_sockets(
-        self, tiny_star, server_class
-    ):
+    def test_start_stop_leaves_no_threads_or_sockets(self, tiny_star):
         catalog, star = tiny_star
         before = set(threading.enumerate())
-        server = server_class(Warehouse(catalog, star), owns_warehouse=True)
+        server = WarehouseServer(Warehouse(catalog, star), owns_warehouse=True)
         server.start()
         assert server.running
         assert server.url.startswith("tcp://127.0.0.1:")
@@ -56,34 +55,32 @@ class TestServerLifecycle:
         assert set(threading.enumerate()) == before
         server.stop()  # idempotent
 
-    def test_double_start_raises(self, tiny_star, server_class):
+    def test_double_start_raises(self, tiny_star):
         catalog, star = tiny_star
-        with server_class(
+        with WarehouseServer(
             Warehouse(catalog, star), owns_warehouse=True
         ) as server:
             with pytest.raises(InterfaceError, match="already running"):
                 server.start()
 
-    def test_address_before_start_raises(self, tiny_star, server_class):
+    def test_address_before_start_raises(self, tiny_star):
         catalog, star = tiny_star
         warehouse = Warehouse(catalog, star)
-        server = server_class(warehouse)
+        server = WarehouseServer(warehouse)
         with pytest.raises(InterfaceError, match="not started"):
             server.address
         warehouse.close()
 
-    def test_per_connection_bound_is_validated(
-        self, tiny_star, server_class
-    ):
+    def test_per_connection_bound_is_validated(self, tiny_star):
         catalog, star = tiny_star
         warehouse = Warehouse(catalog, star)
         with pytest.raises(InterfaceError, match=">= 1"):
-            server_class(warehouse, max_in_flight_per_connection=0)
+            WarehouseServer(warehouse, max_in_flight_per_connection=0)
         warehouse.close()
 
-    def test_stop_disconnects_clients(self, tiny_star, server_class):
+    def test_stop_disconnects_clients(self, tiny_star):
         catalog, star = tiny_star
-        server = server_class(
+        server = WarehouseServer(
             Warehouse(catalog, star), owns_warehouse=True
         ).start()
         conn = repro.connect(server.url)
@@ -116,11 +113,9 @@ class TestConnectDispatch:
         with pytest.raises(InterfaceError, match="not both"):
             repro.connect("tcp://127.0.0.1:1", scale_factor=0.001)
 
-    def test_closed_remote_connection_rejects_everything(
-        self, tiny_star, server_class
-    ):
+    def test_closed_remote_connection_rejects_everything(self, tiny_star):
         catalog, star = tiny_star
-        with server_class(
+        with WarehouseServer(
             Warehouse(catalog, star), owns_warehouse=True
         ) as server:
             conn = repro.connect(server.url)
@@ -135,17 +130,23 @@ class TestConnectDispatch:
             conn.close()  # idempotent
 
 
+def session_of(server) -> ServerSession:
+    """The server-side session of the server's one connection."""
+    (conn,) = server._connections
+    return conn.session
+
+
 class TestPerConnectionAdmission:
     """The fairness layer: one connection's statements beyond its bound
     wait in its own SubmissionQueue, not in the shared pipeline."""
 
     @pytest.fixture
-    def offline_server(self, tiny_star, server_class):
-        """A server whose service driver is stopped: queries only
-        complete when a FETCH drives the drain (the driverless path),
-        so queue states are fully deterministic."""
+    def offline_server(self, tiny_star):
+        """A server whose service driver is stopped: nothing is admitted
+        or scanned, so queue states hold still until the test calls
+        ``start_service()``."""
         catalog, star = tiny_star
-        with server_class(
+        with WarehouseServer(
             Warehouse(catalog, star),
             owns_warehouse=True,
             max_in_flight_per_connection=1,
@@ -158,9 +159,12 @@ class TestPerConnectionAdmission:
         with repro.connect(offline_server.url) as conn:
             first = conn.execute(COUNT_SQL)  # holds the connection slot
             queued = conn.execute(COUNT_SQL)  # parks in the FIFO
+            assert len(session_of(offline_server).pending) == 1
             assert queued.cancel() == 1  # dropped in place
+            assert len(session_of(offline_server).pending) == 0
             with pytest.raises(OperationalError, match="cancelled"):
                 queued.fetchall()
+            offline_server.warehouse.start_service()
             assert first.fetchall() == [(12,)]  # survivor unaffected
 
     def test_queued_statements_complete_in_order(self, offline_server):
@@ -173,27 +177,38 @@ class TestPerConnectionAdmission:
                 )
                 for city in ("lyon", "paris", "nice")
             ]
-            # fetching the LAST one forces the pump to move the whole
-            # FIFO through the warehouse
+            # one statement inside the warehouse, two in the connection's
+            # own FIFO behind it
+            assert offline_server.warehouse.service.queued == 1
+            assert len(session_of(offline_server).pending) == 2
+            offline_server.warehouse.start_service()
+            # fetching the LAST one waits for completions to pump the
+            # whole FIFO through the warehouse
             assert cursors[-1].fetchall() == [(3,)]
             assert cursors[0].fetchall() == [(5,)]
             assert cursors[1].fetchall() == [(4,)]
 
     def test_flooding_client_does_not_starve_another(self, offline_server):
+        warehouse = offline_server.warehouse
         with repro.connect(offline_server.url) as flooder:
+            hogs = [flooder.execute(COUNT_SQL) for _ in range(5)]
+            flooded = session_of(offline_server)
             with repro.connect(offline_server.url) as polite:
-                hogs = [flooder.execute(COUNT_SQL) for _ in range(5)]
+                mine = polite.execute(COUNT_SQL)
                 # the flooder holds 1 slot + 4 queued statements; the
-                # polite client admits and completes immediately
-                assert polite.execute(COUNT_SQL).fetchall() == [(12,)]
-                # and the flooder's backlog still drains on demand
+                # polite client's statement reaches the warehouse at once
+                assert len(flooded.pending) == 4
+                assert warehouse.service.queued == 2
+                warehouse.start_service()
+                assert mine.fetchall() == [(12,)]
+                # and the flooder's backlog still drains
                 assert [hog.fetchall() for hog in hogs] == [[(12,)]] * 5
 
-    def test_partial_polling_alone_pumps_the_queue(self, server_class):
+    def test_partial_polling_alone_pumps_the_queue(self):
         """Regression: a client that never issues a blocking FETCH must
         still see its queued statements admitted — every frame pumps
         the per-connection FIFO, not just a blocking fetch's wait."""
-        server = server_class(
+        server = WarehouseServer(
             Warehouse.from_ssb(scale_factor=0.002, seed=31),
             owns_warehouse=True,
             max_in_flight_per_connection=1,
@@ -216,12 +231,32 @@ class TestPerConnectionAdmission:
         finally:
             server.stop()
 
-    def test_driverless_server_applies_ingest(self, offline_server):
-        """With the driver stopped nobody reaches a scan boundary: the
-        INGEST waiter applies the batch itself, then FETCH sees it."""
+    def test_ingest_staged_while_stopped_is_applied_after_start(
+        self, offline_server
+    ):
+        """An INGEST that arrives while the driver is stopped waits for
+        a scan boundary; ``start_service()`` brings one, the ack comes
+        back and a FETCH sees the row."""
+        warehouse = offline_server.warehouse
         with repro.connect(offline_server.url) as conn:
-            receipt = conn.ingest(fact_rows=[(1, 10, 1, 5)], timeout=10.0)
-            assert receipt["rows"] == 1
+            outcome: dict = {}
+
+            def ingest() -> None:
+                outcome["receipt"] = conn.ingest(
+                    fact_rows=[(1, 10, 1, 5)], timeout=10.0
+                )
+
+            thread = threading.Thread(target=ingest)
+            thread.start()
+            assert wait_until(
+                lambda: warehouse.ingest_buffer.pending_rows == 1
+            ), "the INGEST was never staged"
+            time.sleep(0.05)
+            assert warehouse.ingest_buffer.pending_rows == 1  # not applied
+            warehouse.start_service()
+            thread.join(10.0)
+            assert not thread.is_alive()
+            assert outcome["receipt"]["rows"] == 1
             assert conn.execute(COUNT_SQL).fetchall() == [(13,)]
 
     def test_vanished_connection_frees_its_queries(self, offline_server):
@@ -242,11 +277,9 @@ class TestPerConnectionAdmission:
 
 
 class TestRemoteExecutemany:
-    def test_atomic_over_bad_bindings_server_side(
-        self, tiny_star, server_class
-    ):
+    def test_atomic_over_bad_bindings_server_side(self, tiny_star):
         catalog, star = tiny_star
-        with server_class(
+        with WarehouseServer(
             Warehouse(catalog, star), owns_warehouse=True
         ) as server:
             with repro.connect(server.url) as conn:
@@ -268,9 +301,7 @@ class TestSoak:
     CLIENTS = 8
     QUERIES_PER_CLIENT = 3
 
-    def test_eight_concurrent_clients(
-        self, ssb_small, ssb_workload, server_class
-    ):
+    def test_eight_concurrent_clients(self, ssb_small, ssb_workload):
         catalog, star = ssb_small
         sqls = [render_star_query(query, star) for query in ssb_workload]
         # reference: a plain in-process batch drain
@@ -314,7 +345,7 @@ class TestSoak:
             except BaseException as error:  # surfaced below
                 errors.append(error)
 
-        with server_class(Warehouse(catalog, star)) as server:
+        with WarehouseServer(Warehouse(catalog, star)) as server:
             threads = [
                 threading.Thread(target=client, args=(index, server.url))
                 for index in range(self.CLIENTS)

@@ -15,7 +15,6 @@ one warehouse's task to the other's.
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import json
 import subprocess
 import sys
@@ -29,10 +28,11 @@ import repro
 from repro.client import OperationalError
 from repro.engine import Warehouse
 from repro.errors import PipelineError
+from repro.query.reference import evaluate_star_query
 from repro.server import WarehouseServer
 from repro.ssb.queries import ssb_workload_generator
 from repro.tuning import TuningConfig
-from tests.conftest import make_tiny_star
+from tests.conftest import count_overlapping_steps, make_tiny_star
 
 COUNT_SQL = "SELECT COUNT(*) FROM sales, store WHERE f_store = s_id"
 SSB_COUNT_SQL = (
@@ -159,13 +159,20 @@ class TestOneThread:
         assert min(shares) < 0.05
 
 
+def assert_still_parked(server, warehouse, thread) -> None:
+    """The FETCH waits out a stopped driver: nothing else scans."""
+    time.sleep(0.2)
+    assert thread.is_alive() and server._parked
+    assert not warehouse.submissions[-1].done
+
+
 class TestStopAndRestart:
     @pytest.mark.parametrize("where", ["foreign_thread", "loop_coroutine"])
-    def test_stop_service_falls_back_then_start_reattaches(self, where):
+    def test_stop_service_pauses_then_start_reattaches(self, where):
         """(b) Stopping the loop-hosted driver — from another thread or
-        from a coroutine on the loop itself — leaves a parked FETCH to
-        the driverless fallback; starting it again puts the scan back on
-        the loop, not on a thread."""
+        from a coroutine on the loop itself — pauses a parked FETCH;
+        starting it again puts the scan back on the loop, not on a
+        thread, and the FETCH gets the reference rows."""
         warehouse, slow = slow_scan_warehouse()
         expected = [(warehouse.catalog.table("lineorder").row_count,)]
         with WarehouseServer(warehouse, owns_warehouse=True) as server:
@@ -185,17 +192,65 @@ class TestStopAndRestart:
                         stop_on_loop(), server._loop
                     ).result(10.0)
                 assert not warehouse.service.running
-                assert not warehouse.submissions[-1].done, (
-                    "the query finished before the stop; nothing parked"
-                )
-                thread.join(30.0)
-                assert outcome == {"rows": expected}
+                assert_still_parked(server, warehouse, thread)
                 slow.clear()
                 warehouse.start_service()
                 assert warehouse.service.running
+                thread.join(30.0)
+                assert outcome == {"rows": expected}
                 assert driver_threads() == []
                 assert conn.execute(SSB_COUNT_SQL).fetchall() == expected
                 assert driver_threads() == []
+        assert server.leaked_tasks == []
+
+    def test_restart_beside_a_parked_fetch_never_runs_two_steppers(self):
+        """Regression: FETCHes parked while the driver is stopped wait
+        for it; none of them scans in its stead, so a restart leaves
+        one stepper and every answer is the reference one."""
+        warehouse = Warehouse.from_ssb(
+            scale_factor=0.002, seed=3, tuning=TuningConfig(batch_size=16)
+        )
+        counts = count_overlapping_steps(warehouse)
+        sql = (
+            "SELECT COUNT(*) FROM lineorder, date "
+            "WHERE lo_orderdate = d_datekey AND d_year = ?"
+        )
+        with WarehouseServer(warehouse, owns_warehouse=True) as server:
+            warehouse.stop_service()
+            idle_steps = counts["steps"]  # the driver's, before the stop
+            with repro.connect(server.url) as conn:
+                cursors = [
+                    conn.execute(sql, (1992 + index % 7,))
+                    for index in range(8)
+                ]
+                outcome: dict = {}
+
+                def fetch() -> None:
+                    try:
+                        outcome["rows"] = [c.fetchall() for c in cursors]
+                    except BaseException as error:  # asserted below
+                        outcome["error"] = error
+
+                thread = threading.Thread(target=fetch)
+                thread.start()
+                # restart once the FETCH is parked (or, were anything
+                # to scan in the driver's stead, once that has begun)
+                assert wait_until(
+                    lambda: server._parked or counts["steps"] > idle_steps
+                ), "FETCH never parked"
+                warehouse.start_service()
+                thread.join(60.0)
+                assert not thread.is_alive(), "FETCH hung after the restart"
+        print(
+            f"\nrestart beside parked FETCHes: {counts['steps']} steps, "
+            f"{counts['overlaps']} overlapping"
+        )
+        assert counts["overlaps"] == 0, f"{counts} (two steppers)"
+        assert "error" not in outcome, outcome
+        assert outcome["rows"] == [
+            evaluate_star_query(submission.handle.query, warehouse.catalog)
+            for submission in warehouse.submissions
+        ]
         assert server.leaked_tasks == []
 
 
@@ -219,9 +274,9 @@ def inject_step_failure(warehouse: Warehouse) -> threading.Event:
 class TestCrash:
     def test_crash_makes_stop_raise_and_restart_reattaches(self, tiny_star):
         """(c) A step that raises ends the run: ``stop()`` reports it as
-        ``PipelineError``, the query left behind completes through the
-        driverless fallback, and ``start()`` — what ``serve.py``'s
-        ``restart`` sends — puts the driver back on the loop."""
+        ``PipelineError``, and ``start()`` — what ``serve.py``'s
+        ``restart`` sends — puts the driver back on the loop, where the
+        query left behind completes."""
         catalog, star = tiny_star
         warehouse = Warehouse(catalog, star)
         armed = inject_step_failure(warehouse)
@@ -233,17 +288,17 @@ class TestCrash:
                 with pytest.raises(PipelineError, match="crashed") as info:
                     warehouse.service.stop()
                 assert "injected" in str(info.value.__cause__)
-                assert cursor.fetchall() == [(12,)]
+                assert not warehouse.submissions[-1].done
                 warehouse.service.start()
                 assert warehouse.service.running
                 assert driver_threads() == []
+                assert cursor.fetchall() == [(12,)]
                 assert conn.execute(COUNT_SQL).fetchall() == [(12,)]
         assert server.leaked_tasks == []
 
-    def test_fetch_parked_at_a_crash_does_not_hang(self):
-        """(c) A FETCH parked on the loop when the driver dies is woken
-        by the stop and ends — with rows or a typed error, never a
-        hang — and the query completes once the driver restarts."""
+    def test_fetch_parked_at_a_crash_completes_after_restart(self):
+        """(c) A FETCH parked on the loop when the driver dies waits
+        for the restart, then gets the reference rows."""
         warehouse, slow = slow_scan_warehouse()
         expected = [(warehouse.catalog.table("lineorder").row_count,)]
         armed = inject_step_failure(warehouse)
@@ -253,18 +308,39 @@ class TestCrash:
                 thread, outcome = fetch_in_thread(cursor)
                 assert wait_until(lambda: server._parked), "FETCH never parked"
                 armed.set()
-                thread.join(30.0)
-                assert not thread.is_alive(), "FETCH hung after the crash"
-                assert outcome.get("rows") == expected or isinstance(
-                    outcome.get("error"), OperationalError
-                ), outcome
-                # the fallback may have reported the crash already
-                with contextlib.suppress(PipelineError):
+                assert wait_until(lambda: not warehouse.service.running)
+                assert_still_parked(server, warehouse, thread)
+                with pytest.raises(PipelineError, match="crashed"):
                     warehouse.service.stop()
                 slow.clear()
                 warehouse.service.start()
-                assert conn.execute(SSB_COUNT_SQL).fetchall() == expected
+                thread.join(30.0)
+                assert outcome == {"rows": expected}
                 assert driver_threads() == []
+        assert server.leaked_tasks == []
+
+    def test_fetch_parked_at_a_crash_does_not_hang(self):
+        """(c) Nobody restarts the dead driver: a FETCH parked at the
+        crash ends with a typed error within its own timeout, never a
+        hang, and the server stops cleanly, reporting the crash."""
+        warehouse, _ = slow_scan_warehouse()
+        armed = inject_step_failure(warehouse)
+        server = WarehouseServer(warehouse, owns_warehouse=True).start()
+        try:
+            with repro.connect(server.url, fetch_timeout=1.0) as conn:
+                cursor = conn.execute(SSB_COUNT_SQL)
+                thread, outcome = fetch_in_thread(cursor)
+                assert wait_until(lambda: server._parked), "FETCH never parked"
+                armed.set()
+                started = time.monotonic()
+                thread.join(30.0)
+                assert not thread.is_alive(), "FETCH hung after the crash"
+                assert time.monotonic() - started < 5.0
+                assert isinstance(outcome.get("error"), OperationalError)
+                assert "within 1.0 seconds" in str(outcome["error"])
+        finally:
+            with pytest.raises(PipelineError, match="crashed"):
+                server.stop()
         assert server.leaked_tasks == []
 
 

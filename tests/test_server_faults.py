@@ -42,11 +42,11 @@ def wait_until(predicate, timeout: float = 10.0) -> bool:
 
 
 @pytest.fixture
-def chaos_server(server_class, tiny_star):
+def chaos_server(tiny_star):
     """A live server with leak bookkeeping around it."""
     catalog, star = tiny_star
     before = set(threading.enumerate())
-    server = server_class(
+    server = WarehouseServer(
         Warehouse(catalog, star), owns_warehouse=True
     ).start()
     yield server
@@ -95,9 +95,9 @@ class TestServerDiesMidStream:
     """ISSUE 6 fix: typed OperationalError, promptly, not a raw
     ConnectionResetError or a hang, when the server vanishes."""
 
-    def test_fetch_surfaces_operational_error(self, tiny_star, server_class):
+    def test_fetch_surfaces_operational_error(self, tiny_star):
         catalog, star = tiny_star
-        server = server_class(
+        server = WarehouseServer(
             Warehouse(catalog, star), owns_warehouse=True
         ).start()
         conn = repro.connect(server.url)
@@ -115,11 +115,9 @@ class TestServerDiesMidStream:
             cursor.rows_so_far()
         conn.close()  # teardown is best-effort, never raises
 
-    def test_rows_so_far_surfaces_operational_error(
-        self, tiny_star, server_class
-    ):
+    def test_rows_so_far_surfaces_operational_error(self, tiny_star):
         catalog, star = tiny_star
-        server = server_class(
+        server = WarehouseServer(
             Warehouse(catalog, star), owns_warehouse=True
         ).start()
         conn = repro.connect(server.url)
@@ -138,11 +136,11 @@ class TestServerRestartMidSession:
     typed mid-stream error; nothing leaks across the restart —
     threads, tasks, or warehouse slots."""
 
-    def test_restart_preserves_acked_ingest(self, tmp_path, server_class):
+    def test_restart_preserves_acked_ingest(self, tmp_path):
         before = set(threading.enumerate())
         data_dir = str(tmp_path / "wh")
         catalog, star = make_tiny_star()
-        server = server_class(
+        server = WarehouseServer(
             Warehouse(catalog, star, data_dir=data_dir),
             owns_warehouse=True,
         ).start()
@@ -164,7 +162,7 @@ class TestServerRestartMidSession:
                 # before the ack) or the close-time snapshot.  The
                 # crash-crash variants live in tests/test_persistence.py.
                 server.stop()
-                new_server = server_class(
+                new_server = WarehouseServer(
                     Warehouse.open(data_dir), owns_warehouse=True
                 ).start()
                 return new_server.address

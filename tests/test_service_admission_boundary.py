@@ -171,6 +171,59 @@ class TestOneGroupPerBoundary:
         assert after.results() == [(13,)]
 
 
+class TestCancelDuringAdmission:
+    """A cancel that lands after the pump popped a query and before the
+    manager registered it is definitive, not a "try again"."""
+
+    def cancel_inside_admission(self, service, handle) -> list[bool]:
+        """Make the next group admission cancel ``handle`` first."""
+        manager = service.operator.manager
+        admit = manager._admit_validated
+        answers = []
+
+        def cancelling_admit(group):
+            answers.append(handle.cancel())
+            return admit(group)
+
+        manager._admit_validated = cancelling_admit
+        return answers
+
+    def test_the_query_ends_cancelled_once_registered(self, tiny_star):
+        catalog, star = tiny_star
+        service = pump_service(catalog, star)
+        keep = service.submit(city_query("lyon"))
+        drop = service.submit(city_query("paris"))
+        answers = self.cancel_inside_admission(service, drop)
+        service.pump()
+        assert answers == [True]
+        assert drop.registration is not None  # it was registered, then
+        service.drain()
+        with pytest.raises(CancelledError):
+            drop.results()
+        assert service.in_flight == 0
+        assert service.operator.stats.queries_cancelled == 1
+        assert keep.results() == evaluate_star_query(city_query("lyon"), catalog)
+
+    def test_a_refused_group_drops_the_cancelled_member(self, tiny_star):
+        catalog, star = tiny_star
+        service = pump_service(catalog, star)
+        bad = service.submit(
+            StarQuery.build(
+                "sales",
+                dimension_predicates={"product": _ExplodingPredicate()},
+                aggregates=[AggregateSpec("count")],
+            )
+        )
+        drop = service.submit(city_query("paris"))
+        answers = self.cancel_inside_admission(service, drop)
+        service.pump()  # refused whole: the cancelled member is not requeued
+        assert answers == [True]
+        assert bad.done and drop.done and drop.registration is None
+        with pytest.raises(CancelledError):
+            drop.results()
+        assert service.in_flight == 0 and service.queued == 0
+
+
 class TestAFailingMember:
     def test_error_reaches_its_handle_and_the_rest_go_next_boundary(
         self, tiny_star

@@ -14,15 +14,16 @@ import pytest
 
 import repro
 from repro.engine import Warehouse
+from repro.server import WarehouseServer
 
 STATS_KEYS = {"latency", "pipeline", "service", "tuning", "ingest"}
 
 COUNT_SQL = "SELECT COUNT(*) FROM sales, store WHERE f_store = s_id"
 
 @pytest.fixture
-def running_server(server_class, tiny_star):
+def running_server(tiny_star):
     catalog, star = tiny_star
-    server = server_class(Warehouse(catalog, star), owns_warehouse=True)
+    server = WarehouseServer(Warehouse(catalog, star), owns_warehouse=True)
     server.start()
     try:
         yield server

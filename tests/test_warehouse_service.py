@@ -22,6 +22,7 @@ from repro.query.reference import evaluate_star_query
 from repro.query.star import ColumnRef, StarQuery
 from repro.ssb.generator import load_ssb
 from repro.tuning import TuningConfig
+from tests.conftest import count_overlapping_steps
 
 
 def city_query(city: str, label: str | None = None) -> StarQuery:
@@ -253,6 +254,48 @@ class TestMidScanAdmission:
                 warehouse.service.pump()
         finally:
             warehouse.stop_service()
+
+    def test_start_refuses_while_run_drives_on_a_calling_thread(
+        self, tiny_star
+    ):
+        """One stepper: while ``run()`` drives the pipeline on one
+        thread, ``start()`` — and any other ``drain()``/``pump()`` —
+        refuses instead of stepping beside it."""
+        catalog, star = tiny_star
+        warehouse = Warehouse(catalog, star, tuning=TuningConfig(batch_size=1))
+        counts = count_overlapping_steps(warehouse)
+        boundary = warehouse.service.cycle_hook
+        entered, release = threading.Event(), threading.Event()
+
+        def first_boundary_waits() -> None:
+            if not entered.is_set():
+                entered.set()
+                release.wait(10.0)
+            boundary()
+
+        warehouse.service.cycle_hook = first_boundary_waits
+        cities = ("lyon", "paris", "nice")
+        handles = [warehouse.submit(city_query(city)) for city in cities]
+        runner = threading.Thread(target=warehouse.run)
+        runner.start()
+        try:
+            assert entered.wait(10.0)
+            with pytest.raises(PipelineError, match="calling thread"):
+                warehouse.start_service()
+            with pytest.raises(PipelineError, match="another thread"):
+                warehouse.service.pump()
+            assert not warehouse.service.running
+        finally:
+            release.set()
+            runner.join(10.0)
+        assert not runner.is_alive()
+        assert counts["overlaps"] == 0 and counts["steps"] > 0
+        for city, handle in zip(cities, handles):
+            assert handle.results() == evaluate_star_query(
+                city_query(city), catalog
+            )
+        warehouse.start_service()  # the drive returned: start() may run
+        warehouse.close()
 
 
 def _soak_query(index: int) -> StarQuery:
